@@ -310,10 +310,11 @@ int main(int argc, char **argv) {
   {
     obs::TraceScope Scope(&R.Trace, "interpret");
     InterpOptions IO;
-    // Joining dynamic counts onto residual-check remarks needs per-site
-    // counters.
-    IO.CountCheckSites = PO.Telemetry.Remarks;
-    if (PO.Telemetry.Profile)
+    // Residual-check remarks take their dynamic counts from the profile's
+    // per-site hits, so remarks need an attached profile too.
+    if (PO.Telemetry.Remarks && !R.Profile.attached())
+      R.Profile.attach(*R.M);
+    if (R.Profile.attached())
       IO.Profile = &R.Profile;
     E = interpret(*R.M, IO);
   }
@@ -322,7 +323,7 @@ int main(int argc, char **argv) {
       std::printf("%s\n", Line.c_str());
 
   if (PO.Telemetry.Remarks) {
-    emitResidualCheckRemarks(*R.M, E.CheckSites, R.Remarks);
+    obs::emitResidualCheckRemarks(R.Provenance, R.Profile, R.Remarks);
     R.Remarks.renderText(std::cerr);
   }
 

@@ -20,9 +20,10 @@ CompileResult nascent::compileSource(const std::string &Source,
 
   if (Opts.Telemetry.Trace || !Opts.Telemetry.TracePath.empty())
     R.Trace.enable();
+  // Remarks are derived from the lifecycle events, so they need them too.
   if (Opts.Telemetry.Remarks)
     R.Remarks.enable(Opts.Telemetry.RemarkFilter);
-  if (Opts.Telemetry.Provenance)
+  if (Opts.Telemetry.Provenance || Opts.Telemetry.Remarks)
     R.Provenance.enable();
 
   // The "total" phase is recorded explicitly (not via ScopedPhase) so it
@@ -124,13 +125,13 @@ CompileResult nascent::compileSource(const std::string &Source,
     {
       obs::ScopedPhase Ph(R.Phases, "optimize", T0, &R.Trace);
       RangeCheckOptions OC = Opts.Opt;
-      OC.Remarks = &R.Remarks;
       OC.Trace = &R.Trace;
       OC.Provenance = &R.Provenance;
       OC.Cache = Cache;
       OC.ModuleKey = FrontKey;
       R.Stats = optimizeModule(*M, OC, R.Diags);
     }
+    obs::collectDecisionRemarks(R.Provenance, R.Remarks);
     bool PostOk;
     {
       obs::ScopedPhase Ph(R.Phases, "verify-post", T0, &R.Trace);

@@ -67,7 +67,8 @@ struct PipelineOptions {
     /// the end of compilation (implies Trace).
     std::string TracePath;
     /// Collect one structured remark per per-check optimizer decision
-    /// into CompileResult::Remarks.
+    /// into CompileResult::Remarks. Remarks are derived from the
+    /// lifecycle events, so this also fills CompileResult::Provenance.
     bool Remarks = false;
     /// Optional ECMAScript regex restricting remarks to matching check
     /// families / array names (like LLVM's -Rpass=<regex>).
@@ -99,7 +100,8 @@ struct CompileResult {
   obs::TraceCollector Trace;
   /// Optimization remarks; empty unless Telemetry.Remarks.
   obs::RemarkCollector Remarks;
-  /// Check-lifecycle provenance; empty unless Telemetry.Provenance. Every
+  /// Check-lifecycle provenance; empty unless Telemetry.Provenance or
+  /// Telemetry.Remarks (remarks are a filtered view of it). Every
   /// check's event chain starts Inserted (lowering or an optimizer
   /// insertion) and ends in a terminal state; reconcileCheckProvenance
   /// cross-checks the record against Stats.

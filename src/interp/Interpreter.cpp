@@ -9,9 +9,7 @@
 #include "support/StringUtils.h"
 
 #include <cmath>
-#include <map>
 #include <memory>
-#include <tuple>
 
 using namespace nascent;
 
@@ -165,12 +163,6 @@ private:
   const InterpOptions &Opts;
   ExecResult &R;
   obs::ExecutionProfile *Prof = nullptr;
-
-public:
-  /// Per-site check execution tallies (CountCheckSites only), keyed by
-  /// (function, block, instruction index).
-  std::map<std::tuple<const Function *, BlockID, size_t>, uint64_t>
-      SiteCounts;
 };
 
 void Executor::execute(Frame &Fr, Cell &ResultOut, unsigned Depth) {
@@ -222,8 +214,6 @@ void Executor::execute(Frame &Fr, Cell &ResultOut, unsigned Depth) {
       ++R.DynChecks;
       if (I.Op == Opcode::CondCheck)
         ++R.DynCondChecks;
-      if (Opts.CountCheckSites)
-        obs::saturatingInc(SiteCounts[{Fr.F, Cur, Idx}]);
     } else if (I.Op == Opcode::Load || I.Op == Opcode::Store) {
       // Count the address arithmetic the paper's C back end would emit:
       // one multiply and one add per dimension plus the access itself.
@@ -585,11 +575,6 @@ ExecResult nascent::interpret(const Module &M, const InterpOptions &Opts) {
   }
   Executor E(M, Opts, R);
   E.runEntry(*Entry);
-  for (const auto &[Site, Count] : E.SiteCounts) {
-    const auto &[F, Block, Idx] = Site;
-    R.CheckSites.push_back({F->name(), Block, static_cast<uint32_t>(Idx),
-                            Count, F->block(Block)->instructions()[Idx].Tag});
-  }
   if (Opts.Profile && Opts.Profile->attached())
     Opts.Profile->noteRun(R.St == ExecResult::Status::Trapped);
   ++NumRuns;

@@ -13,7 +13,6 @@
 #define NASCENT_INTERP_INTERPRETER_H
 
 #include "ir/Function.h"
-#include "obs/Remarks.h"
 
 #include <cstdint>
 #include <string>
@@ -31,10 +30,6 @@ struct InterpOptions {
   uint64_t MaxSteps = 2'000'000'000;
   /// Maximum call depth.
   unsigned MaxCallDepth = 256;
-  /// Record per-site execution counts of range checks into
-  /// ExecResult::CheckSites (for joining into the remark stream); off by
-  /// default because it adds a map update per executed check.
-  bool CountCheckSites = false;
   /// When non-null and attached to the module being run, the interpreter
   /// streams block frequencies, loop trip counts, array accesses, and
   /// per-site check hits/traps into this profile. Counts accumulate
@@ -65,10 +60,6 @@ struct ExecResult {
 
   /// Values printed by Print instructions, in order.
   std::vector<std::string> Output;
-
-  /// Per-site dynamic check counts (only with CountCheckSites); sites the
-  /// run never reached are absent.
-  std::vector<obs::CheckSiteCount> CheckSites;
 
   /// Populated when St == Trapped or HardFault.
   std::string FaultMessage;

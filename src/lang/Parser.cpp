@@ -30,7 +30,25 @@ bool Parser::expect(TokenKind K, const char *Context) {
   return false;
 }
 
-void Parser::error(const std::string &Msg) { Diags.error(cur().Loc, Msg); }
+void Parser::error(const std::string &Msg) {
+  if (!TooDeep)
+    Diags.error(cur().Loc, Msg);
+}
+
+bool Parser::Nesting::enter() {
+  if (P.Depth < MaxNestingDepth) {
+    ++P.Depth;
+    ++Entered;
+    return true;
+  }
+  P.error("program nested too deeply (more than " +
+          std::to_string(MaxNestingDepth) + " levels)");
+  P.TooDeep = true;
+  // Skip the rest of the input so every caller unwinds at once.
+  while (!P.cur().is(TokenKind::Eof))
+    P.consume();
+  return false;
+}
 
 bool Parser::startsStatement(TokenKind K) const {
   switch (K) {
@@ -207,6 +225,9 @@ std::vector<StmtPtr> Parser::parseStmtList() {
 }
 
 StmtPtr Parser::parseStmt() {
+  Nesting Nest(*this);
+  if (!Nest.enter())
+    return nullptr;
   switch (cur().Kind) {
   case TokenKind::KwIf:
     return parseIf();
@@ -378,11 +399,19 @@ std::vector<ExprPtr> Parser::parseArgList() {
   return Args;
 }
 
-ExprPtr Parser::parseExpr() { return parseOr(); }
+ExprPtr Parser::parseExpr() {
+  Nesting Nest(*this);
+  if (!Nest.enter())
+    return nullptr;
+  return parseOr();
+}
 
 ExprPtr Parser::parseOr() {
+  Nesting Nest(*this);
   ExprPtr L = parseAnd();
   while (L && cur().is(TokenKind::KwOr)) {
+    if (!Nest.enter())
+      return nullptr;
     SourceLocation Loc = consume().Loc;
     ExprPtr R = parseAnd();
     if (!R)
@@ -394,8 +423,11 @@ ExprPtr Parser::parseOr() {
 }
 
 ExprPtr Parser::parseAnd() {
+  Nesting Nest(*this);
   ExprPtr L = parseNot();
   while (L && cur().is(TokenKind::KwAnd)) {
+    if (!Nest.enter())
+      return nullptr;
     SourceLocation Loc = consume().Loc;
     ExprPtr R = parseNot();
     if (!R)
@@ -408,6 +440,9 @@ ExprPtr Parser::parseAnd() {
 
 ExprPtr Parser::parseNot() {
   if (cur().is(TokenKind::KwNot)) {
+    Nesting Nest(*this);
+    if (!Nest.enter())
+      return nullptr;
     SourceLocation Loc = consume().Loc;
     ExprPtr Sub = parseNot();
     if (!Sub)
@@ -452,8 +487,11 @@ ExprPtr Parser::parseComparison() {
 }
 
 ExprPtr Parser::parseAdditive() {
+  Nesting Nest(*this);
   ExprPtr L = parseMultiplicative();
   while (L && (cur().is(TokenKind::Plus) || cur().is(TokenKind::Minus))) {
+    if (!Nest.enter())
+      return nullptr;
     BinaryOp Op = cur().is(TokenKind::Plus) ? BinaryOp::Add : BinaryOp::Sub;
     SourceLocation Loc = consume().Loc;
     ExprPtr R = parseMultiplicative();
@@ -465,8 +503,11 @@ ExprPtr Parser::parseAdditive() {
 }
 
 ExprPtr Parser::parseMultiplicative() {
+  Nesting Nest(*this);
   ExprPtr L = parseUnary();
   while (L && (cur().is(TokenKind::Star) || cur().is(TokenKind::Slash))) {
+    if (!Nest.enter())
+      return nullptr;
     BinaryOp Op = cur().is(TokenKind::Star) ? BinaryOp::Mul : BinaryOp::Div;
     SourceLocation Loc = consume().Loc;
     ExprPtr R = parseUnary();
@@ -478,16 +519,19 @@ ExprPtr Parser::parseMultiplicative() {
 }
 
 ExprPtr Parser::parseUnary() {
-  if (cur().is(TokenKind::Minus)) {
+  if (cur().is(TokenKind::Minus) || cur().is(TokenKind::Plus)) {
+    Nesting Nest(*this);
+    if (!Nest.enter())
+      return nullptr;
+    if (cur().is(TokenKind::Plus)) {
+      consume();
+      return parseUnary();
+    }
     SourceLocation Loc = consume().Loc;
     ExprPtr Sub = parseUnary();
     if (!Sub)
       return nullptr;
     return std::make_unique<UnaryExpr>(Loc, UnaryOp::Neg, std::move(Sub));
-  }
-  if (cur().is(TokenKind::Plus)) {
-    consume();
-    return parseUnary();
   }
   return parsePrimary();
 }
@@ -527,6 +571,8 @@ ExprPtr Parser::parsePrimary() {
       return std::make_unique<VarRefExpr>(Loc, std::move(Name));
     std::vector<ExprPtr> Args = parseArgList();
     expect(TokenKind::RParen, "after argument list");
+    if (TooDeep)
+      return nullptr;
 
     // Intrinsics recognised by name; everything else is an array reference
     // or a user-function call, disambiguated by semantic analysis.
@@ -564,10 +610,14 @@ ExprPtr Parser::parsePrimary() {
         return nullptr;
       }
       BinaryOp Op = (Name == "min") ? BinaryOp::Min : BinaryOp::Max;
+      Nesting Nest(*this);
       ExprPtr Acc = std::move(Args[0]);
-      for (size_t K = 1; K != Args.size(); ++K)
+      for (size_t K = 1; K != Args.size(); ++K) {
+        if (!Nest.enter())
+          return nullptr;
         Acc = std::make_unique<BinaryExpr>(Loc, Op, std::move(Acc),
                                            std::move(Args[K]));
+      }
       return Acc;
     }
     // Array reference or user call; sema decides which.

@@ -3,7 +3,9 @@
 /// \file
 /// Recursive-descent parser for mini-Fortran. Produces a ProgramAST;
 /// errors go to the DiagnosticEngine and the parser recovers by skipping
-/// to the next plausible statement boundary.
+/// to the next plausible statement boundary. Input nested deeper than
+/// MaxNestingDepth is rejected with one diagnostic, so neither the parser
+/// nor the recursive passes over its AST can overflow the stack.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +25,12 @@ class Parser {
 public:
   Parser(std::string Source, DiagnosticEngine &Diags);
 
+  /// The deepest nesting accepted. Every active statement, expression, and
+  /// prefix-operator level counts one, and so does every binary node a
+  /// left-associative loop (or a min/max fold) stacks onto its left
+  /// operand, which makes this a bound on the depth of the AST.
+  static constexpr unsigned MaxNestingDepth = 1000;
+
   /// Parses the whole file. On errors the returned AST may be partial;
   /// check Diags.hasErrors().
   std::unique_ptr<ProgramAST> parseProgram();
@@ -36,6 +44,20 @@ private:
   bool expect(TokenKind K, const char *Context);
   void error(const std::string &Msg);
   void syncToStatement();
+
+  /// One nesting scope: enter() counts one more level against
+  /// MaxNestingDepth (false, after reporting, when over it); the destructor
+  /// gives back every level the scope entered.
+  class Nesting {
+  public:
+    explicit Nesting(Parser &P) : P(P) {}
+    ~Nesting() { P.Depth -= Entered; }
+    bool enter();
+
+  private:
+    Parser &P;
+    unsigned Entered = 0;
+  };
 
   // Units and declarations.
   std::unique_ptr<ProcedureAST> parseUnit();
@@ -71,6 +93,10 @@ private:
   DiagnosticEngine &Diags;
   Token CurTok;
   Token NextTok;
+  unsigned Depth = 0;
+  /// Set once the depth limit was hit: the rest of the input is skipped
+  /// and no follow-on errors are reported.
+  bool TooDeep = false;
 };
 
 } // namespace nascent

@@ -129,7 +129,7 @@ nascent::obs::extractBenchMetrics(const JsonValue &Doc) {
 namespace {
 
 MetricDiff compareMetric(const BenchMetric &Base, const BenchMetric &Cur,
-                         const BenchDiffOptions &Opts) {
+                         const BenchDiffOptions &Opts, bool HostDrift) {
   MetricDiff D;
   D.Key = Base.Key;
   D.Kind = Base.Kind;
@@ -157,7 +157,13 @@ MetricDiff compareMetric(const BenchMetric &Base, const BenchMetric &Cur,
   }
 
   // TimeSeconds: CI separation plus relative margin, over a measurable
-  // floor.
+  // floor, and only against a baseline measured on the same kind of host.
+  if (HostDrift) {
+    D.Verdict = Cur.Value == Base.Value ? DiffVerdict::Equal
+                                        : DiffVerdict::WithinNoise;
+    D.Note = "informational (baseline measured on a different host)";
+    return D;
+  }
   if (Base.Value < Opts.MinTimeSeconds) {
     D.Verdict = Cur.Value == Base.Value ? DiffVerdict::Equal
                                         : DiffVerdict::WithinNoise;
@@ -204,6 +210,10 @@ void diffEnv(const JsonValue &Baseline, const JsonValue &Current,
   Drift("sanitize", B.Sanitize, C.Sanitize);
   Drift("gitSha", B.GitSha, C.GitSha);
   Drift("cpu", B.Cpu, C.Cpu);
+  Drift("hardwareThreads", std::to_string(B.HardwareThreads),
+        std::to_string(C.HardwareThreads));
+  R.HostDrift = B.Cpu != C.Cpu || B.HardwareThreads != C.HardwareThreads ||
+                B.BuildType != C.BuildType;
 }
 
 } // namespace
@@ -238,7 +248,7 @@ nascent::obs::diffBenchDocuments(const JsonValue &Baseline,
       R.Diffs.push_back(std::move(D));
       continue;
     }
-    R.Diffs.push_back(compareMetric(B, *It->second, Opts));
+    R.Diffs.push_back(compareMetric(B, *It->second, Opts, R.HostDrift));
   }
   for (const BenchMetric &C : Cur)
     if (!BaseByKey.count(C.Key)) {
@@ -343,6 +353,10 @@ nascent::obs::renderMarkdownReport(const BenchDiffResult &R,
     for (const std::string &D : R.EnvDrift)
       Out += "- " + D + "\n";
     Out += "\n";
+    if (R.HostDrift)
+      Out += "The baseline ran on a different host (cpu, hardware threads or "
+             "build type), so times are informational; exact counters still "
+             "gate.\n\n";
   }
 
   std::vector<const MetricDiff *> Listed;

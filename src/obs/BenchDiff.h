@@ -21,6 +21,9 @@
 ///    relative margin; baselines below the measurable floor are
 ///    informational. Wall-clock times are never gated (a parallel ctest
 ///    run makes them meaningless) — they are reported informationally.
+///    When the baseline's cpu, hardware-thread count or build type differs
+///    from the current run's, no time gates at all: a time measured on
+///    another host says nothing about this change.
 ///  - Metrics present in the baseline but missing from the current run
 ///    fail the gate (structure drift means the baseline is stale).
 ///
@@ -96,6 +99,9 @@ struct BenchDiffResult {
   /// Environment fields that differ between the documents (informational;
   /// a new git SHA is the expected state of affairs).
   std::vector<std::string> EnvDrift;
+  /// The cpu, hardware-thread count or build type differs: every time
+  /// metric was compared informationally.
+  bool HostDrift = false;
   std::string Harness;
 
   bool hasRegression() const { return NumRegressed + NumMissing > 0; }

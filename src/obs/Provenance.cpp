@@ -280,6 +280,7 @@ LifecycleEvent obs::makeLifecycleEvent(LifecycleKind Kind, std::string Pass,
   E.Function = F.name();
   E.Block = BB.name();
   E.CheckStr = I.Check.str(F.symbols());
+  E.FamilyStr = I.Check.expr().str(F.symbols());
   E.Bound = I.Check.bound();
   E.Origin = I.Origin;
   E.Justification = std::move(Justification);

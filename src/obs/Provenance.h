@@ -3,9 +3,11 @@
 /// \file
 /// Check-lifecycle provenance: a structured, replayable record of every
 /// decision the pipeline makes about every range check, keyed by the
-/// check's stable CheckTag (ir/Instruction.h). Where the remark stream
-/// (obs/Remarks.h) answers "what did pass P decide here", provenance
-/// answers "what happened to *this* check, end to end":
+/// check's stable CheckTag (ir/Instruction.h). It is the only per-decision
+/// record the optimizer passes write: the remark stream (obs/Remarks.h) is
+/// a filtered view of these events, and it answers "what did pass P decide
+/// here" where provenance answers "what happened to *this* check, end to
+/// end":
 ///
 ///   Inserted      the check was materialised (Lowering, LazyCodeMotion,
 ///                 PreheaderInsertion)
@@ -80,6 +82,9 @@ struct LifecycleEvent {
   std::string Function; ///< enclosing function name
   std::string Block;    ///< block holding (or receiving) the check
   std::string CheckStr; ///< rendered check *after* the event
+  /// Rendered family range-expression after the event, e.g. "i - n"; the
+  /// remark filter matches it. Not serialised.
+  std::string FamilyStr;
   int64_t Bound = 0;    ///< range constant after the event
   CheckOrigin Origin;   ///< source provenance (array, dim, side, loc)
   std::string Justification; ///< the fact justifying the decision
@@ -93,7 +98,7 @@ struct LifecycleEvent {
 };
 
 /// Collects lifecycle events for one compilation. Disabled recorders cost
-/// one branch per record call, mirroring RemarkCollector.
+/// one branch per record call.
 class ProvenanceRecorder {
 public:
   void enable() { Enabled = true; }

@@ -1,9 +1,8 @@
 #include "obs/Remarks.h"
 
-#include "ir/Function.h"
 #include "obs/Json.h"
 #include "obs/Profile.h"
-#include "support/StringUtils.h"
+#include "obs/Provenance.h"
 
 #include <map>
 
@@ -105,58 +104,76 @@ std::string RemarkCollector::toJson() const {
   return W.take();
 }
 
-Remark obs::makeCheckRemark(RemarkKind Kind, std::string Pass,
-                            const Function &F, const BasicBlock &BB,
-                            const CheckExpr &CE, const CheckOrigin &Origin,
-                            std::string Justification) {
+namespace {
+
+/// The (event kind, pass) -> remark kind table; a null pass matches any.
+const struct {
+  LifecycleKind Kind;
+  const char *Pass;
+  RemarkKind Remark;
+} DecisionRemarks[] = {
+    {LifecycleKind::SubsumedBy, "Elimination", RemarkKind::Eliminated},
+    {LifecycleKind::Strengthened, "CheckStrengthening",
+     RemarkKind::Strengthened},
+    {LifecycleKind::Inserted, "LazyCodeMotion", RemarkKind::LcmInserted},
+    {LifecycleKind::Inserted, "PreheaderInsertion", RemarkKind::CondInserted},
+    {LifecycleKind::Moved, "PreheaderInsertion", RemarkKind::Rehoisted},
+    {LifecycleKind::Eliminated, "Elimination",
+     RemarkKind::CompileTimeDeleted},
+    {LifecycleKind::Trapped, nullptr, RemarkKind::CompileTimeTrap},
+    {LifecycleKind::Eliminated, "IntervalAnalysis",
+     RemarkKind::IntervalEliminated},
+};
+
+Remark remarkFromEvent(const LifecycleEvent &E, RemarkKind Kind) {
   Remark R;
   R.Kind = Kind;
-  R.Pass = std::move(Pass);
-  R.Function = F.name();
-  R.Block = BB.name();
-  R.CheckStr = CE.str(F.symbols());
-  R.FamilyStr = CE.expr().str(F.symbols());
-  R.Bound = CE.bound();
-  R.Origin = Origin;
-  R.Justification = std::move(Justification);
+  R.Pass = E.Pass;
+  R.Function = E.Function;
+  R.Block = E.Block;
+  R.CheckStr = E.CheckStr;
+  R.FamilyStr = E.FamilyStr;
+  R.Bound = E.Bound;
+  R.Origin = E.Origin;
+  R.Justification = E.Justification;
   return R;
 }
 
-void obs::emitResidualCheckRemarks(const Module &M,
-                                   const std::vector<CheckSiteCount> &Sites,
+} // namespace
+
+std::optional<RemarkKind> obs::remarkKindFor(const LifecycleEvent &E) {
+  for (const auto &Row : DecisionRemarks)
+    if (Row.Kind == E.Kind && (!Row.Pass || E.Pass == Row.Pass))
+      return Row.Remark;
+  return std::nullopt;
+}
+
+void obs::collectDecisionRemarks(const ProvenanceRecorder &PR,
+                                 RemarkCollector &RC) {
+  if (!RC.enabled())
+    return;
+  for (const LifecycleEvent &E : PR.events())
+    if (std::optional<RemarkKind> Kind = remarkKindFor(E))
+      RC.emit(remarkFromEvent(E, *Kind));
+}
+
+void obs::emitResidualCheckRemarks(const ProvenanceRecorder &PR,
+                                   const ExecutionProfile &Profile,
                                    RemarkCollector &RC) {
   if (!RC.enabled())
     return;
-  // Index the interpreter's counts by structural site address.
-  std::map<std::tuple<std::string, BlockID, uint32_t>, uint64_t> BySite;
-  for (const CheckSiteCount &S : Sites)
-    saturatingInc(BySite[{S.Func, S.Block, S.Index}], S.Count);
-
-  for (const Function *F : M.functions()) {
-    for (const auto &BB : *F) {
-      const auto &Insts = BB->instructions();
-      for (uint32_t Idx = 0; Idx != Insts.size(); ++Idx) {
-        const Instruction &I = Insts[Idx];
-        if (!I.isRangeCheck())
-          continue;
-        Remark R;
-        R.Kind = RemarkKind::Residual;
-        R.Pass = "Interpreter";
-        R.Function = F->name();
-        R.Block = BB->name();
-        R.CheckStr = I.Check.str(F->symbols());
-        R.FamilyStr = I.Check.expr().str(F->symbols());
-        R.Bound = I.Check.bound();
-        R.Origin = I.Origin;
-        auto It = BySite.find({F->name(), BB->id(), Idx});
-        R.DynCount = It == BySite.end() ? 0 : It->second;
-        R.HasDynCount = true;
-        R.Justification =
-            I.Op == Opcode::CondCheck
-                ? "conditional check survived optimization"
-                : "check survived optimization";
-        RC.emit(R);
-      }
-    }
+  std::map<CheckTag, uint64_t> HitsByTag;
+  for (const FunctionProfile &FP : Profile.functions())
+    for (const CheckSiteProfile &S : FP.Sites)
+      HitsByTag[S.Tag] = S.Hits;
+  for (const LifecycleEvent &E : PR.events()) {
+    if (E.Kind != LifecycleKind::Residualized)
+      continue;
+    Remark R = remarkFromEvent(E, RemarkKind::Residual);
+    R.Pass = "Interpreter";
+    auto It = HitsByTag.find(E.Tag);
+    R.DynCount = It == HitsByTag.end() ? 0 : It->second;
+    R.HasDynCount = true;
+    RC.emit(std::move(R));
   }
 }

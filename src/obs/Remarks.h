@@ -1,17 +1,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Optimization remarks: a structured record of every per-check decision
-/// the optimizer makes, in the spirit of LLVM's -Rpass stream. Each pass
-/// (Elimination, CheckStrengthening, LazyCodeMotion, PreheaderInsertion,
-/// IntervalAnalysis) emits one remark per decision carrying the check,
-/// its family, the block, the verdict, and the justifying fact. Remark
-/// totals reconcile exactly with OptimizerStats, which tests assert.
+/// Optimization remarks: one structured record per per-check decision the
+/// optimizer makes, in the spirit of LLVM's -Rpass stream. Remarks are a
+/// view, not a record of their own: the passes write lifecycle events
+/// (obs/Provenance.h), and the pipeline derives one remark per decision
+/// event through a fixed (event kind, pass) -> RemarkKind table (see
+/// remarkKindFor). Remark totals reconcile exactly with OptimizerStats,
+/// which tests assert.
 ///
-/// The interpreter can additionally report per-site dynamic execution
-/// counts for the *residual* checks, which are joined back into the
-/// remark stream so a remark can say "this surviving check executed N
-/// times" (the paper's table-1 metric, per check instead of per program).
+/// Residual remarks say "this surviving check executed N times" (the
+/// paper's table-1 metric, per check instead of per program): they come
+/// from the Residualized events, with counts from the per-site hits of an
+/// ExecutionProfile the run streamed into.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,24 +22,23 @@
 #include "ir/Instruction.h"
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <regex>
 #include <string>
 #include <vector>
 
 namespace nascent {
-
-class BasicBlock;
-class Function;
-class Module;
-
 namespace obs {
 
+class ExecutionProfile;
 class JsonWriter;
+class ProvenanceRecorder;
+struct LifecycleEvent;
 
 /// What happened to a check. The first eight kinds map one-to-one onto
 /// OptimizerStats fields; Residual marks a check that survived
-/// optimization (emitted only when joining interpreter counts).
+/// optimization (emitted only when joining a run's profile counts).
 enum class RemarkKind {
   Eliminated,         ///< deleted as redundant (availability)
   Strengthened,       ///< replaced by a stronger family member
@@ -97,30 +97,26 @@ private:
   std::vector<Remark> All;
 };
 
-/// Builds the common fields of a per-check remark: the rendered check and
-/// family strings use \p F's symbol table; \p BB is the block holding (or
-/// receiving) the check.
-Remark makeCheckRemark(RemarkKind Kind, std::string Pass, const Function &F,
-                       const BasicBlock &BB, const CheckExpr &CE,
-                       const CheckOrigin &Origin, std::string Justification);
+/// The remark kind a lifecycle event stands for: SubsumedBy/Elimination
+/// -> Eliminated, Strengthened/CheckStrengthening -> Strengthened,
+/// Inserted/LazyCodeMotion -> LcmInserted, Inserted/PreheaderInsertion ->
+/// CondInserted, Moved/PreheaderInsertion -> Rehoisted,
+/// Eliminated/Elimination -> CompileTimeDeleted, Trapped/any pass ->
+/// CompileTimeTrap, Eliminated/IntervalAnalysis -> IntervalEliminated.
+/// Every other event (lowering, INX rewrites, unreachable tails, preheader
+/// merges, residualization) is no decision remark.
+std::optional<RemarkKind> remarkKindFor(const LifecycleEvent &E);
 
-/// Dynamic execution count of one surviving check site, reported by the
-/// interpreter when InterpOptions::CountCheckSites is set. The site is
-/// addressed structurally (function, block, instruction index) against
-/// the optimized module the interpreter ran.
-struct CheckSiteCount {
-  std::string Func;
-  BlockID Block = 0;
-  uint32_t Index = 0; ///< instruction index within the block
-  uint64_t Count = 0;
-  CheckTag Tag = NoCheckTag; ///< lifecycle tag of the check at the site
-};
+/// Appends one remark per decision event of \p PR to \p RC, in recording
+/// order. No-op when \p RC is disabled.
+void collectDecisionRemarks(const ProvenanceRecorder &PR,
+                            RemarkCollector &RC);
 
-/// Joins interpreter check-site counts back into the remark stream: one
-/// Residual remark per surviving check site in \p M, with DynCount taken
-/// from \p Sites (0 for sites the run never reached).
-void emitResidualCheckRemarks(const Module &M,
-                              const std::vector<CheckSiteCount> &Sites,
+/// Appends one Residual remark per Residualized event of \p PR, with
+/// DynCount taken from the hits of the matching check site in \p Profile
+/// (0 for sites the run never reached). No-op when \p RC is disabled.
+void emitResidualCheckRemarks(const ProvenanceRecorder &PR,
+                              const ExecutionProfile &Profile,
                               RemarkCollector &RC);
 
 } // namespace obs

@@ -13,7 +13,6 @@
 #define NASCENT_OPT_CHECKSTRENGTHENING_H
 
 #include "obs/Provenance.h"
-#include "obs/Remarks.h"
 #include "opt/CheckContext.h"
 
 namespace nascent {
@@ -24,13 +23,11 @@ struct StrengtheningStats {
 };
 
 /// Replaces checks in \p F by their strongest anticipatable same-family
-/// member, in place. One Strengthened remark per replacement goes to
-/// \p Remarks when given, and one Strengthened lifecycle event (the check
-/// keeps its tag; the event's edge carries the pre-rewrite form) to
-/// \p Prov.
+/// member, in place. One Strengthened lifecycle event per replacement goes
+/// to \p Prov when given (the check keeps its tag; the event's edge
+/// carries the pre-rewrite form).
 StrengtheningStats runCheckStrengthening(Function &F,
                                          const CheckContext &Ctx,
-                                         obs::RemarkCollector *Remarks = nullptr,
                                          obs::ProvenanceRecorder *Prov = nullptr);
 
 } // namespace nascent

@@ -1,20 +1,11 @@
 #include "opt/Elimination.h"
 
-#include "obs/StatRegistry.h"
-
 using namespace nascent;
-
-NASCENT_STAT(NumAvailDeleted, "opt.elim.deleted",
-             "checks deleted as redundant by availability");
-NASCENT_STAT(NumConstDeleted, "opt.fold.deleted",
-             "compile-time-constant checks deleted");
-NASCENT_STAT(NumConstTraps, "opt.fold.traps",
-             "compile-time-constant checks turned into traps");
 
 namespace {
 
-/// Names the fact that made an available check deletable, for the remark
-/// stream: the three possible sources are block-entry availability, a
+/// Names the fact that made an available check deletable, for the
+/// lifecycle event: the three possible sources are block-entry availability, a
 /// preheader entry fact, and an earlier check in the same block.
 std::string availJustification(const CheckContext &Ctx,
                                const DataflowResult &Avail, BlockID B,
@@ -30,7 +21,6 @@ std::string availJustification(const CheckContext &Ctx,
 
 EliminationStats
 nascent::eliminateRedundantChecks(Function &F, const CheckContext &Ctx,
-                                  obs::RemarkCollector *Remarks,
                                   obs::ProvenanceRecorder *Prov) {
   EliminationStats Stats;
   if (Ctx.universe().size() == 0)
@@ -59,15 +49,10 @@ nascent::eliminateRedundantChecks(Function &F, const CheckContext &Ctx,
         CheckID C = Ctx.idOf(B, Idx);
         if (C != InvalidCheck && Cur.test(C)) {
           ToDelete.push_back(Idx);
-          std::string Why = availJustification(Ctx, Avail, B, C);
-          if (Remarks && Remarks->enabled())
-            Remarks->emit(obs::makeCheckRemark(
-                obs::RemarkKind::Eliminated, "Elimination", F, *BB, I.Check,
-                I.Origin, Why));
           if (WantProv) {
             obs::LifecycleEvent E = obs::makeLifecycleEvent(
                 obs::LifecycleKind::SubsumedBy, "Elimination", F, *BB, I,
-                Why);
+                availJustification(Ctx, Avail, B, C));
             // Witness attribution mirrors the justification priority:
             // all-paths availability has no single witness; a preheader
             // fact names the hoisted conditional; otherwise an earlier
@@ -97,7 +82,6 @@ nascent::eliminateRedundantChecks(Function &F, const CheckContext &Ctx,
       BB->instructions().erase(BB->instructions().begin() +
                                static_cast<ptrdiff_t>(*It));
       ++Stats.ChecksDeleted;
-      ++NumAvailDeleted;
     }
   }
   return Stats;
@@ -105,15 +89,8 @@ nascent::eliminateRedundantChecks(Function &F, const CheckContext &Ctx,
 
 EliminationStats
 nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
-                               obs::RemarkCollector *Remarks,
                                obs::ProvenanceRecorder *Prov) {
   EliminationStats Stats;
-  auto Emit = [&](obs::RemarkKind Kind, const BasicBlock &BB,
-                  const Instruction &I, std::string Justification) {
-    if (Remarks && Remarks->enabled())
-      Remarks->emit(obs::makeCheckRemark(Kind, "Elimination", F, BB, I.Check,
-                                         I.Origin, std::move(Justification)));
-  };
   auto Event = [&](obs::LifecycleKind Kind, const BasicBlock &BB,
                    const Instruction &I, std::string Justification) {
     if (Prov && Prov->enabled())
@@ -144,13 +121,10 @@ nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
           continue;
         }
         if (I.Check.evaluatesToTrue()) {
-          Emit(obs::RemarkKind::CompileTimeDeleted, *BB, I,
-               "constant check always passes");
           Event(obs::LifecycleKind::Eliminated, *BB, I,
                 "constant check always passes");
           Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Idx));
           ++Stats.CompileTimeDeleted;
-          ++NumConstDeleted;
           continue;
         }
         // Always fails: report and replace with a TRAP terminator; the
@@ -160,8 +134,6 @@ nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
                           (I.Origin.ArrayName.empty()
                                ? std::string()
                                : " (array " + I.Origin.ArrayName + ")"));
-        Emit(obs::RemarkKind::CompileTimeTrap, *BB, I,
-             "constant check always fails; replaced by a trap");
         Event(obs::LifecycleKind::Trapped, *BB, I,
               "constant check always fails; replaced by a trap");
         CloseTail(*BB, Insts, Idx + 1);
@@ -172,7 +144,6 @@ nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
         Insts.resize(Idx);
         Insts.push_back(std::move(Trap));
         ++Stats.CompileTimeTraps;
-        ++NumConstTraps;
         break; // block is now terminated
       }
       if (I.Op == Opcode::CondCheck) {
@@ -192,25 +163,18 @@ nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
           }
         }
         if (GuardFalse) {
-          Emit(obs::RemarkKind::CompileTimeDeleted, *BB, I,
-               "conditional check guarded by a constant-false guard can "
-               "never fire");
           Event(obs::LifecycleKind::Eliminated, *BB, I,
                 "conditional check guarded by a constant-false guard can "
                 "never fire");
           Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Idx));
           ++Stats.CompileTimeDeleted;
-          ++NumConstDeleted;
           continue;
         }
         if (I.Check.isCompileTimeConstant() && I.Check.evaluatesToTrue()) {
-          Emit(obs::RemarkKind::CompileTimeDeleted, *BB, I,
-               "constant conditional check always passes");
           Event(obs::LifecycleKind::Eliminated, *BB, I,
                 "constant conditional check always passes");
           Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Idx));
           ++Stats.CompileTimeDeleted;
-          ++NumConstDeleted;
           continue;
         }
         if (I.Guards.empty()) {
@@ -221,9 +185,6 @@ nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
                               (I.Origin.ArrayName.empty()
                                    ? std::string()
                                    : " (array " + I.Origin.ArrayName + ")"));
-            Emit(obs::RemarkKind::CompileTimeTrap, *BB, I,
-                 "conditional check with all guards folded always fails; "
-                 "replaced by a trap");
             Event(obs::LifecycleKind::Trapped, *BB, I,
                   "conditional check with all guards folded always fails; "
                   "replaced by a trap");
@@ -235,7 +196,6 @@ nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
             Insts.resize(Idx);
             Insts.push_back(std::move(Trap));
             ++Stats.CompileTimeTraps;
-            ++NumConstTraps;
             break;
           }
           // All guards folded away: demote to a plain check.

@@ -3,17 +3,11 @@
 #include "analysis/CFGUtils.h"
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
-#include "obs/StatRegistry.h"
 
 #include <optional>
 #include <vector>
 
 using namespace nascent;
-
-NASCENT_STAT(NumIntervalDeleted, "opt.interval.deleted",
-             "checks proved redundant by value-range analysis");
-NASCENT_STAT(NumIntervalTraps, "opt.interval.traps",
-             "checks proved violating by value-range analysis");
 
 int64_t Interval::satAdd(int64_t A, int64_t B) {
   if (A == NegInf || B == NegInf)
@@ -321,7 +315,6 @@ nascent::classifyChecksByIntervals(const Function &F,
 
 IntervalStats nascent::eliminateChecksByIntervals(Function &F,
                                                   DiagnosticEngine &Diags,
-                                                  obs::RemarkCollector *Remarks,
                                                   obs::ProvenanceRecorder *Prov,
                                                   const LoopInfo *CachedLoops) {
   IntervalStats Stats;
@@ -337,14 +330,6 @@ IntervalStats nascent::eliminateChecksByIntervals(Function &F,
     for (size_t OIdx = 0; OIdx != NumOrig; ++OIdx) {
       switch (C.at(B, OIdx)) {
       case IntervalVerdict::AlwaysPasses: {
-        if (Remarks && Remarks->enabled()) {
-          const Instruction &I = Insts[Cur];
-          Remarks->emit(obs::makeCheckRemark(
-              obs::RemarkKind::IntervalEliminated, "IntervalAnalysis", F,
-              *BB, I.Check, I.Origin,
-              "value ranges prove the check passes on every execution "
-              "reaching it"));
-        }
         if (WantProv)
           Prov->record(obs::makeLifecycleEvent(
               obs::LifecycleKind::Eliminated, "IntervalAnalysis", F, *BB,
@@ -353,7 +338,6 @@ IntervalStats nascent::eliminateChecksByIntervals(Function &F,
               "reaching it"));
         Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Cur));
         ++Stats.ChecksProvedRedundant;
-        ++NumIntervalDeleted;
         continue;
       }
       case IntervalVerdict::AlwaysFails: {
@@ -364,12 +348,6 @@ IntervalStats nascent::eliminateChecksByIntervals(Function &F,
                           (I.Origin.ArrayName.empty()
                                ? std::string()
                                : " (array " + I.Origin.ArrayName + ")"));
-        if (Remarks && Remarks->enabled())
-          Remarks->emit(obs::makeCheckRemark(
-              obs::RemarkKind::CompileTimeTrap, "IntervalAnalysis", F, *BB,
-              I.Check, I.Origin,
-              "value ranges prove the check fails on every execution "
-              "reaching it; replaced by a trap"));
         if (WantProv) {
           Prov->record(obs::makeLifecycleEvent(
               obs::LifecycleKind::Trapped, "IntervalAnalysis", F, *BB, I,
@@ -391,7 +369,6 @@ IntervalStats nascent::eliminateChecksByIntervals(Function &F,
         Insts.resize(Cur);
         Insts.push_back(std::move(Trap));
         ++Stats.ChecksProvedViolating;
-        ++NumIntervalTraps;
         break;
       }
       case IntervalVerdict::Unknown:

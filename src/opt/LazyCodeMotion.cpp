@@ -1,14 +1,10 @@
 #include "opt/LazyCodeMotion.h"
 
 #include "analysis/CFGUtils.h"
-#include "obs/StatRegistry.h"
 
 #include <algorithm>
 
 using namespace nascent;
-
-NASCENT_STAT(NumLcmInserted, "opt.lcm.inserted",
-             "checks inserted by lazy-code-motion placement");
 
 namespace {
 
@@ -31,7 +27,6 @@ InsertPoint pointForEdge(const Function &F, BlockID From, BlockID To) {
 
 LCMStats nascent::runLazyCodeMotion(Function &F, const CheckContext &Ctx,
                                     LCMPlacement Placement,
-                                    obs::RemarkCollector *Remarks,
                                     obs::ProvenanceRecorder *Prov) {
   LCMStats Stats;
   const CheckUniverse &U = Ctx.universe();
@@ -199,17 +194,12 @@ LCMStats nascent::runLazyCodeMotion(Function &F, const CheckContext &Ctx,
                                   ? "safe-earliest"
                                   : "latest-not-isolated";
   auto Note = [&](BlockID B, const Instruction &I, const char *Where) {
-    std::string Why = std::string("strongest family member placed at the ") +
-                      PlacementName + " point (" + Where +
-                      "); later occurrences become redundant";
-    if (Remarks && Remarks->enabled())
-      Remarks->emit(obs::makeCheckRemark(obs::RemarkKind::LcmInserted,
-                                         "LazyCodeMotion", F, *F.block(B),
-                                         I.Check, I.Origin, Why));
     if (Prov && Prov->enabled())
-      Prov->record(obs::makeLifecycleEvent(obs::LifecycleKind::Inserted,
-                                           "LazyCodeMotion", F, *F.block(B),
-                                           I, std::move(Why)));
+      Prov->record(obs::makeLifecycleEvent(
+          obs::LifecycleKind::Inserted, "LazyCodeMotion", F, *F.block(B), I,
+          std::string("strongest family member placed at the ") +
+              PlacementName + " point (" + Where +
+              "); later occurrences become redundant"));
   };
 
   for (size_t B = 0; B != AtStart.size(); ++B) {
@@ -219,7 +209,6 @@ LCMStats nascent::runLazyCodeMotion(Function &F, const CheckContext &Ctx,
       Note(static_cast<BlockID>(B), I, "block start");
       F.block(static_cast<BlockID>(B))->insertAt(Pos++, std::move(I));
       ++Stats.ChecksInserted;
-      ++NumLcmInserted;
     }
   }
   for (size_t B = 0; B != BeforeTerm.size(); ++B) {
@@ -228,7 +217,6 @@ LCMStats nascent::runLazyCodeMotion(Function &F, const CheckContext &Ctx,
       Note(static_cast<BlockID>(B), I, "before terminator");
       F.block(static_cast<BlockID>(B))->insertBeforeTerminator(std::move(I));
       ++Stats.ChecksInserted;
-      ++NumLcmInserted;
     }
   }
   return Stats;

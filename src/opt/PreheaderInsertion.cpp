@@ -2,19 +2,11 @@
 
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
-#include "obs/StatRegistry.h"
 
 #include <optional>
 #include <unordered_map>
 
 using namespace nascent;
-
-NASCENT_STAT(NumCondInserted, "opt.preheader.cond_inserted",
-             "conditional checks hoisted into loop preheaders");
-NASCENT_STAT(NumRehoisted, "opt.preheader.rehoisted",
-             "conditional checks re-hoisted to an outer preheader");
-NASCENT_STAT(NumSubstituted, "opt.preheader.substituted",
-             "hoisted checks using loop-limit substitution");
 
 namespace {
 
@@ -111,7 +103,6 @@ PreheaderStats
 nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
                                const PreheaderOptions &Opts,
                                std::vector<PreheaderFact> &FactsOut,
-                               obs::RemarkCollector *Remarks,
                                obs::ProvenanceRecorder *Prov,
                                const LoopInfo *CachedLoops) {
   PreheaderStats Stats;
@@ -313,27 +304,18 @@ nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
         I.Origin = P.Origin;
         I.Tag = F.allocateCheckTag();
         SourceTag = I.Tag;
-        std::string Why =
-            G.Substituted
-                ? "linear check hoisted via loop-limit substitution, "
-                  "guarded by loop entry"
-                : "loop-invariant check hoisted to the preheader, "
-                  "guarded by loop entry";
-        if (Remarks && Remarks->enabled())
-          Remarks->emit(obs::makeCheckRemark(
-              obs::RemarkKind::CondInserted, "PreheaderInsertion", F, *PH,
-              P.Check, P.Origin, Why));
         if (Prov && Prov->enabled())
           Prov->record(obs::makeLifecycleEvent(
               obs::LifecycleKind::Inserted, "PreheaderInsertion", F, *PH, I,
-              std::move(Why)));
+              G.Substituted
+                  ? "linear check hoisted via loop-limit substitution, "
+                    "guarded by loop entry"
+                  : "loop-invariant check hoisted to the preheader, "
+                    "guarded by loop entry"));
         PH->insertBeforeTerminator(std::move(I));
         ++Stats.CondChecksInserted;
-        ++NumCondInserted;
-        if (G.Substituted) {
+        if (G.Substituted)
           ++Stats.Substituted;
-          ++NumSubstituted;
-        }
       }
       for (const CheckExpr &Fact : G.Facts)
         FactsOut.push_back({DL.BodyEntry, Fact, SourceTag});
@@ -438,21 +420,8 @@ nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
           PH->insertBeforeTerminator(std::move(NI));
         }
         ++Stats.Rehoisted;
-        ++NumRehoisted;
-        if (DidSubstitute) {
+        if (DidSubstitute)
           ++Stats.Substituted;
-          ++NumSubstituted;
-        }
-        std::string Why =
-            DidSubstitute
-                ? "conditional check re-hoisted from an inner preheader "
-                  "with loop-limit re-substitution"
-                : "conditional check re-hoisted from an inner preheader "
-                  "(guards and check invariant in the outer loop)";
-        if (Remarks && Remarks->enabled())
-          Remarks->emit(obs::makeCheckRemark(
-              obs::RemarkKind::Rehoisted, "PreheaderInsertion", F, *PH,
-              P.Check, P.Origin, Why));
         if (Prov && Prov->enabled()) {
           Instruction Shim;
           Shim.Op = Opcode::CondCheck;
@@ -461,7 +430,11 @@ nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
           Shim.Tag = MovedTag;
           obs::LifecycleEvent E = obs::makeLifecycleEvent(
               obs::LifecycleKind::Moved, "PreheaderInsertion", F, *PH, Shim,
-              std::move(Why));
+              DidSubstitute
+                  ? "conditional check re-hoisted from an inner preheader "
+                    "with loop-limit re-substitution"
+                  : "conditional check re-hoisted from an inner preheader "
+                    "(guards and check invariant in the outer loop)");
           E.Edge = OldStr;
           Prov->record(std::move(E));
           if (MergedInto) {

@@ -17,6 +17,29 @@ using namespace nascent;
 NASCENT_STAT(NumFunctionsOptimized, "opt.functions",
              "functions run through the range-check optimizer");
 
+// Per-decision counters, credited once per function from the stage stats
+// below (the passes themselves record only lifecycle events).
+NASCENT_STAT(NumAvailDeleted, "opt.elim.deleted",
+             "checks deleted as redundant by availability");
+NASCENT_STAT(NumConstDeleted, "opt.fold.deleted",
+             "compile-time-constant checks deleted");
+NASCENT_STAT(NumConstTraps, "opt.fold.traps",
+             "compile-time-constant checks turned into traps");
+NASCENT_STAT(NumStrengthened, "opt.cs.strengthened",
+             "checks replaced by a stronger family member");
+NASCENT_STAT(NumLcmInserted, "opt.lcm.inserted",
+             "checks inserted by lazy-code-motion placement");
+NASCENT_STAT(NumCondInserted, "opt.preheader.cond_inserted",
+             "conditional checks hoisted into loop preheaders");
+NASCENT_STAT(NumRehoisted, "opt.preheader.rehoisted",
+             "conditional checks re-hoisted to an outer preheader");
+NASCENT_STAT(NumSubstituted, "opt.preheader.substituted",
+             "hoisted checks using loop-limit substitution");
+NASCENT_STAT(NumIntervalDeleted, "opt.interval.deleted",
+             "checks proved redundant by value-range analysis");
+NASCENT_STAT(NumIntervalTraps, "opt.interval.traps",
+             "checks proved violating by value-range analysis");
+
 bool nascent::parsePlacementScheme(const std::string &Name,
                                    PlacementScheme &Out) {
   std::string Upper = Name;
@@ -178,7 +201,6 @@ OptimizerStats nascent::optimizeFunction(Function &F,
                "functions optimized with this placement scheme")
       .inc();
 
-  obs::RemarkCollector *RC = Opts.Remarks;
   obs::TraceCollector *TC = Opts.Trace;
   obs::ProvenanceRecorder *PV = Opts.Provenance;
   obs::TraceScope FnScope(TC, "fn " + F.name());
@@ -197,6 +219,8 @@ OptimizerStats nascent::optimizeFunction(Function &F,
   std::shared_ptr<const cache::LoopArtifacts> LoopsHold;
 
   std::vector<PreheaderFact> Facts;
+  unsigned Substituted = 0;   // preheader checks using limit substitution
+  unsigned IntervalTraps = 0; // AI-scheme share of CompileTimeTraps
 
   // Step 1-3: build the universe/CIG and insert checks per scheme.
   switch (Opts.Scheme) {
@@ -208,7 +232,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     Stats.NumFamilies = Ctx->universe().numFamilies();
     obs::TraceScope Scope(TC, "strengthen");
     Stats.ChecksStrengthened =
-        runCheckStrengthening(F, *Ctx, RC, PV).ChecksStrengthened;
+        runCheckStrengthening(F, *Ctx, PV).ChecksStrengthened;
     // Strengthening rewrites check payloads in place and does nothing
     // else: zero rewrites means the IR is untouched and the elimination
     // context below may still reuse the pre-stage seed.
@@ -227,7 +251,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
                           Opts.Scheme == PlacementScheme::SE
                               ? LCMPlacement::SafeEarliest
                               : LCMPlacement::LatestNotIsolated,
-                          RC, PV)
+                          PV)
             .ChecksInserted;
     // LCM's only IR mutations are the counted insertions.
     if (Stats.ChecksInserted)
@@ -246,9 +270,10 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     PO.MarksteinRestriction = Opts.Scheme == PlacementScheme::MCM;
     obs::TraceScope Scope(TC, "preheader-insert");
     PreheaderStats PS =
-        runPreheaderInsertion(F, *Ctx, PO, Facts, RC, PV, CachedLoops);
+        runPreheaderInsertion(F, *Ctx, PO, Facts, PV, CachedLoops);
     Stats.CondChecksInserted = PS.CondChecksInserted;
     Stats.Rehoisted = PS.Rehoisted;
+    Substituted = PS.Substituted;
     // Preheader insertion mutates only through counted insertions and
     // rehoists (it never creates blocks; preheaders already exist after
     // critical-edge splitting), so a zero-work pass keeps the seed valid.
@@ -259,10 +284,10 @@ OptimizerStats nascent::optimizeFunction(Function &F,
   case PlacementScheme::AI: {
     const LoopInfo *CachedLoops = Contexts.loops(LoopsHold);
     obs::TraceScope Scope(TC, "interval-analysis");
-    IntervalStats IS =
-        eliminateChecksByIntervals(F, Diags, RC, PV, CachedLoops);
+    IntervalStats IS = eliminateChecksByIntervals(F, Diags, PV, CachedLoops);
     Stats.IntervalDeleted = IS.ChecksProvedRedundant;
-    Stats.CompileTimeTraps += IS.ChecksProvedViolating;
+    IntervalTraps = IS.ChecksProvedViolating;
+    Stats.CompileTimeTraps += IntervalTraps;
     if (IS.ChecksProvedRedundant || IS.ChecksProvedViolating)
       Contexts.IRDirty = true;
     break;
@@ -276,9 +301,10 @@ OptimizerStats nascent::optimizeFunction(Function &F,
       PreheaderOptions PO;
       obs::TraceScope Scope(TC, "preheader-insert");
       PreheaderStats PS =
-          runPreheaderInsertion(F, *Ctx, PO, Facts, RC, PV, CachedLoops);
+          runPreheaderInsertion(F, *Ctx, PO, Facts, PV, CachedLoops);
       Stats.CondChecksInserted = PS.CondChecksInserted;
       Stats.Rehoisted = PS.Rehoisted;
+      Substituted = PS.Substituted;
       if (PS.CondChecksInserted || PS.Rehoisted)
         Contexts.IRDirty = true;
     }
@@ -288,7 +314,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
       auto Ctx = Contexts.make(Facts);
       obs::TraceScope Scope(TC, "lcm-place");
       Stats.ChecksInserted =
-          runLazyCodeMotion(F, *Ctx, LCMPlacement::SafeEarliest, RC, PV)
+          runLazyCodeMotion(F, *Ctx, LCMPlacement::SafeEarliest, PV)
               .ChecksInserted;
       if (Stats.ChecksInserted)
         Contexts.IRDirty = true;
@@ -307,22 +333,33 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     Stats.UniverseSize = Ctx->universe().size();
     Stats.NumFamilies = Ctx->universe().numFamilies();
     obs::TraceScope Scope(TC, "eliminate");
-    EliminationStats ES = eliminateRedundantChecks(F, *Ctx, RC, PV);
+    EliminationStats ES = eliminateRedundantChecks(F, *Ctx, PV);
     Stats.ChecksDeleted = ES.ChecksDeleted;
   }
 
   // Step 5: compile-time checks. Accumulate (not assign) the trap count:
-  // the AI scheme contributes interval-proved traps above, and remark
+  // the AI scheme contributes interval-proved traps above, and lifecycle
   // totals must reconcile with the stats.
   {
     obs::TraceScope Scope(TC, "fold-consts");
-    EliminationStats ES = foldCompileTimeChecks(F, Diags, RC, PV);
+    EliminationStats ES = foldCompileTimeChecks(F, Diags, PV);
     Stats.CompileTimeDeleted = ES.CompileTimeDeleted;
     Stats.CompileTimeTraps += ES.CompileTimeTraps;
     F.recomputePreds();
   }
 
   Stats.ChecksAfter = countStaticChecks(F);
+
+  NumAvailDeleted += Stats.ChecksDeleted;
+  NumConstDeleted += Stats.CompileTimeDeleted;
+  NumConstTraps += Stats.CompileTimeTraps - IntervalTraps;
+  NumStrengthened += Stats.ChecksStrengthened;
+  NumLcmInserted += Stats.ChecksInserted;
+  NumCondInserted += Stats.CondChecksInserted;
+  NumRehoisted += Stats.Rehoisted;
+  NumSubstituted += Substituted;
+  NumIntervalDeleted += Stats.IntervalDeleted;
+  NumIntervalTraps += IntervalTraps;
   return Stats;
 }
 

@@ -14,7 +14,6 @@
 #include "ir/Function.h"
 #include "checks/CheckImplicationGraph.h"
 #include "obs/Provenance.h"
-#include "obs/Remarks.h"
 #include "obs/Trace.h"
 #include "support/Diagnostics.h"
 #include "support/Hash.h"
@@ -64,14 +63,12 @@ struct RangeCheckOptions {
   /// paper's primed variants (NI', SE'), CrossFamilyOnly gives LLS'.
   ImplicationMode Implications = ImplicationMode::All;
 
-  /// When set (and enabled), every pass emits one structured remark per
-  /// per-check decision; remark totals reconcile with OptimizerStats.
-  obs::RemarkCollector *Remarks = nullptr;
   /// When set (and enabled), optimizer stages record trace spans.
   obs::TraceCollector *Trace = nullptr;
   /// When set (and enabled), every transformation site appends lifecycle
   /// events keyed by check tag; terminal totals reconcile with the stats
-  /// (see reconcileCheckProvenance).
+  /// (see reconcileCheckProvenance). This is the passes' only per-decision
+  /// record: remarks are derived from it (obs/Remarks.h).
   obs::ProvenanceRecorder *Provenance = nullptr;
 
   /// When both are set, the optimizer consults the artifact cache for

@@ -3,10 +3,14 @@
 /// \file
 /// Robustness tests: the front end must terminate with diagnostics (never
 /// crash, hang, or accept) on arbitrary garbage, truncated programs, and
-/// token soup. The parser's recovery paths are the target.
+/// token soup. The parser's recovery paths are the target, and so is its
+/// nesting-depth limit: input nested beyond Parser::MaxNestingDepth must
+/// get a diagnostic instead of overflowing the stack, and input exactly at
+/// the limit must still compile and run.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
 #include "lang/Parser.h"
 #include "lang/Sema.h"
 
@@ -108,6 +112,68 @@ TEST(ParserFuzz, DeepExpressionNesting) {
     Src += ")";
   Src += "\nend program\n";
   frontEndSurvives(Src);
+}
+
+/// The front end rejects \p Src with the nesting-depth diagnostic (and
+/// nothing else), without crashing.
+void rejectedAsTooDeep(const std::string &Src) {
+  DiagnosticEngine Diags;
+  Parser P(Src, Diags);
+  auto AST = P.parseProgram();
+  ASSERT_NE(AST, nullptr);
+  ASSERT_TRUE(Diags.hasErrors());
+  ASSERT_EQ(Diags.diagnostics().size(), 1u) << Diags.render();
+  EXPECT_NE(Diags.render().find("nested too deeply"), std::string::npos)
+      << Diags.render();
+  frontEndSurvives(Src);
+}
+
+/// "x = 1 + 1 + ... + 1" with \p Terms terms: a left-deep AST.
+std::string flatSum(unsigned Terms) {
+  std::string Src = "program p\n  integer x\n  x = 1";
+  for (unsigned K = 1; K != Terms; ++K)
+    Src += " + 1";
+  Src += "\n  print x\nend program\n";
+  return Src;
+}
+
+TEST(ParserFuzz, TwentyThousandNestedParenthesesAreRejected) {
+  std::string Src = "program p\n  integer x\n  x = ";
+  Src += std::string(20000, '(') + "1" + std::string(20000, ')');
+  Src += "\nend program\n";
+  rejectedAsTooDeep(Src);
+}
+
+TEST(ParserFuzz, TwentyThousandNestedIfsAreRejected) {
+  std::string Src = "program p\n  integer x\n";
+  for (int K = 0; K != 20000; ++K)
+    Src += "if (x < 1) then\n";
+  Src += "x = 1\n";
+  for (int K = 0; K != 20000; ++K)
+    Src += "end if\n";
+  Src += "end program\n";
+  rejectedAsTooDeep(Src);
+}
+
+TEST(ParserFuzz, FlatChainOfTwoHundredThousandTermsIsRejected) {
+  rejectedAsTooDeep(flatSum(200000));
+}
+
+TEST(ParserFuzz, ProgramAtTheDepthLimitCompilesAndRuns) {
+  // The statement and its expression take two levels; each of the
+  // Terms - 1 additions stacks one more.
+  const unsigned Terms = Parser::MaxNestingDepth - 1;
+  CompileResult R = test::compileOrDie(flatSum(Terms));
+  ASSERT_TRUE(R.Success);
+  ExecResult E = interpret(*R.M);
+  ASSERT_TRUE(E.ok()) << E.FaultMessage;
+  ASSERT_EQ(E.Output.size(), 1u);
+  EXPECT_EQ(E.Output[0], std::to_string(Terms));
+
+  // One more term is one level too many.
+  CompileResult Over = compileSource(flatSum(Terms + 1));
+  EXPECT_FALSE(Over.Success);
+  EXPECT_NE(Over.Diags.render().find("nested too deeply"), std::string::npos);
 }
 
 TEST(ParserFuzz, MismatchedEnds) {

@@ -31,7 +31,8 @@ JsonValue parse(const std::string &Text) {
 /// medians are in seconds; the CI is [Median - Spread, Median + Spread].
 std::string makeTableDoc(uint64_t DynChecks, uint64_t WordOps,
                          double CpuMedian, double Spread,
-                         const char *GitSha = "abc123") {
+                         const char *GitSha = "abc123",
+                         const char *Cpu = "test cpu") {
   JsonWriter W;
   W.beginObject();
   W.kv("schemaVersion", BenchSchemaVersion);
@@ -43,7 +44,7 @@ std::string makeTableDoc(uint64_t DynChecks, uint64_t WordOps,
   W.kv("cxxFlags", "");
   W.kv("sanitize", "");
   W.kv("gitSha", GitSha);
-  W.kv("cpu", "test cpu");
+  W.kv("cpu", Cpu);
   W.kv("hardwareThreads", 1);
   W.endObject();
   W.key("config");
@@ -264,6 +265,28 @@ TEST(BenchDiff, EnvDriftIsReportedNotGated) {
   EXPECT_FALSE(R.hasRegression());
   ASSERT_EQ(R.EnvDrift.size(), 1u);
   EXPECT_NE(R.EnvDrift[0].find("gitSha"), std::string::npos);
+}
+
+TEST(BenchDiff, HostDriftMakesTimesInformational) {
+  // 3x slower with separated CIs would regress on the same host; measured
+  // on another CPU it is informational, while counters keep gating.
+  JsonValue Base = parse(makeTableDoc(100, 50, 0.010, 0.001));
+  JsonValue Slow =
+      parse(makeTableDoc(100, 50, 0.030, 0.001, "abc123", "other cpu"));
+  BenchDiffResult R = diffBenchDocuments(Base, Slow);
+  EXPECT_TRUE(R.HostDrift);
+  EXPECT_FALSE(R.hasRegression());
+  const MetricDiff *D = findDiff(R, "PRX/LLS/vortex/timing.optimizeCpu");
+  ASSERT_NE(D, nullptr);
+  EXPECT_EQ(D->Verdict, DiffVerdict::WithinNoise);
+
+  JsonValue MoreWork =
+      parse(makeTableDoc(101, 50, 0.030, 0.001, "abc123", "other cpu"));
+  EXPECT_TRUE(diffBenchDocuments(Base, MoreWork).hasRegression());
+
+  EXPECT_TRUE(diffBenchDocuments(Base, parse(makeTableDoc(100, 50, 0.030,
+                                                          0.001)))
+                  .hasRegression());
 }
 
 TEST(BenchDiff, MarkdownReportNamesTheVerdict) {

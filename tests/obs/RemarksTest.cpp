@@ -1,15 +1,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The optimization-remark stream: per-kind remark totals must reconcile
+/// The optimization-remark stream: per-kind remark totals (derived from the
+/// lifecycle events through the fixed mapping table) must reconcile
 /// exactly with OptimizerStats for every placement scheme, the family
-/// filter must drop non-matching remarks, and the interpreter's
-/// residual-check join must agree with the dynamic check count.
+/// filter must drop non-matching remarks, and the residual-check join
+/// against the execution profile must agree with the dynamic check count.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
 #include "obs/Json.h"
+#include "obs/Profile.h"
 #include "obs/Remarks.h"
 
 #include <gtest/gtest.h>
@@ -124,13 +126,15 @@ TEST(Remarks, FamilyFilter) {
 
 TEST(Remarks, ResidualJoinMatchesDynamicCounts) {
   CompileResult R = compileWithRemarks(Corpus, PlacementScheme::LLS);
+  obs::ExecutionProfile Profile;
+  Profile.attach(*R.M);
   InterpOptions IO;
-  IO.CountCheckSites = true;
+  IO.Profile = &Profile;
   ExecResult E = interpret(*R.M, IO);
   ASSERT_TRUE(E.ok()) << E.FaultMessage;
 
   size_t Before = R.Remarks.remarks().size();
-  emitResidualCheckRemarks(*R.M, E.CheckSites, R.Remarks);
+  emitResidualCheckRemarks(R.Provenance, Profile, R.Remarks);
   // One residual remark per *static* surviving check...
   EXPECT_EQ(R.Remarks.count(obs::RemarkKind::Residual), R.Stats.ChecksAfter);
   EXPECT_EQ(R.Remarks.remarks().size(), Before + R.Stats.ChecksAfter);

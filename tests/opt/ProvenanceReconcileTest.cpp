@@ -9,19 +9,20 @@
 ///     Residualized total matches the corresponding counter
 ///     (reconcileCheckProvenance, opt/RangeCheckOptimizer.h).
 ///  2. A check whose lifecycle ended Eliminated (or SubsumedBy, or
-///     Trapped) has zero dynamic executions: only Residualized tags may
-///     appear among the interpreter's per-site counts.
+///     Trapped) has zero dynamic executions: every execution-profile site
+///     with hits has a Residualized last event, and the site hits add up
+///     to the interpreter's dynamic check count.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
 #include "interp/Interpreter.h"
+#include "obs/Profile.h"
 #include "obs/Provenance.h"
 #include "suite/Suite.h"
 
 #include "gtest/gtest.h"
 
-#include <map>
 #include <sstream>
 
 using namespace nascent;
@@ -40,6 +41,7 @@ CompileResult compileWithProvenance(const SuiteProgram &P,
   PO.Opt.Scheme = Scheme;
   PO.Source = Source;
   PO.Telemetry.Provenance = true;
+  PO.Telemetry.Profile = true;
   CompileResult R = compileSource(P.Source, PO);
   EXPECT_TRUE(R.Success) << P.Name << ": " << R.Diags.render();
   return R;
@@ -93,29 +95,35 @@ TEST(ProvenanceReconcile, EliminatedChecksNeverExecute) {
         continue;
 
       InterpOptions IO;
-      IO.CountCheckSites = true;
+      IO.Profile = &R.Profile;
       ExecResult E = interpret(*R.M, IO);
       ASSERT_NE(E.St, ExecResult::Status::HardFault)
           << Name << "/" << placementSchemeName(Scheme) << ": "
           << E.FaultMessage;
 
-      for (const obs::CheckSiteCount &Site : E.CheckSites) {
-        if (Site.Count == 0)
-          continue;
-        // Every dynamically executed check is a recorded, surviving one.
-        ASSERT_NE(Site.Tag, NoCheckTag)
-            << Name << "/" << placementSchemeName(Scheme) << " " << Site.Func
-            << " block " << Site.Block;
-        const obs::LifecycleEvent *Last = R.Provenance.lastEventOf(Site.Tag);
-        ASSERT_NE(Last, nullptr)
-            << Name << "/" << placementSchemeName(Scheme) << " tag "
-            << Site.Tag;
-        EXPECT_EQ(Last->Kind, obs::LifecycleKind::Residualized)
-            << Name << "/" << placementSchemeName(Scheme) << " tag "
-            << Site.Tag << " executed " << Site.Count
-            << " times but its lifecycle ended "
-            << obs::lifecycleKindName(Last->Kind);
-      }
+      uint64_t SiteHits = 0;
+      for (const obs::FunctionProfile &FP : R.Profile.functions())
+        for (const obs::CheckSiteProfile &Site : FP.Sites) {
+          SiteHits += Site.Hits;
+          if (Site.Hits == 0)
+            continue;
+          // Every dynamically executed check is a recorded, surviving one.
+          ASSERT_NE(Site.Tag, NoCheckTag)
+              << Name << "/" << placementSchemeName(Scheme) << " " << FP.Name
+              << " block " << Site.Block;
+          const obs::LifecycleEvent *Last =
+              R.Provenance.lastEventOf(Site.Tag);
+          ASSERT_NE(Last, nullptr)
+              << Name << "/" << placementSchemeName(Scheme) << " tag "
+              << Site.Tag;
+          EXPECT_EQ(Last->Kind, obs::LifecycleKind::Residualized)
+              << Name << "/" << placementSchemeName(Scheme) << " tag "
+              << Site.Tag << " executed " << Site.Hits
+              << " times but its lifecycle ended "
+              << obs::lifecycleKindName(Last->Kind);
+        }
+      EXPECT_EQ(SiteHits, E.DynChecks)
+          << Name << "/" << placementSchemeName(Scheme);
     }
   }
 }
