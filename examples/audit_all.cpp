@@ -161,7 +161,6 @@ int main(int argc, char **argv) {
         PO.Opt.Implications = Mode;
         PO.Audit = true;
         PO.Cache.Enabled = UseCache;
-        PO.Telemetry.Provenance = Provenance;
         Batch.push_back({P.Source, PO});
         Keys.push_back({P.Name, Scheme, Mode});
       }

@@ -61,9 +61,11 @@
 #include "ir/IRPrinter.h"
 #include "obs/BenchSchema.h"
 #include "obs/Json.h"
+#include "obs/Remarks.h"
 #include "obs/StatRegistry.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -86,19 +88,35 @@ void usage() {
       "           [-profile] [-profile-json[=PATH]] file.mf\n");
 }
 
+/// True when \p S is a non-empty run of decimal digits.
+bool isNumeric(const std::string &S) {
+  if (S.empty())
+    return false;
+  for (char C : S)
+    if (C < '0' || C > '9')
+      return false;
+  return true;
+}
+
+/// Parses a decimal digit string into \p Out; false when the value does
+/// not fit an unsigned (CheckTag is one too).
+bool parseUnsigned(const std::string &S, unsigned &Out) {
+  unsigned long long V = 0;
+  for (char C : S) {
+    V = V * 10 + static_cast<unsigned>(C - '0');
+    if (V > UINT_MAX)
+      return false;
+  }
+  Out = static_cast<unsigned>(V);
+  return true;
+}
+
 /// Parses an -explain site spec of the form [file:]line[:col]: the
 /// trailing one or two ':'-separated numeric components are the line (and
 /// column); any leading file path is ignored (mfc compiles one file).
-bool parseExplainSite(const std::string &Spec, unsigned &Line,
-                      unsigned &Col) {
-  auto Numeric = [](const std::string &S) {
-    if (S.empty())
-      return false;
-    for (char C : S)
-      if (C < '0' || C > '9')
-        return false;
-    return true;
-  };
+/// Sets \p OutOfRange when a component does not fit an unsigned.
+bool parseExplainSite(const std::string &Spec, unsigned &Line, unsigned &Col,
+                      bool &OutOfRange) {
   std::vector<std::string> Parts;
   size_t Start = 0;
   while (true) {
@@ -109,15 +127,16 @@ bool parseExplainSite(const std::string &Spec, unsigned &Line,
     Start = Colon + 1;
   }
   Line = Col = 0;
+  OutOfRange = false;
   size_t N = Parts.size();
-  if (N >= 2 && Numeric(Parts[N - 2]) && Numeric(Parts[N - 1])) {
-    Line = static_cast<unsigned>(std::stoul(Parts[N - 2]));
-    Col = static_cast<unsigned>(std::stoul(Parts[N - 1]));
-    return true;
+  if (N >= 2 && isNumeric(Parts[N - 2]) && isNumeric(Parts[N - 1])) {
+    OutOfRange = !parseUnsigned(Parts[N - 2], Line) ||
+                 !parseUnsigned(Parts[N - 1], Col);
+    return !OutOfRange;
   }
-  if (Numeric(Parts[N - 1])) {
-    Line = static_cast<unsigned>(std::stoul(Parts[N - 1]));
-    return true;
+  if (isNumeric(Parts[N - 1])) {
+    OutOfRange = !parseUnsigned(Parts[N - 1], Line);
+    return !OutOfRange;
   }
   return false;
 }
@@ -133,6 +152,8 @@ int main(int argc, char **argv) {
   bool ProvJson = false;
   bool ProfileText = false;
   bool ProfileJson = false;
+  bool WantRemarks = false;
+  obs::RemarkCollector Remarks;
   std::string ProfileJsonPath;
   std::string ProvDotPath;
   std::string ExplainSpec;
@@ -176,20 +197,22 @@ int main(int argc, char **argv) {
       PO.Telemetry.Trace = true;
       PO.Telemetry.TracePath = Arg + 11;
     } else if (std::strcmp(Arg, "-remarks") == 0) {
-      PO.Telemetry.Remarks = true;
+      WantRemarks = true;
     } else if (std::strncmp(Arg, "-remarks=", 9) == 0) {
-      PO.Telemetry.Remarks = true;
-      PO.Telemetry.RemarkFilter = Arg + 9;
+      WantRemarks = true;
+      std::string Err;
+      if (!Remarks.setFilter(Arg + 9, &Err)) {
+        std::fprintf(stderr, "mfc: invalid -remarks regex '%s': %s\n",
+                     Arg + 9, Err.c_str());
+        return 2;
+      }
     } else if (std::strcmp(Arg, "-provenance-json") == 0) {
       ProvJson = true;
       StatsJson = true;
-      PO.Telemetry.Provenance = true;
     } else if (std::strncmp(Arg, "-provenance-dot=", 16) == 0) {
       ProvDotPath = Arg + 16;
-      PO.Telemetry.Provenance = true;
     } else if (std::strncmp(Arg, "-explain=", 9) == 0) {
       ExplainSpec = Arg + 9;
-      PO.Telemetry.Provenance = true;
     } else if (std::strcmp(Arg, "-profile") == 0) {
       ProfileText = true;
       PO.Telemetry.Profile = true;
@@ -218,24 +241,29 @@ int main(int argc, char **argv) {
   unsigned ExplainLine = 0, ExplainCol = 0;
   CheckTag ExplainTag = NoCheckTag;
   if (!ExplainSpec.empty()) {
+    bool OutOfRange = false;
     if (ExplainSpec.rfind("tag:", 0) == 0) {
       std::string Num = ExplainSpec.substr(4);
-      bool Numeric = !Num.empty();
-      for (char C : Num)
-        if (C < '0' || C > '9')
-          Numeric = false;
-      if (!Numeric) {
+      if (!isNumeric(Num)) {
         std::fprintf(stderr, "mfc: bad -explain tag '%s' (expected tag:N)\n",
                      ExplainSpec.c_str());
         return 2;
       }
-      ExplainTag = static_cast<CheckTag>(std::stoul(Num));
-    } else if (!parseExplainSite(ExplainSpec, ExplainLine, ExplainCol)) {
+      OutOfRange = !parseUnsigned(Num, ExplainTag);
+    } else if (!parseExplainSite(ExplainSpec, ExplainLine, ExplainCol,
+                                 OutOfRange) &&
+               !OutOfRange) {
       std::fprintf(
           stderr,
           "mfc: bad -explain site '%s' (expected [file:]line[:col] or "
           "tag:N)\n",
           ExplainSpec.c_str());
+      return 2;
+    }
+    if (OutOfRange) {
+      std::fprintf(stderr,
+                   "mfc: -explain value out of range in '%s' (at most %u)\n",
+                   ExplainSpec.c_str(), UINT_MAX);
       return 2;
     }
   }
@@ -277,6 +305,8 @@ int main(int argc, char **argv) {
 
   // Provenance is complete once compilation finished (the pipeline records
   // the terminal Residualized events), so these can precede the run.
+  if (WantRemarks)
+    obs::collectDecisionRemarks(R.Provenance, Remarks);
   if (!ExplainSpec.empty()) {
     std::string Chain = ExplainTag != NoCheckTag
                             ? R.Provenance.explainTag(ExplainTag)
@@ -312,7 +342,7 @@ int main(int argc, char **argv) {
     InterpOptions IO;
     // Residual-check remarks take their dynamic counts from the profile's
     // per-site hits, so remarks need an attached profile too.
-    if (PO.Telemetry.Remarks && !R.Profile.attached())
+    if (WantRemarks && !R.Profile.attached())
       R.Profile.attach(*R.M);
     if (R.Profile.attached())
       IO.Profile = &R.Profile;
@@ -322,9 +352,9 @@ int main(int argc, char **argv) {
     for (const std::string &Line : E.Output)
       std::printf("%s\n", Line.c_str());
 
-  if (PO.Telemetry.Remarks) {
-    obs::emitResidualCheckRemarks(R.Provenance, R.Profile, R.Remarks);
-    R.Remarks.renderText(std::cerr);
+  if (WantRemarks) {
+    obs::emitResidualCheckRemarks(R.Provenance, R.Profile, Remarks);
+    Remarks.renderText(std::cerr);
   }
 
   if (ProfileJson) {
@@ -423,9 +453,9 @@ int main(int argc, char **argv) {
       W.key("cacheStats");
       cache::ArtifactCache::global().writeStatsJson(W);
     }
-    if (PO.Telemetry.Remarks) {
+    if (WantRemarks) {
       W.key("remarks");
-      R.Remarks.writeJson(W);
+      Remarks.writeJson(W);
     }
     if (ProvJson) {
       W.key("provenance");

@@ -38,6 +38,7 @@
 #include "interp/Interpreter.h"
 #include "obs/BenchSchema.h"
 #include "obs/Json.h"
+#include "obs/Remarks.h"
 #include "obs/Trace.h"
 #include "suite/Suite.h"
 #include "support/StringUtils.h"
@@ -94,7 +95,8 @@ int main(int argc, char **argv) {
   bool Provenance = false;
   bool Profile = false;
   bool UseCache = false;
-  std::string RemarkFilter;
+  // Empty; carries the --remarks= filter into each cell's copy below.
+  obs::RemarkCollector RemarkTemplate;
   std::string TracePath;
   std::vector<std::string> Files;
   unsigned Jobs = 1;
@@ -105,7 +107,12 @@ int main(int argc, char **argv) {
       Remarks = true;
     else if (std::strncmp(argv[I], "--remarks=", 10) == 0) {
       Remarks = true;
-      RemarkFilter = argv[I] + 10;
+      std::string Err;
+      if (!RemarkTemplate.setFilter(argv[I] + 10, &Err)) {
+        std::fprintf(stderr, "sweep: invalid --remarks regex '%s': %s\n",
+                     argv[I] + 10, Err.c_str());
+        return 2;
+      }
     } else if (std::strcmp(argv[I], "--provenance") == 0)
       Provenance = true;
     else if (std::strcmp(argv[I], "--profile") == 0)
@@ -187,9 +194,6 @@ int main(int argc, char **argv) {
         PO.Opt.Implications = Mode;
         PO.Cache.Enabled = UseCache;
         PO.Telemetry.Trace = !TracePath.empty();
-        PO.Telemetry.Remarks = Remarks;
-        PO.Telemetry.RemarkFilter = RemarkFilter;
-        PO.Telemetry.Provenance = Provenance;
         PO.Telemetry.Profile = Profile;
         Batch.push_back({P.Source, PO});
         Keys.push_back({P.Name, Scheme, Mode});
@@ -219,19 +223,23 @@ int main(int argc, char **argv) {
     }
   }
 
-  // Each job buffered its remarks in its own collector; flushing in
+  // Each job recorded its own lifecycle events; deriving the remarks in
   // submission order makes the stream byte-identical to a serial run no
   // matter how the pool interleaved the jobs.
   if (Remarks) {
     for (size_t I = 0; I != Results.size(); ++I) {
       const RunKey &K = Keys[I];
       const CompileResult &R = Results[I].Result;
-      if (!R.Success || R.Remarks.remarks().empty())
+      if (!R.Success)
+        continue;
+      obs::RemarkCollector RC = RemarkTemplate;
+      obs::collectDecisionRemarks(R.Provenance, RC);
+      if (RC.remarks().empty())
         continue;
       std::cerr << "== " << K.Program << " scheme="
                 << placementSchemeName(K.Scheme)
                 << " impl=" << implicationModeName(K.Mode) << "\n";
-      R.Remarks.renderText(std::cerr);
+      RC.renderText(std::cerr);
     }
   }
 

@@ -29,6 +29,7 @@ struct CheckRewrite {
   BlockID Block;
   size_t InstIdx;
   CheckExpr NewCheck;
+  bool Linear; ///< linear in the basic variable (else invariant)
 };
 
 /// Planned snapshot copy t = src at the end of a loop preheader.
@@ -189,31 +190,22 @@ INXStats nascent::synthesizeINXChecks(Function &F,
       CheckExpr NewCheck(NewExpr, I.Check.bound());
       if (NewCheck == I.Check)
         continue;
-      Rewrites.push_back({B, Idx, NewCheck});
-      if (Total.Coeff != 0)
-        ++Stats.RewrittenLinear;
-      else
-        ++Stats.RewrittenInvariant;
+      Rewrites.push_back({B, Idx, NewCheck, Total.Coeff != 0});
     }
   }
 
   // Apply payload rewrites first (no instruction indices shift), then the
   // snapshot copies (which only touch preheaders).
+  obs::ProvenanceRecorder Local;
+  obs::ProvenanceRecorder &PR = Prov ? *Prov : Local;
+  size_t FirstRewrite = PR.events().size();
   for (const CheckRewrite &R : Rewrites) {
     Instruction &I = F.block(R.Block)->instructions()[R.InstIdx];
-    std::string OldStr;
-    if (Prov && Prov->enabled())
-      OldStr = I.Check.str(F.symbols());
     I.Check = R.NewCheck;
-    if (Prov && Prov->enabled()) {
-      obs::LifecycleEvent E = obs::makeLifecycleEvent(
-          obs::LifecycleKind::Strengthened, "INXSynthesis", F,
-          *F.block(R.Block), I,
-          "range expression rewritten into induction-expression (INX) "
-          "form over the loop's basic variable and entry snapshots");
-      E.Edge = std::move(OldStr);
-      Prov->record(std::move(E));
-    }
+    PR.record(obs::LifecycleKind::Strengthened,
+              obs::LifecyclePass::INXSynthesis, F, R.Block, I,
+              R.Linear ? obs::JustificationId::InxRewriteLinear
+                       : obs::JustificationId::InxRewriteInvariant);
   }
   for (const Snapshot &SN : Snapshots) {
     Instruction Copy;
@@ -224,8 +216,12 @@ INXStats nascent::synthesizeINXChecks(Function &F,
     ++Stats.SnapshotsInserted;
   }
   NumInxSeen += Stats.ChecksSeen;
-  NumInxLinear += Stats.RewrittenLinear;
-  NumInxInvariant += Stats.RewrittenInvariant;
+  for (size_t K = FirstRewrite; K != PR.events().size(); ++K) {
+    if (PR.events()[K].Justification == obs::JustificationId::InxRewriteLinear)
+      ++NumInxLinear;
+    else
+      ++NumInxInvariant;
+  }
   NumInxSnapshots += Stats.SnapshotsInserted;
   NumInxBasicVars += Stats.BasicVarsMaterialized;
   return Stats;

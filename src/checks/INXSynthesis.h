@@ -22,11 +22,11 @@
 
 namespace nascent {
 
-/// Statistics of one synthesis run.
+/// Statistics of one synthesis run. The rewrites themselves are decisions
+/// and live in the lifecycle events (justification InxRewriteLinear or
+/// InxRewriteInvariant); these count the scaffolding around them.
 struct INXStats {
   unsigned ChecksSeen = 0;
-  unsigned RewrittenLinear = 0;
-  unsigned RewrittenInvariant = 0;
   unsigned SnapshotsInserted = 0;
   unsigned BasicVarsMaterialized = 0;
 };
@@ -34,7 +34,8 @@ struct INXStats {
 /// Rewrites the checks of \p F in place. Requires the function to be in
 /// the post-lowering shape (do-loop metadata intact, preds recomputable).
 /// Rewritten checks keep their lifecycle tags; one Strengthened event per
-/// payload rewrite (edge = the pre-rewrite PRX form) goes to \p Prov.
+/// payload rewrite (edge = the pre-rewrite PRX form) goes to \p Prov, or
+/// to a local recorder when none is given.
 INXStats synthesizeINXChecks(Function &F,
                              obs::ProvenanceRecorder *Prov = nullptr);
 

@@ -20,11 +20,6 @@ CompileResult nascent::compileSource(const std::string &Source,
 
   if (Opts.Telemetry.Trace || !Opts.Telemetry.TracePath.empty())
     R.Trace.enable();
-  // Remarks are derived from the lifecycle events, so they need them too.
-  if (Opts.Telemetry.Remarks)
-    R.Remarks.enable(Opts.Telemetry.RemarkFilter);
-  if (Opts.Telemetry.Provenance || Opts.Telemetry.Remarks)
-    R.Provenance.enable();
 
   // The "total" phase is recorded explicitly (not via ScopedPhase) so it
   // covers every exit path, including early returns on front-end errors.
@@ -86,9 +81,6 @@ CompileResult nascent::compileSource(const std::string &Source,
       obs::ScopedPhase Ph(R.Phases, "lower", T0, &R.Trace);
       lowerProgram(*AST, *M, Opts.Lowering);
     }
-    // Every naive check materialised by lowering opens its lifecycle here;
-    // optimizer insertions record their own Inserted events as they happen.
-    obs::recordInsertedChecks(*M, "Lowering", R.Provenance);
     bool VerifyOk;
     {
       obs::ScopedPhase Ph(R.Phases, "verify", T0, &R.Trace);
@@ -104,11 +96,11 @@ CompileResult nascent::compileSource(const std::string &Source,
       obs::ScopedPhase Ph(R.Phases, "cache-store", T0, &R.Trace);
       Cache->storeFrontend(FrontKey, M->clone());
     }
-  } else {
-    // Cache hit: the snapshot was verified when stored; open the naive
-    // checks' lifecycles exactly as the organic path does after lowering.
-    obs::recordInsertedChecks(*M, "Lowering", R.Provenance);
   }
+  // Every naive check materialised by lowering opens its lifecycle here
+  // (a cache hit's snapshot carries the same tags); optimizer insertions
+  // record their own Inserted events as they happen.
+  obs::recordInsertedChecks(*M, R.Provenance);
 
   if (Opts.Source == CheckSource::INX) {
     obs::ScopedPhase Ph(R.Phases, "inx-synthesis", T0, &R.Trace);
@@ -131,7 +123,6 @@ CompileResult nascent::compileSource(const std::string &Source,
       OC.ModuleKey = FrontKey;
       R.Stats = optimizeModule(*M, OC, R.Diags);
     }
-    obs::collectDecisionRemarks(R.Provenance, R.Remarks);
     bool PostOk;
     {
       obs::ScopedPhase Ph(R.Phases, "verify-post", T0, &R.Trace);
@@ -143,6 +134,8 @@ CompileResult nascent::compileSource(const std::string &Source,
                           VerifyDiags.render());
     }
     if (!PostOk) {
+      // Keep the module alive: the recorded events name its functions.
+      R.M = std::move(M);
       Finish();
       return R;
     }

@@ -15,7 +15,6 @@
 #include "frontend/Lowering.h"
 #include "obs/Profile.h"
 #include "obs/Provenance.h"
-#include "obs/Remarks.h"
 #include "obs/Trace.h"
 #include "opt/RangeCheckOptimizer.h"
 #include "support/Diagnostics.h"
@@ -49,7 +48,8 @@ struct PipelineOptions {
   /// previously seen (source, lowering options, check source) key —
   /// skipping parse/sema/lower/verify — and threads the cache into the
   /// optimizer so analysis artifacts are shared too. All outputs (stats,
-  /// remarks, provenance, profile, audit findings) are byte-identical
+  /// provenance and the remarks derived from it, profile, audit findings)
+  /// are byte-identical
   /// with the cache on or off.
   struct CacheOptions {
     bool Enabled = false;
@@ -57,8 +57,9 @@ struct PipelineOptions {
     cache::ArtifactCache *Cache = nullptr;
   } Cache;
 
-  /// Telemetry switches. Phase timings (CompileResult::Phases) are always
-  /// measured; these control the heavier trace/remark streams.
+  /// Telemetry switches. Phase timings (CompileResult::Phases) and the
+  /// check-lifecycle provenance (CompileResult::Provenance) are always
+  /// recorded; these control the heavier trace and profile streams.
   struct TelemetryOptions {
     /// Record Chrome trace_event spans (pipeline phases plus optimizer
     /// sub-phases) into CompileResult::Trace.
@@ -66,16 +67,6 @@ struct PipelineOptions {
     /// When non-empty, additionally write the trace JSON to this file at
     /// the end of compilation (implies Trace).
     std::string TracePath;
-    /// Collect one structured remark per per-check optimizer decision
-    /// into CompileResult::Remarks. Remarks are derived from the
-    /// lifecycle events, so this also fills CompileResult::Provenance.
-    bool Remarks = false;
-    /// Optional ECMAScript regex restricting remarks to matching check
-    /// families / array names (like LLVM's -Rpass=<regex>).
-    std::string RemarkFilter;
-    /// Record the full check-lifecycle provenance (one event stream per
-    /// compilation, keyed by check tag) into CompileResult::Provenance.
-    bool Provenance = false;
     /// Attach an execution profile (CompileResult::Profile) to the
     /// optimized module, ready for the interpreter to stream dynamic
     /// block/loop/access/check-site counts into.
@@ -98,13 +89,11 @@ struct CompileResult {
   obs::PhaseTimings Phases;
   /// Trace spans; empty unless PipelineOptions::Telemetry enables them.
   obs::TraceCollector Trace;
-  /// Optimization remarks; empty unless Telemetry.Remarks.
-  obs::RemarkCollector Remarks;
-  /// Check-lifecycle provenance; empty unless Telemetry.Provenance or
-  /// Telemetry.Remarks (remarks are a filtered view of it). Every
-  /// check's event chain starts Inserted (lowering or an optimizer
-  /// insertion) and ends in a terminal state; reconcileCheckProvenance
-  /// cross-checks the record against Stats.
+  /// Check-lifecycle provenance, always recorded. Every check's event
+  /// chain starts Inserted (lowering or an optimizer insertion) and ends
+  /// in a terminal state. Stats' decision fields are counts of these
+  /// events, and remarks (obs/Remarks.h) are a view of them. The events
+  /// name functions of M, so render them while M is alive.
   obs::ProvenanceRecorder Provenance;
   /// Execution profile attached to the optimized module (zeroed skeleton
   /// of every residual block/loop/array/check site); empty unless

@@ -4,80 +4,126 @@
 #include "obs/BenchSchema.h"
 #include "obs/Json.h"
 
-#include <algorithm>
-#include <map>
 #include <set>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace nascent;
 using namespace nascent::obs;
 
 const char *obs::lifecycleKindName(LifecycleKind K) {
-  switch (K) {
-  case LifecycleKind::Inserted:
-    return "inserted";
-  case LifecycleKind::Strengthened:
-    return "strengthened";
-  case LifecycleKind::Moved:
-    return "moved";
-  case LifecycleKind::SubsumedBy:
-    return "subsumed-by";
-  case LifecycleKind::Eliminated:
-    return "eliminated";
-  case LifecycleKind::Trapped:
-    return "trapped";
-  case LifecycleKind::Residualized:
-    return "residualized";
-  }
-  return "unknown";
+  static const char *const Names[] = {
+      "inserted",   "strengthened", "moved",       "subsumed-by",
+      "eliminated", "trapped",      "residualized"};
+  return Names[static_cast<size_t>(K)];
 }
 
-bool obs::isTerminalLifecycleKind(LifecycleKind K) {
-  switch (K) {
-  case LifecycleKind::SubsumedBy:
-  case LifecycleKind::Eliminated:
-  case LifecycleKind::Trapped:
-  case LifecycleKind::Residualized:
-    return true;
-  case LifecycleKind::Inserted:
+const char *obs::lifecyclePassName(LifecyclePass P) {
+  static const char *const Names[] = {
+      "Lowering",         "INXSynthesis",       "CheckStrengthening",
+      "LazyCodeMotion",   "PreheaderInsertion", "Elimination",
+      "IntervalAnalysis", "Unreachable",        "Pipeline"};
+  return Names[static_cast<size_t>(P)];
+}
+
+namespace {
+
+const char *const JustificationTexts[] = {
+#define NASCENT_X(Id, Text) Text,
+    NASCENT_JUSTIFICATIONS(NASCENT_X)
+#undef NASCENT_X
+};
+
+const CheckOrigin NoOrigin;
+
+} // namespace
+
+uint32_t ProvenanceRecorder::addSnapshot(const Instruction &I) {
+  const auto &Terms = I.Check.expr().terms();
+  Snapshots.push_back({static_cast<uint32_t>(TermPool.size()),
+                       static_cast<uint32_t>(Terms.size()), I.Check.bound(),
+                       I.Origin});
+  TermPool.insert(TermPool.end(), Terms.begin(), Terms.end());
+  return static_cast<uint32_t>(Snapshots.size() - 1);
+}
+
+std::optional<CheckExpr> ProvenanceRecorder::payload(uint32_t Index) const {
+  if (Index == NoSnapshot)
+    return std::nullopt;
+  const CheckSnapshot &S = Snapshots[Index];
+  LinearExpr E;
+  for (uint32_t T = S.FirstTerm; T != S.FirstTerm + S.NumTerms; ++T)
+    E.addTerm(TermPool[T].first, TermPool[T].second);
+  return CheckExpr(std::move(E), S.Bound);
+}
+
+void ProvenanceRecorder::record(LifecycleKind Kind, LifecyclePass Pass,
+                                const Function &F, BlockID B,
+                                const Instruction &I, JustificationId Why,
+                                CheckTag Other) {
+  LifecycleEvent E;
+  E.Tag = I.Tag;
+  E.Kind = Kind;
+  E.Pass = Pass;
+  E.Justification = Why;
+  E.Block = B;
+  E.Fn = &F;
+  E.OtherTag = Other;
+  auto CurrentOfTag = [&](CheckTag T) {
+    return T < CurrentOf.size() ? CurrentOf[T] : NoSnapshot;
+  };
+  switch (Kind) {
   case LifecycleKind::Strengthened:
   case LifecycleKind::Moved:
-    return false;
+    E.Edge = CurrentOfTag(I.Tag);
+    [[fallthrough]];
+  case LifecycleKind::Inserted:
+    E.Check = addSnapshot(I);
+    if (I.Tag >= CurrentOf.size())
+      CurrentOf.resize(I.Tag + 1, NoSnapshot);
+    CurrentOf[I.Tag] = E.Check;
+    break;
+  default:
+    E.Check = CurrentOfTag(I.Tag);
+    if (Why == JustificationId::CoveredEarlierInBlock && Other != NoCheckTag)
+      E.Edge = CurrentOfTag(Other);
+    break;
   }
-  return false;
+  record(E);
 }
 
 void ProvenanceRecorder::record(LifecycleEvent E) {
-  if (!Enabled)
-    return;
   E.Seq = static_cast<uint32_t>(All.size());
-  All.push_back(std::move(E));
+  All.push_back(E);
 }
 
 size_t ProvenanceRecorder::count(LifecycleKind K,
-                                 const std::string &Pass) const {
+                                 std::optional<LifecyclePass> Pass) const {
   size_t N = 0;
   for (const LifecycleEvent &E : All)
-    if (E.Kind == K && (Pass.empty() || E.Pass == Pass))
+    if (E.Kind == K && (!Pass || E.Pass == *Pass))
       ++N;
   return N;
 }
 
-std::vector<CheckTag> ProvenanceRecorder::tags() const {
-  std::vector<CheckTag> Out;
-  std::set<CheckTag> Seen;
-  for (const LifecycleEvent &E : All)
-    if (Seen.insert(E.Tag).second)
-      Out.push_back(E.Tag);
+std::vector<std::vector<size_t>> ProvenanceRecorder::timelines() const {
+  std::vector<std::vector<size_t>> Out;
+  std::unordered_map<CheckTag, size_t> Slot;
+  for (size_t I = 0; I != All.size(); ++I) {
+    auto [It, New] = Slot.try_emplace(All[I].Tag, Out.size());
+    if (New)
+      Out.emplace_back();
+    Out[It->second].push_back(I);
+  }
   return Out;
 }
 
 const LifecycleEvent *ProvenanceRecorder::lastEventOf(CheckTag Tag) const {
-  const LifecycleEvent *Last = nullptr;
-  for (const LifecycleEvent &E : All)
-    if (E.Tag == Tag)
-      Last = &E;
-  return Last;
+  for (size_t I = All.size(); I-- > 0;)
+    if (All[I].Tag == Tag)
+      return &All[I];
+  return nullptr;
 }
 
 std::vector<size_t> ProvenanceRecorder::timelineOf(CheckTag Tag) const {
@@ -86,6 +132,49 @@ std::vector<size_t> ProvenanceRecorder::timelineOf(CheckTag Tag) const {
     if (All[I].Tag == Tag)
       Out.push_back(I);
   return Out;
+}
+
+std::string ProvenanceRecorder::functionName(const LifecycleEvent &E) const {
+  return E.Fn ? E.Fn->name() : std::string();
+}
+
+std::string ProvenanceRecorder::blockName(const LifecycleEvent &E) const {
+  return E.Fn && E.Block < E.Fn->numBlocks() ? E.Fn->block(E.Block)->name()
+                                             : std::string();
+}
+
+std::string ProvenanceRecorder::checkStr(const LifecycleEvent &E) const {
+  std::optional<CheckExpr> C = payload(E.Check);
+  return C && E.Fn ? C->str(E.Fn->symbols()) : std::string();
+}
+
+std::string ProvenanceRecorder::familyStr(const LifecycleEvent &E) const {
+  std::optional<CheckExpr> C = payload(E.Check);
+  return C && E.Fn ? C->expr().str(E.Fn->symbols()) : std::string();
+}
+
+std::string ProvenanceRecorder::edgeStr(const LifecycleEvent &E) const {
+  std::optional<CheckExpr> C = payload(E.Edge);
+  return C && E.Fn ? C->str(E.Fn->symbols()) : std::string();
+}
+
+std::string
+ProvenanceRecorder::justificationText(const LifecycleEvent &E) const {
+  const char *Text = JustificationTexts[static_cast<size_t>(E.Justification)];
+  if (E.Justification != JustificationId::BoundTightened)
+    return Text;
+  return "bound tightened from " +
+         (E.Edge != NoSnapshot ? std::to_string(Snapshots[E.Edge].Bound)
+                               : std::string("?")) +
+         " to " + std::to_string(bound(E)) + Text;
+}
+
+int64_t ProvenanceRecorder::bound(const LifecycleEvent &E) const {
+  return E.Check != NoSnapshot ? Snapshots[E.Check].Bound : 0;
+}
+
+const CheckOrigin &ProvenanceRecorder::origin(const LifecycleEvent &E) const {
+  return E.Check != NoSnapshot ? Snapshots[E.Check].Origin : NoOrigin;
 }
 
 namespace {
@@ -110,27 +199,27 @@ void ProvenanceRecorder::writeJson(JsonWriter &W) const {
     W.kv("seq", E.Seq);
     W.kv("tag", E.Tag);
     W.kv("kind", lifecycleKindName(E.Kind));
-    W.kv("pass", E.Pass);
-    W.kv("function", E.Function);
-    W.kv("block", E.Block);
-    W.kv("check", E.CheckStr);
-    W.kv("bound", E.Bound);
-    writeOrigin(W, E.Origin);
-    W.kv("justification", E.Justification);
+    W.kv("pass", lifecyclePassName(E.Pass));
+    W.kv("function", functionName(E));
+    W.kv("block", blockName(E));
+    W.kv("check", checkStr(E));
+    W.kv("bound", bound(E));
+    writeOrigin(W, origin(E));
+    W.kv("justification", justificationText(E));
     if (E.OtherTag != NoCheckTag)
       W.kv("otherTag", E.OtherTag);
-    if (!E.Edge.empty())
-      W.kv("edge", E.Edge);
+    if (E.Edge != NoSnapshot)
+      W.kv("edge", edgeStr(E));
     W.endObject();
   }
   W.endArray();
 
   W.key("checks").beginArray();
-  for (CheckTag Tag : tags()) {
-    std::vector<size_t> Chain = timelineOf(Tag);
+  for (const std::vector<size_t> &Chain : timelines()) {
+    const LifecycleEvent &First = All[Chain.front()];
     W.beginObject();
-    W.kv("tag", Tag);
-    W.kv("function", All[Chain.front()].Function);
+    W.kv("tag", First.Tag);
+    W.kv("function", functionName(First));
     W.kv("terminal", lifecycleKindName(All[Chain.back()].Kind));
     W.key("events").beginArray();
     for (size_t I : Chain)
@@ -167,14 +256,14 @@ std::string ProvenanceRecorder::toDot() const {
   OS << "digraph check_provenance {\n"
      << "  rankdir=LR;\n"
      << "  node [shape=box, fontname=\"monospace\"];\n";
-  for (CheckTag Tag : tags()) {
-    const LifecycleEvent *Last = lastEventOf(Tag);
-    OS << "  t" << Tag << " [label=\"t" << Tag << ": "
-       << dotEscape(Last->CheckStr) << "\\n" << Last->Function << " ["
-       << lifecycleKindName(Last->Kind) << "]\"";
-    if (Last->Kind == LifecycleKind::Residualized)
+  for (const std::vector<size_t> &Chain : timelines()) {
+    const LifecycleEvent &Last = All[Chain.back()];
+    OS << "  t" << Last.Tag << " [label=\"t" << Last.Tag << ": "
+       << dotEscape(checkStr(Last)) << "\\n" << functionName(Last) << " ["
+       << lifecycleKindName(Last.Kind) << "]\"";
+    if (Last.Kind == LifecycleKind::Residualized)
       OS << ", style=bold";
-    else if (Last->Kind == LifecycleKind::Trapped)
+    else if (Last.Kind == LifecycleKind::Trapped)
       OS << ", color=red";
     OS << "];\n";
   }
@@ -182,68 +271,76 @@ std::string ProvenanceRecorder::toDot() const {
     if (E.Kind != LifecycleKind::SubsumedBy || E.OtherTag == NoCheckTag)
       continue;
     OS << "  t" << E.OtherTag << " -> t" << E.Tag << " [label=\""
-       << dotEscape(E.Pass) << "\"];\n";
+       << dotEscape(lifecyclePassName(E.Pass)) << "\"];\n";
   }
   OS << "}\n";
   return OS.str();
 }
 
-std::string ProvenanceRecorder::explainTag(CheckTag Tag) const {
-  std::vector<size_t> Chain = timelineOf(Tag);
-  if (Chain.empty())
-    return std::string();
+std::string
+ProvenanceRecorder::explainChain(const std::vector<size_t> &Chain) const {
   std::ostringstream OS;
   const LifecycleEvent &First = All[Chain.front()];
-  OS << "check t" << Tag << " " << First.CheckStr;
-  if (!First.Origin.ArrayName.empty())
-    OS << " (array '" << First.Origin.ArrayName << "' dim "
-       << First.Origin.Dim << " "
-       << (First.Origin.IsUpper ? "upper" : "lower") << " bound)";
-  OS << " at " << First.Origin.Loc.str() << ":\n";
+  const std::string FirstStr = checkStr(First);
+  const CheckOrigin &O = origin(First);
+  OS << "check t" << First.Tag << " " << FirstStr;
+  if (!O.ArrayName.empty())
+    OS << " (array '" << O.ArrayName << "' dim " << O.Dim << " "
+       << (O.IsUpper ? "upper" : "lower") << " bound)";
+  OS << " at " << O.Loc.str() << ":\n";
   for (size_t I : Chain) {
     const LifecycleEvent &E = All[I];
-    OS << "  #" << E.Seq << " [" << E.Pass << "] "
-       << lifecycleKindName(E.Kind) << " in " << E.Function << ":"
-       << E.Block;
+    OS << "  #" << E.Seq << " [" << lifecyclePassName(E.Pass) << "] "
+       << lifecycleKindName(E.Kind) << " in " << functionName(E) << ":"
+       << blockName(E);
+    std::string Edge = edgeStr(E);
     if (E.Kind == LifecycleKind::SubsumedBy) {
       if (E.OtherTag != NoCheckTag)
         OS << " by t" << E.OtherTag;
-      if (!E.Edge.empty())
-        OS << " via " << E.Edge;
-    } else if (!E.Edge.empty()) {
-      OS << " (was " << E.Edge << ")";
+      if (!Edge.empty())
+        OS << " via " << Edge;
+    } else if (!Edge.empty()) {
+      OS << " (was " << Edge << ")";
     }
-    if (E.CheckStr != First.CheckStr &&
-        (E.Kind == LifecycleKind::Strengthened ||
-         E.Kind == LifecycleKind::Moved))
-      OS << " now " << E.CheckStr;
-    if (!E.Justification.empty())
-      OS << ": " << E.Justification;
+    if (E.Kind == LifecycleKind::Strengthened ||
+        E.Kind == LifecycleKind::Moved) {
+      std::string Now = checkStr(E);
+      if (Now != FirstStr)
+        OS << " now " << Now;
+    }
+    std::string Why = justificationText(E);
+    if (!Why.empty())
+      OS << ": " << Why;
     OS << "\n";
   }
   return OS.str();
 }
 
+std::string ProvenanceRecorder::explainTag(CheckTag Tag) const {
+  std::vector<size_t> Chain = timelineOf(Tag);
+  return Chain.empty() ? std::string() : explainChain(Chain);
+}
+
 std::string ProvenanceRecorder::explainSite(unsigned Line,
                                             unsigned Column) const {
   std::string Out;
-  for (CheckTag Tag : tags()) {
-    std::vector<size_t> Chain = timelineOf(Tag);
-    const LifecycleEvent &First = All[Chain.front()];
-    if (First.Origin.Loc.Line != Line)
+  for (const std::vector<size_t> &Chain : timelines()) {
+    const CheckOrigin &O = origin(All[Chain.front()]);
+    if (O.Loc.Line != Line)
       continue;
-    if (Column != 0 && First.Origin.Loc.Column != Column)
+    if (Column != 0 && O.Loc.Column != Column)
       continue;
-    Out += explainTag(Tag);
+    Out += explainChain(Chain);
   }
   return Out;
 }
 
 std::vector<std::string> ProvenanceRecorder::validate() const {
   std::vector<std::string> Problems;
-  std::set<CheckTag> Known;
-  for (const LifecycleEvent &E : All)
-    Known.insert(E.Tag);
+  std::vector<std::vector<size_t>> Chains = timelines();
+  std::unordered_set<CheckTag> Known;
+  for (const std::vector<size_t> &Chain : Chains)
+    Known.insert(All[Chain.front()].Tag);
   for (const LifecycleEvent &E : All) {
     if (E.Tag == NoCheckTag)
       Problems.push_back("event #" + std::to_string(E.Seq) +
@@ -253,8 +350,8 @@ std::vector<std::string> ProvenanceRecorder::validate() const {
                          " references unrecorded tag t" +
                          std::to_string(E.OtherTag));
   }
-  for (CheckTag Tag : tags()) {
-    std::vector<size_t> Chain = timelineOf(Tag);
+  for (const std::vector<size_t> &Chain : Chains) {
+    CheckTag Tag = All[Chain.front()].Tag;
     for (size_t I = 0; I + 1 < Chain.size(); ++I)
       if (isTerminalLifecycleKind(All[Chain[I]].Kind))
         Problems.push_back("check t" + std::to_string(Tag) +
@@ -268,53 +365,28 @@ std::vector<std::string> ProvenanceRecorder::validate() const {
   return Problems;
 }
 
-LifecycleEvent obs::makeLifecycleEvent(LifecycleKind Kind, std::string Pass,
-                                       const Function &F,
-                                       const BasicBlock &BB,
-                                       const Instruction &I,
-                                       std::string Justification) {
-  LifecycleEvent E;
-  E.Tag = I.Tag;
-  E.Kind = Kind;
-  E.Pass = std::move(Pass);
-  E.Function = F.name();
-  E.Block = BB.name();
-  E.CheckStr = I.Check.str(F.symbols());
-  E.FamilyStr = I.Check.expr().str(F.symbols());
-  E.Bound = I.Check.bound();
-  E.Origin = I.Origin;
-  E.Justification = std::move(Justification);
-  return E;
-}
-
-void obs::recordInsertedChecks(const Module &M, const std::string &Pass,
-                               ProvenanceRecorder &PR) {
-  if (!PR.enabled())
-    return;
+void obs::recordInsertedChecks(const Module &M, ProvenanceRecorder &PR) {
   for (const Function *F : M.functions())
     for (const auto &BB : *F)
       for (const Instruction &I : BB->instructions()) {
         if (!I.isRangeCheck() || I.Tag == NoCheckTag)
           continue;
-        PR.record(makeLifecycleEvent(
-            LifecycleKind::Inserted, Pass, *F, *BB, I,
-            "naive range check for the subscript expression"));
+        PR.record(LifecycleKind::Inserted, LifecyclePass::Lowering, *F,
+                  BB->id(), I, JustificationId::NaiveCheck);
       }
 }
 
 void obs::recordResidualChecks(const Module &M, ProvenanceRecorder &PR) {
-  if (!PR.enabled())
-    return;
   for (const Function *F : M.functions())
     for (const auto &BB : *F)
       for (const Instruction &I : BB->instructions()) {
         if (!I.isRangeCheck() || I.Tag == NoCheckTag)
           continue;
-        PR.record(makeLifecycleEvent(
-            LifecycleKind::Residualized, "Pipeline", *F, *BB, I,
-            I.Op == Opcode::CondCheck
-                ? "conditional check survived optimization"
-                : "check survived optimization"));
+        PR.record(LifecycleKind::Residualized, LifecyclePass::Pipeline, *F,
+                  BB->id(), I,
+                  I.Op == Opcode::CondCheck
+                      ? JustificationId::CondCheckSurvived
+                      : JustificationId::CheckSurvived);
       }
 }
 
@@ -327,18 +399,11 @@ bool fail(std::string *Err, const std::string &Msg) {
 }
 
 bool knownKind(const std::string &Name, bool *Terminal = nullptr) {
-  static const struct {
-    const char *Name;
-    bool Terminal;
-  } Kinds[] = {
-      {"inserted", false},    {"strengthened", false}, {"moved", false},
-      {"subsumed-by", true},  {"eliminated", true},    {"trapped", true},
-      {"residualized", true},
-  };
-  for (const auto &K : Kinds)
-    if (Name == K.Name) {
+  for (auto K = LifecycleKind::Inserted; K <= LifecycleKind::Residualized;
+       K = static_cast<LifecycleKind>(static_cast<int>(K) + 1))
+    if (Name == lifecycleKindName(K)) {
       if (Terminal)
-        *Terminal = K.Terminal;
+        *Terminal = isTerminalLifecycleKind(K);
       return true;
     }
   return false;

@@ -10,41 +10,32 @@ using namespace nascent;
 using namespace nascent::obs;
 
 const char *obs::remarkKindName(RemarkKind K) {
-  switch (K) {
-  case RemarkKind::Eliminated:
-    return "eliminated";
-  case RemarkKind::Strengthened:
-    return "strengthened";
-  case RemarkKind::LcmInserted:
-    return "lcm-inserted";
-  case RemarkKind::CondInserted:
-    return "cond-inserted";
-  case RemarkKind::Rehoisted:
-    return "rehoisted";
-  case RemarkKind::CompileTimeDeleted:
-    return "compile-time-deleted";
-  case RemarkKind::CompileTimeTrap:
-    return "compile-time-trap";
-  case RemarkKind::IntervalEliminated:
-    return "interval-eliminated";
-  case RemarkKind::Residual:
-    return "residual";
-  }
-  return "unknown";
+  static const char *const Names[] = {
+      "eliminated",        "strengthened",        "lcm-inserted",
+      "cond-inserted",     "rehoisted",           "compile-time-deleted",
+      "compile-time-trap", "interval-eliminated", "residual"};
+  return Names[static_cast<size_t>(K)];
 }
 
-void RemarkCollector::enable(const std::string &FilterRegex) {
-  Enabled = true;
-  HasFilter = !FilterRegex.empty();
-  if (HasFilter)
-    Filter = std::regex(FilterRegex);
+bool RemarkCollector::setFilter(const std::string &FilterRegex,
+                                std::string *Err) {
+  if (FilterRegex.empty()) {
+    Filter.reset();
+    return true;
+  }
+  try {
+    Filter.emplace(FilterRegex);
+  } catch (const std::regex_error &E) {
+    if (Err)
+      *Err = E.what();
+    return false;
+  }
+  return true;
 }
 
 void RemarkCollector::emit(Remark R) {
-  if (!Enabled)
-    return;
-  if (HasFilter && !std::regex_search(R.FamilyStr, Filter) &&
-      !std::regex_search(R.Origin.ArrayName, Filter))
+  if (Filter && !std::regex_search(R.FamilyStr, *Filter) &&
+      !std::regex_search(R.Origin.ArrayName, *Filter))
     return;
   All.push_back(std::move(R));
 }
@@ -109,33 +100,38 @@ namespace {
 /// The (event kind, pass) -> remark kind table; a null pass matches any.
 const struct {
   LifecycleKind Kind;
-  const char *Pass;
+  std::optional<LifecyclePass> Pass;
   RemarkKind Remark;
 } DecisionRemarks[] = {
-    {LifecycleKind::SubsumedBy, "Elimination", RemarkKind::Eliminated},
-    {LifecycleKind::Strengthened, "CheckStrengthening",
+    {LifecycleKind::SubsumedBy, LifecyclePass::Elimination,
+     RemarkKind::Eliminated},
+    {LifecycleKind::Strengthened, LifecyclePass::CheckStrengthening,
      RemarkKind::Strengthened},
-    {LifecycleKind::Inserted, "LazyCodeMotion", RemarkKind::LcmInserted},
-    {LifecycleKind::Inserted, "PreheaderInsertion", RemarkKind::CondInserted},
-    {LifecycleKind::Moved, "PreheaderInsertion", RemarkKind::Rehoisted},
-    {LifecycleKind::Eliminated, "Elimination",
+    {LifecycleKind::Inserted, LifecyclePass::LazyCodeMotion,
+     RemarkKind::LcmInserted},
+    {LifecycleKind::Inserted, LifecyclePass::PreheaderInsertion,
+     RemarkKind::CondInserted},
+    {LifecycleKind::Moved, LifecyclePass::PreheaderInsertion,
+     RemarkKind::Rehoisted},
+    {LifecycleKind::Eliminated, LifecyclePass::Elimination,
      RemarkKind::CompileTimeDeleted},
-    {LifecycleKind::Trapped, nullptr, RemarkKind::CompileTimeTrap},
-    {LifecycleKind::Eliminated, "IntervalAnalysis",
+    {LifecycleKind::Trapped, std::nullopt, RemarkKind::CompileTimeTrap},
+    {LifecycleKind::Eliminated, LifecyclePass::IntervalAnalysis,
      RemarkKind::IntervalEliminated},
 };
 
-Remark remarkFromEvent(const LifecycleEvent &E, RemarkKind Kind) {
+Remark remarkFromEvent(const ProvenanceRecorder &PR, const LifecycleEvent &E,
+                       RemarkKind Kind) {
   Remark R;
   R.Kind = Kind;
-  R.Pass = E.Pass;
-  R.Function = E.Function;
-  R.Block = E.Block;
-  R.CheckStr = E.CheckStr;
-  R.FamilyStr = E.FamilyStr;
-  R.Bound = E.Bound;
-  R.Origin = E.Origin;
-  R.Justification = E.Justification;
+  R.Pass = lifecyclePassName(E.Pass);
+  R.Function = PR.functionName(E);
+  R.Block = PR.blockName(E);
+  R.CheckStr = PR.checkStr(E);
+  R.FamilyStr = PR.familyStr(E);
+  R.Bound = PR.bound(E);
+  R.Origin = PR.origin(E);
+  R.Justification = PR.justificationText(E);
   return R;
 }
 
@@ -143,25 +139,21 @@ Remark remarkFromEvent(const LifecycleEvent &E, RemarkKind Kind) {
 
 std::optional<RemarkKind> obs::remarkKindFor(const LifecycleEvent &E) {
   for (const auto &Row : DecisionRemarks)
-    if (Row.Kind == E.Kind && (!Row.Pass || E.Pass == Row.Pass))
+    if (Row.Kind == E.Kind && (!Row.Pass || E.Pass == *Row.Pass))
       return Row.Remark;
   return std::nullopt;
 }
 
 void obs::collectDecisionRemarks(const ProvenanceRecorder &PR,
                                  RemarkCollector &RC) {
-  if (!RC.enabled())
-    return;
   for (const LifecycleEvent &E : PR.events())
     if (std::optional<RemarkKind> Kind = remarkKindFor(E))
-      RC.emit(remarkFromEvent(E, *Kind));
+      RC.emit(remarkFromEvent(PR, E, *Kind));
 }
 
 void obs::emitResidualCheckRemarks(const ProvenanceRecorder &PR,
                                    const ExecutionProfile &Profile,
                                    RemarkCollector &RC) {
-  if (!RC.enabled())
-    return;
   std::map<CheckTag, uint64_t> HitsByTag;
   for (const FunctionProfile &FP : Profile.functions())
     for (const CheckSiteProfile &S : FP.Sites)
@@ -169,7 +161,7 @@ void obs::emitResidualCheckRemarks(const ProvenanceRecorder &PR,
   for (const LifecycleEvent &E : PR.events()) {
     if (E.Kind != LifecycleKind::Residualized)
       continue;
-    Remark R = remarkFromEvent(E, RemarkKind::Residual);
+    Remark R = remarkFromEvent(PR, E, RemarkKind::Residual);
     R.Pass = "Interpreter";
     auto It = HitsByTag.find(E.Tag);
     R.DynCount = It == HitsByTag.end() ? 0 : It->second;

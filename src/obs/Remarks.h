@@ -4,10 +4,10 @@
 /// Optimization remarks: one structured record per per-check decision the
 /// optimizer makes, in the spirit of LLVM's -Rpass stream. Remarks are a
 /// view, not a record of their own: the passes write lifecycle events
-/// (obs/Provenance.h), and the pipeline derives one remark per decision
-/// event through a fixed (event kind, pass) -> RemarkKind table (see
-/// remarkKindFor). Remark totals reconcile exactly with OptimizerStats,
-/// which tests assert.
+/// (obs/Provenance.h), and a tool that wants remarks derives one per
+/// decision event through a fixed (event kind, pass) -> RemarkKind table
+/// (see remarkKindFor). The optimizer counts OptimizerStats through the
+/// same table, so remark totals equal the stats by construction.
 ///
 /// Residual remarks say "this surviving check executed N times" (the
 /// paper's table-1 metric, per check instead of per program): they come
@@ -73,10 +73,11 @@ struct Remark {
 /// -Rpass's pass-name filter but over check families).
 class RemarkCollector {
 public:
-  /// Enables collection; a non-empty \p FilterRegex drops remarks whose
-  /// family string and array name both fail to match.
-  void enable(const std::string &FilterRegex = "");
-  bool enabled() const { return Enabled; }
+  /// Keeps only remarks whose family string or array name matches
+  /// \p FilterRegex (an ECMAScript regex; empty keeps everything).
+  /// Returns false, with the reason in \p Err, when \p FilterRegex does
+  /// not compile; the filter is then unchanged.
+  bool setFilter(const std::string &FilterRegex, std::string *Err = nullptr);
 
   void emit(Remark R);
 
@@ -91,9 +92,7 @@ public:
   std::string toJson() const;
 
 private:
-  bool Enabled = false;
-  bool HasFilter = false;
-  std::regex Filter;
+  std::optional<std::regex> Filter;
   std::vector<Remark> All;
 };
 
@@ -108,13 +107,13 @@ private:
 std::optional<RemarkKind> remarkKindFor(const LifecycleEvent &E);
 
 /// Appends one remark per decision event of \p PR to \p RC, in recording
-/// order. No-op when \p RC is disabled.
+/// order.
 void collectDecisionRemarks(const ProvenanceRecorder &PR,
                             RemarkCollector &RC);
 
 /// Appends one Residual remark per Residualized event of \p PR, with
 /// DynCount taken from the hits of the matching check site in \p Profile
-/// (0 for sites the run never reached). No-op when \p RC is disabled.
+/// (0 for sites the run never reached).
 void emitResidualCheckRemarks(const ProvenanceRecorder &PR,
                               const ExecutionProfile &Profile,
                               RemarkCollector &RC);

@@ -2,13 +2,11 @@
 
 using namespace nascent;
 
-StrengtheningStats
-nascent::runCheckStrengthening(Function &F, const CheckContext &Ctx,
-                               obs::ProvenanceRecorder *Prov) {
-  StrengtheningStats Stats;
+void nascent::runCheckStrengthening(Function &F, const CheckContext &Ctx,
+                                    obs::ProvenanceRecorder &PR) {
   const CheckUniverse &U = Ctx.universe();
   if (U.size() == 0)
-    return Stats;
+    return;
 
   F.recomputePreds();
   DataflowResult Antic = Ctx.solveAnticipatability();
@@ -44,26 +42,13 @@ nascent::runCheckStrengthening(Function &F, const CheckContext &Ctx,
         if (U.check(M).bound() >= U.check(C).bound())
           break;
         if (Before[Idx].test(M)) {
-          int64_t OldBound = I.Check.bound();
-          std::string OldStr;
-          if (Prov && Prov->enabled())
-            OldStr = I.Check.str(F.symbols());
           I.Check = U.check(M);
-          ++Stats.ChecksStrengthened;
-          if (Prov && Prov->enabled()) {
-            obs::LifecycleEvent E = obs::makeLifecycleEvent(
-                obs::LifecycleKind::Strengthened, "CheckStrengthening", F,
-                *BB, I,
-                "bound tightened from " + std::to_string(OldBound) + " to " +
-                    std::to_string(I.Check.bound()) +
-                    "; the stronger family member is anticipated here");
-            E.Edge = std::move(OldStr);
-            Prov->record(std::move(E));
-          }
+          PR.record(obs::LifecycleKind::Strengthened,
+                    obs::LifecyclePass::CheckStrengthening, F, B, I,
+                    obs::JustificationId::BoundTightened);
           break;
         }
       }
     }
   }
-  return Stats;
 }

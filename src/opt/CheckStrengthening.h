@@ -17,18 +17,12 @@
 
 namespace nascent {
 
-/// Statistics of one strengthening run.
-struct StrengtheningStats {
-  unsigned ChecksStrengthened = 0;
-};
-
 /// Replaces checks in \p F by their strongest anticipatable same-family
 /// member, in place. One Strengthened lifecycle event per replacement goes
-/// to \p Prov when given (the check keeps its tag; the event's edge
-/// carries the pre-rewrite form).
-StrengtheningStats runCheckStrengthening(Function &F,
-                                         const CheckContext &Ctx,
-                                         obs::ProvenanceRecorder *Prov = nullptr);
+/// to \p PR (the check keeps its tag; the event's edge is the pre-rewrite
+/// form).
+void runCheckStrengthening(Function &F, const CheckContext &Ctx,
+                           obs::ProvenanceRecorder &PR);
 
 } // namespace nascent
 

@@ -2,44 +2,47 @@
 
 using namespace nascent;
 
+using obs::JustificationId;
+using obs::LifecycleKind;
+using obs::LifecyclePass;
+
 namespace {
 
 /// Names the fact that made an available check deletable, for the
-/// lifecycle event: the three possible sources are block-entry availability, a
-/// preheader entry fact, and an earlier check in the same block.
-std::string availJustification(const CheckContext &Ctx,
-                               const DataflowResult &Avail, BlockID B,
-                               CheckID C) {
+/// lifecycle event: the three possible sources are block-entry
+/// availability, a preheader entry fact, and an earlier check in the same
+/// block.
+JustificationId availJustification(const CheckContext &Ctx,
+                                   const DataflowResult &Avail, BlockID B,
+                                   CheckID C) {
   if (Avail.In[B].test(C))
-    return "an as-strong check is available on every path into the block";
+    return JustificationId::AvailableOnAllPaths;
   if (Ctx.genInBits(B).test(C))
-    return "implied by a conditional check hoisted to the loop preheader";
-  return "covered by an as-strong check earlier in the block";
+    return JustificationId::ImpliedByPreheaderCheck;
+  return JustificationId::CoveredEarlierInBlock;
 }
 
 } // namespace
 
-EliminationStats
-nascent::eliminateRedundantChecks(Function &F, const CheckContext &Ctx,
-                                  obs::ProvenanceRecorder *Prov) {
-  EliminationStats Stats;
+void nascent::eliminateRedundantChecks(Function &F, const CheckContext &Ctx,
+                                       obs::ProvenanceRecorder &PR) {
   if (Ctx.universe().size() == 0)
-    return Stats;
+    return;
 
   F.recomputePreds();
   DataflowResult Avail = Ctx.solveAvailability();
 
-  bool WantProv = Prov && Prov->enabled();
-  // Last surviving in-block check providing each universe member's
-  // availability; the witness of "covered earlier in the block" events.
-  std::vector<const Instruction *> Provider;
+  // The last surviving in-block check whose availability gen covers each
+  // universe member: the witness of CoveredEarlierInBlock subsumptions.
+  // An entry is current only while ProviderBlock names the block being
+  // scanned, so nothing is reset between blocks.
+  std::vector<CheckTag> Provider(Ctx.universe().size(), NoCheckTag);
+  std::vector<BlockID> ProviderBlock(Ctx.universe().size(), InvalidBlock);
 
   for (auto &BB : F) {
     BlockID B = BB->id();
     DenseBitVector Cur = Avail.In[B];
     Cur |= Ctx.genInBits(B);
-    if (WantProv)
-      Provider.assign(Ctx.universe().size(), nullptr);
 
     std::vector<size_t> ToDelete;
     for (size_t Idx = 0; Idx != BB->size(); ++Idx) {
@@ -48,67 +51,71 @@ nascent::eliminateRedundantChecks(Function &F, const CheckContext &Ctx,
       if (I.Op == Opcode::Check) {
         CheckID C = Ctx.idOf(B, Idx);
         if (C != InvalidCheck && Cur.test(C)) {
+          // Witness attribution mirrors the justification priority:
+          // all-paths availability has no single witness; a preheader
+          // fact names the hoisted conditional; otherwise an earlier
+          // check in this block covers it.
+          JustificationId Why = availJustification(Ctx, Avail, B, C);
+          CheckTag Witness = NoCheckTag;
+          if (Why == JustificationId::ImpliedByPreheaderCheck)
+            Witness = Ctx.preheaderWitness(B, C);
+          else if (Why == JustificationId::CoveredEarlierInBlock &&
+                   ProviderBlock[C] == B)
+            Witness = Provider[C];
+          PR.record(LifecycleKind::SubsumedBy, LifecyclePass::Elimination, F,
+                    B, I, Why, Witness);
           ToDelete.push_back(Idx);
-          if (WantProv) {
-            obs::LifecycleEvent E = obs::makeLifecycleEvent(
-                obs::LifecycleKind::SubsumedBy, "Elimination", F, *BB, I,
-                availJustification(Ctx, Avail, B, C));
-            // Witness attribution mirrors the justification priority:
-            // all-paths availability has no single witness; a preheader
-            // fact names the hoisted conditional; otherwise an earlier
-            // check in this block covers it.
-            if (!Avail.In[B].test(C)) {
-              if (Ctx.genInBits(B).test(C)) {
-                E.OtherTag = Ctx.preheaderWitness(B, C);
-              } else if (const Instruction *W = Provider[C]) {
-                E.OtherTag = W->Tag;
-                E.Edge = W->Check.str(F.symbols());
-              }
-            }
-            Prov->record(std::move(E));
-          }
           continue; // a deleted check generates nothing
         }
       }
       Ctx.applyAvailGen(B, Idx, I, Cur);
-      if (WantProv && I.Op == Opcode::Check) {
+      if (I.Op == Opcode::Check) {
         CheckID C = Ctx.idOf(B, Idx);
         if (C != InvalidCheck)
-          Ctx.weakerClosure(C).forEachSetBit(
-              [&](size_t Bit) { Provider[Bit] = &I; });
+          Ctx.weakerClosure(C).forEachSetBit([&](size_t Bit) {
+            Provider[Bit] = I.Tag;
+            ProviderBlock[Bit] = B;
+          });
       }
     }
-    for (auto It = ToDelete.rbegin(); It != ToDelete.rend(); ++It) {
+    for (auto It = ToDelete.rbegin(); It != ToDelete.rend(); ++It)
       BB->instructions().erase(BB->instructions().begin() +
                                static_cast<ptrdiff_t>(*It));
-      ++Stats.ChecksDeleted;
-    }
   }
-  return Stats;
 }
 
-EliminationStats
-nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
-                               obs::ProvenanceRecorder *Prov) {
-  EliminationStats Stats;
-  auto Event = [&](obs::LifecycleKind Kind, const BasicBlock &BB,
-                   const Instruction &I, std::string Justification) {
-    if (Prov && Prov->enabled())
-      Prov->record(obs::makeLifecycleEvent(Kind, "Elimination", F, BB, I,
-                                           std::move(Justification)));
+void nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
+                                    obs::ProvenanceRecorder &PR) {
+  // Deletes the check at Idx, closing its lifecycle.
+  auto Delete = [&](BasicBlock &BB, size_t Idx, JustificationId Why) {
+    auto &Insts = BB.instructions();
+    PR.record(LifecycleKind::Eliminated, LifecyclePass::Elimination, F,
+              BB.id(), Insts[Idx], Why);
+    Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Idx));
   };
-  // Checks swept away because a compile-time trap truncated their block:
-  // not an optimizer decision about the check itself, so they close under
-  // a pass of their own (reconciliation ignores it).
-  auto CloseTail = [&](const BasicBlock &BB,
-                       const std::vector<Instruction> &Insts, size_t From) {
-    if (!Prov || !Prov->enabled())
-      return;
-    for (size_t T = From; T < Insts.size(); ++T)
+  // Reports the always-failing check at Idx and replaces it, and the now
+  // unreachable rest of the block, by a TRAP terminator that keeps its
+  // tag. The checks swept away are no optimizer decision about the check
+  // itself, so they close under a pseudo-pass no decision count includes.
+  auto TrapAt = [&](BasicBlock &BB, size_t Idx, JustificationId Why) {
+    auto &Insts = BB.instructions();
+    Instruction Trap;
+    Trap.Op = Opcode::Trap;
+    Trap.Origin = Insts[Idx].Origin;
+    Trap.Tag = Insts[Idx].Tag;
+    Diags.warning(Trap.Origin.Loc,
+                  "array range violation detected at compile time" +
+                      (Trap.Origin.ArrayName.empty()
+                           ? std::string()
+                           : " (array " + Trap.Origin.ArrayName + ")"));
+    PR.record(LifecycleKind::Trapped, LifecyclePass::Elimination, F, BB.id(),
+              Insts[Idx], Why);
+    for (size_t T = Idx + 1; T < Insts.size(); ++T)
       if (Insts[T].isRangeCheck() && Insts[T].Tag != NoCheckTag)
-        Prov->record(obs::makeLifecycleEvent(
-            obs::LifecycleKind::Eliminated, "Unreachable", F, BB, Insts[T],
-            "unreachable: a compile-time trap truncated the block"));
+        PR.record(LifecycleKind::Eliminated, LifecyclePass::Unreachable, F,
+                  BB.id(), Insts[T], JustificationId::TruncatedByTrap);
+    Insts.resize(Idx);
+    Insts.push_back(std::move(Trap));
   };
 
   for (auto &BB : F) {
@@ -121,29 +128,10 @@ nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
           continue;
         }
         if (I.Check.evaluatesToTrue()) {
-          Event(obs::LifecycleKind::Eliminated, *BB, I,
-                "constant check always passes");
-          Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Idx));
-          ++Stats.CompileTimeDeleted;
+          Delete(*BB, Idx, JustificationId::ConstantPasses);
           continue;
         }
-        // Always fails: report and replace with a TRAP terminator; the
-        // rest of the block is unreachable.
-        Diags.warning(I.Origin.Loc,
-                      "array range violation detected at compile time" +
-                          (I.Origin.ArrayName.empty()
-                               ? std::string()
-                               : " (array " + I.Origin.ArrayName + ")"));
-        Event(obs::LifecycleKind::Trapped, *BB, I,
-              "constant check always fails; replaced by a trap");
-        CloseTail(*BB, Insts, Idx + 1);
-        Instruction Trap;
-        Trap.Op = Opcode::Trap;
-        Trap.Origin = I.Origin;
-        Trap.Tag = I.Tag;
-        Insts.resize(Idx);
-        Insts.push_back(std::move(Trap));
-        ++Stats.CompileTimeTraps;
+        TrapAt(*BB, Idx, JustificationId::ConstantFails);
         break; // block is now terminated
       }
       if (I.Op == Opcode::CondCheck) {
@@ -156,46 +144,23 @@ nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
           }
           if (I.Guards[G].evaluatesToTrue()) {
             I.Guards.erase(I.Guards.begin() + static_cast<ptrdiff_t>(G));
-            ++Stats.GuardsFolded;
           } else {
             GuardFalse = true;
             break;
           }
         }
         if (GuardFalse) {
-          Event(obs::LifecycleKind::Eliminated, *BB, I,
-                "conditional check guarded by a constant-false guard can "
-                "never fire");
-          Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Idx));
-          ++Stats.CompileTimeDeleted;
+          Delete(*BB, Idx, JustificationId::GuardConstantFalse);
           continue;
         }
         if (I.Check.isCompileTimeConstant() && I.Check.evaluatesToTrue()) {
-          Event(obs::LifecycleKind::Eliminated, *BB, I,
-                "constant conditional check always passes");
-          Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Idx));
-          ++Stats.CompileTimeDeleted;
+          Delete(*BB, Idx, JustificationId::ConstantCondPasses);
           continue;
         }
         if (I.Guards.empty()) {
           if (I.Check.isCompileTimeConstant()) {
             // Unconditional and always failing.
-            Diags.warning(I.Origin.Loc,
-                          "array range violation detected at compile time" +
-                              (I.Origin.ArrayName.empty()
-                                   ? std::string()
-                                   : " (array " + I.Origin.ArrayName + ")"));
-            Event(obs::LifecycleKind::Trapped, *BB, I,
-                  "conditional check with all guards folded always fails; "
-                  "replaced by a trap");
-            CloseTail(*BB, Insts, Idx + 1);
-            Instruction Trap;
-            Trap.Op = Opcode::Trap;
-            Trap.Origin = I.Origin;
-            Trap.Tag = I.Tag;
-            Insts.resize(Idx);
-            Insts.push_back(std::move(Trap));
-            ++Stats.CompileTimeTraps;
+            TrapAt(*BB, Idx, JustificationId::ConstantCondFails);
             break;
           }
           // All guards folded away: demote to a plain check.
@@ -207,5 +172,4 @@ nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
       ++Idx;
     }
   }
-  return Stats;
 }

@@ -315,12 +315,14 @@ nascent::classifyChecksByIntervals(const Function &F,
 
 IntervalStats nascent::eliminateChecksByIntervals(Function &F,
                                                   DiagnosticEngine &Diags,
-                                                  obs::ProvenanceRecorder *Prov,
+                                                  obs::ProvenanceRecorder &PR,
                                                   const LoopInfo *CachedLoops) {
+  using obs::JustificationId;
+  using obs::LifecycleKind;
+  using obs::LifecyclePass;
   IntervalStats Stats;
   F.recomputePreds();
   IntervalCheckClassification C = classifyChecksByIntervals(F, CachedLoops);
-  bool WantProv = Prov && Prov->enabled();
 
   for (auto &BB : F) {
     BlockID B = BB->id();
@@ -330,14 +332,9 @@ IntervalStats nascent::eliminateChecksByIntervals(Function &F,
     for (size_t OIdx = 0; OIdx != NumOrig; ++OIdx) {
       switch (C.at(B, OIdx)) {
       case IntervalVerdict::AlwaysPasses: {
-        if (WantProv)
-          Prov->record(obs::makeLifecycleEvent(
-              obs::LifecycleKind::Eliminated, "IntervalAnalysis", F, *BB,
-              Insts[Cur],
-              "value ranges prove the check passes on every execution "
-              "reaching it"));
+        PR.record(LifecycleKind::Eliminated, LifecyclePass::IntervalAnalysis,
+                  F, B, Insts[Cur], JustificationId::IntervalPasses);
         Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Cur));
-        ++Stats.ChecksProvedRedundant;
         continue;
       }
       case IntervalVerdict::AlwaysFails: {
@@ -348,27 +345,20 @@ IntervalStats nascent::eliminateChecksByIntervals(Function &F,
                           (I.Origin.ArrayName.empty()
                                ? std::string()
                                : " (array " + I.Origin.ArrayName + ")"));
-        if (WantProv) {
-          Prov->record(obs::makeLifecycleEvent(
-              obs::LifecycleKind::Trapped, "IntervalAnalysis", F, *BB, I,
-              "value ranges prove the check fails on every execution "
-              "reaching it; replaced by a trap"));
-          // Checks in the truncated tail close under "Unreachable", as in
-          // foldCompileTimeChecks.
-          for (size_t T = Cur + 1; T < Insts.size(); ++T)
-            if (Insts[T].isRangeCheck() && Insts[T].Tag != NoCheckTag)
-              Prov->record(obs::makeLifecycleEvent(
-                  obs::LifecycleKind::Eliminated, "Unreachable", F, *BB,
-                  Insts[T],
-                  "unreachable: a compile-time trap truncated the block"));
-        }
+        PR.record(LifecycleKind::Trapped, LifecyclePass::IntervalAnalysis, F,
+                  B, I, JustificationId::IntervalFails);
+        // Checks in the truncated tail close under Unreachable, as in
+        // foldCompileTimeChecks.
+        for (size_t T = Cur + 1; T < Insts.size(); ++T)
+          if (Insts[T].isRangeCheck() && Insts[T].Tag != NoCheckTag)
+            PR.record(LifecycleKind::Eliminated, LifecyclePass::Unreachable,
+                      F, B, Insts[T], JustificationId::TruncatedByTrap);
         Instruction Trap;
         Trap.Op = Opcode::Trap;
         Trap.Origin = I.Origin;
         Trap.Tag = I.Tag;
         Insts.resize(Cur);
         Insts.push_back(std::move(Trap));
-        ++Stats.ChecksProvedViolating;
         break;
       }
       case IntervalVerdict::Unknown:

@@ -66,11 +66,10 @@ struct Interval {
   Interval absValue() const;
 };
 
-/// Statistics of one interval-elimination run.
+/// Statistics of one interval-elimination run. Its decisions (deleted and
+/// trapped checks) are lifecycle events; this counts what it left alone.
 struct IntervalStats {
-  unsigned ChecksProvedRedundant = 0; ///< deleted: always pass
-  unsigned ChecksProvedViolating = 0; ///< replaced by TRAP: always fail
-  unsigned ChecksUnknown = 0;         ///< left in place
+  unsigned ChecksUnknown = 0; ///< checks the ranges cannot decide
 };
 
 /// Verdict of the interval analysis for one instruction position.
@@ -108,11 +107,10 @@ classifyChecksByIntervals(const Function &F,
 /// TRAP terminators and are reported into \p Diags. The analysis uses
 /// do-loop metadata to bound index variables inside their loops.
 /// Eliminated / Trapped lifecycle events (the Trap inherits the check's
-/// tag) go to \p Prov when given.
-IntervalStats
-eliminateChecksByIntervals(Function &F, DiagnosticEngine &Diags,
-                           obs::ProvenanceRecorder *Prov = nullptr,
-                           const LoopInfo *CachedLoops = nullptr);
+/// tag) go to \p PR.
+IntervalStats eliminateChecksByIntervals(Function &F, DiagnosticEngine &Diags,
+                                         obs::ProvenanceRecorder &PR,
+                                         const LoopInfo *CachedLoops = nullptr);
 
 } // namespace nascent
 

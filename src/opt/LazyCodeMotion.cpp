@@ -25,14 +25,13 @@ InsertPoint pointForEdge(const Function &F, BlockID From, BlockID To) {
 
 } // namespace
 
-LCMStats nascent::runLazyCodeMotion(Function &F, const CheckContext &Ctx,
-                                    LCMPlacement Placement,
-                                    obs::ProvenanceRecorder *Prov) {
-  LCMStats Stats;
+void nascent::runLazyCodeMotion(Function &F, const CheckContext &Ctx,
+                                LCMPlacement Placement,
+                                obs::ProvenanceRecorder &PR) {
   const CheckUniverse &U = Ctx.universe();
   size_t N = U.size();
   if (N == 0)
-    return Stats;
+    return;
 
   DataflowResult Avail = Ctx.solveAvailability();
   DataflowResult Antic = Ctx.solveAnticipatability();
@@ -190,34 +189,29 @@ LCMStats nascent::runLazyCodeMotion(Function &F, const CheckContext &Ctx,
     I.Tag = F.allocateCheckTag();
     return I;
   };
-  const char *PlacementName = Placement == LCMPlacement::SafeEarliest
-                                  ? "safe-earliest"
-                                  : "latest-not-isolated";
-  auto Note = [&](BlockID B, const Instruction &I, const char *Where) {
-    if (Prov && Prov->enabled())
-      Prov->record(obs::makeLifecycleEvent(
-          obs::LifecycleKind::Inserted, "LazyCodeMotion", F, *F.block(B), I,
-          std::string("strongest family member placed at the ") +
-              PlacementName + " point (" + Where +
-              "); later occurrences become redundant"));
+  bool SE = Placement == LCMPlacement::SafeEarliest;
+  auto Note = [&](size_t B, const Instruction &I, obs::JustificationId Why) {
+    PR.record(obs::LifecycleKind::Inserted, obs::LifecyclePass::LazyCodeMotion,
+              F, static_cast<BlockID>(B), I, Why);
   };
 
   for (size_t B = 0; B != AtStart.size(); ++B) {
     size_t Pos = 0;
     for (CheckID Id : AtStart[B]) {
       Instruction I = MakeCheck(Id);
-      Note(static_cast<BlockID>(B), I, "block start");
+      Note(B, I,
+           SE ? obs::JustificationId::LcmSafeEarliestAtStart
+              : obs::JustificationId::LcmLatestAtStart);
       F.block(static_cast<BlockID>(B))->insertAt(Pos++, std::move(I));
-      ++Stats.ChecksInserted;
     }
   }
   for (size_t B = 0; B != BeforeTerm.size(); ++B) {
     for (CheckID Id : BeforeTerm[B]) {
       Instruction I = MakeCheck(Id);
-      Note(static_cast<BlockID>(B), I, "before terminator");
+      Note(B, I,
+           SE ? obs::JustificationId::LcmSafeEarliestBeforeTerminator
+              : obs::JustificationId::LcmLatestBeforeTerminator);
       F.block(static_cast<BlockID>(B))->insertBeforeTerminator(std::move(I));
-      ++Stats.ChecksInserted;
     }
   }
-  return Stats;
 }

@@ -27,11 +27,6 @@ enum class LCMPlacement {
   LatestNotIsolated, ///< delay placements to the latest point (LNI)
 };
 
-/// Result of an LCM run: checks inserted into the IR.
-struct LCMStats {
-  unsigned ChecksInserted = 0;
-};
-
 /// Computes the placement and inserts Check instructions into \p F.
 /// Insertion points are CFG edges; with critical edges split each edge has
 /// an endpoint that it exclusively owns, so insertions go at the end of a
@@ -40,10 +35,9 @@ struct LCMStats {
 /// At each insertion point only the strongest check per family is
 /// materialised; weaker family members earliest at the same point would be
 /// immediately redundant. Inserted checks get fresh lifecycle tags and one
-/// Inserted event each into \p Prov when given.
-LCMStats runLazyCodeMotion(Function &F, const CheckContext &Ctx,
-                           LCMPlacement Placement,
-                           obs::ProvenanceRecorder *Prov = nullptr);
+/// Inserted event each into \p PR.
+void runLazyCodeMotion(Function &F, const CheckContext &Ctx,
+                       LCMPlacement Placement, obs::ProvenanceRecorder &PR);
 
 } // namespace nascent
 

@@ -99,16 +99,17 @@ LinearExpr substituteExtreme(const LinearExpr &Expr, SymbolID Var,
 
 } // namespace
 
-PreheaderStats
-nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
-                               const PreheaderOptions &Opts,
-                               std::vector<PreheaderFact> &FactsOut,
-                               obs::ProvenanceRecorder *Prov,
-                               const LoopInfo *CachedLoops) {
-  PreheaderStats Stats;
+void nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
+                                    const PreheaderOptions &Opts,
+                                    std::vector<PreheaderFact> &FactsOut,
+                                    obs::ProvenanceRecorder &PR,
+                                    const LoopInfo *CachedLoops) {
+  using obs::JustificationId;
+  using obs::LifecycleKind;
+  using obs::LifecyclePass;
   const CheckUniverse &U = Ctx.universe();
   if (U.size() == 0)
-    return Stats;
+    return;
 
   F.recomputePreds();
   std::optional<DominatorTree> OwnDT;
@@ -158,6 +159,29 @@ nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
     LinearExpr HMax; // valid only when CanSubstitute
     if (DL.Step == 1 || DL.Step == -1)
       HMax = DL.lastIterationIndexOffset();
+    // Loop-limit substitution of a check that is not loop-invariant: it
+    // must be linear in the index or the basic loop variable (not both)
+    // and invariant otherwise; that variable becomes its extreme value.
+    auto Substitute = [&](const CheckExpr &CE) -> std::optional<CheckExpr> {
+      if (!CanSubstitute)
+        return std::nullopt;
+      int64_t CoeffI = CE.expr().coeff(DL.IndexVar);
+      int64_t CoeffH =
+          DL.BasicVar != InvalidSymbol ? CE.expr().coeff(DL.BasicVar) : 0;
+      if ((CoeffI != 0) == (CoeffH != 0))
+        return std::nullopt; // neither, or both
+      bool OnIndex = CoeffI != 0;
+      SymbolID Var = OnIndex ? DL.IndexVar : DL.BasicVar;
+      LinearExpr Rest = CE.expr();
+      Rest.removeTerm(Var);
+      if (!exprInvariant(Rest, Defined))
+        return std::nullopt;
+      return CheckExpr(substituteExtreme(CE.expr(), Var,
+                                         OnIndex ? CoeffI : CoeffH,
+                                         OnIndex ? IdxMin : HMin,
+                                         OnIndex ? IdxMax : HMax),
+                       CE.bound());
+    };
 
     // Markstein restriction (extension; see PreheaderOptions): checks are
     // candidates only when they occur in an articulation block of the
@@ -210,47 +234,18 @@ nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
         return;
 
       const CheckExpr &CE = U.check(C);
-      CheckExpr Inserted;
-      bool DidSubstitute = false;
-      if (exprInvariant(CE.expr(), Defined)) {
-        Inserted = CE;
-      } else if (CanSubstitute) {
-        // Linear in the index or the basic loop variable, rest invariant.
-        int64_t CoeffI = CE.expr().coeff(DL.IndexVar);
-        int64_t CoeffH = DL.BasicVar != InvalidSymbol
-                             ? CE.expr().coeff(DL.BasicVar)
-                             : 0;
-        SymbolID Var = InvalidSymbol;
-        int64_t Coeff = 0;
-        const LinearExpr *MinV = nullptr, *MaxV = nullptr;
-        if (CoeffI != 0 && CoeffH == 0) {
-          Var = DL.IndexVar;
-          Coeff = CoeffI;
-          MinV = &IdxMin;
-          MaxV = &IdxMax;
-        } else if (CoeffH != 0 && CoeffI == 0) {
-          Var = DL.BasicVar;
-          Coeff = CoeffH;
-          MinV = &HMin;
-          MaxV = &HMax;
-        } else {
-          return; // neither, or both: not substitutable
-        }
-        LinearExpr Rest = CE.expr();
-        Rest.removeTerm(Var);
-        if (!exprInvariant(Rest, Defined))
-          return;
+      CheckExpr Inserted = CE;
+      bool DidSubstitute = !exprInvariant(CE.expr(), Defined);
+      if (DidSubstitute) {
         // The bound expressions themselves must not use symbols defined in
         // the loop body other than being evaluated at the preheader; they
         // are snapshots by construction (see Lowering), so any symbol is
         // acceptable for the *inserted* check, but for re-hoisting later
         // the invariance test will consult the actual symbols.
-        LinearExpr SubstExpr =
-            substituteExtreme(CE.expr(), Var, Coeff, *MinV, *MaxV);
-        Inserted = CheckExpr(SubstExpr, CE.bound());
-        DidSubstitute = true;
-      } else {
-        return;
+        std::optional<CheckExpr> Subst = Substitute(CE);
+        if (!Subst)
+          return;
+        Inserted = *Subst;
       }
 
       auto &G = Groups[Inserted.expr()];
@@ -304,18 +299,11 @@ nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
         I.Origin = P.Origin;
         I.Tag = F.allocateCheckTag();
         SourceTag = I.Tag;
-        if (Prov && Prov->enabled())
-          Prov->record(obs::makeLifecycleEvent(
-              obs::LifecycleKind::Inserted, "PreheaderInsertion", F, *PH, I,
-              G.Substituted
-                  ? "linear check hoisted via loop-limit substitution, "
-                    "guarded by loop entry"
-                  : "loop-invariant check hoisted to the preheader, "
-                    "guarded by loop entry"));
+        PR.record(LifecycleKind::Inserted, LifecyclePass::PreheaderInsertion,
+                  F, DL.Preheader, I,
+                  G.Substituted ? JustificationId::HoistedSubstituted
+                                : JustificationId::HoistedInvariant);
         PH->insertBeforeTerminator(std::move(I));
-        ++Stats.CondChecksInserted;
-        if (G.Substituted)
-          ++Stats.Substituted;
       }
       for (const CheckExpr &Fact : G.Facts)
         FactsOut.push_back({DL.BodyEntry, Fact, SourceTag});
@@ -357,43 +345,14 @@ nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
         }
         // (c) check invariance or substitutability.
         CheckExpr Moved = I.Check;
-        bool DidSubstitute = false;
-        if (!exprInvariant(Moved.expr(), Defined)) {
-          if (!CanSubstitute) {
+        bool DidSubstitute = !exprInvariant(Moved.expr(), Defined);
+        if (DidSubstitute) {
+          std::optional<CheckExpr> Subst = Substitute(Moved);
+          if (!Subst) {
             ++Idx;
             continue;
           }
-          int64_t CoeffI = Moved.expr().coeff(DL.IndexVar);
-          int64_t CoeffH = DL.BasicVar != InvalidSymbol
-                               ? Moved.expr().coeff(DL.BasicVar)
-                               : 0;
-          SymbolID Var = InvalidSymbol;
-          int64_t Coeff = 0;
-          const LinearExpr *MinV = nullptr, *MaxV = nullptr;
-          if (CoeffI != 0 && CoeffH == 0) {
-            Var = DL.IndexVar;
-            Coeff = CoeffI;
-            MinV = &IdxMin;
-            MaxV = &IdxMax;
-          } else if (CoeffH != 0 && CoeffI == 0) {
-            Var = DL.BasicVar;
-            Coeff = CoeffH;
-            MinV = &HMin;
-            MaxV = &HMax;
-          } else {
-            ++Idx;
-            continue;
-          }
-          LinearExpr Rest = Moved.expr();
-          Rest.removeTerm(Var);
-          if (!exprInvariant(Rest, Defined)) {
-            ++Idx;
-            continue;
-          }
-          Moved = CheckExpr(
-              substituteExtreme(Moved.expr(), Var, Coeff, *MinV, *MaxV),
-              Moved.bound());
-          DidSubstitute = true;
+          Moved = *Subst;
         }
 
         PlannedCheck P;
@@ -401,57 +360,30 @@ nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
         P.Guards.insert(P.Guards.begin(), Guard);
         P.Check = Moved;
         P.Origin = I.Origin;
-        CheckTag MovedTag = I.Tag;
-        std::string OldStr;
-        if (Prov && Prov->enabled())
-          OldStr = I.Check.str(F.symbols());
+        Instruction NI;
+        NI.Op = Opcode::CondCheck;
+        NI.Guards = P.Guards;
+        NI.Check = P.Check;
+        NI.Origin = P.Origin;
+        NI.Tag = I.Tag;
 
         // Remove from the inner preheader and add to ours.
         BB->instructions().erase(BB->instructions().begin() +
                                  static_cast<ptrdiff_t>(Idx));
-        const Instruction *MergedInto = FindPresent(P);
-        if (!MergedInto) {
-          Instruction NI;
-          NI.Op = Opcode::CondCheck;
-          NI.Guards = P.Guards;
-          NI.Check = P.Check;
-          NI.Origin = P.Origin;
-          NI.Tag = MovedTag;
+        PR.record(LifecycleKind::Moved, LifecyclePass::PreheaderInsertion, F,
+                  DL.Preheader, NI,
+                  DidSubstitute ? JustificationId::RehoistedSubstituted
+                                : JustificationId::RehoistedInvariant);
+        if (const Instruction *MergedInto = FindPresent(P))
+          PR.record(LifecycleKind::SubsumedBy,
+                    LifecyclePass::PreheaderInsertion, F, DL.Preheader, NI,
+                    JustificationId::RehoistMerged, MergedInto->Tag);
+        else
           PH->insertBeforeTerminator(std::move(NI));
-        }
-        ++Stats.Rehoisted;
-        if (DidSubstitute)
-          ++Stats.Substituted;
-        if (Prov && Prov->enabled()) {
-          Instruction Shim;
-          Shim.Op = Opcode::CondCheck;
-          Shim.Check = P.Check;
-          Shim.Origin = P.Origin;
-          Shim.Tag = MovedTag;
-          obs::LifecycleEvent E = obs::makeLifecycleEvent(
-              obs::LifecycleKind::Moved, "PreheaderInsertion", F, *PH, Shim,
-              DidSubstitute
-                  ? "conditional check re-hoisted from an inner preheader "
-                    "with loop-limit re-substitution"
-                  : "conditional check re-hoisted from an inner preheader "
-                    "(guards and check invariant in the outer loop)");
-          E.Edge = OldStr;
-          Prov->record(std::move(E));
-          if (MergedInto) {
-            obs::LifecycleEvent S = obs::makeLifecycleEvent(
-                obs::LifecycleKind::SubsumedBy, "PreheaderInsertion", F,
-                *PH, Shim,
-                "merged into an identical conditional check already in the "
-                "target preheader");
-            S.OtherTag = MergedInto->Tag;
-            Prov->record(std::move(S));
-          }
-        }
         // Note: facts recorded when the check was first inserted remain
         // valid -- the moved check still executes before the inner loop's
         // body on every path, with at-least-as-often guards.
       }
     }
   }
-  return Stats;
 }

@@ -34,13 +34,6 @@ namespace nascent {
 
 class LoopInfo;
 
-/// Statistics of one preheader-insertion run.
-struct PreheaderStats {
-  unsigned CondChecksInserted = 0;
-  unsigned Rehoisted = 0;
-  unsigned Substituted = 0; ///< checks that used loop-limit substitution
-};
-
 /// Configuration of the preheader-insertion schemes.
 struct PreheaderOptions {
   /// Apply loop-limit substitution to linear checks (LLS); otherwise only
@@ -58,18 +51,19 @@ struct PreheaderOptions {
 /// Runs LI/LLS (or the restricted Markstein variant) over every do loop
 /// of \p F. Facts for the later elimination stage are appended to
 /// \p FactsOut, each carrying the lifecycle tag of the conditional check
-/// that establishes it. Lifecycle events into \p Prov when given: Inserted
-/// per fresh conditional check, Moved per re-hoist (the check keeps its
-/// tag), and a terminal SubsumedBy when a re-hoisted check merges into an
-/// identical conditional already in the target preheader.
+/// that establishes it. Lifecycle events into \p PR: Inserted per fresh
+/// conditional check, Moved per re-hoist (the check keeps its tag), and a
+/// terminal SubsumedBy when a re-hoisted check merges into an identical
+/// conditional already in the target preheader. Whether a hoist used
+/// loop-limit substitution is in the event's justification.
 /// \p CachedLoops, when given, is a loop forest already computed for this
 /// exact IR (the artifact cache shares one across identical compiles);
 /// otherwise the pass builds its own.
-PreheaderStats runPreheaderInsertion(Function &F, const CheckContext &Ctx,
-                                     const PreheaderOptions &Opts,
-                                     std::vector<PreheaderFact> &FactsOut,
-                                     obs::ProvenanceRecorder *Prov = nullptr,
-                                     const LoopInfo *CachedLoops = nullptr);
+void runPreheaderInsertion(Function &F, const CheckContext &Ctx,
+                           const PreheaderOptions &Opts,
+                           std::vector<PreheaderFact> &FactsOut,
+                           obs::ProvenanceRecorder &PR,
+                           const LoopInfo *CachedLoops = nullptr);
 
 } // namespace nascent
 

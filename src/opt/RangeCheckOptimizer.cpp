@@ -2,6 +2,7 @@
 
 #include "cache/ArtifactCache.h"
 #include "obs/Json.h"
+#include "obs/Remarks.h"
 #include "obs/StatRegistry.h"
 #include "opt/CheckContext.h"
 #include "opt/CheckStrengthening.h"
@@ -17,8 +18,8 @@ using namespace nascent;
 NASCENT_STAT(NumFunctionsOptimized, "opt.functions",
              "functions run through the range-check optimizer");
 
-// Per-decision counters, credited once per function from the stage stats
-// below (the passes themselves record only lifecycle events).
+// Per-decision counters, credited once per function by countDecisions from
+// the lifecycle events (the passes themselves record only those events).
 NASCENT_STAT(NumAvailDeleted, "opt.elim.deleted",
              "checks deleted as redundant by availability");
 NASCENT_STAT(NumConstDeleted, "opt.fold.deleted",
@@ -144,20 +145,22 @@ unsigned countStaticChecks(const Function &F) {
 /// Builds the CheckContexts (and loop forests) a scheme needs, consulting
 /// the artifact cache when it can: the function content key is known, no
 /// preheader facts are requested, and no insertion stage has mutated the
-/// IR since the key was computed. Cached and organic builds are
-/// telemetry-identical (see the seeded CheckContext constructor), so the
-/// factory is free to pick either.
+/// IR since the key was computed. Every such mutation is a recorded
+/// decision, so the IR is unchanged while the recorder holds no event
+/// past FirstEvent. Cached and organic builds are telemetry-identical (see
+/// the seeded CheckContext constructor), so the factory is free to pick
+/// either.
 struct CtxFactory {
   Function &F;
   const RangeCheckOptions &Opts;
   obs::TraceCollector *TC;
   /// Content key of F's post-critical-edge-split IR; zero disables reuse.
   support::Hash128 FnKey;
-  /// Set after any stage that may have mutated the IR.
-  bool IRDirty = false;
+  const obs::ProvenanceRecorder &PR;
+  size_t FirstEvent;
 
   bool cacheUsable() const {
-    return Opts.Cache && !FnKey.isZero() && !IRDirty;
+    return Opts.Cache && !FnKey.isZero() && PR.events().size() == FirstEvent;
   }
 
   std::unique_ptr<CheckContext> make(const std::vector<PreheaderFact> &Facts) {
@@ -188,6 +191,62 @@ struct CtxFactory {
   }
 };
 
+/// The OptimizerStats field counting decisions of remark kind \p K; null
+/// for Residual, which is no decision.
+unsigned *decisionField(OptimizerStats &S, obs::RemarkKind K) {
+  switch (K) {
+  case obs::RemarkKind::Eliminated:
+    return &S.ChecksDeleted;
+  case obs::RemarkKind::Strengthened:
+    return &S.ChecksStrengthened;
+  case obs::RemarkKind::LcmInserted:
+    return &S.ChecksInserted;
+  case obs::RemarkKind::CondInserted:
+    return &S.CondChecksInserted;
+  case obs::RemarkKind::Rehoisted:
+    return &S.Rehoisted;
+  case obs::RemarkKind::CompileTimeDeleted:
+    return &S.CompileTimeDeleted;
+  case obs::RemarkKind::CompileTimeTrap:
+    return &S.CompileTimeTraps;
+  case obs::RemarkKind::IntervalEliminated:
+    return &S.IntervalDeleted;
+  case obs::RemarkKind::Residual:
+    return nullptr;
+  }
+  return nullptr;
+}
+
+/// Derives the decision fields of \p Stats from the events \p PR
+/// recorded since index \p First, and credits the opt.* decision counters
+/// from the same counts.
+void countDecisions(const obs::ProvenanceRecorder &PR, size_t First,
+                    OptimizerStats &Stats) {
+  unsigned IntervalTraps = 0, Substituted = 0;
+  for (size_t I = First; I != PR.events().size(); ++I) {
+    const obs::LifecycleEvent &E = PR.events()[I];
+    if (std::optional<obs::RemarkKind> K = obs::remarkKindFor(E))
+      if (unsigned *Field = decisionField(Stats, *K))
+        ++*Field;
+    if (E.Kind == obs::LifecycleKind::Trapped &&
+        E.Pass == obs::LifecyclePass::IntervalAnalysis)
+      ++IntervalTraps;
+    if (E.Justification == obs::JustificationId::HoistedSubstituted ||
+        E.Justification == obs::JustificationId::RehoistedSubstituted)
+      ++Substituted;
+  }
+  NumAvailDeleted += Stats.ChecksDeleted;
+  NumConstDeleted += Stats.CompileTimeDeleted;
+  NumConstTraps += Stats.CompileTimeTraps - IntervalTraps;
+  NumStrengthened += Stats.ChecksStrengthened;
+  NumLcmInserted += Stats.ChecksInserted;
+  NumCondInserted += Stats.CondChecksInserted;
+  NumRehoisted += Stats.Rehoisted;
+  NumSubstituted += Substituted;
+  NumIntervalDeleted += Stats.IntervalDeleted;
+  NumIntervalTraps += IntervalTraps;
+}
+
 } // namespace
 
 OptimizerStats nascent::optimizeFunction(Function &F,
@@ -202,7 +261,9 @@ OptimizerStats nascent::optimizeFunction(Function &F,
       .inc();
 
   obs::TraceCollector *TC = Opts.Trace;
-  obs::ProvenanceRecorder *PV = Opts.Provenance;
+  obs::ProvenanceRecorder Local;
+  obs::ProvenanceRecorder &PR = Opts.Provenance ? *Opts.Provenance : Local;
+  const size_t FirstEvent = PR.events().size();
   obs::TraceScope FnScope(TC, "fn " + F.name());
 
   // PRE-style insertion works on edges: normalise the CFG first.
@@ -215,12 +276,10 @@ OptimizerStats nascent::optimizeFunction(Function &F,
                       Opts.Cache && !Opts.ModuleKey.isZero()
                           ? Opts.Cache->functionKey(Opts.ModuleKey, F)
                           : support::Hash128{},
-                      /*IRDirty=*/false};
+                      PR, FirstEvent};
   std::shared_ptr<const cache::LoopArtifacts> LoopsHold;
 
   std::vector<PreheaderFact> Facts;
-  unsigned Substituted = 0;   // preheader checks using limit substitution
-  unsigned IntervalTraps = 0; // AI-scheme share of CompileTimeTraps
 
   // Step 1-3: build the universe/CIG and insert checks per scheme.
   switch (Opts.Scheme) {
@@ -231,13 +290,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     Stats.UniverseSize = Ctx->universe().size();
     Stats.NumFamilies = Ctx->universe().numFamilies();
     obs::TraceScope Scope(TC, "strengthen");
-    Stats.ChecksStrengthened =
-        runCheckStrengthening(F, *Ctx, PV).ChecksStrengthened;
-    // Strengthening rewrites check payloads in place and does nothing
-    // else: zero rewrites means the IR is untouched and the elimination
-    // context below may still reuse the pre-stage seed.
-    if (Stats.ChecksStrengthened)
-      Contexts.IRDirty = true;
+    runCheckStrengthening(F, *Ctx, PR);
     break;
   }
   case PlacementScheme::SE:
@@ -246,16 +299,11 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     Stats.UniverseSize = Ctx->universe().size();
     Stats.NumFamilies = Ctx->universe().numFamilies();
     obs::TraceScope Scope(TC, "lcm-place");
-    Stats.ChecksInserted =
-        runLazyCodeMotion(F, *Ctx,
-                          Opts.Scheme == PlacementScheme::SE
-                              ? LCMPlacement::SafeEarliest
-                              : LCMPlacement::LatestNotIsolated,
-                          PV)
-            .ChecksInserted;
-    // LCM's only IR mutations are the counted insertions.
-    if (Stats.ChecksInserted)
-      Contexts.IRDirty = true;
+    runLazyCodeMotion(F, *Ctx,
+                      Opts.Scheme == PlacementScheme::SE
+                          ? LCMPlacement::SafeEarliest
+                          : LCMPlacement::LatestNotIsolated,
+                      PR);
     break;
   }
   case PlacementScheme::LI:
@@ -269,27 +317,13 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     PO.EnableLLS = Opts.Scheme != PlacementScheme::LI;
     PO.MarksteinRestriction = Opts.Scheme == PlacementScheme::MCM;
     obs::TraceScope Scope(TC, "preheader-insert");
-    PreheaderStats PS =
-        runPreheaderInsertion(F, *Ctx, PO, Facts, PV, CachedLoops);
-    Stats.CondChecksInserted = PS.CondChecksInserted;
-    Stats.Rehoisted = PS.Rehoisted;
-    Substituted = PS.Substituted;
-    // Preheader insertion mutates only through counted insertions and
-    // rehoists (it never creates blocks; preheaders already exist after
-    // critical-edge splitting), so a zero-work pass keeps the seed valid.
-    if (PS.CondChecksInserted || PS.Rehoisted)
-      Contexts.IRDirty = true;
+    runPreheaderInsertion(F, *Ctx, PO, Facts, PR, CachedLoops);
     break;
   }
   case PlacementScheme::AI: {
     const LoopInfo *CachedLoops = Contexts.loops(LoopsHold);
     obs::TraceScope Scope(TC, "interval-analysis");
-    IntervalStats IS = eliminateChecksByIntervals(F, Diags, PV, CachedLoops);
-    Stats.IntervalDeleted = IS.ChecksProvedRedundant;
-    IntervalTraps = IS.ChecksProvedViolating;
-    Stats.CompileTimeTraps += IntervalTraps;
-    if (IS.ChecksProvedRedundant || IS.ChecksProvedViolating)
-      Contexts.IRDirty = true;
+    eliminateChecksByIntervals(F, Diags, PR, CachedLoops);
     break;
   }
   case PlacementScheme::ALL: {
@@ -300,24 +334,14 @@ OptimizerStats nascent::optimizeFunction(Function &F,
       Stats.NumFamilies = Ctx->universe().numFamilies();
       PreheaderOptions PO;
       obs::TraceScope Scope(TC, "preheader-insert");
-      PreheaderStats PS =
-          runPreheaderInsertion(F, *Ctx, PO, Facts, PV, CachedLoops);
-      Stats.CondChecksInserted = PS.CondChecksInserted;
-      Stats.Rehoisted = PS.Rehoisted;
-      Substituted = PS.Substituted;
-      if (PS.CondChecksInserted || PS.Rehoisted)
-        Contexts.IRDirty = true;
+      runPreheaderInsertion(F, *Ctx, PO, Facts, PR, CachedLoops);
     }
     {
       // Safe-earliest over the LLS result; the fresh context carries the
       // preheader facts so LCM sees the hoisted availability.
       auto Ctx = Contexts.make(Facts);
       obs::TraceScope Scope(TC, "lcm-place");
-      Stats.ChecksInserted =
-          runLazyCodeMotion(F, *Ctx, LCMPlacement::SafeEarliest, PV)
-              .ChecksInserted;
-      if (Stats.ChecksInserted)
-        Contexts.IRDirty = true;
+      runLazyCodeMotion(F, *Ctx, LCMPlacement::SafeEarliest, PR);
     }
     break;
   }
@@ -333,33 +357,18 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     Stats.UniverseSize = Ctx->universe().size();
     Stats.NumFamilies = Ctx->universe().numFamilies();
     obs::TraceScope Scope(TC, "eliminate");
-    EliminationStats ES = eliminateRedundantChecks(F, *Ctx, PV);
-    Stats.ChecksDeleted = ES.ChecksDeleted;
+    eliminateRedundantChecks(F, *Ctx, PR);
   }
 
-  // Step 5: compile-time checks. Accumulate (not assign) the trap count:
-  // the AI scheme contributes interval-proved traps above, and lifecycle
-  // totals must reconcile with the stats.
+  // Step 5: compile-time checks.
   {
     obs::TraceScope Scope(TC, "fold-consts");
-    EliminationStats ES = foldCompileTimeChecks(F, Diags, PV);
-    Stats.CompileTimeDeleted = ES.CompileTimeDeleted;
-    Stats.CompileTimeTraps += ES.CompileTimeTraps;
+    foldCompileTimeChecks(F, Diags, PR);
     F.recomputePreds();
   }
 
   Stats.ChecksAfter = countStaticChecks(F);
-
-  NumAvailDeleted += Stats.ChecksDeleted;
-  NumConstDeleted += Stats.CompileTimeDeleted;
-  NumConstTraps += Stats.CompileTimeTraps - IntervalTraps;
-  NumStrengthened += Stats.ChecksStrengthened;
-  NumLcmInserted += Stats.ChecksInserted;
-  NumCondInserted += Stats.CondChecksInserted;
-  NumRehoisted += Stats.Rehoisted;
-  NumSubstituted += Substituted;
-  NumIntervalDeleted += Stats.IntervalDeleted;
-  NumIntervalTraps += IntervalTraps;
+  countDecisions(PR, FirstEvent, Stats);
   return Stats;
 }
 
@@ -375,36 +384,11 @@ OptimizerStats nascent::optimizeModule(Module &M,
 std::vector<std::string>
 nascent::reconcileCheckProvenance(const obs::ProvenanceRecorder &PR,
                                   const OptimizerStats &Stats) {
-  using obs::LifecycleKind;
   std::vector<std::string> Problems = PR.validate();
-
-  auto Expect = [&](LifecycleKind K, const char *Pass, size_t Want,
-                    const char *StatName) {
-    size_t Got = PR.count(K, Pass ? Pass : "");
-    if (Got != Want)
-      Problems.push_back(
-          std::string(obs::lifecycleKindName(K)) + "(" +
-          (Pass ? Pass : "any pass") + ") events = " + std::to_string(Got) +
-          " but OptimizerStats." + StatName + " = " + std::to_string(Want));
-  };
-
-  Expect(LifecycleKind::Inserted, "LazyCodeMotion", Stats.ChecksInserted,
-         "ChecksInserted");
-  Expect(LifecycleKind::Inserted, "PreheaderInsertion",
-         Stats.CondChecksInserted, "CondChecksInserted");
-  Expect(LifecycleKind::Moved, "PreheaderInsertion", Stats.Rehoisted,
-         "Rehoisted");
-  Expect(LifecycleKind::Strengthened, "CheckStrengthening",
-         Stats.ChecksStrengthened, "ChecksStrengthened");
-  Expect(LifecycleKind::SubsumedBy, "Elimination", Stats.ChecksDeleted,
-         "ChecksDeleted");
-  Expect(LifecycleKind::Eliminated, "Elimination", Stats.CompileTimeDeleted,
-         "CompileTimeDeleted");
-  Expect(LifecycleKind::Eliminated, "IntervalAnalysis",
-         Stats.IntervalDeleted, "IntervalDeleted");
-  Expect(LifecycleKind::Trapped, nullptr, Stats.CompileTimeTraps,
-         "CompileTimeTraps");
-  Expect(LifecycleKind::Residualized, nullptr, Stats.ChecksAfter,
-         "ChecksAfter");
+  size_t Residual = PR.count(obs::LifecycleKind::Residualized);
+  if (Residual != Stats.ChecksAfter)
+    Problems.push_back("residualized events = " + std::to_string(Residual) +
+                       " but OptimizerStats.ChecksAfter = " +
+                       std::to_string(Stats.ChecksAfter));
   return Problems;
 }

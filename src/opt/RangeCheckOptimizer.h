@@ -65,10 +65,12 @@ struct RangeCheckOptions {
 
   /// When set (and enabled), optimizer stages record trace spans.
   obs::TraceCollector *Trace = nullptr;
-  /// When set (and enabled), every transformation site appends lifecycle
-  /// events keyed by check tag; terminal totals reconcile with the stats
-  /// (see reconcileCheckProvenance). This is the passes' only per-decision
-  /// record: remarks are derived from it (obs/Remarks.h).
+  /// The recorder every transformation site appends its lifecycle events
+  /// to, keyed by check tag. Events are always recorded: when this is null
+  /// each optimizeFunction records into a local recorder. They are the
+  /// passes' only per-decision record; the decision fields of
+  /// OptimizerStats, the opt.* counters and remarks (obs/Remarks.h) are
+  /// all counted from them.
   obs::ProvenanceRecorder *Provenance = nullptr;
 
   /// When both are set, the optimizer consults the artifact cache for
@@ -98,7 +100,10 @@ struct RangeCheckOptions {
   X(UniverseSize)                                                              \
   X(NumFamilies)
 
-/// Aggregate statistics of one optimizer run.
+/// Aggregate statistics of one optimizer run. ChecksBefore/ChecksAfter
+/// count the IR and UniverseSize/NumFamilies describe the final check
+/// context; the eight decision fields in between are counts of lifecycle
+/// events through remarkKindFor's (kind, pass) table.
 struct OptimizerStats {
   unsigned ChecksBefore = 0;
   unsigned ChecksAfter = 0; ///< static checks remaining (incl. cond checks)
@@ -132,12 +137,13 @@ OptimizerStats optimizeModule(Module &M, const RangeCheckOptions &Opts,
                               DiagnosticEngine &Diags);
 
 /// Cross-checks a provenance record against the optimizer statistics of
-/// the same compilation: per-pass lifecycle-event totals must equal the
-/// corresponding stats fields (LazyCodeMotion insertions == ChecksInserted,
-/// Elimination subsumptions == ChecksDeleted, Residualized == ChecksAfter,
-/// and so on), and the record itself must validate (every lifecycle closed
-/// in a terminal state, no dangling witness tags). Returns one diagnostic
-/// string per violation; empty means the record reconciles exactly.
+/// the same compilation, on the two counts that are independent of each
+/// other: the record must validate (every lifecycle closed in a terminal
+/// state, no dangling witness tags), and its Residualized events must
+/// number exactly the static checks left in the IR (ChecksAfter). The
+/// decision fields need no check: they are counted from the same events.
+/// Returns one diagnostic string per violation; empty means the record
+/// reconciles.
 std::vector<std::string>
 reconcileCheckProvenance(const obs::ProvenanceRecorder &PR,
                          const OptimizerStats &Stats);

@@ -113,6 +113,22 @@ inline void expectAllSchemesPreserveBehavior(const std::string &Source,
   }
 }
 
+/// Decisions of kind \p K that pass \p P made during one compile, read
+/// from its lifecycle event log (the only per-decision record).
+inline size_t decisions(const CompileResult &R, obs::LifecycleKind K,
+                        obs::LifecyclePass P) {
+  return R.Provenance.count(K, P);
+}
+
+/// Events of one compile carrying justification \p Why.
+inline size_t decisionsWhy(const CompileResult &R, obs::JustificationId Why) {
+  size_t N = 0;
+  for (const obs::LifecycleEvent &E : R.Provenance.events())
+    if (E.Justification == Why)
+      ++N;
+  return N;
+}
+
 } // namespace test
 } // namespace nascent
 

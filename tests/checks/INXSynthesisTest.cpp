@@ -30,6 +30,17 @@ unsigned checksUsing(const Function &F, SymbolID Sym) {
   return N;
 }
 
+/// Counts the INX rewrites of one kind in the lifecycle event log.
+size_t countRewrites(const obs::ProvenanceRecorder &PR,
+                     obs::JustificationId Kind) {
+  size_t N = 0;
+  for (const obs::LifecycleEvent &E : PR.events())
+    if (E.Kind == obs::LifecycleKind::Strengthened &&
+        E.Pass == obs::LifecyclePass::INXSynthesis && E.Justification == Kind)
+      ++N;
+  return N;
+}
+
 TEST(INXSynthesis, RewritesLinearChecksOverBasicVariable) {
   CompileResult R = compileNaive(R"(
 program p
@@ -46,9 +57,10 @@ end program
   SymbolID I = F->symbols().lookup("i");
   ASSERT_GT(checksUsing(*F, I), 0u);
 
-  INXStats Stats = synthesizeINXChecks(*F);
+  obs::ProvenanceRecorder PR;
+  INXStats Stats = synthesizeINXChecks(*F, &PR);
   EXPECT_EQ(Stats.BasicVarsMaterialized, 1u);
-  EXPECT_GT(Stats.RewrittenLinear, 0u);
+  EXPECT_GT(countRewrites(PR, obs::JustificationId::InxRewriteLinear), 0u);
 
   // The loop-body checks now use the basic variable h, not i.
   const DoLoopInfo &DL = F->doLoops()[0];
@@ -120,8 +132,9 @@ program p
 end program
 )");
   Function *F = R.M->entry();
-  INXStats Stats = synthesizeINXChecks(*F);
-  EXPECT_GT(Stats.RewrittenLinear, 0u);
+  obs::ProvenanceRecorder PR;
+  synthesizeINXChecks(*F, &PR);
+  EXPECT_GT(countRewrites(PR, obs::JustificationId::InxRewriteLinear), 0u);
   const DoLoopInfo &DL = F->doLoops()[0];
   bool Found = false;
   for (const auto &BB : *F)
@@ -151,12 +164,13 @@ end program
 )");
   Function *F = R.M->entry();
   SymbolID Base = F->symbols().lookup("base");
-  INXStats Stats = synthesizeINXChecks(*F);
+  obs::ProvenanceRecorder PR;
+  INXStats Stats = synthesizeINXChecks(*F, &PR);
   // The checks no longer reference base (killed every iteration) --
   // they reference a loop-entry snapshot of m's value instead (m itself
   // is also assigned inside the loop).
   EXPECT_EQ(checksUsing(*F, Base), 0u);
-  EXPECT_GT(Stats.RewrittenInvariant, 0u);
+  EXPECT_GT(countRewrites(PR, obs::JustificationId::InxRewriteInvariant), 0u);
   EXPECT_GT(Stats.SnapshotsInserted, 0u);
 
   ExecResult E = interpret(*R.M);

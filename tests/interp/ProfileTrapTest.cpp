@@ -49,7 +49,6 @@ TrappedRun runTrapped(PlacementScheme Scheme, bool Optimize = true) {
   PipelineOptions PO;
   PO.Optimize = Optimize;
   PO.Opt.Scheme = Scheme;
-  PO.Telemetry.Provenance = true;
   PO.Telemetry.Profile = true;
   TrappedRun T;
   T.R = compileOrDie(TrappingLoop, PO);
@@ -122,13 +121,12 @@ TEST(ProfileTrap, TotalsReconcileAcrossAllSchemes) {
       for (const obs::CheckSiteProfile &S : FP.Sites)
         SiteTags.insert(S.Tag);
     std::set<CheckTag> Residual, CompileTimeTrapped;
-    for (CheckTag Tag : T.R.Provenance.tags()) {
-      const obs::LifecycleEvent *Last = T.R.Provenance.lastEventOf(Tag);
-      ASSERT_NE(Last, nullptr) << Label;
-      if (Last->Kind == obs::LifecycleKind::Residualized)
-        Residual.insert(Tag);
-      if (Last->Kind == obs::LifecycleKind::Trapped)
-        CompileTimeTrapped.insert(Tag);
+    for (const std::vector<size_t> &Chain : T.R.Provenance.timelines()) {
+      const obs::LifecycleEvent &Last = T.R.Provenance.events()[Chain.back()];
+      if (Last.Kind == obs::LifecycleKind::Residualized)
+        Residual.insert(Last.Tag);
+      if (Last.Kind == obs::LifecycleKind::Trapped)
+        CompileTimeTrapped.insert(Last.Tag);
     }
     EXPECT_EQ(SiteTags, Residual) << Label;
     EXPECT_EQ(P.residualSites(), Residual.size()) << Label;

@@ -120,7 +120,6 @@ TEST(Determinism, ProvenanceJsonIsBitIdenticalAcrossJobCountsAndRuns) {
   for (PlacementScheme Scheme : Schemes) {
     PipelineOptions PO;
     PO.Opt.Scheme = Scheme;
-    PO.Telemetry.Provenance = true;
     Batch.push_back({P->Source, PO});
   }
 
@@ -211,7 +210,6 @@ TEST(Determinism, CacheOnAndOffProduceBitIdenticalOutputs) {
         PO.Opt.Scheme = Scheme;
         PO.Cache.Enabled = UseCache;
         PO.Cache.Cache = Cache;
-        PO.Telemetry.Provenance = true;
         PO.Telemetry.Profile = true;
         Batch.push_back({Source, PO});
       }

@@ -19,47 +19,43 @@
 using namespace nascent;
 using obs::LifecycleEvent;
 using obs::LifecycleKind;
+using obs::LifecyclePass;
 
 namespace {
 
+/// A bare event (no function, no payload snapshot): enough for the
+/// recorder's grouping, counting and validation logic.
 LifecycleEvent event(CheckTag Tag, LifecycleKind Kind,
-                     const char *Pass = "TestPass") {
+                     LifecyclePass Pass = LifecyclePass::Elimination) {
   LifecycleEvent E;
   E.Tag = Tag;
   E.Kind = Kind;
   E.Pass = Pass;
-  E.Function = "f";
-  E.Block = "entry";
-  E.CheckStr = "Check(i - n <= -1)";
   return E;
-}
-
-TEST(Provenance, DisabledRecorderIgnoresEvents) {
-  obs::ProvenanceRecorder PR;
-  PR.record(event(1, LifecycleKind::Inserted));
-  EXPECT_FALSE(PR.enabled());
-  EXPECT_TRUE(PR.events().empty());
 }
 
 TEST(Provenance, RecordsInOrderAndCounts) {
   obs::ProvenanceRecorder PR;
-  PR.enable();
-  PR.record(event(1, LifecycleKind::Inserted, "Lowering"));
-  PR.record(event(2, LifecycleKind::Inserted, "Lowering"));
-  PR.record(event(1, LifecycleKind::Strengthened, "CheckStrengthening"));
-  PR.record(event(1, LifecycleKind::Residualized, "Pipeline"));
-  PR.record(event(2, LifecycleKind::Eliminated, "Elimination"));
+  PR.record(event(1, LifecycleKind::Inserted, LifecyclePass::Lowering));
+  PR.record(event(2, LifecycleKind::Inserted, LifecyclePass::Lowering));
+  PR.record(event(1, LifecycleKind::Strengthened,
+                  LifecyclePass::CheckStrengthening));
+  PR.record(event(1, LifecycleKind::Residualized, LifecyclePass::Pipeline));
+  PR.record(event(2, LifecycleKind::Eliminated, LifecyclePass::Elimination));
 
   ASSERT_EQ(PR.events().size(), 5u);
   for (size_t I = 0; I != PR.events().size(); ++I)
     EXPECT_EQ(PR.events()[I].Seq, I);
 
   EXPECT_EQ(PR.count(LifecycleKind::Inserted), 2u);
-  EXPECT_EQ(PR.count(LifecycleKind::Inserted, "Lowering"), 2u);
-  EXPECT_EQ(PR.count(LifecycleKind::Inserted, "LazyCodeMotion"), 0u);
-  EXPECT_EQ(PR.count(LifecycleKind::Eliminated, "Elimination"), 1u);
+  EXPECT_EQ(PR.count(LifecycleKind::Inserted, LifecyclePass::Lowering), 2u);
+  EXPECT_EQ(PR.count(LifecycleKind::Inserted, LifecyclePass::LazyCodeMotion),
+            0u);
+  EXPECT_EQ(PR.count(LifecycleKind::Eliminated, LifecyclePass::Elimination),
+            1u);
 
-  EXPECT_EQ(PR.tags(), (std::vector<CheckTag>{1, 2}));
+  EXPECT_EQ(PR.timelines(),
+            (std::vector<std::vector<size_t>>{{0, 2, 3}, {1, 4}}));
   EXPECT_EQ(PR.timelineOf(1), (std::vector<size_t>{0, 2, 3}));
   ASSERT_NE(PR.lastEventOf(2), nullptr);
   EXPECT_EQ(PR.lastEventOf(2)->Kind, LifecycleKind::Eliminated);
@@ -78,9 +74,8 @@ TEST(Provenance, TerminalKindClassification) {
 
 TEST(Provenance, ValidateCatchesDanglingWitness) {
   obs::ProvenanceRecorder PR;
-  PR.enable();
   PR.record(event(1, LifecycleKind::Inserted));
-  LifecycleEvent E = event(1, LifecycleKind::SubsumedBy, "Elimination");
+  LifecycleEvent E = event(1, LifecycleKind::SubsumedBy);
   E.OtherTag = 42; // never recorded
   PR.record(E);
   std::vector<std::string> Problems = PR.validate();
@@ -94,7 +89,6 @@ TEST(Provenance, ValidateCatchesDanglingWitness) {
 
 TEST(Provenance, ValidateCatchesNonTerminalLifecycle) {
   obs::ProvenanceRecorder PR;
-  PR.enable();
   PR.record(event(1, LifecycleKind::Inserted));
   EXPECT_FALSE(PR.validate().empty());
   PR.record(event(1, LifecycleKind::Residualized));
@@ -103,7 +97,6 @@ TEST(Provenance, ValidateCatchesNonTerminalLifecycle) {
 
 TEST(Provenance, ValidateCatchesEventsAfterTerminal) {
   obs::ProvenanceRecorder PR;
-  PR.enable();
   PR.record(event(1, LifecycleKind::Inserted));
   PR.record(event(1, LifecycleKind::Eliminated));
   PR.record(event(1, LifecycleKind::Moved));
@@ -124,15 +117,13 @@ obs::JsonValue envelope(const obs::ProvenanceRecorder &PR) {
 
 TEST(Provenance, EnvelopeValidates) {
   obs::ProvenanceRecorder PR;
-  PR.enable();
-  PR.record(event(1, LifecycleKind::Inserted, "Lowering"));
-  LifecycleEvent S = event(2, LifecycleKind::Inserted, "PreheaderInsertion");
-  PR.record(S);
-  LifecycleEvent Sub = event(1, LifecycleKind::SubsumedBy, "Elimination");
+  PR.record(event(1, LifecycleKind::Inserted, LifecyclePass::Lowering));
+  PR.record(
+      event(2, LifecycleKind::Inserted, LifecyclePass::PreheaderInsertion));
+  LifecycleEvent Sub = event(1, LifecycleKind::SubsumedBy);
   Sub.OtherTag = 2;
-  Sub.Edge = "CondCheck(n - 100 <= 0)";
   PR.record(Sub);
-  PR.record(event(2, LifecycleKind::Residualized, "Pipeline"));
+  PR.record(event(2, LifecycleKind::Residualized, LifecyclePass::Pipeline));
 
   std::string Err;
   EXPECT_TRUE(obs::validateProvenanceDocument(envelope(PR), &Err)) << Err;
@@ -140,9 +131,8 @@ TEST(Provenance, EnvelopeValidates) {
 
 TEST(Provenance, DocumentValidatorRejectsCorruption) {
   obs::ProvenanceRecorder PR;
-  PR.enable();
-  PR.record(event(1, LifecycleKind::Inserted, "Lowering"));
-  PR.record(event(1, LifecycleKind::Residualized, "Pipeline"));
+  PR.record(event(1, LifecycleKind::Inserted, LifecyclePass::Lowering));
+  PR.record(event(1, LifecycleKind::Residualized, LifecyclePass::Pipeline));
   std::string Prov = PR.toJson();
 
   auto Reject = [](const std::string &Doc) {
@@ -171,12 +161,11 @@ TEST(Provenance, DocumentValidatorRejectsCorruption) {
          "\"checks\": []}}");
 }
 
-/// Compiles with provenance enabled; the program is written so line 6
-/// holds the only subscripted statement.
+/// Compiles (provenance is always recorded); the program is written so
+/// line 7 holds the only subscripted statement.
 CompileResult compileWithProvenance(PlacementScheme Scheme) {
   PipelineOptions PO;
   PO.Opt.Scheme = Scheme;
-  PO.Telemetry.Provenance = true;
   CompileResult R = compileSource(R"(
 program p
   integer n, i
@@ -205,6 +194,24 @@ TEST(Provenance, PipelineProducesClosedLifecycles) {
       << "provenance not closed: " << Problems.front();
 }
 
+TEST(Provenance, SnapshotsOnlyForPayloadChanges) {
+  CompileResult R = compileWithProvenance(PlacementScheme::LLS);
+  const obs::ProvenanceRecorder &PR = R.Provenance;
+  EXPECT_EQ(PR.snapshots().size(),
+            PR.count(LifecycleKind::Inserted) +
+                PR.count(LifecycleKind::Strengthened) +
+                PR.count(LifecycleKind::Moved));
+  // Every event of a pipeline record names its function, block and
+  // payload, and renders them on demand.
+  for (const LifecycleEvent &E : PR.events()) {
+    ASSERT_NE(E.Fn, nullptr);
+    ASSERT_NE(E.Check, obs::NoSnapshot) << "event #" << E.Seq;
+    EXPECT_FALSE(PR.blockName(E).empty());
+    EXPECT_EQ(PR.checkStr(E).rfind("Check(", 0), 0u) << PR.checkStr(E);
+    EXPECT_FALSE(PR.justificationText(E).empty());
+  }
+}
+
 TEST(Provenance, ExplainSiteShowsCompleteChain) {
   CompileResult R = compileWithProvenance(PlacementScheme::LLS);
   // The a(i) subscripts sit on line 7 of the raw-string source (the
@@ -227,9 +234,11 @@ TEST(Provenance, DotExportNamesEveryCheck) {
   CompileResult R = compileWithProvenance(PlacementScheme::LLS);
   std::string Dot = R.Provenance.toDot();
   EXPECT_NE(Dot.find("digraph check_provenance"), std::string::npos);
-  for (CheckTag T : R.Provenance.tags())
+  for (const std::vector<size_t> &Chain : R.Provenance.timelines()) {
+    CheckTag T = R.Provenance.events()[Chain.front()].Tag;
     EXPECT_NE(Dot.find("t" + std::to_string(T)), std::string::npos)
         << "tag " << T << " missing from DOT export";
+  }
 }
 
 TEST(Provenance, EnvelopeValidatesForPipelineOutput) {

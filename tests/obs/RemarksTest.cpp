@@ -4,8 +4,9 @@
 /// The optimization-remark stream: per-kind remark totals (derived from the
 /// lifecycle events through the fixed mapping table) must reconcile
 /// exactly with OptimizerStats for every placement scheme, the family
-/// filter must drop non-matching remarks, and the residual-check join
-/// against the execution profile must agree with the dynamic check count.
+/// filter must drop non-matching remarks (and a malformed filter must be
+/// rejected, not thrown), and the residual-check join against the
+/// execution profile must agree with the dynamic check count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,11 +44,19 @@ program remarks
 end program
 )";
 
+/// One compile and the decision remarks derived from its lifecycle
+/// events.
+struct RemarkedCompile {
+  CompileResult R;
+  obs::RemarkCollector Remarks;
+};
+
 /// Per-kind reconciliation of one compile's remark stream against its
 /// OptimizerStats.
-void expectReconciled(const CompileResult &R, PlacementScheme S) {
+void expectReconciled(const RemarkedCompile &C, PlacementScheme S) {
   const char *N = placementSchemeName(S);
-  const obs::RemarkCollector &RC = R.Remarks;
+  const CompileResult &R = C.R;
+  const obs::RemarkCollector &RC = C.Remarks;
   EXPECT_EQ(RC.count(obs::RemarkKind::Eliminated), R.Stats.ChecksDeleted) << N;
   EXPECT_EQ(RC.count(obs::RemarkKind::Strengthened),
             R.Stats.ChecksStrengthened)
@@ -70,13 +79,15 @@ void expectReconciled(const CompileResult &R, PlacementScheme S) {
   EXPECT_EQ(RC.count(obs::RemarkKind::Residual), 0u) << N;
 }
 
-CompileResult compileWithRemarks(const char *Source, PlacementScheme S,
-                                 const std::string &Filter = "") {
+RemarkedCompile compileWithRemarks(const char *Source, PlacementScheme S,
+                                   const std::string &Filter = "") {
   PipelineOptions PO;
   PO.Opt.Scheme = S;
-  PO.Telemetry.Remarks = true;
-  PO.Telemetry.RemarkFilter = Filter;
-  return compileOrDie(Source, PO);
+  RemarkedCompile C{compileOrDie(Source, PO), {}};
+  std::string Err;
+  EXPECT_TRUE(C.Remarks.setFilter(Filter, &Err)) << Err;
+  obs::collectDecisionRemarks(C.R.Provenance, C.Remarks);
+  return C;
 }
 
 } // namespace
@@ -86,16 +97,15 @@ TEST(Remarks, ReconcilesWithStatsAcrossAllSchemes) {
        {PlacementScheme::NI, PlacementScheme::CS, PlacementScheme::LNI,
         PlacementScheme::SE, PlacementScheme::LI, PlacementScheme::LLS,
         PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI}) {
-    CompileResult R = compileWithRemarks(Corpus, S);
-    expectReconciled(R, S);
+    expectReconciled(compileWithRemarks(Corpus, S), S);
   }
 }
 
 TEST(Remarks, LlsEmitsDecisions) {
-  CompileResult R = compileWithRemarks(Corpus, PlacementScheme::LLS);
-  EXPECT_FALSE(R.Remarks.remarks().empty());
-  EXPECT_GT(R.Stats.ChecksDeleted, 0u);
-  for (const obs::Remark &M : R.Remarks.remarks()) {
+  RemarkedCompile C = compileWithRemarks(Corpus, PlacementScheme::LLS);
+  EXPECT_FALSE(C.Remarks.remarks().empty());
+  EXPECT_GT(C.R.Stats.ChecksDeleted, 0u);
+  for (const obs::Remark &M : C.Remarks.remarks()) {
     EXPECT_FALSE(M.Pass.empty());
     EXPECT_FALSE(M.Function.empty());
     EXPECT_FALSE(M.Block.empty());
@@ -104,19 +114,12 @@ TEST(Remarks, LlsEmitsDecisions) {
   }
 }
 
-TEST(Remarks, DisabledCollectorStaysEmpty) {
-  PipelineOptions PO;
-  PO.Opt.Scheme = PlacementScheme::LLS;
-  CompileResult R = compileOrDie(Corpus, PO);
-  EXPECT_FALSE(R.Remarks.enabled());
-  EXPECT_TRUE(R.Remarks.remarks().empty());
-}
-
 TEST(Remarks, FamilyFilter) {
-  CompileResult All = compileWithRemarks(Corpus, PlacementScheme::LLS);
-  CompileResult None =
+  RemarkedCompile All = compileWithRemarks(Corpus, PlacementScheme::LLS);
+  RemarkedCompile None =
       compileWithRemarks(Corpus, PlacementScheme::LLS, "zzz-no-such-family");
-  CompileResult OnlyB = compileWithRemarks(Corpus, PlacementScheme::LLS, "^b$");
+  RemarkedCompile OnlyB =
+      compileWithRemarks(Corpus, PlacementScheme::LLS, "^b$");
   EXPECT_TRUE(None.Remarks.remarks().empty());
   EXPECT_FALSE(OnlyB.Remarks.remarks().empty());
   EXPECT_LT(OnlyB.Remarks.remarks().size(), All.Remarks.remarks().size());
@@ -124,8 +127,21 @@ TEST(Remarks, FamilyFilter) {
     EXPECT_EQ(M.Origin.ArrayName, "b");
 }
 
+TEST(Remarks, InvalidFilterIsRejected) {
+  obs::RemarkCollector RC;
+  std::string Err;
+  EXPECT_FALSE(RC.setFilter("[", &Err));
+  EXPECT_FALSE(Err.empty());
+  EXPECT_FALSE(RC.setFilter("(", &Err));
+  // A rejected filter leaves the collector unfiltered.
+  RemarkedCompile C = compileWithRemarks(Corpus, PlacementScheme::LLS);
+  obs::collectDecisionRemarks(C.R.Provenance, RC);
+  EXPECT_EQ(RC.remarks().size(), C.Remarks.remarks().size());
+}
+
 TEST(Remarks, ResidualJoinMatchesDynamicCounts) {
-  CompileResult R = compileWithRemarks(Corpus, PlacementScheme::LLS);
+  RemarkedCompile C = compileWithRemarks(Corpus, PlacementScheme::LLS);
+  CompileResult &R = C.R;
   obs::ExecutionProfile Profile;
   Profile.attach(*R.M);
   InterpOptions IO;
@@ -133,14 +149,14 @@ TEST(Remarks, ResidualJoinMatchesDynamicCounts) {
   ExecResult E = interpret(*R.M, IO);
   ASSERT_TRUE(E.ok()) << E.FaultMessage;
 
-  size_t Before = R.Remarks.remarks().size();
-  emitResidualCheckRemarks(R.Provenance, Profile, R.Remarks);
+  size_t Before = C.Remarks.remarks().size();
+  emitResidualCheckRemarks(R.Provenance, Profile, C.Remarks);
   // One residual remark per *static* surviving check...
-  EXPECT_EQ(R.Remarks.count(obs::RemarkKind::Residual), R.Stats.ChecksAfter);
-  EXPECT_EQ(R.Remarks.remarks().size(), Before + R.Stats.ChecksAfter);
+  EXPECT_EQ(C.Remarks.count(obs::RemarkKind::Residual), R.Stats.ChecksAfter);
+  EXPECT_EQ(C.Remarks.remarks().size(), Before + R.Stats.ChecksAfter);
   // ...and their dynamic counts sum to the interpreter's check total.
   uint64_t Sum = 0;
-  for (const obs::Remark &M : R.Remarks.remarks())
+  for (const obs::Remark &M : C.Remarks.remarks())
     if (M.Kind == obs::RemarkKind::Residual) {
       EXPECT_TRUE(M.HasDynCount);
       Sum += M.DynCount;
@@ -149,12 +165,12 @@ TEST(Remarks, ResidualJoinMatchesDynamicCounts) {
 }
 
 TEST(Remarks, JsonStreamParses) {
-  CompileResult R = compileWithRemarks(Corpus, PlacementScheme::LLS);
+  RemarkedCompile C = compileWithRemarks(Corpus, PlacementScheme::LLS);
   obs::JsonValue V;
   std::string Err;
-  ASSERT_TRUE(obs::parseJson(R.Remarks.toJson(), V, &Err)) << Err;
+  ASSERT_TRUE(obs::parseJson(C.Remarks.toJson(), V, &Err)) << Err;
   ASSERT_TRUE(V.isArray());
-  ASSERT_EQ(V.Array.size(), R.Remarks.remarks().size());
+  ASSERT_EQ(V.Array.size(), C.Remarks.remarks().size());
   for (const obs::JsonValue &M : V.Array) {
     ASSERT_NE(M.get("kind"), nullptr);
     ASSERT_NE(M.get("pass"), nullptr);

@@ -39,6 +39,22 @@ end program
                                        PlacementScheme::NI);
   EXPECT_EQ(staticChecks(*Naive.M), 4u);
   EXPECT_EQ(staticChecks(*NI.M), 2u);
+  // Each deletion names its witness, the surviving a(i) check earlier in
+  // the block, and renders it as the justifying edge.
+  const obs::ProvenanceRecorder &PR = NI.Provenance;
+  size_t Witnessed = 0;
+  for (const obs::LifecycleEvent &E : PR.events()) {
+    if (E.Kind != obs::LifecycleKind::SubsumedBy)
+      continue;
+    EXPECT_EQ(E.Justification, obs::JustificationId::CoveredEarlierInBlock);
+    ASSERT_NE(E.OtherTag, NoCheckTag);
+    const obs::LifecycleEvent *Witness = PR.lastEventOf(E.OtherTag);
+    ASSERT_NE(Witness, nullptr);
+    EXPECT_EQ(Witness->Kind, obs::LifecycleKind::Residualized);
+    EXPECT_EQ(PR.edgeStr(E), PR.checkStr(*Witness));
+    ++Witnessed;
+  }
+  EXPECT_EQ(Witnessed, 2u);
 }
 
 TEST(Elimination, StrongerCheckCoversWeaker) {
@@ -142,6 +158,15 @@ end program
 )",
                                        PlacementScheme::NI);
   EXPECT_EQ(staticChecks(*NI.M), 0u);
+  // The four constant checks form one family: availability deletes the
+  // three an earlier one covers, and folding deletes the survivor.
+  EXPECT_EQ(decisions(NI, obs::LifecycleKind::SubsumedBy,
+                      obs::LifecyclePass::Elimination),
+            3u);
+  EXPECT_EQ(decisions(NI, obs::LifecycleKind::Eliminated,
+                      obs::LifecyclePass::Elimination),
+            1u);
+  EXPECT_EQ(NI.Stats.CompileTimeDeleted, 1u);
   ExecResult E = interpret(*NI.M);
   EXPECT_EQ(E.DynChecks, 0u);
 }
@@ -184,7 +209,12 @@ end program
 )",
                                  PO);
   EXPECT_GT(R.Stats.ChecksBefore, R.Stats.ChecksAfter);
-  EXPECT_GT(R.Stats.ChecksDeleted, 0u);
+  // The first a(i) covers the second a(i) and b(i), both bounds each:
+  // four SubsumedBy events in the log, which is what ChecksDeleted counts.
+  EXPECT_EQ(decisions(R, obs::LifecycleKind::SubsumedBy,
+                      obs::LifecyclePass::Elimination),
+            4u);
+  EXPECT_EQ(R.Stats.ChecksDeleted, 4u);
   EXPECT_EQ(R.Stats.ChecksInserted, 0u);
   EXPECT_GT(R.Stats.UniverseSize, 0u);
   EXPECT_GE(R.Stats.UniverseSize, R.Stats.NumFamilies);

@@ -47,23 +47,36 @@ TEST(Interval, SaturationAtInfinity) {
   EXPECT_EQ(Flipped.Hi, 0);
 }
 
-IntervalStats runAI(const std::string &Src, Module **OutM = nullptr,
-                    CompileResult *Keep = nullptr) {
+/// One interval-elimination run: the checks it left alone, and its
+/// decisions as lifecycle events.
+struct AIRun {
+  IntervalStats Stats;
+  obs::ProvenanceRecorder Events;
+
+  size_t provedRedundant() const {
+    return Events.count(obs::LifecycleKind::Eliminated,
+                        obs::LifecyclePass::IntervalAnalysis);
+  }
+};
+
+AIRun runAI(const std::string &Src, Module **OutM = nullptr,
+            CompileResult *Keep = nullptr) {
   static CompileResult Storage;
   CompileResult &R = Keep ? *Keep : Storage;
   R = compileNaive(Src);
   DiagnosticEngine D;
-  IntervalStats S = eliminateChecksByIntervals(*R.M->entry(), D);
+  AIRun Run;
+  Run.Stats = eliminateChecksByIntervals(*R.M->entry(), D, Run.Events);
   if (OutM)
     *OutM = R.M.get();
-  return S;
+  return Run;
 }
 
 TEST(IntervalAnalysis, DischargesConstantBoundedLoops) {
   // i in [1, 8] and the array has 10 elements: every check discharges.
   Module *M = nullptr;
   CompileResult Keep;
-  IntervalStats S = runAI(R"(
+  AIRun S = runAI(R"(
 program p
   real a(10)
   integer i
@@ -74,8 +87,8 @@ program p
 end program
 )",
                           &M, &Keep);
-  EXPECT_GT(S.ChecksProvedRedundant, 0u);
-  EXPECT_EQ(S.ChecksUnknown, 0u);
+  EXPECT_GT(S.provedRedundant(), 0u);
+  EXPECT_EQ(S.Stats.ChecksUnknown, 0u);
   ExecResult E = interpret(*M);
   EXPECT_EQ(E.St, ExecResult::Status::Ok);
   EXPECT_EQ(E.DynChecks, 0u);
@@ -84,7 +97,7 @@ end program
 TEST(IntervalAnalysis, SymbolicBoundsStayUnknown) {
   // n is a runtime value (from a load): checks cannot be discharged.
   CompileResult Keep;
-  IntervalStats S = runAI(R"(
+  AIRun S = runAI(R"(
 program p
   real a(10)
   integer idx(3), n, i
@@ -97,7 +110,7 @@ program p
 end program
 )",
                           nullptr, &Keep);
-  EXPECT_GT(S.ChecksUnknown, 0u);
+  EXPECT_GT(S.Stats.ChecksUnknown, 0u);
 }
 
 TEST(IntervalAnalysis, ProvesViolations) {
@@ -126,7 +139,7 @@ end program
 TEST(IntervalAnalysis, ModBoundsDischargePeriodicSubscripts) {
   Module *M = nullptr;
   CompileResult Keep;
-  IntervalStats S = runAI(R"(
+  AIRun S = runAI(R"(
 program p
   real a(8)
   integer i, k
@@ -140,7 +153,7 @@ end program
                           &M, &Keep);
   // mod(i, 8) with i >= 0 lies in [0, 7], so k in [1, 8] discharges both
   // checks on a(k).
-  EXPECT_GT(S.ChecksProvedRedundant, 0u);
+  EXPECT_GT(S.provedRedundant(), 0u);
   ExecResult E = interpret(*M);
   EXPECT_EQ(E.DynChecks, 0u);
 }

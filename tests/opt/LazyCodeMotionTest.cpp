@@ -45,6 +45,14 @@ TEST(LazyCodeMotion, SEEliminatesPartialRedundancy) {
   // SE hoists the checks above the branch: 2 per iteration -> 6.
   EXPECT_EQ(Naive.DynChecks, 8u);
   EXPECT_EQ(SERun.DynChecks, 6u);
+  // The event log records the two placements (upper and lower bound of
+  // a(i)) and the four originals they make redundant.
+  EXPECT_EQ(decisions(SE, obs::LifecycleKind::Inserted,
+                      obs::LifecyclePass::LazyCodeMotion),
+            2u);
+  EXPECT_EQ(decisions(SE, obs::LifecycleKind::SubsumedBy,
+                      obs::LifecyclePass::Elimination),
+            4u);
 }
 
 TEST(LazyCodeMotion, LNIAlsoEliminatesIt) {
@@ -54,6 +62,13 @@ TEST(LazyCodeMotion, LNIAlsoEliminatesIt) {
   expectBehaviorPreserved(Naive, LNIRun, "LNI");
   EXPECT_LE(LNIRun.DynChecks, Naive.DynChecks);
   EXPECT_EQ(LNIRun.DynChecks, 6u);
+  EXPECT_EQ(decisions(LNI, obs::LifecycleKind::Inserted,
+                      obs::LifecyclePass::LazyCodeMotion),
+            2u);
+  EXPECT_EQ(decisionsWhy(LNI, obs::JustificationId::LcmSafeEarliestAtStart) +
+                decisionsWhy(
+                    LNI, obs::JustificationId::LcmSafeEarliestBeforeTerminator),
+            0u);
 }
 
 TEST(LazyCodeMotion, DownSafetyBlocksSpeculation) {

@@ -53,6 +53,13 @@ end program
   EXPECT_LE(LLSRun.DynChecks, 4u);
   EXPECT_EQ(LLSRun.DynChecks, LLSRun.DynCondChecks);
   EXPECT_GT(countCondChecks(*LLS.M), 0u);
+  // Four conditional checks are hoisted: both bounds of the invariant
+  // a(k), and both bounds of a(j) through loop-limit substitution.
+  EXPECT_EQ(decisions(LLS, obs::LifecycleKind::Inserted,
+                      obs::LifecyclePass::PreheaderInsertion),
+            4u);
+  EXPECT_EQ(decisionsWhy(LLS, obs::JustificationId::HoistedSubstituted), 2u);
+  EXPECT_EQ(decisionsWhy(LLS, obs::JustificationId::HoistedInvariant), 2u);
 }
 
 TEST(PreheaderInsertion, LIHoistsOnlyInvariant) {
@@ -160,6 +167,11 @@ end program
   // After two levels of substitution the check lands in the outermost
   // preheader: a constant number of dynamic checks, not O(n) or O(n^2).
   EXPECT_LE(E.DynChecks, 4u);
+  EXPECT_EQ(decisions(LLS, obs::LifecycleKind::Moved,
+                      obs::LifecyclePass::PreheaderInsertion),
+            2u);
+  EXPECT_EQ(decisionsWhy(LLS, obs::JustificationId::RehoistedSubstituted),
+            2u);
 }
 
 TEST(PreheaderInsertion, TriangularLoopKeepsPerOuterChecks) {
@@ -231,6 +243,10 @@ end program
   CompileResult LLS = compileWithScheme(Src, PlacementScheme::LLS);
   ExecResult E = interpret(*LLS.M);
   expectBehaviorPreserved(Naive, E, "LLS step2");
+  EXPECT_EQ(decisionsWhy(LLS, obs::JustificationId::HoistedSubstituted), 0u);
+  EXPECT_EQ(decisions(LLS, obs::LifecycleKind::Inserted,
+                      obs::LifecyclePass::PreheaderInsertion),
+            0u);
 }
 
 TEST(PreheaderInsertion, EarlyReturnBlocksSubstitution) {

@@ -1,24 +1,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The two provenance reconciliation invariants, enforced for every
-/// placement scheme over the benchmark suite:
+/// The provenance reconciliation invariants, enforced for every placement
+/// scheme over the benchmark suite:
 ///
-///  1. Lifecycle terminal states reconcile exactly with OptimizerStats —
-///     every Inserted/Moved/Strengthened/SubsumedBy/Eliminated/Trapped/
-///     Residualized total matches the corresponding counter
+///  1. The record closes and matches the IR: every lifecycle ends in a
+///     terminal state, no witness tag dangles, and the Residualized
+///     events number exactly the surviving static checks
 ///     (reconcileCheckProvenance, opt/RangeCheckOptimizer.h).
 ///  2. A check whose lifecycle ended Eliminated (or SubsumedBy, or
 ///     Trapped) has zero dynamic executions: every execution-profile site
 ///     with hits has a Residualized last event, and the site hits add up
 ///     to the interpreter's dynamic check count.
+///  3. The decision counts derived from the events — OptimizerStats, the
+///     opt.* counters, the residual static checks — are the same whether
+///     optimizeModule records into the caller's recorder or its own.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "cache/ArtifactCache.h"
 #include "driver/Pipeline.h"
 #include "interp/Interpreter.h"
 #include "obs/Profile.h"
 #include "obs/Provenance.h"
+#include "obs/StatRegistry.h"
 #include "suite/Suite.h"
 
 #include "gtest/gtest.h"
@@ -40,7 +45,6 @@ CompileResult compileWithProvenance(const SuiteProgram &P,
   PipelineOptions PO;
   PO.Opt.Scheme = Scheme;
   PO.Source = Source;
-  PO.Telemetry.Provenance = true;
   PO.Telemetry.Profile = true;
   CompileResult R = compileSource(P.Source, PO);
   EXPECT_TRUE(R.Success) << P.Name << ": " << R.Diags.render();
@@ -124,6 +128,72 @@ TEST(ProvenanceReconcile, EliminatedChecksNeverExecute) {
         }
       EXPECT_EQ(SiteHits, E.DynChecks)
           << Name << "/" << placementSchemeName(Scheme);
+    }
+  }
+}
+
+/// What one optimizeModule run decided, counted three ways: its
+/// OptimizerStats, the opt.* counter deltas it credited, and the static
+/// checks left in the IR.
+struct DecisionCounts {
+  std::string Stats;
+  obs::StatSnapshot::FlatMap OptCounters;
+  uint64_t ResidualChecks = 0;
+};
+
+DecisionCounts optimizeClone(const Module &Pre, RangeCheckOptions Opts,
+                             obs::ProvenanceRecorder *PR) {
+  std::unique_ptr<Module> M = Pre.clone();
+  Opts.Provenance = PR;
+  DiagnosticEngine Diags;
+  DecisionCounts C;
+  obs::StatSnapshot Before = obs::StatRegistry::global().snapshot();
+  C.Stats = optimizeModule(*M, Opts, Diags).toJson();
+  for (const auto &[Name, V] :
+       obs::StatRegistry::global().snapshot().deltaFrom(Before))
+    if (Name.rfind("opt.", 0) == 0)
+      C.OptCounters[Name] = V;
+  for (const Function *F : M->functions())
+    for (const auto &BB : *F)
+      for (const Instruction &I : BB->instructions())
+        C.ResidualChecks += I.isRangeCheck();
+  return C;
+}
+
+TEST(ProvenanceReconcile, DecisionCountsIndependentOfCallerRecorder) {
+  for (const SuiteProgram &P : benchmarkSuite()) {
+    for (CheckSource Source : {CheckSource::PRX, CheckSource::INX}) {
+      // The lowered (and, for INX, synthesized) module every run starts
+      // from.
+      PipelineOptions PO;
+      PO.Optimize = false;
+      PO.Source = Source;
+      CompileResult Pre = compileSource(P.Source, PO);
+      ASSERT_TRUE(Pre.Success) << P.Name << ": " << Pre.Diags.render();
+      for (bool UseCache : {false, true}) {
+        for (PlacementScheme Scheme : AllSchemes) {
+          RangeCheckOptions Opts;
+          Opts.Scheme = Scheme;
+          // With the cache on, the recorded run fills it and the local
+          // one hits it.
+          cache::ArtifactCache Cache;
+          if (UseCache) {
+            Opts.Cache = &Cache;
+            Opts.ModuleKey = cache::hashFrontendKey(
+                P.Source, PO.Lowering, static_cast<unsigned>(Source));
+          }
+          obs::ProvenanceRecorder PR;
+          DecisionCounts Recorded = optimizeClone(*Pre.M, Opts, &PR);
+          DecisionCounts Local = optimizeClone(*Pre.M, Opts, nullptr);
+          std::string Cell = std::string(P.Name) + "/" +
+                             placementSchemeName(Scheme) +
+                             (Source == CheckSource::INX ? "/INX" : "/PRX") +
+                             (UseCache ? "/cache" : "");
+          EXPECT_EQ(Recorded.Stats, Local.Stats) << Cell;
+          EXPECT_EQ(Recorded.OptCounters, Local.OptCounters) << Cell;
+          EXPECT_EQ(Recorded.ResidualChecks, Local.ResidualChecks) << Cell;
+        }
+      }
     }
   }
 }

@@ -30,6 +30,11 @@ end program
 )";
   CompileResult CS = compileWithScheme(Src, PlacementScheme::CS);
   EXPECT_EQ(staticChecks(*CS.M), 2u);
+  // One lower-bound check is rewritten in place (-2n+1 <= -5 becomes
+  // -2n <= -6); the event log is the only record of it.
+  EXPECT_EQ(decisions(CS, obs::LifecycleKind::Strengthened,
+                      obs::LifecyclePass::CheckStrengthening),
+            1u);
 
   // The surviving lower-bound check is the strengthened (-2n <= -6).
   bool FoundStrengthened = false;
@@ -58,6 +63,9 @@ program p
 end program
 )";
   CompileResult CS = compileWithScheme(Src, PlacementScheme::CS);
+  EXPECT_EQ(decisions(CS, obs::LifecycleKind::Strengthened,
+                      obs::LifecyclePass::CheckStrengthening),
+            0u);
   // The early lower check must still be the original (-2n <= -5).
   bool FoundOriginal = false;
   for (const auto &BB : *CS.M->entry())
