@@ -8,8 +8,12 @@
 #include "obs/StatRegistry.h"
 #include "support/StringUtils.h"
 
+#include <cassert>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <memory>
+#include <unordered_map>
 
 using namespace nascent;
 
@@ -41,44 +45,411 @@ struct Cell {
   double R = 0.0;
 };
 
-/// One call frame.
-struct Frame {
-  const Function *F = nullptr;
-  std::vector<Cell> Scalars;           ///< by SymbolID
-  std::vector<ArrayStorage *> Arrays;  ///< by SymbolID (aliases for params)
-  std::vector<std::unique_ptr<ArrayStorage>> Owned;
+//===----------------------------------------------------------------------===//
+// Decoded form
+//
+// interpret() decodes every function it reaches before the run starts:
+// operand types, compare promotion, check terms, branch targets and callees
+// are resolved once, so the dispatch loop never consults a SymbolTable, a
+// Value kind or a callee name. The form lives for one interpret() call.
+//===----------------------------------------------------------------------===//
 
-  explicit Frame(const Function &Fn) : F(&Fn) {
-    Scalars.resize(Fn.symbols().size());
-    Arrays.resize(Fn.symbols().size(), nullptr);
-  }
+/// An operand resolved to a frame cell. Symbol cells are indexed by
+/// SymbolID; constants get cells past the symbols, preset in every new
+/// frame, so each operand read is one indexed load.
+struct Operand {
+  uint32_t Slot = 0;
+  /// Read as a real, the cell's R member holds the value (real symbols and
+  /// every constant); otherwise the integer member is converted.
+  bool Real = false;
 };
 
-/// The interpreter proper. The Call instruction marshals arguments into a
-/// fresh frame and recurses through execute().
-class Executor {
-public:
-  Executor(const Module &M, const InterpOptions &Opts, ExecResult &R)
-      : M(M), Opts(Opts), R(R) {
-    if (Opts.Profile && Opts.Profile->attached())
-      Prof = Opts.Profile;
-  }
+/// One term  Coeff * cell(Slot).I  of a decoded check.
+struct Term {
+  uint32_t Slot = 0;
+  int64_t Coeff = 0;
+};
 
-  void runEntry(const Function &F) {
-    Cell Dummy;
-    Frame Fr = makeFrame(F);
-    execute(Fr, Dummy, 0);
+/// A canonical check  sum of Terms[Begin, End) <= Bound.
+struct DecodedCheck {
+  uint32_t Begin = 0;
+  uint32_t End = 0;
+  int64_t Bound = 0;
+};
+
+/// How a Call passes one argument to its parameter.
+struct Argument {
+  enum class Kind : uint8_t { Array, Real, Int };
+  Operand From;
+  SymbolID Param = InvalidSymbol;
+  Kind K = Kind::Int;
+};
+
+/// Decoded opcodes: the IR opcode with the types it runs on resolved.
+/// The I/R suffix names the cell member the result is computed in. The
+/// arithmetic and compare runs keep Opcode's order so decoding can offset
+/// into them.
+enum class Op : uint8_t {
+  AddI, SubI, MulI, DivI, ModI, NegI, MinI, MaxI, AbsI,
+  AddR, SubR, MulR, DivR, ModR, NegR, MinR, MaxR, AbsR,
+  EqI, NeI, LtI, LeI, GtI, GeI,
+  EqR, NeR, LtR, LeR, GtR, GeR,
+  And, Or, Not,
+  CopyI, CopyR, IntToReal, RealToInt,
+  Load, Store,
+  Check, CondCheck, Trap,
+  Br, Jump,
+  Ret, RetI, RetR,
+  Call, CallI, CallR,
+  PrintI, PrintR, PrintBool,
+  FellOff, ///< the end of a block that has no terminator
+};
+
+struct DecodedFunction;
+
+/// One decoded instruction. Fields an opcode does not use keep their
+/// defaults.
+struct DecodedOp {
+  Op Code = Op::FellOff;
+  /// DynInstrs this op adds: 0 for checks, 1 + 2 * dims for Load/Store,
+  /// 1 otherwise.
+  uint32_t Cost = 1;
+  uint32_t Dest = 0;
+  Operand A, B;
+  /// Load/Store array symbol.
+  SymbolID Array = InvalidSymbol;
+  /// Span of the function's subscript, guard or argument pool
+  /// (Load/Store, CondCheck, Call).
+  uint32_t Begin = 0;
+  uint32_t End = 0;
+  /// Check/CondCheck payload.
+  DecodedCheck Check;
+  /// Br true/false and Jump targets.
+  BlockID TrueBlock = InvalidBlock;
+  BlockID FalseBlock = InvalidBlock;
+  /// Source position, reported to the profile by checks.
+  BlockID Block = 0;
+  uint32_t Index = 0;
+  /// Call target; null when the module has no such function.
+  const DecodedFunction *Callee = nullptr;
+  /// The source instruction, for fault and trap messages only.
+  const Instruction *Src = nullptr;
+};
+
+/// One function in decoded form: its blocks' ops back to back, plus the
+/// pools their spans index.
+struct DecodedFunction {
+  const Function *F = nullptr;
+  std::vector<DecodedOp> Ops;
+  std::vector<uint32_t> BlockStart; ///< first op of each block, by BlockID
+  std::vector<Cell> InitialCells;   ///< zeroed symbols, then constants
+  std::vector<std::pair<SymbolID, const ArrayShape *>> LocalArrays;
+  std::vector<Operand> Subscripts;
+  std::vector<Term> Terms;
+  std::vector<DecodedCheck> Guards;
+  std::vector<Argument> Args;
+  size_t ProfileIndex = obs::ExecutionProfile::NoFunction;
+};
+
+/// Decodes the functions reachable from an entry function.
+class Decoder {
+public:
+  Decoder(const Module &M, const obs::ExecutionProfile *Prof)
+      : M(M), Prof(Prof) {}
+
+  /// Decodes \p Entry and every function it can call; returns the entry.
+  const DecodedFunction &decodeFrom(const Function &Entry) {
+    const DecodedFunction *E = reach(Entry);
+    while (!Pending.empty()) {
+      DecodedFunction *DF = Pending.back();
+      Pending.pop_back();
+      decode(*DF);
+    }
+    return *E;
   }
 
 private:
-  Frame makeFrame(const Function &F) {
-    Frame Fr(F);
-    for (SymbolID S = 0; S != F.symbols().size(); ++S) {
-      const Symbol &Sym = F.symbols().get(S);
-      if (Sym.isArray() && !Sym.IsParam) {
-        Fr.Owned.push_back(std::make_unique<ArrayStorage>(Sym.Shape));
-        Fr.Arrays[S] = Fr.Owned.back().get();
+  /// The decoded form of \p F, queued for decoding on first sight.
+  DecodedFunction *reach(const Function &F) {
+    auto [It, New] = Index.try_emplace(&F, nullptr);
+    if (New) {
+      Funcs.push_back(std::make_unique<DecodedFunction>());
+      It->second = Funcs.back().get();
+      It->second->F = &F;
+      Pending.push_back(It->second);
+    }
+    return It->second;
+  }
+
+  static bool isRealValue(const SymbolTable &Syms, const Value &V) {
+    if (V.isSym())
+      return Syms.get(V.symbol()).Type == ScalarType::Real;
+    return V.isRealConst();
+  }
+
+  Operand operand(DecodedFunction &DF, const Value &V) {
+    const SymbolTable &Syms = DF.F->symbols();
+    if (V.isSym())
+      return {V.symbol(), Syms.get(V.symbol()).Type == ScalarType::Real};
+    // A constant reads as its integer (0 for a real constant) or as its
+    // real value; both members are preset.
+    Cell C;
+    if (V.isRealConst()) {
+      C.R = V.realValue();
+    } else if (V.isIntConst() || V.isBoolConst()) {
+      C.I = V.intValue();
+      C.R = static_cast<double>(C.I);
+    }
+    uint64_t RBits = 0;
+    std::memcpy(&RBits, &C.R, sizeof RBits);
+    auto [It, New] = Constants.try_emplace(
+        {C.I, RBits}, static_cast<uint32_t>(DF.InitialCells.size()));
+    if (New)
+      DF.InitialCells.push_back(C);
+    return {It->second, true};
+  }
+
+  DecodedCheck check(DecodedFunction &DF, const CheckExpr &C) {
+    assert(C.expr().constantPart() == 0 && "check constant not folded");
+    DecodedCheck D;
+    D.Begin = static_cast<uint32_t>(DF.Terms.size());
+    for (const auto &[Sym, Coeff] : C.expr().terms())
+      DF.Terms.push_back({Sym, Coeff});
+    D.End = static_cast<uint32_t>(DF.Terms.size());
+    D.Bound = C.bound();
+    return D;
+  }
+
+  static Op offset(Op First, Opcode Base, Opcode O) {
+    return static_cast<Op>(static_cast<unsigned>(First) +
+                           (static_cast<unsigned>(O) -
+                            static_cast<unsigned>(Base)));
+  }
+
+  DecodedOp decodeOp(DecodedFunction &DF, const Instruction &I);
+  void decode(DecodedFunction &DF);
+
+  const Module &M;
+  const obs::ExecutionProfile *Prof;
+  std::vector<std::unique_ptr<DecodedFunction>> Funcs;
+  std::unordered_map<const Function *, DecodedFunction *> Index;
+  std::vector<DecodedFunction *> Pending;
+  /// Constant cells of the function being decoded, keyed by their bits.
+  std::map<std::pair<int64_t, uint64_t>, uint32_t> Constants;
+};
+
+DecodedOp Decoder::decodeOp(DecodedFunction &DF, const Instruction &I) {
+  const Function &F = *DF.F;
+  const SymbolTable &Syms = F.symbols();
+  auto DestIsReal = [&] { return Syms.get(I.Dest).Type == ScalarType::Real; };
+  DecodedOp D;
+  D.Src = &I;
+  if (I.Dest != InvalidSymbol)
+    D.Dest = I.Dest;
+  switch (I.Op) {
+  case Opcode::Add:
+  case Opcode::Sub:
+  case Opcode::Mul:
+  case Opcode::Div:
+  case Opcode::Mod:
+  case Opcode::Min:
+  case Opcode::Max:
+    D.B = operand(DF, I.Operands[1]);
+    [[fallthrough]];
+  case Opcode::Neg:
+  case Opcode::Abs:
+    D.Code = offset(DestIsReal() ? Op::AddR : Op::AddI, Opcode::Add, I.Op);
+    D.A = operand(DF, I.Operands[0]);
+    break;
+  case Opcode::CmpEQ:
+  case Opcode::CmpNE:
+  case Opcode::CmpLT:
+  case Opcode::CmpLE:
+  case Opcode::CmpGT:
+  case Opcode::CmpGE: {
+    bool Real = isRealValue(Syms, I.Operands[0]) ||
+                isRealValue(Syms, I.Operands[1]);
+    D.Code = offset(Real ? Op::EqR : Op::EqI, Opcode::CmpEQ, I.Op);
+    D.A = operand(DF, I.Operands[0]);
+    D.B = operand(DF, I.Operands[1]);
+    break;
+  }
+  case Opcode::And:
+  case Opcode::Or:
+    D.Code = I.Op == Opcode::And ? Op::And : Op::Or;
+    D.A = operand(DF, I.Operands[0]);
+    D.B = operand(DF, I.Operands[1]);
+    break;
+  case Opcode::Not:
+  case Opcode::IntToReal:
+  case Opcode::RealToInt:
+  case Opcode::Copy:
+    D.Code = I.Op == Opcode::Not         ? Op::Not
+             : I.Op == Opcode::IntToReal ? Op::IntToReal
+             : I.Op == Opcode::RealToInt ? Op::RealToInt
+             : DestIsReal()              ? Op::CopyR
+                                         : Op::CopyI;
+    D.A = operand(DF, I.Operands[0]);
+    break;
+  case Opcode::Load:
+  case Opcode::Store:
+    D.Code = I.Op == Opcode::Load ? Op::Load : Op::Store;
+    // Count the address arithmetic the paper's C back end would emit:
+    // one multiply and one add per dimension plus the access itself.
+    D.Cost = 1 + 2 * static_cast<uint32_t>(I.Indices.size());
+    D.Array = I.Array;
+    D.Begin = static_cast<uint32_t>(DF.Subscripts.size());
+    for (const Value &V : I.Indices)
+      DF.Subscripts.push_back(operand(DF, V));
+    D.End = static_cast<uint32_t>(DF.Subscripts.size());
+    if (I.Op == Opcode::Store)
+      D.A = operand(DF, I.Operands[0]);
+    break;
+  case Opcode::Check:
+  case Opcode::CondCheck:
+    D.Code = I.Op == Opcode::Check ? Op::Check : Op::CondCheck;
+    D.Cost = 0;
+    D.Check = check(DF, I.Check);
+    D.Begin = static_cast<uint32_t>(DF.Guards.size());
+    for (const CheckExpr &G : I.Guards)
+      DF.Guards.push_back(check(DF, G));
+    D.End = static_cast<uint32_t>(DF.Guards.size());
+    break;
+  case Opcode::Trap:
+    D.Code = Op::Trap;
+    break;
+  case Opcode::Br:
+    D.Code = Op::Br;
+    D.A = operand(DF, I.Operands[0]);
+    D.TrueBlock = I.TrueTarget;
+    D.FalseBlock = I.FalseTarget;
+    break;
+  case Opcode::Jump:
+    D.Code = Op::Jump;
+    D.TrueBlock = I.TrueTarget;
+    break;
+  case Opcode::Ret:
+    if (I.Operands.empty()) {
+      D.Code = Op::Ret;
+    } else {
+      D.Code = F.resultType() == ScalarType::Real ? Op::RetR : Op::RetI;
+      D.A = operand(DF, I.Operands[0]);
+    }
+    break;
+  case Opcode::Call: {
+    D.Code = I.Dest == InvalidSymbol ? Op::Call
+             : DestIsReal()          ? Op::CallR
+                                     : Op::CallI;
+    const Function *Callee = M.function(I.Callee);
+    if (!Callee)
+      break;
+    D.Callee = reach(*Callee);
+    // Scalars pass by value (with conversion), arrays by reference.
+    D.Begin = static_cast<uint32_t>(DF.Args.size());
+    for (size_t K = 0; K != I.Operands.size(); ++K) {
+      Argument Arg;
+      Arg.Param = Callee->params()[K];
+      const Symbol &PS = Callee->symbols().get(Arg.Param);
+      if (PS.isArray()) {
+        Arg.K = Argument::Kind::Array;
+        Arg.From.Slot = I.Operands[K].symbol();
+      } else {
+        Arg.K = PS.Type == ScalarType::Real ? Argument::Kind::Real
+                                            : Argument::Kind::Int;
+        Arg.From = operand(DF, I.Operands[K]);
       }
+      DF.Args.push_back(Arg);
+    }
+    D.End = static_cast<uint32_t>(DF.Args.size());
+    break;
+  }
+  case Opcode::Print: {
+    const Value &V = I.Operands[0];
+    D.Code = isRealValue(Syms, V) ? Op::PrintR
+             : V.isSym() && Syms.get(V.symbol()).Type == ScalarType::Bool
+                 ? Op::PrintBool
+                 : Op::PrintI;
+    D.A = operand(DF, V);
+    break;
+  }
+  }
+  return D;
+}
+
+void Decoder::decode(DecodedFunction &DF) {
+  const Function &F = *DF.F;
+  const SymbolTable &Syms = F.symbols();
+  DF.InitialCells.assign(Syms.size(), Cell());
+  Constants.clear();
+  for (SymbolID S = 0; S != Syms.size(); ++S) {
+    const Symbol &Sym = Syms.get(S);
+    if (Sym.isArray() && !Sym.IsParam)
+      DF.LocalArrays.push_back({S, &Sym.Shape});
+  }
+  if (Prof)
+    DF.ProfileIndex = Prof->functionIndex(&F);
+
+  DF.BlockStart.resize(F.numBlocks());
+  for (BlockID B = 0; B != F.numBlocks(); ++B) {
+    DF.BlockStart[B] = static_cast<uint32_t>(DF.Ops.size());
+    const std::vector<Instruction> &Insts = F.block(B)->instructions();
+    for (size_t K = 0; K != Insts.size(); ++K) {
+      DF.Ops.push_back(decodeOp(DF, Insts[K]));
+      DF.Ops.back().Block = B;
+      DF.Ops.back().Index = static_cast<uint32_t>(K);
+    }
+    if (Insts.empty() || !Insts.back().isTerminator()) {
+      DecodedOp End;
+      End.Code = Op::FellOff;
+      End.Cost = 0;
+      End.Block = B;
+      DF.Ops.push_back(End);
+    }
+  }
+}
+
+/// One call frame.
+struct Frame {
+  std::vector<Cell> Cells;            ///< by operand slot
+  std::vector<ArrayStorage *> Arrays; ///< by SymbolID (aliases for params)
+  std::vector<std::unique_ptr<ArrayStorage>> Owned;
+};
+
+/// True when \p C holds on the cells \p S. The sum wraps as
+/// two's-complement int64 arithmetic does.
+bool holds(const Cell *S, const Term *T, const DecodedCheck &C) {
+  uint64_t Sum = 0;
+  for (const Term *K = T + C.Begin, *E = T + C.End; K != E; ++K)
+    Sum += static_cast<uint64_t>(K->Coeff) * static_cast<uint64_t>(S[K->Slot].I);
+  return static_cast<int64_t>(Sum) <= C.Bound;
+}
+
+double realOf(const Cell *S, Operand X) {
+  return X.Real ? S[X.Slot].R : static_cast<double>(S[X.Slot].I);
+}
+
+/// The interpreter proper, running decoded functions. The Call op
+/// marshals arguments into a fresh frame and recurses through execute().
+class Executor {
+public:
+  Executor(const InterpOptions &Opts, ExecResult &R,
+           obs::ExecutionProfile *Prof)
+      : Opts(Opts), R(R), Prof(Prof) {}
+
+  void runEntry(const DecodedFunction &DF) {
+    Cell Dummy;
+    Frame Fr = makeFrame(DF);
+    execute(DF, Fr, Dummy, 0);
+  }
+
+private:
+  static Frame makeFrame(const DecodedFunction &DF) {
+    Frame Fr;
+    Fr.Cells = DF.InitialCells;
+    Fr.Arrays.assign(DF.F->symbols().size(), nullptr);
+    for (const auto &[Sym, Shape] : DF.LocalArrays) {
+      Fr.Owned.push_back(std::make_unique<ArrayStorage>(*Shape));
+      Fr.Arrays[Sym] = Fr.Owned.back().get();
     }
     return Fr;
   }
@@ -92,39 +463,9 @@ private:
     R.FaultMessage = std::move(Msg);
   }
 
-  int64_t intOf(const Frame &Fr, const Value &V) const {
-    if (V.isSym())
-      return Fr.Scalars[V.symbol()].I;
-    return V.intValue();
-  }
-
-  double realOf(const Frame &Fr, const Value &V) const {
-    if (V.isSym()) {
-      const Symbol &S = Fr.F->symbols().get(V.symbol());
-      if (S.Type == ScalarType::Real)
-        return Fr.Scalars[V.symbol()].R;
-      return static_cast<double>(Fr.Scalars[V.symbol()].I);
-    }
-    if (V.isRealConst())
-      return V.realValue();
-    return static_cast<double>(V.intValue());
-  }
-
-  bool operandIsReal(const Frame &Fr, const Value &V) const {
-    if (V.isSym())
-      return Fr.F->symbols().get(V.symbol()).Type == ScalarType::Real;
-    return V.isRealConst();
-  }
-
-  bool checkHolds(const Frame &Fr, const CheckExpr &C) const {
-    int64_t V =
-        C.expr().evaluate([&](SymbolID S) { return Fr.Scalars[S].I; });
-    return V <= C.bound();
-  }
-
-  std::string checkFailureMessage(const Frame &Fr, const Instruction &I) {
-    std::string Msg =
-        "range check failed: " + I.Check.str(Fr.F->symbols());
+  static std::string checkFailureMessage(const Function &F,
+                                         const Instruction &I) {
+    std::string Msg = "range check failed: " + I.Check.str(F.symbols());
     if (!I.Origin.ArrayName.empty())
       Msg += " (array " + I.Origin.ArrayName + ", dim " +
              std::to_string(I.Origin.Dim + 1) +
@@ -133,53 +474,57 @@ private:
     return Msg;
   }
 
-  bool flattenIndex(const Frame &Fr, const ArrayStorage &A,
-                    const std::vector<Value> &Indices, size_t &Out) {
+  /// Resolves the element a Load/Store addresses into \p A and \p Off;
+  /// faults and returns false when the array is unbound or the subscripts
+  /// are out of bounds.
+  bool locate(const DecodedFunction &DF, const Frame &Fr,
+              const DecodedOp &O, ArrayStorage *&A, size_t &Off) {
+    A = Fr.Arrays[O.Array];
+    if (!A) {
+      fault(ExecResult::Status::HardFault, "unbound array parameter");
+      return false;
+    }
+    const Cell *S = Fr.Cells.data();
     size_t Offset = 0;
     size_t Stride = 1;
-    for (size_t D = 0; D != Indices.size(); ++D) {
-      int64_t Idx = intOf(Fr, Indices[D]);
-      const ArrayDim &Dim = A.Shape.Dims[D];
-      if (Idx < Dim.Lower || Idx > Dim.Upper)
+    for (uint32_t K = O.Begin; K != O.End; ++K) {
+      int64_t Idx = S[DF.Subscripts[K].Slot].I;
+      const ArrayDim &Dim = A->Shape.Dims[K - O.Begin];
+      if (Idx < Dim.Lower || Idx > Dim.Upper) {
+        fault(ExecResult::Status::HardFault,
+              std::string(O.Code == Op::Load ? "out-of-bounds access"
+                                             : "out-of-bounds store") +
+                  " on array " + DF.F->symbols().get(O.Array).Name +
+                  " (a range check should have fired)");
         return false;
+      }
       Offset += static_cast<size_t>(Idx - Dim.Lower) * Stride;
       Stride *= static_cast<size_t>(Dim.extent());
     }
-    Out = Offset;
+    Off = Offset;
     return true;
   }
 
-  void storeScalar(Frame &Fr, SymbolID Dest, ScalarType Ty, int64_t IV,
-                   double RV) {
-    if (Ty == ScalarType::Real)
-      Fr.Scalars[Dest].R = RV;
-    else
-      Fr.Scalars[Dest].I = IV;
-  }
+  void execute(const DecodedFunction &DF, Frame &Fr, Cell &ResultOut,
+               unsigned Depth);
 
-  void execute(Frame &Fr, Cell &ResultOut, unsigned Depth);
-
-  const Module &M;
   const InterpOptions &Opts;
   ExecResult &R;
-  obs::ExecutionProfile *Prof = nullptr;
+  obs::ExecutionProfile *Prof;
 };
 
-void Executor::execute(Frame &Fr, Cell &ResultOut, unsigned Depth) {
+void Executor::execute(const DecodedFunction &DF, Frame &Fr, Cell &ResultOut,
+                       unsigned Depth) {
   if (Depth > Opts.MaxCallDepth) {
     fault(ExecResult::Status::CallDepthExceeded, "call depth exceeded");
     return;
   }
-  const Function &F = *Fr.F;
-  const SymbolTable &Syms = F.symbols();
-  BlockID Cur = F.entryBlock();
-  size_t Idx = 0;
+  BlockID Entry = DF.F->entryBlock();
 
   // Per-frame profiling state: loops in recursive activations count
   // independently, and the flush guard closes still-open loop entries as
   // partial no matter how the frame dies (trap, fault, in-loop return).
-  size_t PFn = Prof ? Prof->functionIndex(Fr.F)
-                    : obs::ExecutionProfile::NoFunction;
+  size_t PFn = DF.ProfileIndex;
   obs::ExecutionProfile *P =
       PFn == obs::ExecutionProfile::NoFunction ? nullptr : Prof;
   obs::ProfileFrameState PFS;
@@ -194,371 +539,263 @@ void Executor::execute(Frame &Fr, Cell &ResultOut, unsigned Depth) {
   } Flush{P, PFn, PFS};
   if (P) {
     PFS = P->makeFrameState(PFn);
-    P->enterBlock(PFn, Cur, PFS);
+    P->enterBlock(PFn, Entry, PFS);
   }
 
-  while (!halted()) {
-    const BasicBlock *BB = F.block(Cur);
-    if (Idx >= BB->size()) {
-      fault(ExecResult::Status::HardFault,
-            "fell off the end of block bb" + std::to_string(Cur));
-      return;
-    }
-    const Instruction &I = BB->instructions()[Idx];
-
-    if (R.DynInstrs + R.DynChecks >= Opts.MaxSteps) {
+  Cell *S = Fr.Cells.data();
+  const DecodedOp *Ops = DF.Ops.data();
+  const Term *Terms = DF.Terms.data();
+  const DecodedOp *PC = Ops + DF.BlockStart[Entry];
+  for (;;) {
+    const DecodedOp &O = *PC++;
+    if (R.DynInstrs + R.DynChecks >= Opts.MaxSteps && O.Code != Op::FellOff) {
       fault(ExecResult::Status::StepLimit, "step limit exceeded");
       return;
     }
-    if (I.isRangeCheck()) {
-      ++R.DynChecks;
-      if (I.Op == Opcode::CondCheck)
-        ++R.DynCondChecks;
-    } else if (I.Op == Opcode::Load || I.Op == Opcode::Store) {
-      // Count the address arithmetic the paper's C back end would emit:
-      // one multiply and one add per dimension plus the access itself.
-      R.DynInstrs += 1 + 2 * static_cast<uint64_t>(I.Indices.size());
-    } else {
-      ++R.DynInstrs;
-    }
+    R.DynInstrs += O.Cost;
 
-    switch (I.Op) {
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::Div:
-    case Opcode::Mod:
-    case Opcode::Min:
-    case Opcode::Max: {
-      ScalarType Ty = Syms.get(I.Dest).Type;
-      if (Ty == ScalarType::Real) {
-        double A = realOf(Fr, I.Operands[0]);
-        double B = realOf(Fr, I.Operands[1]);
-        double Out = 0;
-        switch (I.Op) {
-        case Opcode::Add:
-          Out = A + B;
-          break;
-        case Opcode::Sub:
-          Out = A - B;
-          break;
-        case Opcode::Mul:
-          Out = A * B;
-          break;
-        case Opcode::Div:
-          Out = B == 0.0 ? 0.0 : A / B;
-          break;
-        case Opcode::Min:
-          Out = std::min(A, B);
-          break;
-        case Opcode::Max:
-          Out = std::max(A, B);
-          break;
-        default:
-          break;
-        }
-        Fr.Scalars[I.Dest].R = Out;
-      } else {
-        int64_t A = intOf(Fr, I.Operands[0]);
-        int64_t B = intOf(Fr, I.Operands[1]);
-        int64_t Out = 0;
-        switch (I.Op) {
-        case Opcode::Add:
-          Out = A + B;
-          break;
-        case Opcode::Sub:
-          Out = A - B;
-          break;
-        case Opcode::Mul:
-          Out = A * B;
-          break;
-        case Opcode::Div:
-          if (B == 0) {
-            fault(ExecResult::Status::HardFault, "integer division by zero");
-            return;
-          }
-          Out = A / B;
-          break;
-        case Opcode::Mod:
-          if (B == 0) {
-            fault(ExecResult::Status::HardFault, "mod by zero");
-            return;
-          }
-          Out = A % B;
-          break;
-        case Opcode::Min:
-          Out = std::min(A, B);
-          break;
-        case Opcode::Max:
-          Out = std::max(A, B);
-          break;
-        default:
-          break;
-        }
-        Fr.Scalars[I.Dest].I = Out;
-      }
-      ++Idx;
+    switch (O.Code) {
+    case Op::AddI:
+      S[O.Dest].I = S[O.A.Slot].I + S[O.B.Slot].I;
       break;
-    }
-    case Opcode::Neg:
-    case Opcode::Abs: {
-      ScalarType Ty = Syms.get(I.Dest).Type;
-      if (Ty == ScalarType::Real) {
-        double A = realOf(Fr, I.Operands[0]);
-        Fr.Scalars[I.Dest].R = I.Op == Opcode::Neg ? -A : std::fabs(A);
-      } else {
-        int64_t A = intOf(Fr, I.Operands[0]);
-        Fr.Scalars[I.Dest].I = I.Op == Opcode::Neg ? -A : (A < 0 ? -A : A);
-      }
-      ++Idx;
+    case Op::SubI:
+      S[O.Dest].I = S[O.A.Slot].I - S[O.B.Slot].I;
       break;
-    }
-    case Opcode::CmpEQ:
-    case Opcode::CmpNE:
-    case Opcode::CmpLT:
-    case Opcode::CmpLE:
-    case Opcode::CmpGT:
-    case Opcode::CmpGE: {
-      bool Real = operandIsReal(Fr, I.Operands[0]) ||
-                  operandIsReal(Fr, I.Operands[1]);
-      bool Out = false;
-      if (Real) {
-        double A = realOf(Fr, I.Operands[0]);
-        double B = realOf(Fr, I.Operands[1]);
-        switch (I.Op) {
-        case Opcode::CmpEQ:
-          Out = A == B;
-          break;
-        case Opcode::CmpNE:
-          Out = A != B;
-          break;
-        case Opcode::CmpLT:
-          Out = A < B;
-          break;
-        case Opcode::CmpLE:
-          Out = A <= B;
-          break;
-        case Opcode::CmpGT:
-          Out = A > B;
-          break;
-        case Opcode::CmpGE:
-          Out = A >= B;
-          break;
-        default:
-          break;
-        }
-      } else {
-        int64_t A = intOf(Fr, I.Operands[0]);
-        int64_t B = intOf(Fr, I.Operands[1]);
-        switch (I.Op) {
-        case Opcode::CmpEQ:
-          Out = A == B;
-          break;
-        case Opcode::CmpNE:
-          Out = A != B;
-          break;
-        case Opcode::CmpLT:
-          Out = A < B;
-          break;
-        case Opcode::CmpLE:
-          Out = A <= B;
-          break;
-        case Opcode::CmpGT:
-          Out = A > B;
-          break;
-        case Opcode::CmpGE:
-          Out = A >= B;
-          break;
-        default:
-          break;
-        }
-      }
-      Fr.Scalars[I.Dest].I = Out ? 1 : 0;
-      ++Idx;
+    case Op::MulI:
+      S[O.Dest].I = S[O.A.Slot].I * S[O.B.Slot].I;
       break;
-    }
-    case Opcode::And:
-      Fr.Scalars[I.Dest].I =
-          (intOf(Fr, I.Operands[0]) != 0 && intOf(Fr, I.Operands[1]) != 0)
-              ? 1
-              : 0;
-      ++Idx;
-      break;
-    case Opcode::Or:
-      Fr.Scalars[I.Dest].I =
-          (intOf(Fr, I.Operands[0]) != 0 || intOf(Fr, I.Operands[1]) != 0)
-              ? 1
-              : 0;
-      ++Idx;
-      break;
-    case Opcode::Not:
-      Fr.Scalars[I.Dest].I = intOf(Fr, I.Operands[0]) == 0 ? 1 : 0;
-      ++Idx;
-      break;
-    case Opcode::Copy: {
-      ScalarType Ty = Syms.get(I.Dest).Type;
-      if (Ty == ScalarType::Real)
-        Fr.Scalars[I.Dest].R = realOf(Fr, I.Operands[0]);
-      else
-        Fr.Scalars[I.Dest].I = intOf(Fr, I.Operands[0]);
-      ++Idx;
-      break;
-    }
-    case Opcode::IntToReal:
-      Fr.Scalars[I.Dest].R =
-          static_cast<double>(intOf(Fr, I.Operands[0]));
-      ++Idx;
-      break;
-    case Opcode::RealToInt:
-      Fr.Scalars[I.Dest].I =
-          static_cast<int64_t>(realOf(Fr, I.Operands[0]));
-      ++Idx;
-      break;
-    case Opcode::Load: {
-      ArrayStorage *A = Fr.Arrays[I.Array];
-      if (!A) {
-        fault(ExecResult::Status::HardFault, "unbound array parameter");
+    case Op::DivI:
+      if (S[O.B.Slot].I == 0) {
+        fault(ExecResult::Status::HardFault, "integer division by zero");
         return;
       }
+      S[O.Dest].I = S[O.A.Slot].I / S[O.B.Slot].I;
+      break;
+    case Op::ModI:
+      if (S[O.B.Slot].I == 0) {
+        fault(ExecResult::Status::HardFault, "mod by zero");
+        return;
+      }
+      S[O.Dest].I = S[O.A.Slot].I % S[O.B.Slot].I;
+      break;
+    case Op::NegI:
+      S[O.Dest].I = -S[O.A.Slot].I;
+      break;
+    case Op::MinI:
+      S[O.Dest].I = std::min(S[O.A.Slot].I, S[O.B.Slot].I);
+      break;
+    case Op::MaxI:
+      S[O.Dest].I = std::max(S[O.A.Slot].I, S[O.B.Slot].I);
+      break;
+    case Op::AbsI: {
+      int64_t A = S[O.A.Slot].I;
+      S[O.Dest].I = A < 0 ? -A : A;
+      break;
+    }
+    case Op::AddR:
+      S[O.Dest].R = realOf(S, O.A) + realOf(S, O.B);
+      break;
+    case Op::SubR:
+      S[O.Dest].R = realOf(S, O.A) - realOf(S, O.B);
+      break;
+    case Op::MulR:
+      S[O.Dest].R = realOf(S, O.A) * realOf(S, O.B);
+      break;
+    case Op::DivR: {
+      double B = realOf(S, O.B);
+      S[O.Dest].R = B == 0.0 ? 0.0 : realOf(S, O.A) / B;
+      break;
+    }
+    case Op::ModR: // mod has no real form; it has always yielded 0
+      S[O.Dest].R = 0.0;
+      break;
+    case Op::NegR:
+      S[O.Dest].R = -realOf(S, O.A);
+      break;
+    case Op::MinR:
+      S[O.Dest].R = std::min(realOf(S, O.A), realOf(S, O.B));
+      break;
+    case Op::MaxR:
+      S[O.Dest].R = std::max(realOf(S, O.A), realOf(S, O.B));
+      break;
+    case Op::AbsR:
+      S[O.Dest].R = std::fabs(realOf(S, O.A));
+      break;
+    case Op::EqI:
+      S[O.Dest].I = S[O.A.Slot].I == S[O.B.Slot].I;
+      break;
+    case Op::NeI:
+      S[O.Dest].I = S[O.A.Slot].I != S[O.B.Slot].I;
+      break;
+    case Op::LtI:
+      S[O.Dest].I = S[O.A.Slot].I < S[O.B.Slot].I;
+      break;
+    case Op::LeI:
+      S[O.Dest].I = S[O.A.Slot].I <= S[O.B.Slot].I;
+      break;
+    case Op::GtI:
+      S[O.Dest].I = S[O.A.Slot].I > S[O.B.Slot].I;
+      break;
+    case Op::GeI:
+      S[O.Dest].I = S[O.A.Slot].I >= S[O.B.Slot].I;
+      break;
+    case Op::EqR:
+      S[O.Dest].I = realOf(S, O.A) == realOf(S, O.B);
+      break;
+    case Op::NeR:
+      S[O.Dest].I = realOf(S, O.A) != realOf(S, O.B);
+      break;
+    case Op::LtR:
+      S[O.Dest].I = realOf(S, O.A) < realOf(S, O.B);
+      break;
+    case Op::LeR:
+      S[O.Dest].I = realOf(S, O.A) <= realOf(S, O.B);
+      break;
+    case Op::GtR:
+      S[O.Dest].I = realOf(S, O.A) > realOf(S, O.B);
+      break;
+    case Op::GeR:
+      S[O.Dest].I = realOf(S, O.A) >= realOf(S, O.B);
+      break;
+    case Op::And:
+      S[O.Dest].I = S[O.A.Slot].I != 0 && S[O.B.Slot].I != 0;
+      break;
+    case Op::Or:
+      S[O.Dest].I = S[O.A.Slot].I != 0 || S[O.B.Slot].I != 0;
+      break;
+    case Op::Not:
+      S[O.Dest].I = S[O.A.Slot].I == 0;
+      break;
+    case Op::CopyI:
+      S[O.Dest].I = S[O.A.Slot].I;
+      break;
+    case Op::CopyR:
+      S[O.Dest].R = realOf(S, O.A);
+      break;
+    case Op::IntToReal:
+      S[O.Dest].R = static_cast<double>(S[O.A.Slot].I);
+      break;
+    case Op::RealToInt:
+      S[O.Dest].I = static_cast<int64_t>(realOf(S, O.A));
+      break;
+    case Op::Load: {
+      ArrayStorage *A = nullptr;
       size_t Off = 0;
-      if (!flattenIndex(Fr, *A, I.Indices, Off)) {
-        fault(ExecResult::Status::HardFault,
-              "out-of-bounds access on array " +
-                  Syms.get(I.Array).Name +
-                  " (a range check should have fired)");
+      if (!locate(DF, Fr, O, A, Off))
         return;
-      }
       if (A->Elem == ScalarType::Real)
-        Fr.Scalars[I.Dest].R = A->Reals[Off];
+        S[O.Dest].R = A->Reals[Off];
       else
-        Fr.Scalars[I.Dest].I = A->Ints[Off];
+        S[O.Dest].I = A->Ints[Off];
       if (P)
-        P->noteAccess(PFn, I.Array, /*IsStore=*/false);
-      ++Idx;
+        P->noteAccess(PFn, O.Array, /*IsStore=*/false);
       break;
     }
-    case Opcode::Store: {
-      ArrayStorage *A = Fr.Arrays[I.Array];
-      if (!A) {
-        fault(ExecResult::Status::HardFault, "unbound array parameter");
-        return;
-      }
+    case Op::Store: {
+      ArrayStorage *A = nullptr;
       size_t Off = 0;
-      if (!flattenIndex(Fr, *A, I.Indices, Off)) {
-        fault(ExecResult::Status::HardFault,
-              "out-of-bounds store on array " + Syms.get(I.Array).Name +
-                  " (a range check should have fired)");
+      if (!locate(DF, Fr, O, A, Off))
         return;
-      }
       if (A->Elem == ScalarType::Real)
-        A->Reals[Off] = realOf(Fr, I.Operands[0]);
+        A->Reals[Off] = realOf(S, O.A);
       else
-        A->Ints[Off] = intOf(Fr, I.Operands[0]);
+        A->Ints[Off] = S[O.A.Slot].I;
       if (P)
-        P->noteAccess(PFn, I.Array, /*IsStore=*/true);
-      ++Idx;
+        P->noteAccess(PFn, O.Array, /*IsStore=*/true);
       break;
     }
-    case Opcode::Check: {
-      bool Holds = checkHolds(Fr, I.Check);
-      if (P)
-        P->noteCheck(PFn, Cur, static_cast<uint32_t>(Idx), !Holds);
-      if (!Holds) {
-        fault(ExecResult::Status::Trapped, checkFailureMessage(Fr, I));
-        return;
+    case Op::Check:
+    case Op::CondCheck: {
+      ++R.DynChecks;
+      bool Traps;
+      if (O.Code == Op::Check) {
+        Traps = !holds(S, Terms, O.Check);
+      } else {
+        ++R.DynCondChecks;
+        bool GuardsHold = true;
+        for (uint32_t K = O.Begin; K != O.End; ++K)
+          if (!holds(S, Terms, DF.Guards[K])) {
+            GuardsHold = false;
+            break;
+          }
+        Traps = GuardsHold && !holds(S, Terms, O.Check);
       }
-      ++Idx;
-      break;
-    }
-    case Opcode::CondCheck: {
-      bool GuardsHold = true;
-      for (const CheckExpr &G : I.Guards)
-        if (!checkHolds(Fr, G)) {
-          GuardsHold = false;
-          break;
-        }
-      bool Traps = GuardsHold && !checkHolds(Fr, I.Check);
       if (P)
-        P->noteCheck(PFn, Cur, static_cast<uint32_t>(Idx), Traps);
+        P->noteCheck(PFn, O.Block, O.Index, Traps);
       if (Traps) {
-        fault(ExecResult::Status::Trapped, checkFailureMessage(Fr, I));
+        fault(ExecResult::Status::Trapped,
+              checkFailureMessage(*DF.F, *O.Src));
         return;
       }
-      ++Idx;
       break;
     }
-    case Opcode::Trap:
+    case Op::Trap:
       fault(ExecResult::Status::Trapped,
             "trap instruction reached (compile-time range violation)");
       return;
-    case Opcode::Br:
-      Cur = intOf(Fr, I.Operands[0]) != 0 ? I.TrueTarget : I.FalseTarget;
-      Idx = 0;
+    case Op::Br:
+    case Op::Jump: {
+      BlockID To = O.Code == Op::Jump || S[O.A.Slot].I != 0 ? O.TrueBlock
+                                                            : O.FalseBlock;
+      PC = Ops + DF.BlockStart[To];
       if (P)
-        P->enterBlock(PFn, Cur, PFS);
+        P->enterBlock(PFn, To, PFS);
       break;
-    case Opcode::Jump:
-      Cur = I.TrueTarget;
-      Idx = 0;
-      if (P)
-        P->enterBlock(PFn, Cur, PFS);
-      break;
-    case Opcode::Ret:
-      if (!I.Operands.empty()) {
-        if (F.resultType() == ScalarType::Real)
-          ResultOut.R = realOf(Fr, I.Operands[0]);
-        else
-          ResultOut.I = intOf(Fr, I.Operands[0]);
-      }
+    }
+    case Op::Ret:
       return;
-    case Opcode::Call: {
-      const Function *Callee = M.function(I.Callee);
-      if (!Callee) {
+    case Op::RetI:
+      ResultOut.I = S[O.A.Slot].I;
+      return;
+    case Op::RetR:
+      ResultOut.R = realOf(S, O.A);
+      return;
+    case Op::Call:
+    case Op::CallI:
+    case Op::CallR: {
+      if (!O.Callee) {
         fault(ExecResult::Status::HardFault,
-              "call to unknown function " + I.Callee);
+              "call to unknown function " + O.Src->Callee);
         return;
       }
-      Frame Sub = makeFrame(*Callee);
-      // Marshal arguments: scalars by value (with conversion), arrays by
-      // reference.
-      for (size_t K = 0; K != I.Operands.size(); ++K) {
-        SymbolID P = Callee->params()[K];
-        const Symbol &PS = Callee->symbols().get(P);
-        if (PS.isArray()) {
-          Sub.Arrays[P] = Fr.Arrays[I.Operands[K].symbol()];
-        } else if (PS.Type == ScalarType::Real) {
-          Sub.Scalars[P].R = realOf(Fr, I.Operands[K]);
-        } else {
-          Sub.Scalars[P].I = intOf(Fr, I.Operands[K]);
+      Frame Sub = makeFrame(*O.Callee);
+      for (uint32_t K = O.Begin; K != O.End; ++K) {
+        const Argument &Arg = DF.Args[K];
+        switch (Arg.K) {
+        case Argument::Kind::Array:
+          Sub.Arrays[Arg.Param] = Fr.Arrays[Arg.From.Slot];
+          break;
+        case Argument::Kind::Real:
+          Sub.Cells[Arg.Param].R = realOf(S, Arg.From);
+          break;
+        case Argument::Kind::Int:
+          Sub.Cells[Arg.Param].I = S[Arg.From.Slot].I;
+          break;
         }
       }
       Cell Result;
-      execute(Sub, Result, Depth + 1);
+      execute(*O.Callee, Sub, Result, Depth + 1);
       if (halted())
         return;
-      if (I.Dest != InvalidSymbol) {
-        if (Syms.get(I.Dest).Type == ScalarType::Real)
-          Fr.Scalars[I.Dest].R = Result.R;
-        else
-          Fr.Scalars[I.Dest].I = Result.I;
-      }
-      ++Idx;
+      if (O.Code == Op::CallR)
+        S[O.Dest].R = Result.R;
+      else if (O.Code == Op::CallI)
+        S[O.Dest].I = Result.I;
       break;
     }
-    case Opcode::Print: {
-      const Value &V = I.Operands[0];
-      std::string S;
-      if (operandIsReal(Fr, V))
-        S = formatString("%.6g", realOf(Fr, V));
-      else if (V.isSym() &&
-               Syms.get(V.symbol()).Type == ScalarType::Bool)
-        S = intOf(Fr, V) ? "T" : "F";
-      else
-        S = std::to_string(intOf(Fr, V));
-      R.Output.push_back(std::move(S));
-      ++Idx;
+    case Op::PrintI:
+      R.Output.push_back(std::to_string(S[O.A.Slot].I));
       break;
-    }
+    case Op::PrintR:
+      R.Output.push_back(formatString("%.6g", realOf(S, O.A)));
+      break;
+    case Op::PrintBool:
+      R.Output.push_back(S[O.A.Slot].I ? "T" : "F");
+      break;
+    case Op::FellOff:
+      fault(ExecResult::Status::HardFault,
+            "fell off the end of block bb" + std::to_string(O.Block));
+      return;
     }
   }
 }
@@ -573,8 +810,12 @@ ExecResult nascent::interpret(const Module &M, const InterpOptions &Opts) {
     R.FaultMessage = "module has no entry function";
     return R;
   }
-  Executor E(M, Opts, R);
-  E.runEntry(*Entry);
+  obs::ExecutionProfile *Prof =
+      Opts.Profile && Opts.Profile->attached() ? Opts.Profile : nullptr;
+  Decoder D(M, Prof);
+  const DecodedFunction &DEntry = D.decodeFrom(*Entry);
+  Executor E(Opts, R, Prof);
+  E.runEntry(DEntry);
   if (Opts.Profile && Opts.Profile->attached())
     Opts.Profile->noteRun(R.St == ExecResult::Status::Trapped);
   ++NumRuns;

@@ -78,14 +78,6 @@ void LinearExpr::substitute(SymbolID Sym, const LinearExpr &Replacement) {
     *this += Replacement.scaled(C);
 }
 
-int64_t
-LinearExpr::evaluate(const std::function<int64_t(SymbolID)> &ValueOf) const {
-  int64_t V = Const;
-  for (const auto &[Sym, Coeff] : Terms)
-    V += Coeff * ValueOf(Sym);
-  return V;
-}
-
 std::string LinearExpr::str(const SymbolTable &Syms) const {
   if (Terms.empty())
     return std::to_string(Const);

@@ -101,9 +101,6 @@ public:
     return Terms;
   }
 
-  /// Evaluates with symbol values supplied by \p ValueOf.
-  int64_t evaluate(const std::function<int64_t(SymbolID)> &ValueOf) const;
-
   /// Renders e.g. "2*n - i + 3" using names from \p Syms; "0" when empty.
   std::string str(const SymbolTable &Syms) const;
 

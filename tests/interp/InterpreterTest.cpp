@@ -3,11 +3,15 @@
 /// \file
 /// Interpreter tests: arithmetic, control flow, arrays (including
 /// by-reference array parameters), traps, the instruction/check counters,
-/// and the execution limits.
+/// and the execution limits. The hand-built modules pin what the
+/// interpreter resolves before a run: mixed int/real operand types, exact
+/// step accounting, guarded checks and calls made from a loop.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
+
+#include "ir/IRBuilder.h"
 
 #include <gtest/gtest.h>
 
@@ -20,6 +24,23 @@ ExecResult runNaive(const std::string &Src) {
   CompileResult R = compileNaive(Src);
   return interpret(*R.M);
 }
+
+/// A one-function module built by hand, for IR the front end never emits
+/// (mixed-type operands) and for exact instruction counts.
+struct HandModule {
+  Module M;
+  Function *F = M.createFunction("main");
+  IRBuilder B{*F};
+
+  HandModule() {
+    M.setEntry("main");
+    B.setInsertBlock(B.createBlock("entry"));
+  }
+
+  SymbolID scalar(const std::string &Name, ScalarType Ty) {
+    return F->symbols().createScalar(Name, Ty);
+  }
+};
 
 TEST(Interpreter, IntegerArithmetic) {
   ExecResult E = runNaive(R"(
@@ -320,6 +341,209 @@ end program
   ExecResult E = interpret(*R.M);
   EXPECT_EQ(E.St, ExecResult::Status::Ok) << E.FaultMessage;
   EXPECT_EQ(E.Output, (std::vector<std::string>{"0"}));
+}
+
+TEST(Interpreter, MixedIntRealComparesAndCopies) {
+  HandModule H;
+  SymbolID I = H.scalar("i", ScalarType::Int);
+  SymbolID R = H.scalar("r", ScalarType::Real);
+  SymbolID RI = H.scalar("ri", ScalarType::Real);
+  SymbolID IR = H.scalar("ir", ScalarType::Int);
+  IRBuilder &B = H.B;
+  auto Cmp = [&](Opcode Op, Value A, Value C) {
+    B.emitPrint(B.emitBinary(Op, A, C, ScalarType::Bool));
+  };
+  B.emitCopy(I, Value::intConst(3));
+  B.emitCopy(R, Value::realConst(2.5));
+  // An int variable against a real one compares as reals.
+  Cmp(Opcode::CmpLT, Value::sym(I), Value::sym(R));
+  Cmp(Opcode::CmpGT, Value::sym(I), Value::sym(R));
+  // A real constant against an int variable, in both operand orders: the
+  // compare is promoted, so 3 < 3.5 and 3.0 == 3 hold.
+  Cmp(Opcode::CmpLT, Value::sym(I), Value::realConst(3.5));
+  Cmp(Opcode::CmpGT, Value::realConst(3.5), Value::sym(I));
+  Cmp(Opcode::CmpEQ, Value::realConst(3.0), Value::sym(I));
+  // An int constant against a real variable.
+  Cmp(Opcode::CmpLE, Value::intConst(2), Value::sym(R));
+  Cmp(Opcode::CmpGE, Value::intConst(3), Value::sym(R));
+  // Copy into a real converts an int variable or constant.
+  B.emitCopy(RI, Value::sym(I));
+  B.emitPrint(Value::sym(RI));
+  B.emitCopy(RI, Value::intConst(7));
+  B.emitPrint(Value::sym(RI));
+  // Copy into an int does not convert a real: it reads the integer member
+  // of the real cell, which no real write sets. RealToInt converts.
+  B.emitCopy(IR, Value::sym(R));
+  B.emitPrint(Value::sym(IR));
+  B.emitUnaryTo(IR, Opcode::RealToInt, Value::sym(R));
+  B.emitPrint(Value::sym(IR));
+  // Real arithmetic reads an int operand as a real.
+  B.emitBinaryTo(RI, Opcode::Add, Value::sym(I), Value::realConst(0.5));
+  B.emitPrint(Value::sym(RI));
+  B.emitRet();
+
+  ExecResult E = interpret(H.M);
+  ASSERT_EQ(E.St, ExecResult::Status::Ok) << E.FaultMessage;
+  EXPECT_EQ(E.Output,
+            (std::vector<std::string>{"F", "T", "T", "T", "T", "T", "T", "3",
+                                      "7", "0", "2", "3.5"}));
+}
+
+TEST(Interpreter, StepLimitStopsAtExactCount) {
+  // Copy (1), Check, Store to a rank-2 array (1 + 2*2), Copy (1), Ret (1):
+  // 8 instructions and 1 check in all. The limit is tested before each
+  // instruction, so the Store's cost of 5 can carry the count past it.
+  HandModule H;
+  SymbolID I = H.scalar("i", ScalarType::Int);
+  SymbolID J = H.scalar("j", ScalarType::Int);
+  ArrayShape Shape;
+  Shape.Element = ScalarType::Real;
+  Shape.Dims = {{1, 2}, {1, 2}};
+  SymbolID A = H.F->symbols().createArray("a", Shape);
+  H.B.emitCopy(I, Value::intConst(1));
+  H.B.emitCheck(CheckExpr(LinearExpr::term(I), 10));
+  H.B.emitStore(A, {Value::sym(I), Value::sym(I)}, Value::realConst(1.0));
+  H.B.emitCopy(J, Value::intConst(2));
+  H.B.emitRet();
+
+  struct Case {
+    uint64_t MaxSteps;
+    ExecResult::Status St;
+    uint64_t Instrs, Checks;
+  };
+  const Case Cases[] = {
+      {1, ExecResult::Status::StepLimit, 1, 0},
+      {2, ExecResult::Status::StepLimit, 1, 1},
+      {3, ExecResult::Status::StepLimit, 6, 1},
+      {7, ExecResult::Status::StepLimit, 6, 1},
+      {8, ExecResult::Status::StepLimit, 7, 1},
+      {9, ExecResult::Status::Ok, 8, 1},
+  };
+  for (const Case &C : Cases) {
+    InterpOptions IO;
+    IO.MaxSteps = C.MaxSteps;
+    ExecResult E = interpret(H.M, IO);
+    EXPECT_EQ(E.St, C.St) << "MaxSteps=" << C.MaxSteps;
+    EXPECT_EQ(E.DynInstrs, C.Instrs) << "MaxSteps=" << C.MaxSteps;
+    EXPECT_EQ(E.DynChecks, C.Checks) << "MaxSteps=" << C.MaxSteps;
+    EXPECT_EQ(E.FaultMessage, C.St == ExecResult::Status::StepLimit
+                                  ? "step limit exceeded"
+                                  : "");
+  }
+}
+
+TEST(Interpreter, IntegerDivisionAndModByZeroFault) {
+  for (Opcode Op : {Opcode::Div, Opcode::Mod}) {
+    HandModule H;
+    SymbolID A = H.scalar("a", ScalarType::Int);
+    SymbolID Z = H.scalar("z", ScalarType::Int);
+    H.B.emitCopy(A, Value::intConst(7));
+    H.B.emitCopy(Z, Value::intConst(0));
+    H.B.emitPrint(Value::sym(A));
+    H.B.emitPrint(H.B.emitBinary(Op, Value::sym(A), Value::sym(Z),
+                                 ScalarType::Int));
+    H.B.emitRet();
+
+    ExecResult E = interpret(H.M);
+    EXPECT_EQ(E.St, ExecResult::Status::HardFault);
+    EXPECT_EQ(E.FaultMessage, Op == Opcode::Div ? "integer division by zero"
+                                                : "mod by zero");
+    EXPECT_EQ(E.DynInstrs, 4u); // two copies, the print, the faulting op
+    EXPECT_EQ(E.DynChecks, 0u);
+    EXPECT_EQ(E.Output, (std::vector<std::string>{"7"}));
+  }
+}
+
+TEST(Interpreter, CondCheckFirstGuardFalseSkipsPayload) {
+  // Guards (n <= 4) and (n <= 100) guard the payload (n <= 1). With n = 5
+  // the first guard is false, so the check executes and counts but does
+  // not trap; with n = 3 both guards hold and the failing payload traps.
+  for (int64_t NValue : {5, 3}) {
+    HandModule H;
+    SymbolID N = H.scalar("n", ScalarType::Int);
+    H.B.emitCopy(N, Value::intConst(NValue));
+    H.B.emitCondCheck({CheckExpr(LinearExpr::term(N), 4),
+                       CheckExpr(LinearExpr::term(N), 100)},
+                      CheckExpr(LinearExpr::term(N), 1));
+    H.B.emitPrint(Value::sym(N));
+    H.B.emitRet();
+
+    ExecResult E = interpret(H.M);
+    EXPECT_EQ(E.DynChecks, 1u);
+    EXPECT_EQ(E.DynCondChecks, 1u);
+    if (NValue == 5) {
+      ASSERT_EQ(E.St, ExecResult::Status::Ok) << E.FaultMessage;
+      EXPECT_EQ(E.Output, (std::vector<std::string>{"5"}));
+      EXPECT_EQ(E.DynInstrs, 3u);
+    } else {
+      EXPECT_EQ(E.St, ExecResult::Status::Trapped);
+      EXPECT_EQ(E.FaultMessage, "range check failed: Check(n <= 1)");
+      EXPECT_TRUE(E.Output.empty());
+      EXPECT_EQ(E.DynInstrs, 1u);
+    }
+  }
+}
+
+TEST(Interpreter, CheckEvaluatesLinearExpression) {
+  // Check(2*i - n + 10 <= B) with i = 4, n = 3: the expression is 15, so
+  // the check holds at B = 15 and traps at B = 14.
+  for (int64_t Bound : {15, 14}) {
+    HandModule H;
+    SymbolID I = H.scalar("i", ScalarType::Int);
+    H.scalar("j", ScalarType::Int);
+    SymbolID N = H.scalar("n", ScalarType::Int);
+    LinearExpr E = LinearExpr::term(I, 2) + LinearExpr::term(N, -1) +
+                   LinearExpr::constant(10);
+    H.B.emitCopy(I, Value::intConst(4));
+    H.B.emitCopy(N, Value::intConst(3));
+    H.B.emitCheck(CheckExpr(E, Bound));
+    H.B.emitRet();
+
+    ExecResult R = interpret(H.M);
+    EXPECT_EQ(R.DynChecks, 1u);
+    if (Bound == 15) {
+      EXPECT_EQ(R.St, ExecResult::Status::Ok) << R.FaultMessage;
+    } else {
+      EXPECT_EQ(R.St, ExecResult::Status::Trapped);
+      EXPECT_EQ(R.FaultMessage, "range check failed: Check(2*i - n <= 4)");
+    }
+  }
+}
+
+TEST(Interpreter, CallInLoopWithArrayAndScalarArgs) {
+  const char *Src = R"(
+program p
+  real v(10)
+  integer k
+  do k = 1, 2000
+    call bump(v, mod(k, 10) + 1, 0.5)
+  end do
+  print v(3)
+  print total(v, 10)
+end program
+subroutine bump(a, j, d)
+  real a(10), d
+  integer j
+  a(j) = a(j) + d
+end subroutine
+function total(a, n) : real
+  real a(10), t
+  integer n, i
+  t = 0.0
+  do i = 1, n
+    t = t + a(i)
+  end do
+  return t
+end function
+)";
+  ExecResult Naive = runNaive(Src);
+  ASSERT_EQ(Naive.St, ExecResult::Status::Ok) << Naive.FaultMessage;
+  EXPECT_EQ(Naive.Output, (std::vector<std::string>{"100", "1000"}));
+  // 2000 calls x 4 subscript checks, 2 more for v(3), 10 x 2 in total().
+  EXPECT_EQ(Naive.DynChecks, 8022u);
+  ExecResult Opt = interpret(
+      *compileWithScheme(Src, PlacementScheme::LLS).M);
+  expectBehaviorPreserved(Naive, Opt, "LLS");
 }
 
 } // namespace
