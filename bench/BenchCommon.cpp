@@ -83,35 +83,46 @@ MeasuredRun nascent::bench::measureProgram(const SuiteProgram &Program,
 }
 
 bool nascent::bench::parseBenchFlags(int Argc, char **Argv, BenchFlags &Out) {
-  auto Usage = [Argv] {
-    std::fprintf(
-        stderr,
-        "usage: %s [--json] [--tiny] [--reps N] [--warmup N] [--jobs N]\n",
-        Argv[0]);
+  // The integer flags share the strict --jobs parser, so "--reps 2x" or
+  // "--jobs abc" is rejected instead of read as 2 or 0.
+  auto Count = [Argv](const char *Flag, const char *Text, unsigned &N) {
+    if (parseJobCount(Text, N))
+      return true;
+    std::fprintf(stderr,
+                 "%s: invalid %s value '%s' (expected a non-negative "
+                 "integer)\n",
+                 Argv[0], Flag, Text);
     return false;
   };
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--json") == 0)
+    const char *Arg = Argv[I];
+    unsigned N = 0;
+    if (std::strcmp(Arg, "--json") == 0)
       Out.Json = true;
-    else if (std::strcmp(Argv[I], "--tiny") == 0)
+    else if (std::strcmp(Arg, "--tiny") == 0)
       Out.Tiny = true;
-    else if (std::strcmp(Argv[I], "--reps") == 0 && I + 1 < Argc) {
-      long N = std::atol(Argv[++I]);
-      if (N < 1)
-        return Usage();
-      Out.Reps = static_cast<unsigned>(N);
-    } else if (std::strcmp(Argv[I], "--warmup") == 0 && I + 1 < Argc) {
-      long N = std::atol(Argv[++I]);
-      if (N < 0)
-        return Usage();
-      Out.Warmup = static_cast<unsigned>(N);
-    } else if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc) {
-      long N = std::atol(Argv[++I]);
-      if (N < 0)
-        return Usage();
-      Out.Jobs = resolveJobCount(static_cast<unsigned>(N));
-    } else
-      return Usage();
+    else if (std::strcmp(Arg, "--reps") == 0 && I + 1 < Argc) {
+      if (!Count(Arg, Argv[++I], N))
+        return false;
+      if (N < 1) {
+        std::fprintf(stderr, "%s: --reps must be at least 1\n", Argv[0]);
+        return false;
+      }
+      Out.Reps = N;
+    } else if (std::strcmp(Arg, "--warmup") == 0 && I + 1 < Argc) {
+      if (!Count(Arg, Argv[++I], Out.Warmup))
+        return false;
+    } else if (std::strcmp(Arg, "--jobs") == 0 && I + 1 < Argc) {
+      if (!Count(Arg, Argv[++I], N))
+        return false;
+      Out.Jobs = resolveJobCount(N);
+    } else {
+      std::fprintf(stderr,
+                   "usage: %s [--json] [--tiny] [--reps N] [--warmup N] "
+                   "[--jobs N]\n",
+                   Argv[0]);
+      return false;
+    }
   }
   return true;
 }

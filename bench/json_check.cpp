@@ -4,7 +4,7 @@
 /// json_check: runs a command, captures its stdout, and verifies the
 /// output is a single well-formed bench document — not just parsable
 /// JSON, but a known schemaVersion with every required envelope field
-/// (harness, env, config) and a plausible runs/googleBenchmark payload
+/// (harness, env, config) and a plausible "runs" payload
 /// (obs/BenchSchema.h). The bench-smoke CTest entries use it to validate
 /// every harness's --json mode:
 ///

@@ -4,8 +4,8 @@
 /// Reproduces Table 2 of the paper: percentage of dynamic range checks
 /// eliminated by the seven check placement schemes (NI, CS, LNI, SE, LI,
 /// LLS, ALL) on both kinds of checks (PRX and INX), plus the compile-time
-/// cost columns ("Range" = optimizer CPU seconds, "Total" = whole
-/// pipeline seconds, summed over the ten programs).
+/// cost columns ("Range" = optimizer wall seconds, "Total" = whole
+/// pipeline wall seconds, summed over the ten programs).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -29,6 +29,7 @@
 #include "obs/BenchSchema.h"
 #include "obs/Json.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,6 +49,23 @@ void usage() {
       "       benchdiff --check --baseline BASELINE [--current FILE]\n"
       "                 [--report PATH] [--time-margin F] [--min-time S]\n"
       "                 [-- CMD [ARGS...]]\n");
+}
+
+/// Reads a non-negative finite number; the whole of \p Text must be
+/// consumed, so "abc", "0.1x" and "-5" are diagnosed instead of being
+/// read as 0, 0.1 or -5.
+bool parseNonNegative(const char *Flag, const char *Text, double &Out) {
+  char *End = nullptr;
+  double V = std::strtod(Text, &End);
+  if (End == Text || *End != '\0' || !std::isfinite(V) || V < 0) {
+    std::fprintf(stderr,
+                 "benchdiff: invalid %s value '%s' (expected a non-negative "
+                 "number)\n",
+                 Flag, Text);
+    return false;
+  }
+  Out = V;
+  return true;
 }
 
 bool readFile(const std::string &Path, std::string &Out, std::string *Err) {
@@ -129,9 +147,11 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(Arg, "--report") == 0 && I + 1 < argc) {
       ReportPath = argv[++I];
     } else if (std::strcmp(Arg, "--time-margin") == 0 && I + 1 < argc) {
-      Opts.TimeMargin = std::atof(argv[++I]);
+      if (!parseNonNegative(Arg, argv[++I], Opts.TimeMargin))
+        return 2;
     } else if (std::strcmp(Arg, "--min-time") == 0 && I + 1 < argc) {
-      Opts.MinTimeSeconds = std::atof(argv[++I]);
+      if (!parseNonNegative(Arg, argv[++I], Opts.MinTimeSeconds))
+        return 2;
     } else if (std::strcmp(Arg, "--") == 0) {
       for (int J = I + 1; J < argc; ++J)
         Cmd.push_back(argv[J]);

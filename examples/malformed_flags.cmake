@@ -1,10 +1,13 @@
-# Malformed-flag gate for the telemetry switches of mfc and sweep: a
-# -remarks regex that does not compile and an -explain number that does
-# not fit a line/column/tag must each be rejected with exit code 2 and one
-# diagnostic on stderr, never by an uncaught exception (a signal). Run with
+# Malformed-flag gate: a -remarks regex that does not compile, an -explain
+# number that does not fit a line/column/tag, a bench harness count that is
+# not a non-negative integer and a benchdiff margin that is not a
+# non-negative number must each be rejected with exit code 2 and one
+# diagnostic on stderr, never by an uncaught exception (a signal) and never
+# by silently reading a prefix of the value. Run with
 #   cmake -DMFC=<path-to-mfc> -DSWEEP=<path-to-sweep> -DPROGRAM=<file.mf>
-#         -P malformed_flags.cmake
-foreach(var MFC SWEEP PROGRAM)
+#         -DTABLE2=<path-to-table2_schemes> -DBENCHDIFF=<path-to-benchdiff>
+#         -DBASELINE=<BENCH_*.json> -P malformed_flags.cmake
+foreach(var MFC SWEEP PROGRAM TABLE2 BENCHDIFF BASELINE)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "pass -D${var}=<path>")
   endif()
@@ -44,4 +47,24 @@ expect_rejected("sweep --remarks=(")
 execute_process(COMMAND ${SWEEP} "--remarks=["
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
 expect_rejected("sweep --remarks=[")
+# Each value below follows an otherwise valid command line, so only the
+# value itself can make the run fail.
+foreach(flag --jobs --reps --warmup)
+  foreach(value abc 2x -1)
+    execute_process(COMMAND ${TABLE2} --tiny ${flag} ${value}
+      RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    expect_rejected("table2_schemes ${flag} ${value}")
+  endforeach()
+endforeach()
+execute_process(COMMAND ${TABLE2} --tiny --reps 0
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_rejected("table2_schemes --reps 0")
+foreach(flag --time-margin --min-time)
+  foreach(value abc -5 0.1x nan)
+    execute_process(COMMAND ${BENCHDIFF} --check --baseline ${BASELINE}
+                            --current ${BASELINE} ${flag} ${value}
+      RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    expect_rejected("benchdiff ${flag} ${value}")
+  endforeach()
+endforeach()
 message(STATUS "${checked} malformed flag values rejected with exit code 2")

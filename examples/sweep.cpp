@@ -2,10 +2,16 @@
 ///
 /// \file
 /// sweep: batch-compiles the whole (program, scheme, implication-mode)
-/// matrix through BatchCompiler and summarises what each configuration
-/// did — static checks left in the IR, checks eliminated/hoisted, and the
-/// per-job work-proxy counters the batch engine captures (bit-vector word
-/// ops, dataflow block visits, CIG edges). It is the smallest driver that
+/// matrix through BatchCompiler with the trap-safety auditor on for every
+/// cell, and summarises what each configuration did — static checks left
+/// in the IR, checks eliminated/hoisted, and the per-job work-proxy
+/// counters the batch engine captures (bit-vector word ops, dataflow block
+/// visits, CIG edges) — plus the audit totals over the matrix. Any audit
+/// finding, compile failure or provenance reconcile failure is printed to
+/// stderr and makes the exit code 1: this is the CI gate behind the
+/// `check-audit` test label, so a change to the optimizer that silently
+/// weakens trap safety fails here even when no hand-written test
+/// exercises the broken placement. It is also the smallest driver that
 /// exercises the parallel compilation path end to end:
 ///
 ///   sweep --jobs 8          # fan the matrix across 8 workers
@@ -25,10 +31,9 @@
 /// Results are consumed in submission order and no job count is echoed
 /// into the document, so the output is bit-identical for every --jobs
 /// value (timing columns aside; --profile drops them so its whole output
-/// is byte-identical across job counts) — the same determinism contract
-/// audit_all relies on (docs/parallelism.md). The remark and provenance
-/// streams inherit the contract: each job buffers into its own
-/// collectors, and sweep flushes the buffers in submission order, so
+/// is byte-identical across job counts; docs/parallelism.md). The remark
+/// and provenance streams inherit the contract: each job buffers into its
+/// own collectors, and sweep flushes the buffers in submission order, so
 /// `--jobs N` output matches a serial run byte for byte.
 ///
 //===----------------------------------------------------------------------===//
@@ -192,6 +197,7 @@ int main(int argc, char **argv) {
         PipelineOptions PO;
         PO.Opt.Scheme = Scheme;
         PO.Opt.Implications = Mode;
+        PO.Audit = true;
         PO.Cache.Enabled = UseCache;
         PO.Telemetry.Trace = !TracePath.empty();
         PO.Telemetry.Profile = Profile;
@@ -274,6 +280,7 @@ int main(int argc, char **argv) {
   }
 
   unsigned Failures = 0;
+  AuditStats Audit;
   std::map<std::pair<std::string, std::string>, ConfigSummary> Summaries;
   for (size_t I = 0; I != Results.size(); ++I) {
     const RunKey &K = Keys[I];
@@ -340,12 +347,26 @@ int main(int argc, char **argv) {
         ++Failures;
       }
     }
+    Audit += R.Audit.stats();
+    if (!R.Audit.clean()) {
+      std::fprintf(stderr, "sweep: %s scheme=%s impl=%s audit FAILED\n%s",
+                   K.Program.c_str(), placementSchemeName(K.Scheme),
+                   implicationModeName(K.Mode), R.Audit.render().c_str());
+      ++Failures;
+    }
   }
 
   if (Json) {
     W.endArray();
-    W.kv("runs", static_cast<uint64_t>(Results.size()));
     W.kv("failures", Failures);
+    W.key("audit");
+    W.beginObject();
+    W.kv("checks", Audit.ChecksAudited);
+    W.kv("condchecks", Audit.CondChecksAudited);
+    W.kv("traps", Audit.TrapsAudited);
+    W.kv("covered", Audit.OriginalChecksCovered);
+    W.kv("facts", Audit.FactsValidated);
+    W.endObject();
     W.key("configs");
     W.beginArray();
     for (const auto &[Key, S] : Summaries) {
@@ -380,8 +401,11 @@ int main(int argc, char **argv) {
     return Failures ? 1 : 0;
   }
 
-  std::printf("sweep: %zu compilations, %u failures\n\n", Results.size(),
-              Failures);
+  std::printf("sweep: %zu compilations, %u failures\n"
+              "audit: checks=%u condchecks=%u traps=%u covered=%u facts=%u\n\n",
+              Results.size(), Failures, Audit.ChecksAudited,
+              Audit.CondChecksAudited, Audit.TrapsAudited,
+              Audit.OriginalChecksCovered, Audit.FactsValidated);
   std::vector<std::string> Cols = {"scheme",   "impl",     "static",
                                    "deleted",  "inserted", "word ops"};
   if (Profile) {

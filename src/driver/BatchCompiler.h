@@ -3,8 +3,8 @@
 /// \file
 /// Batch compilation: fan a vector of (source, PipelineOptions) jobs
 /// across a ThreadPool and return the results in submission order. This
-/// is the engine behind `audit_all --jobs N`, the bench suite sweeps, and
-/// the `sweep` example.
+/// is the engine behind `sweep --jobs N` (the audit matrix) and the bench
+/// suite sweeps.
 ///
 /// Determinism contract (docs/parallelism.md): each job is a pure
 /// function of its (source, options) pair — compileSource shares no
@@ -79,7 +79,8 @@ private:
 unsigned resolveJobCount(unsigned Requested);
 
 /// Strictly parses a --jobs flag value: a string of decimal digits,
-/// where 0 means "auto-detect hardware concurrency".
+/// where 0 means "auto-detect hardware concurrency". The bench harnesses
+/// read their other count flags (--reps, --warmup) with it too.
 /// Returns false — leaving \p Out untouched — for empty, negative,
 /// non-numeric, trailing-garbage, or overflowing text, so drivers can
 /// diagnose "--jobs -3" and "--jobs fast" instead of silently taking

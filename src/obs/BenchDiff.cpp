@@ -29,19 +29,6 @@ std::string runKeyPrefix(const JsonValue &Elem) {
   return Prefix;
 }
 
-double timeUnitSeconds(const JsonValue &Entry) {
-  const JsonValue *Unit = Entry.get("time_unit");
-  if (!Unit || !Unit->isString())
-    return 1e-9; // google-benchmark's default unit
-  if (Unit->String == "ns")
-    return 1e-9;
-  if (Unit->String == "us")
-    return 1e-6;
-  if (Unit->String == "ms")
-    return 1e-3;
-  return 1.0;
-}
-
 void extractTableRun(const JsonValue &Elem, std::vector<BenchMetric> &Out) {
   const JsonValue *Run = Elem.get("run");
   if (!Run || !Run->isObject())
@@ -79,36 +66,6 @@ void extractTableRun(const JsonValue &Elem, std::vector<BenchMetric> &Out) {
   }
 }
 
-void extractGoogleBenchmark(const JsonValue &Google,
-                            std::vector<BenchMetric> &Out) {
-  const JsonValue *Benchmarks = Google.get("benchmarks");
-  if (!Benchmarks || !Benchmarks->isArray())
-    return;
-  for (const JsonValue &Entry : Benchmarks->Array) {
-    if (!Entry.isObject())
-      continue;
-    // Gate only the median aggregates: single-repetition entries carry no
-    // location estimate worth comparing.
-    const JsonValue *Aggregate = Entry.get("aggregate_name");
-    if (!Aggregate || !Aggregate->isString() ||
-        Aggregate->String != "median")
-      continue;
-    const JsonValue *Name = Entry.get("run_name");
-    if (!Name || !Name->isString())
-      Name = Entry.get("name");
-    if (!Name || !Name->isString())
-      continue;
-    double Unit = timeUnitSeconds(Entry);
-    if (const JsonValue *V = Entry.get("cpu_time"); V && V->isNumber())
-      Out.push_back({Name->String + "/cpu_time", MetricKind::TimeSeconds,
-                     V->Number * Unit, V->Number * Unit, V->Number * Unit});
-    if (const JsonValue *V = Entry.get("real_time"); V && V->isNumber())
-      Out.push_back({Name->String + "/real_time",
-                     MetricKind::Informational, V->Number * Unit,
-                     V->Number * Unit, V->Number * Unit});
-  }
-}
-
 } // namespace
 
 std::vector<BenchMetric>
@@ -120,9 +77,6 @@ nascent::obs::extractBenchMetrics(const JsonValue &Doc) {
     for (const JsonValue &Elem : Runs->Array)
       if (Elem.isObject())
         extractTableRun(Elem, Out);
-  if (const JsonValue *Google = Doc.get("googleBenchmark");
-      Google && Google->isObject())
-    extractGoogleBenchmark(*Google, Out);
   return Out;
 }
 

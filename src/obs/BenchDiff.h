@@ -2,14 +2,9 @@
 ///
 /// \file
 /// The noise-aware bench comparison engine behind `examples/benchdiff`.
-/// Two document flavours are understood (both stamped with the
-/// obs/BenchSchema.h envelope):
-///
-///  - table-harness documents: a "runs" array whose elements carry the
-///    measured counts, the timing SampleStats blocks, and the "work"
-///    object of per-rep StatRegistry deltas;
-///  - wrapped google-benchmark documents: a "googleBenchmark" object with
-///    the stock "benchmarks" array.
+/// It reads the harness documents of obs/BenchSchema.h: a "runs" array
+/// whose elements carry the measured counts, the timing SampleStats
+/// blocks, and the "work" object of per-rep StatRegistry deltas.
 ///
 /// The comparison discipline mirrors the two kinds of signal:
 ///
@@ -54,7 +49,7 @@ struct BenchMetric {
   MetricKind Kind = MetricKind::ExactCount;
   double Value = 0;
   /// Bootstrap interval for TimeSeconds metrics; equal to Value when the
-  /// source had no interval (n == 1, google-benchmark medians).
+  /// source had no interval (n == 1).
   double CiLow = 0;
   double CiHigh = 0;
 };

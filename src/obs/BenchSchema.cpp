@@ -177,30 +177,18 @@ bool nascent::obs::validateBenchDocument(const JsonValue &Doc,
   }
 
   const JsonValue *Runs = Doc.get("runs");
-  const JsonValue *Google = Doc.get("googleBenchmark");
-  if (!Runs && !Google)
-    return fail(Err, "document has neither 'runs' nor 'googleBenchmark'");
-  if (Runs) {
-    if (!Runs->isArray())
-      return fail(Err, "'runs' is not an array");
-    for (size_t I = 0; I != Runs->Array.size(); ++I) {
-      const JsonValue &Elem = Runs->Array[I];
-      if (!Elem.isObject())
-        return fail(Err, "runs[" + std::to_string(I) + "] is not an object");
-      const JsonValue *Run = Elem.get("run");
-      if (!Run)
-        return fail(Err, "runs[" + std::to_string(I) +
-                             "] missing object field 'run'");
-      if (!validateRunObject(*Run, I, Err))
-        return false;
-    }
-  }
-  if (Google) {
-    if (!Google->isObject())
-      return fail(Err, "'googleBenchmark' is not an object");
-    const JsonValue *Benchmarks = Google->get("benchmarks");
-    if (!Benchmarks || !Benchmarks->isArray())
-      return fail(Err, "googleBenchmark missing array field 'benchmarks'");
+  if (!Runs || !Runs->isArray())
+    return fail(Err, "missing array field 'runs'");
+  for (size_t I = 0; I != Runs->Array.size(); ++I) {
+    const JsonValue &Elem = Runs->Array[I];
+    if (!Elem.isObject())
+      return fail(Err, "runs[" + std::to_string(I) + "] is not an object");
+    const JsonValue *Run = Elem.get("run");
+    if (!Run)
+      return fail(Err, "runs[" + std::to_string(I) +
+                           "] missing object field 'run'");
+    if (!validateRunObject(*Run, I, Err))
+      return false;
   }
   return true;
 }

@@ -3,7 +3,7 @@
 /// \file
 /// The versioned bench record schema. Every machine-readable document the
 /// project emits (`--json` harness output, `mfc -stats-json`,
-/// `audit_all --json`) is stamped with `schemaVersion`; bench documents
+/// `sweep --json`) is stamped with `schemaVersion`; bench documents
 /// additionally carry the harness name, an environment block (compiler,
 /// build type, flags, sanitizers, git revision, CPU), and the repetition
 /// config, so a baseline file read months later still says what produced
@@ -56,9 +56,8 @@ bool readBenchEnv(const JsonValue &V, BenchEnv &Out);
 
 /// Structural validation of one bench document: top-level object with a
 /// known schemaVersion, a harness name, an env block with every required
-/// field, a config block, and either a "runs" array (table harnesses,
-/// each element carrying a "run" object with the measured fields) or a
-/// "googleBenchmark" object (the wrapped google-benchmark harnesses).
+/// field, a config block, and a "runs" array whose elements each carry a
+/// "run" object with the measured fields.
 /// On failure returns false and describes the first problem in \p Err.
 bool validateBenchDocument(const JsonValue &Doc, std::string *Err);
 

@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <set>
 
 using namespace nascent;
 using namespace nascent::obs;
@@ -128,12 +129,6 @@ JsonWriter &JsonWriter::value(bool V) {
 JsonWriter &JsonWriter::null() {
   comma();
   Out += "null";
-  return *this;
-}
-
-JsonWriter &JsonWriter::rawValue(const std::string &Json) {
-  comma();
-  Out += Json;
   return *this;
 }
 
@@ -275,6 +270,7 @@ private:
     if (C == '{') {
       ++Pos;
       Out.K = JsonValue::Kind::Object;
+      std::set<std::string> Keys;
       skipWs();
       if (Pos < Text.size() && Text[Pos] == '}') {
         ++Pos;
@@ -285,6 +281,8 @@ private:
         std::string Key;
         if (!parseString(Key))
           return false;
+        if (!Keys.insert(Key).second)
+          return fail("duplicate key '" + Key + "'");
         skipWs();
         if (Pos >= Text.size() || Text[Pos] != ':')
           return fail("expected ':'");

@@ -46,11 +46,6 @@ public:
   JsonWriter &value(bool V);
   JsonWriter &null();
 
-  /// Splices \p Json — which must itself be one well-formed JSON value —
-  /// verbatim into the value position. Used to embed a captured
-  /// google-benchmark document inside the bench envelope.
-  JsonWriter &rawValue(const std::string &Json);
-
   /// key + value in one call.
   template <typename T> JsonWriter &kv(const std::string &K, T V) {
     key(K);
@@ -94,7 +89,8 @@ struct JsonValue {
 
 /// Parses \p Text into \p Out. On failure returns false and, when \p Err
 /// is non-null, describes the first error with its byte offset. Trailing
-/// non-whitespace after the document is an error.
+/// non-whitespace after the document and a key repeated within one object
+/// are errors.
 bool parseJson(const std::string &Text, JsonValue &Out,
                std::string *Err = nullptr);
 

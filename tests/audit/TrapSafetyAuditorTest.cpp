@@ -185,7 +185,7 @@ TEST(TrapSafetyAuditor, CatchesUnjustifiedTrapAndReplacedInstruction) {
 }
 
 TEST(TrapSafetyAuditor, PipelineAuditsSuiteCleanUnderEveryScheme) {
-  // The full 270-configuration sweep lives in examples/audit_all (label
+  // The full 270-configuration sweep lives in examples/sweep (label
   // check-audit); here a representative slice keeps unit runs fast.
   const SuiteProgram *P = &benchmarkSuite()[0];
   for (PlacementScheme Scheme :

@@ -329,25 +329,4 @@ TEST(BenchDiff, BaselineFileFormatRoundTrips) {
   EXPECT_EQ(R.NumEqual, R.Diffs.size());
 }
 
-TEST(BenchDiff, GoogleBenchmarkMediansAreExtracted) {
-  JsonValue Doc = parse(R"({
-    "schemaVersion": 1,
-    "harness": "bench_micro",
-    "googleBenchmark": {"benchmarks": [
-      {"name": "BM_X/median", "run_name": "BM_X",
-       "aggregate_name": "median", "time_unit": "ns",
-       "real_time": 100.0, "cpu_time": 90.0},
-      {"name": "BM_X", "run_name": "BM_X",
-       "real_time": 105.0, "cpu_time": 95.0}
-    ]}})");
-  std::vector<BenchMetric> Ms = extractBenchMetrics(Doc);
-  // Only the median aggregate contributes; the raw repetition is skipped.
-  ASSERT_EQ(Ms.size(), 2u);
-  EXPECT_EQ(Ms[0].Key, "BM_X/cpu_time");
-  EXPECT_EQ(Ms[0].Kind, MetricKind::TimeSeconds);
-  EXPECT_DOUBLE_EQ(Ms[0].Value, 90.0 * 1e-9);
-  EXPECT_EQ(Ms[1].Key, "BM_X/real_time");
-  EXPECT_EQ(Ms[1].Kind, MetricKind::Informational);
-}
-
 } // namespace

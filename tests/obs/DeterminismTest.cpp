@@ -72,7 +72,7 @@ TEST(Determinism, SchemesAreDistinguishedByTheirDeltas) {
 TEST(Determinism, WorkCountersAreBitIdenticalAcrossJobCounts) {
   // The sharded registry's contract under BatchCompiler: the per-job
   // stat deltas and the whole-batch registry growth are the same for
-  // --jobs 1, 2, and 8. This is what lets audit_all --jobs N and the
+  // --jobs 1, 2, and 8. This is what lets sweep --jobs N and the
   // bench sweeps gate on exact counters regardless of worker count.
   const PlacementScheme Schemes[] = {
       PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
@@ -108,7 +108,7 @@ TEST(Determinism, ProvenanceJsonIsBitIdenticalAcrossJobCountsAndRuns) {
   // The lifecycle record carries no timestamps and is written in pass
   // order, so its serialised form must match byte for byte across
   // repeated runs and across BatchCompiler job counts — the contract the
-  // sweep/audit_all --provenance documents rely on.
+  // sweep --provenance documents rely on.
   const PlacementScheme Schemes[] = {
       PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
       PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,

@@ -66,6 +66,18 @@ TEST(Json, ParserRejectsGarbage) {
   EXPECT_FALSE(parseJson("", V));
 }
 
+TEST(Json, ParserRejectsRepeatedKey) {
+  JsonValue V;
+  std::string Err;
+  // The shape `sweep --json` once wrote: an array and a count under one key.
+  EXPECT_FALSE(parseJson("{\"runs\":[1,2],\"runs\":2}", V, &Err));
+  EXPECT_NE(Err.find("duplicate key 'runs'"), std::string::npos) << Err;
+  // Nested objects are checked on their own; equal keys in sibling
+  // objects are fine.
+  EXPECT_FALSE(parseJson("{\"a\":{\"b\":1,\"b\":1}}", V));
+  EXPECT_TRUE(parseJson("{\"a\":{\"b\":1},\"c\":{\"b\":1}}", V));
+}
+
 TEST(Json, RoundTrip) {
   JsonWriter W;
   W.beginObject();
