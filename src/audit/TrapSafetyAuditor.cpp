@@ -6,11 +6,8 @@
 #include "opt/CheckContext.h"
 #include "opt/IntervalAnalysis.h"
 
-#include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace nascent;
 
@@ -26,6 +23,25 @@ bool constFalse(const CheckExpr &C) {
 /// A fails whenever B fails: same range-expression, tighter-or-equal bound.
 bool asStrongAs(const CheckExpr &A, const CheckExpr &B) {
   return A.expr() == B.expr() && A.bound() <= B.bound();
+}
+
+/// True when some check of \p Bits is as strong as \p C. The candidates
+/// are exactly C's family members up to C's bound, so the family's bound
+/// order is walked instead of every set bit. The universe must key
+/// families by expression (any ImplicationMode but None).
+bool anyAsStrongAs(const CheckUniverse &U, const DenseBitVector &Bits,
+                   const CheckExpr &C) {
+  assert(!U.familyPerCheckMode() && "families must be keyed by expression");
+  FamilyID F = U.findFamily(C.expr());
+  if (F == InvalidFamily)
+    return false;
+  for (CheckID M : U.familyMembers(F)) {
+    if (U.check(M).bound() > C.bound())
+      return false;
+    if (Bits.test(M))
+      return true;
+  }
+  return false;
 }
 
 bool valueEq(const Value &A, const Value &B) {
@@ -58,19 +74,19 @@ bool valuesEq(const std::vector<Value> &A, const std::vector<Value> &B) {
 // the auditor re-derives every side condition rather than trusting the
 // optimizer's own bookkeeping.
 
-std::set<SymbolID> definedSymbols(const Function &F, const Loop &L) {
-  std::set<SymbolID> Out;
+DenseBitVector definedSymbols(const Function &F, const Loop &L) {
+  DenseBitVector Out(F.symbols().size());
   for (BlockID B : L.Blocks)
     for (const Instruction &I : F.block(B)->instructions())
       if (I.Dest != InvalidSymbol)
-        Out.insert(I.Dest);
+        Out.set(I.Dest);
   return Out;
 }
 
-bool exprInvariant(const LinearExpr &E, const std::set<SymbolID> &Defined) {
+bool exprInvariant(const LinearExpr &E, const DenseBitVector &Defined) {
   for (const auto &[Sym, Coeff] : E.terms()) {
     (void)Coeff;
-    if (Defined.count(Sym))
+    if (Sym < Defined.size() && Defined.test(Sym))
       return false;
   }
   return true;
@@ -130,7 +146,7 @@ LinearExpr substituteExtreme(const LinearExpr &Expr, SymbolID Var,
 struct LoopEnv {
   const DoLoopInfo *DL = nullptr;
   const Loop *L = nullptr;
-  std::set<SymbolID> Defined;
+  DenseBitVector Defined; ///< over the function's symbols
   bool EveryIterCompletes = false;
 };
 
@@ -141,6 +157,14 @@ struct Justification {
   CheckExpr J;
   std::vector<CheckExpr> Req;
 };
+
+size_t justificationHash(const CheckExpr &J,
+                         const std::vector<CheckExpr> &Req) {
+  size_t H = J.hash();
+  for (const CheckExpr &R : Req)
+    H = H * 31 + R.hash();
+  return H;
+}
 
 /// Per-block map from gap index to the program points of the original.
 /// Gap g is the run of check instructions before the g-th non-check
@@ -252,6 +276,13 @@ private:
     return F;
   }
 
+  /// Anchors a block-level finding that has no instruction of its own:
+  /// an instruction-less stand-in, so the finding has no location.
+  static const Instruction &noInstruction() {
+    static const Instruction None;
+    return None;
+  }
+
   std::string checkStr(const CheckExpr &C) const {
     return C.str(Opt.symbols());
   }
@@ -323,10 +354,15 @@ private:
       const DoLoopInfo &DL = *Env.DL;
       CheckExpr Guard = DL.entryGuard();
       std::vector<Justification> &Out = JustifiedAt[LIdx];
+      // Entry index by hash; only entries with an equal hash are compared.
+      std::unordered_multimap<size_t, size_t> ByHash;
       auto addEntry = [&](CheckExpr J, std::vector<CheckExpr> Req) {
-        for (const Justification &E : Out)
-          if (E.J == J && E.Req == Req)
+        size_t H = justificationHash(J, Req);
+        auto [Lo, Hi] = ByHash.equal_range(H);
+        for (auto It = Lo; It != Hi; ++It)
+          if (Out[It->second].J == J && Out[It->second].Req == Req)
             return;
+        ByHash.emplace(H, Out.size());
         Out.push_back({std::move(J), std::move(Req)});
       };
       // Base: checks anticipated at the body entry. If the guard holds,
@@ -340,10 +376,11 @@ private:
           // Invariant w.r.t. the header's definitions is enough: the
           // header redefines nothing (index updates live in the latch),
           // but be conservative and require full loop-invariance or a
-          // valid limit substitution.
+          // valid limit substitution. An invariant check transports to
+          // itself, so only a variant one needs the substitution.
           if (exprInvariant(A.expr(), Env.Defined))
             addEntry(A, {Guard});
-          if (std::optional<CheckExpr> T = transportOut(A, Env, true))
+          else if (std::optional<CheckExpr> T = transportOut(A, Env, true))
             if (!(*T == A))
               addEntry(*T, {Guard});
         });
@@ -378,39 +415,47 @@ private:
     }
   }
 
-  /// Per-position anticipatability of the original block: AnticAt[i] is
-  /// the set anticipated immediately before instruction i; AnticAt[n] is
-  /// the block's exit set.
-  std::vector<DenseBitVector> anticPositions(BlockID B) const {
+  /// Per-gap anticipatability of the original block: AnticAt[g] is the
+  /// set anticipated immediately before the first instruction of gap g
+  /// (the block's exit set for a gap starting past the end).
+  std::vector<DenseBitVector> anticAtGaps(BlockID B,
+                                          const GapInfo &Gaps) const {
     const auto &Insts = Orig.block(B)->instructions();
-    std::vector<DenseBitVector> At(Insts.size() + 1);
+    std::vector<DenseBitVector> At(Gaps.GapStart.size());
     DenseBitVector Cur = B < Antic.Out.size()
                              ? Antic.Out[B]
                              : DenseBitVector(OrigCtx.universe().size());
-    At[Insts.size()] = Cur;
-    for (size_t I = Insts.size(); I-- > 0;) {
-      OrigCtx.applyKill(Insts[I], Cur);
-      OrigCtx.applyAnticGen(B, I, Insts[I], Cur);
-      At[I] = Cur;
+    size_t G = At.size();
+    for (size_t I = Insts.size();; --I) {
+      if (G > 0 && Gaps.GapStart[G - 1] == I)
+        At[--G] = Cur;
+      if (I == 0)
+        break;
+      OrigCtx.applyKill(Insts[I - 1], Cur);
+      OrigCtx.applyAnticGen(B, I - 1, Insts[I - 1], Cur);
     }
     return At;
   }
 
-  /// Per-position availability of the original block: AvailAt[i] is the
-  /// set available immediately before instruction i.
-  std::vector<DenseBitVector> availPositions(BlockID B) const {
+  /// Per-gap availability of the original block: AvailAt[g] is the set
+  /// available immediately before the first instruction of gap g.
+  std::vector<DenseBitVector> availAtGaps(BlockID B,
+                                          const GapInfo &Gaps) const {
     const auto &Insts = Orig.block(B)->instructions();
-    std::vector<DenseBitVector> At(Insts.size() + 1);
+    std::vector<DenseBitVector> At(Gaps.GapStart.size());
     DenseBitVector Cur = B < Avail.In.size()
                              ? Avail.In[B]
                              : DenseBitVector(OrigCtx.universe().size());
     Cur |= OrigCtx.genInBits(B);
-    for (size_t I = 0; I != Insts.size(); ++I) {
-      At[I] = Cur;
+    size_t G = 0;
+    for (size_t I = 0;; ++I) {
+      if (G < At.size() && Gaps.GapStart[G] == I)
+        At[G++] = Cur;
+      if (I == Insts.size())
+        break;
       OrigCtx.applyKill(Insts[I], Cur);
       OrigCtx.applyAvailGen(B, I, Insts[I], Cur);
     }
-    At[Insts.size()] = Cur;
     return At;
   }
 
@@ -470,26 +515,14 @@ private:
   /// original was already doomed to trap.
   bool justifiedAnticipated(const DenseBitVector &AnticGap,
                             const CheckExpr &C) const {
-    bool Found = false;
-    AnticGap.forEachSetBit([&](size_t Bit) {
-      if (!Found &&
-          asStrongAs(OrigCtx.universe().check(static_cast<CheckID>(Bit)), C))
-        Found = true;
-    });
-    return Found;
+    return anyAsStrongAs(OrigCtx.universe(), AnticGap, C);
   }
 
   /// Rule (c): some check the original performs on every path to this gap
   /// is as strong as \p C — C can never fire first.
   bool justifiedAvailable(const DenseBitVector &AvailGap,
                           const CheckExpr &C) const {
-    bool Found = false;
-    AvailGap.forEachSetBit([&](size_t Bit) {
-      if (!Found &&
-          asStrongAs(OrigCtx.universe().check(static_cast<CheckID>(Bit)), C))
-        Found = true;
-    });
-    return Found;
+    return anyAsStrongAs(OrigCtx.universe(), AvailGap, C);
   }
 
   /// Rule (b): \p Payload sits in the preheader of original do-loop
@@ -655,15 +688,15 @@ private:
     const BasicBlock &OB = *Orig.block(B);
     const BasicBlock &PB = *Opt.block(B);
     GapInfo Gaps = computeGaps(OB);
-    std::vector<DenseBitVector> AnticAt = anticPositions(B);
-    std::vector<DenseBitVector> AvailAt = availPositions(B);
+    std::vector<DenseBitVector> AnticAt = anticAtGaps(B, Gaps);
+    std::vector<DenseBitVector> AvailAt = availAtGaps(B, Gaps);
     size_t RNc = 0; // non-checks matched so far == current gap index
     bool Truncated = false;
     for (size_t OI = 0; OI != PB.size(); ++OI) {
       const Instruction &I = PB.instructions()[OI];
       if (I.isRangeCheck()) {
-        const DenseBitVector &AnticGap = AnticAt[Gaps.GapStart[RNc]];
-        const DenseBitVector &AvailGap = AvailAt[Gaps.GapStart[RNc]];
+        const DenseBitVector &AnticGap = AnticAt[RNc];
+        const DenseBitVector &AvailGap = AvailAt[RNc];
         if (I.Op == Opcode::Check)
           auditPlainCheck(B, OI, I, AnticGap, AvailGap);
         else
@@ -678,7 +711,7 @@ private:
       if (I.Op == Opcode::Trap) {
         // Compile-time-false check folded into a trap, truncating the
         // block; everything after it in the original is unreachable.
-        auditTrap(B, OI, I, RNc, Gaps, AnticAt[Gaps.GapStart[RNc]]);
+        auditTrap(B, OI, I, RNc, Gaps, AnticAt[RNc]);
         TrapGap[B] = RNc;
         Truncated = true;
         break;
@@ -692,8 +725,13 @@ private:
       return;
     }
     if (!Truncated && RNc != Gaps.NcPos.size()) {
+      // An emptied optimized block is anchored at the original's
+      // terminator.
+      const Instruction &At = !PB.empty()        ? PB.instructions().back()
+                              : OB.hasTerminator() ? OB.terminator()
+                                                   : noInstruction();
       AuditFinding F = finding(
-          AuditRule::IrCorrespondence, B, PB.size(), PB.instructions().back(),
+          AuditRule::IrCorrespondence, B, PB.size(), At,
           "optimized block dropped non-check instructions of the original");
       Report.add(std::move(F));
       BlockOk[B] = false;
@@ -722,7 +760,8 @@ private:
     }
     if (T == InvalidBlock) {
       AuditFinding F = finding(
-          AuditRule::IrCorrespondence, NB, 0, BB.instructions().front(),
+          AuditRule::IrCorrespondence, NB, 0,
+          BB.empty() ? noInstruction() : BB.instructions().front(),
           "inserted block cannot be anchored to an edge of the original "
           "control-flow graph");
       Report.add(std::move(F));
@@ -818,15 +857,22 @@ private:
   /// Transports \p D from the innermost chain loop's body entry out to
   /// the head loop's preheader, substituting index extremes loop by loop.
   /// Completion is not required: at body entry the do-loop header test
-  /// already confines each index to its range.
-  std::optional<CheckExpr>
-  chainTransport(const CheckExpr &D, const std::vector<size_t> &Chain) const {
-    CheckExpr Cur = D;
+  /// already confines each index to its range. Returns \p D itself when it
+  /// is invariant in every chain loop, the substituted check (kept in
+  /// \p Storage) otherwise, and null when it cannot be transported.
+  const CheckExpr *chainTransport(const CheckExpr &D,
+                                  const std::vector<size_t> &Chain,
+                                  std::optional<CheckExpr> &Storage) const {
+    const CheckExpr *Cur = &D;
     for (size_t K = Chain.size(); K-- > 0;) {
-      std::optional<CheckExpr> T = transportOut(Cur, EnvOrig[Chain[K]], false);
+      const LoopEnv &Env = EnvOrig[Chain[K]];
+      if (exprInvariant(Cur->expr(), Env.Defined))
+        continue;
+      std::optional<CheckExpr> T = transportOut(*Cur, Env, false);
       if (!T)
-        return std::nullopt;
-      Cur = *T;
+        return nullptr;
+      Storage = std::move(*T);
+      Cur = &*Storage;
     }
     return Cur;
   }
@@ -836,17 +882,23 @@ private:
   /// themselves guarantee. These seed the direction-B availability.
   std::vector<PreheaderFact> collectFacts() {
     std::vector<PreheaderFact> Facts;
-    std::unordered_map<BlockID, std::unordered_set<CheckExpr, CheckExprHash>>
-        Seen;
-    auto addFact = [&](BlockID Body, const CheckExpr &D) {
-      if (Seen[Body].insert(D).second) {
-        Facts.push_back({Body, D});
+    const CheckUniverse &U = OrigCtx.universe();
+    // Facts already recorded, per body entry, by universe id.
+    std::unordered_map<BlockID, DenseBitVector> Seen;
+    auto addFact = [&](BlockID Body, CheckID D) {
+      DenseBitVector &Done =
+          Seen.try_emplace(Body, U.size()).first->second;
+      if (!Done.test(D)) {
+        Done.set(D);
+        Facts.push_back({Body, U.check(D)});
         ++Report.stats().FactsValidated;
       }
     };
-    std::vector<CheckExpr> Targets;
-    for (CheckID C = 0; C != OrigCtx.universe().size(); ++C)
-      Targets.push_back(OrigCtx.universe().check(C));
+    // Per chain: each universe check transported to the head preheader
+    // (null when it cannot be), computed once and read by both kinds of
+    // fact.
+    std::vector<std::optional<CheckExpr>> Storage(U.size());
+    std::vector<const CheckExpr *> Transported(U.size());
 
     std::vector<std::vector<size_t>> Chains;
     for (size_t I = 0; I != EnvOrig.size(); ++I)
@@ -857,13 +909,14 @@ private:
 
     for (const std::vector<size_t> &Chain : Chains) {
       BlockID Body = EnvOrig[Chain.back()].DL->BodyEntry;
+      for (CheckID D = 0; D != U.size(); ++D)
+        Transported[D] = chainTransport(U.check(D), Chain, Storage[D]);
       // Loop-semantics facts: substituting every chained index's extreme
       // leaves a statically-true check, so the header tests alone
       // guarantee D at the innermost body entry.
-      for (const CheckExpr &D : Targets)
-        if (std::optional<CheckExpr> T = chainTransport(D, Chain))
-          if (constTrue(*T))
-            addFact(Body, D);
+      for (CheckID D = 0; D != U.size(); ++D)
+        if (Transported[D] && constTrue(*Transported[D]))
+          addFact(Body, D);
       // Instruction facts: a (guarded) check physically in the head
       // preheader covers D when its payload is as strong as D's
       // transported form and each guard is an entry guard the chain's
@@ -902,10 +955,9 @@ private:
         }
         if (!GuardsOk)
           continue;
-        for (const CheckExpr &D : Targets)
-          if (std::optional<CheckExpr> T = chainTransport(D, Chain))
-            if (asStrongAs(Inst.Check, *T))
-              addFact(Body, D);
+        for (CheckID D = 0; D != U.size(); ++D)
+          if (Transported[D] && asStrongAs(Inst.Check, *Transported[D]))
+            addFact(Body, D);
       }
     }
     return Facts;
@@ -995,15 +1047,8 @@ private:
           ++Report.stats().OriginalChecksCovered;
           continue;
         }
-        bool Found = false;
-        if (G < AvailEnd.size())
-          AvailEnd[G].forEachSetBit([&](size_t Bit) {
-            if (!Found && asStrongAs(BCtx.universe().check(
-                                         static_cast<CheckID>(Bit)),
-                                     D.Check))
-              Found = true;
-          });
-        if (Found) {
+        if (G < AvailEnd.size() &&
+            anyAsStrongAs(BCtx.universe(), AvailEnd[G], D.Check)) {
           ++Report.stats().OriginalChecksCovered;
           continue;
         }

@@ -48,6 +48,8 @@ CheckID CheckUniverse::intern(const CheckExpr &C) {
 
   for (const auto &[Sym, Coeff] : C.expr().terms()) {
     (void)Coeff;
+    if (Sym >= BySymbol.size())
+      BySymbol.resize(Sym + 1);
     BySymbol[Sym].push_back(ID);
   }
   return ID;
@@ -58,9 +60,13 @@ CheckID CheckUniverse::find(const CheckExpr &C) const {
   return It == Interned.end() ? InvalidCheck : It->second;
 }
 
+FamilyID CheckUniverse::findFamily(const LinearExpr &E) const {
+  auto It = FamilyByExpr.find(E);
+  return It == FamilyByExpr.end() ? InvalidFamily : It->second;
+}
+
 const std::vector<CheckID> &
 CheckUniverse::checksUsingSymbol(SymbolID Sym) const {
   static const std::vector<CheckID> Empty;
-  auto It = BySymbol.find(Sym);
-  return It == BySymbol.end() ? Empty : It->second;
+  return Sym < BySymbol.size() ? BySymbol[Sym] : Empty;
 }

@@ -63,6 +63,11 @@ public:
     return Families[F].Members;
   }
 
+  /// The family whose range-expression is \p E, or InvalidFamily when no
+  /// interned check has it. Always InvalidFamily in FamilyPerCheck mode,
+  /// where families are not keyed by expression.
+  FamilyID findFamily(const LinearExpr &E) const;
+
   /// The shared range-expression of a family.
   const LinearExpr &familyExpr(FamilyID F) const { return Families[F].Expr; }
 
@@ -88,7 +93,8 @@ private:
   std::vector<FamilyData> Families;
   std::unordered_map<CheckExpr, CheckID, CheckExprHash> Interned;
   std::unordered_map<LinearExpr, FamilyID, LinearExprHash> FamilyByExpr;
-  std::unordered_map<SymbolID, std::vector<CheckID>> BySymbol;
+  /// Indexed by SymbolID; grown on demand to the largest symbol seen.
+  std::vector<std::vector<CheckID>> BySymbol;
   uint64_t Generation = 0;
 };
 

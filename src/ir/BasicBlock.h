@@ -69,6 +69,24 @@ public:
     Insts.insert(Insts.end() - 1, std::move(I));
   }
 
+  /// Erases the instructions at the strictly ascending positions \p Sorted
+  /// in one compaction pass, keeping the others in order. Linear in the
+  /// block size; erasing them one at a time is quadratic.
+  void eraseAt(const std::vector<size_t> &Sorted) {
+    if (Sorted.empty())
+      return;
+    size_t Out = Sorted.front(), Next = 0;
+    for (size_t In = Out; In != Insts.size(); ++In) {
+      if (Next != Sorted.size() && Sorted[Next] == In) {
+        ++Next;
+        continue;
+      }
+      Insts[Out++] = std::move(Insts[In]);
+    }
+    assert(Next == Sorted.size() && "erase position out of range");
+    Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Out), Insts.end());
+  }
+
   /// Successor block ids, derived from the terminator (empty for Ret/Trap).
   std::vector<BlockID> successors() const;
 

@@ -78,20 +78,19 @@ void nascent::eliminateRedundantChecks(Function &F, const CheckContext &Ctx,
           });
       }
     }
-    for (auto It = ToDelete.rbegin(); It != ToDelete.rend(); ++It)
-      BB->instructions().erase(BB->instructions().begin() +
-                               static_cast<ptrdiff_t>(*It));
+    BB->eraseAt(ToDelete);
   }
 }
 
 void nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
                                     obs::ProvenanceRecorder &PR) {
-  // Deletes the check at Idx, closing its lifecycle.
+  // Closes the lifecycle of the check at Idx and marks it for deletion;
+  // the block's marked checks are erased together once it is scanned.
+  std::vector<size_t> ToDelete;
   auto Delete = [&](BasicBlock &BB, size_t Idx, JustificationId Why) {
-    auto &Insts = BB.instructions();
     PR.record(LifecycleKind::Eliminated, LifecyclePass::Elimination, F,
-              BB.id(), Insts[Idx], Why);
-    Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Idx));
+              BB.id(), BB.instructions()[Idx], Why);
+    ToDelete.push_back(Idx);
   };
   // Reports the always-failing check at Idx and replaces it, and the now
   // unreachable rest of the block, by a TRAP terminator that keeps its
@@ -120,6 +119,7 @@ void nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
 
   for (auto &BB : F) {
     auto &Insts = BB->instructions();
+    ToDelete.clear();
     for (size_t Idx = 0; Idx < Insts.size();) {
       Instruction &I = Insts[Idx];
       if (I.Op == Opcode::Check) {
@@ -128,7 +128,7 @@ void nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
           continue;
         }
         if (I.Check.evaluatesToTrue()) {
-          Delete(*BB, Idx, JustificationId::ConstantPasses);
+          Delete(*BB, Idx++, JustificationId::ConstantPasses);
           continue;
         }
         TrapAt(*BB, Idx, JustificationId::ConstantFails);
@@ -150,11 +150,11 @@ void nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
           }
         }
         if (GuardFalse) {
-          Delete(*BB, Idx, JustificationId::GuardConstantFalse);
+          Delete(*BB, Idx++, JustificationId::GuardConstantFalse);
           continue;
         }
         if (I.Check.isCompileTimeConstant() && I.Check.evaluatesToTrue()) {
-          Delete(*BB, Idx, JustificationId::ConstantCondPasses);
+          Delete(*BB, Idx++, JustificationId::ConstantCondPasses);
           continue;
         }
         if (I.Guards.empty()) {
@@ -171,5 +171,6 @@ void nascent::foldCompileTimeChecks(Function &F, DiagnosticEngine &Diags,
       }
       ++Idx;
     }
+    BB->eraseAt(ToDelete);
   }
 }

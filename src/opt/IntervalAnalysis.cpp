@@ -324,21 +324,21 @@ IntervalStats nascent::eliminateChecksByIntervals(Function &F,
   F.recomputePreds();
   IntervalCheckClassification C = classifyChecksByIntervals(F, CachedLoops);
 
+  std::vector<size_t> ToErase;
   for (auto &BB : F) {
     BlockID B = BB->id();
     auto &Insts = BB->instructions();
-    size_t NumOrig = Insts.size();
-    size_t Cur = 0;
-    for (size_t OIdx = 0; OIdx != NumOrig; ++OIdx) {
-      switch (C.at(B, OIdx)) {
+    ToErase.clear();
+    for (size_t Idx = 0, E = Insts.size(); Idx != E; ++Idx) {
+      switch (C.at(B, Idx)) {
       case IntervalVerdict::AlwaysPasses: {
         PR.record(LifecycleKind::Eliminated, LifecyclePass::IntervalAnalysis,
-                  F, B, Insts[Cur], JustificationId::IntervalPasses);
-        Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Cur));
+                  F, B, Insts[Idx], JustificationId::IntervalPasses);
+        ToErase.push_back(Idx);
         continue;
       }
       case IntervalVerdict::AlwaysFails: {
-        const Instruction &I = Insts[Cur];
+        const Instruction &I = Insts[Idx];
         Diags.warning(I.Origin.Loc,
                       "array range violation proved by value-range "
                       "analysis" +
@@ -349,7 +349,7 @@ IntervalStats nascent::eliminateChecksByIntervals(Function &F,
                   B, I, JustificationId::IntervalFails);
         // Checks in the truncated tail close under Unreachable, as in
         // foldCompileTimeChecks.
-        for (size_t T = Cur + 1; T < Insts.size(); ++T)
+        for (size_t T = Idx + 1; T < Insts.size(); ++T)
           if (Insts[T].isRangeCheck() && Insts[T].Tag != NoCheckTag)
             PR.record(LifecycleKind::Eliminated, LifecyclePass::Unreachable,
                       F, B, Insts[T], JustificationId::TruncatedByTrap);
@@ -357,20 +357,19 @@ IntervalStats nascent::eliminateChecksByIntervals(Function &F,
         Trap.Op = Opcode::Trap;
         Trap.Origin = I.Origin;
         Trap.Tag = I.Tag;
-        Insts.resize(Cur);
+        Insts.resize(Idx);
         Insts.push_back(std::move(Trap));
         break;
       }
       case IntervalVerdict::Unknown:
         ++Stats.ChecksUnknown;
-        ++Cur;
         continue;
       case IntervalVerdict::NotACheck:
-        ++Cur;
         continue;
       }
       break; // block truncated at a proved violation
     }
+    BB->eraseAt(ToErase);
   }
   F.recomputePreds();
   return Stats;

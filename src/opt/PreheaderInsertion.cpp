@@ -321,17 +321,14 @@ void nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
       if (B == DL.Preheader)
         continue;
       BasicBlock *BB = F.block(B);
-      for (size_t Idx = 0; Idx < BB->size();) {
+      std::vector<size_t> Rehoisted;
+      for (size_t Idx = 0; Idx < BB->size(); ++Idx) {
         Instruction &I = BB->instructions()[Idx];
-        if (I.Op != Opcode::CondCheck) {
-          ++Idx;
+        if (I.Op != Opcode::CondCheck)
           continue;
-        }
         // (a) execution guarantee.
-        if (reachesWithout(F, DL.BodyEntry, B, DL.Latch)) {
-          ++Idx;
+        if (reachesWithout(F, DL.BodyEntry, B, DL.Latch))
           continue;
-        }
         // (b) guard invariance.
         bool GuardsInv = true;
         for (const CheckExpr &G : I.Guards)
@@ -339,19 +336,15 @@ void nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
             GuardsInv = false;
             break;
           }
-        if (!GuardsInv) {
-          ++Idx;
+        if (!GuardsInv)
           continue;
-        }
         // (c) check invariance or substitutability.
         CheckExpr Moved = I.Check;
         bool DidSubstitute = !exprInvariant(Moved.expr(), Defined);
         if (DidSubstitute) {
           std::optional<CheckExpr> Subst = Substitute(Moved);
-          if (!Subst) {
-            ++Idx;
+          if (!Subst)
             continue;
-          }
           Moved = *Subst;
         }
 
@@ -367,9 +360,9 @@ void nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
         NI.Origin = P.Origin;
         NI.Tag = I.Tag;
 
-        // Remove from the inner preheader and add to ours.
-        BB->instructions().erase(BB->instructions().begin() +
-                                 static_cast<ptrdiff_t>(Idx));
+        // Remove from the inner preheader (once the block is scanned) and
+        // add to ours.
+        Rehoisted.push_back(Idx);
         PR.record(LifecycleKind::Moved, LifecyclePass::PreheaderInsertion, F,
                   DL.Preheader, NI,
                   DidSubstitute ? JustificationId::RehoistedSubstituted
@@ -384,6 +377,7 @@ void nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
         // valid -- the moved check still executes before the inner loop's
         // body on every path, with at-least-as-often guards.
       }
+      BB->eraseAt(Rehoisted);
     }
   }
 }

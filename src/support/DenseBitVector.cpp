@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <utility>
 
 using namespace nascent;
 
@@ -28,54 +29,97 @@ uint64_t DenseBitVector::threadWordOps() { return WordOpCount; }
 void DenseBitVector::creditThreadOps(uint64_t N) { WordOpCount += N; }
 
 DenseBitVector::DenseBitVector(size_t NumBits, bool InitialValue)
-    : NumBits(NumBits), Words((NumBits + 63) / 64, 0) {
+    : NumBits(NumBits) {
+  if (!isInline())
+    Heap.assign(numWords(), 0);
   if (InitialValue)
     setAll();
 }
 
+DenseBitVector::DenseBitVector(DenseBitVector &&Other) noexcept
+    : NumBits(Other.NumBits), Inline(Other.Inline),
+      Heap(std::move(Other.Heap)) {
+  Other.NumBits = 0;
+  Other.Inline = {};
+  Other.Heap.clear();
+}
+
+DenseBitVector &DenseBitVector::operator=(DenseBitVector &&Other) noexcept {
+  if (this == &Other)
+    return *this;
+  NumBits = Other.NumBits;
+  Inline = Other.Inline;
+  Heap = std::move(Other.Heap);
+  Other.NumBits = 0;
+  Other.Inline = {};
+  Other.Heap.clear();
+  return *this;
+}
+
 void DenseBitVector::resize(size_t NewNumBits) {
+  size_t OldWords = numWords(), NewWords = wordsFor(NewNumBits);
+  if (NewWords <= InlineWords) {
+    if (OldWords > InlineWords) {
+      for (size_t I = 0; I != NewWords; ++I)
+        Inline[I] = Heap[I];
+      Heap.clear();
+    }
+    for (size_t I = NewWords; I != InlineWords; ++I)
+      Inline[I] = 0;
+  } else if (OldWords <= InlineWords) {
+    Heap.assign(NewWords, 0);
+    for (size_t I = 0; I != OldWords; ++I)
+      Heap[I] = Inline[I];
+    Inline = {};
+  } else {
+    Heap.resize(NewWords, 0);
+  }
   NumBits = NewNumBits;
-  Words.resize((NewNumBits + 63) / 64, 0);
   clearUnusedBits();
 }
 
 void DenseBitVector::setAll() {
-  for (uint64_t &W : Words)
-    W = ~uint64_t(0);
+  uint64_t *W = words();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    W[I] = ~uint64_t(0);
   clearUnusedBits();
 }
 
 void DenseBitVector::resetAll() {
-  for (uint64_t &W : Words)
-    W = 0;
+  uint64_t *W = words();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    W[I] = 0;
 }
 
 bool DenseBitVector::any() const {
-  for (uint64_t W : Words)
-    if (W != 0)
+  const uint64_t *W = words();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    if (W[I] != 0)
       return true;
   return false;
 }
 
 size_t DenseBitVector::count() const {
   ++WordOpCount;
+  const uint64_t *W = words();
   size_t N = 0;
-  for (uint64_t W : Words)
-    N += static_cast<size_t>(std::popcount(W));
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    N += static_cast<size_t>(std::popcount(W[I]));
   return N;
 }
 
 size_t DenseBitVector::findNext(size_t From) const {
   if (From >= NumBits)
     return npos;
-  size_t WordIdx = From / 64;
+  const uint64_t *Words = words();
+  size_t WordIdx = From / 64, E = numWords();
   uint64_t W = Words[WordIdx] & (~uint64_t(0) << (From % 64));
   while (true) {
     if (W != 0) {
       size_t Bit = WordIdx * 64 + static_cast<size_t>(std::countr_zero(W));
       return Bit < NumBits ? Bit : npos;
     }
-    if (++WordIdx == Words.size())
+    if (++WordIdx == E)
       return npos;
     W = Words[WordIdx];
   }
@@ -84,37 +128,49 @@ size_t DenseBitVector::findNext(size_t From) const {
 DenseBitVector &DenseBitVector::operator|=(const DenseBitVector &RHS) {
   ++WordOpCount;
   assert(NumBits == RHS.NumBits && "bit vector size mismatch");
-  for (size_t I = 0, E = Words.size(); I != E; ++I)
-    Words[I] |= RHS.Words[I];
+  uint64_t *W = words();
+  const uint64_t *R = RHS.words();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    W[I] |= R[I];
   return *this;
 }
 
 DenseBitVector &DenseBitVector::operator&=(const DenseBitVector &RHS) {
   ++WordOpCount;
   assert(NumBits == RHS.NumBits && "bit vector size mismatch");
-  for (size_t I = 0, E = Words.size(); I != E; ++I)
-    Words[I] &= RHS.Words[I];
+  uint64_t *W = words();
+  const uint64_t *R = RHS.words();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    W[I] &= R[I];
   return *this;
 }
 
 DenseBitVector &DenseBitVector::andNot(const DenseBitVector &RHS) {
   ++WordOpCount;
   assert(NumBits == RHS.NumBits && "bit vector size mismatch");
-  for (size_t I = 0, E = Words.size(); I != E; ++I)
-    Words[I] &= ~RHS.Words[I];
+  uint64_t *W = words();
+  const uint64_t *R = RHS.words();
+  for (size_t I = 0, E = numWords(); I != E; ++I)
+    W[I] &= ~R[I];
   return *this;
 }
 
 void DenseBitVector::clearUnusedBits() {
-  if (NumBits % 64 != 0 && !Words.empty())
-    Words.back() &= (uint64_t(1) << (NumBits % 64)) - 1;
+  if (NumBits % 64 != 0)
+    words()[numWords() - 1] &= (uint64_t(1) << (NumBits % 64)) - 1;
 }
 
 namespace nascent {
 
 bool operator==(const DenseBitVector &A, const DenseBitVector &B) {
   ++WordOpCount;
-  return A.NumBits == B.NumBits && A.Words == B.Words;
+  if (A.NumBits != B.NumBits)
+    return false;
+  const uint64_t *WA = A.words(), *WB = B.words();
+  for (size_t I = 0, E = A.numWords(); I != E; ++I)
+    if (WA[I] != WB[I])
+      return false;
+  return true;
 }
 
 } // namespace nascent

@@ -5,11 +5,17 @@
 /// range-check availability/anticipatability problems operate over the
 /// "check universe", so set operations (and/or/and-not) must be fast.
 ///
+/// Up to 128 bits live inline; only larger vectors allocate. Every check
+/// universe of the benchmark suite has at most 64 checks, so the solvers'
+/// gen/kill copies, per-position snapshots and In/Out entries never touch
+/// the heap there.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NASCENT_SUPPORT_DENSEBITVECTOR_H
 #define NASCENT_SUPPORT_DENSEBITVECTOR_H
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -27,6 +33,12 @@ public:
   DenseBitVector() = default;
   explicit DenseBitVector(size_t NumBits, bool InitialValue = false);
 
+  DenseBitVector(const DenseBitVector &) = default;
+  DenseBitVector &operator=(const DenseBitVector &) = default;
+  /// A moved-from vector is empty (size 0).
+  DenseBitVector(DenseBitVector &&Other) noexcept;
+  DenseBitVector &operator=(DenseBitVector &&Other) noexcept;
+
   size_t size() const { return NumBits; }
   bool empty() const { return NumBits == 0; }
 
@@ -35,17 +47,17 @@ public:
 
   bool test(size_t Idx) const {
     assert(Idx < NumBits && "bit index out of range");
-    return (Words[Idx / 64] >> (Idx % 64)) & 1;
+    return (words()[Idx / 64] >> (Idx % 64)) & 1;
   }
 
   void set(size_t Idx) {
     assert(Idx < NumBits && "bit index out of range");
-    Words[Idx / 64] |= uint64_t(1) << (Idx % 64);
+    words()[Idx / 64] |= uint64_t(1) << (Idx % 64);
   }
 
   void reset(size_t Idx) {
     assert(Idx < NumBits && "bit index out of range");
-    Words[Idx / 64] &= ~(uint64_t(1) << (Idx % 64));
+    words()[Idx / 64] &= ~(uint64_t(1) << (Idx % 64));
   }
 
   /// Sets every bit.
@@ -114,12 +126,26 @@ public:
   static void creditThreadOps(uint64_t N);
 
 private:
+  static constexpr size_t InlineWords = 2;
+
+  static size_t wordsFor(size_t Bits) { return (Bits + 63) / 64; }
+  size_t numWords() const { return wordsFor(NumBits); }
+  bool isInline() const { return NumBits <= InlineWords * 64; }
+  uint64_t *words() { return isInline() ? Inline.data() : Heap.data(); }
+  const uint64_t *words() const {
+    return isInline() ? Inline.data() : Heap.data();
+  }
+
   /// Clears any bits in the last word beyond NumBits so that whole-word
   /// operations (count, ==) remain exact.
   void clearUnusedBits();
 
   size_t NumBits = 0;
-  std::vector<uint64_t> Words;
+  /// The words of a vector of at most 128 bits; words past numWords() are
+  /// zero. Unused once the vector is on the heap.
+  std::array<uint64_t, InlineWords> Inline = {};
+  /// The words of a vector of more than 128 bits; empty otherwise.
+  std::vector<uint64_t> Heap;
 };
 
 } // namespace nascent

@@ -205,6 +205,28 @@ TEST(TrapSafetyAuditor, PipelineAuditsSuiteCleanUnderEveryScheme) {
   }
 }
 
+TEST(TrapSafetyAuditor, EmptiedBlockIsAnchoredAtOriginalTerminator) {
+  // An optimized block that lost every instruction is one correspondence
+  // finding, located at the original block's terminator rather than read
+  // from the empty block.
+  const SuiteProgram *P = findSuiteProgram("vortex");
+  ASSERT_NE(P, nullptr);
+  CompileResult R = compileNaive(P->Source);
+  std::unique_ptr<Module> Opt = R.M->clone();
+  Function *F = Opt->functions().front();
+  ASSERT_GT(F->numBlocks(), 1u);
+  F->block(1)->instructions().clear();
+  AuditReport Report = auditModulePair(*R.M, *Opt);
+  ASSERT_EQ(Report.numFindings(), 1u) << Report.render();
+  const AuditFinding &Found = Report.findings().front();
+  EXPECT_EQ(countRule(Report, AuditRule::IrCorrespondence), 1u);
+  EXPECT_EQ(Found.Block, 1u);
+  const Instruction &T = R.M->functions().front()->block(1)->terminator();
+  SourceLocation Want = T.Origin.Loc.isValid() ? T.Origin.Loc : T.Loc;
+  EXPECT_EQ(Found.Loc.Line, Want.Line);
+  EXPECT_EQ(Found.Loc.Column, Want.Column);
+}
+
 TEST(CigConsistencyLint, AcceptsWellFormedUniverse) {
   CheckUniverse U;
   LinearExpr N = LinearExpr::term(SymbolID(0));
