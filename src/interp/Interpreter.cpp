@@ -11,8 +11,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 using namespace nascent;
@@ -25,13 +27,25 @@ namespace {
 
 /// Runtime storage of one array.
 struct ArrayStorage {
+  /// One dimension's declared bounds and its element stride, computed
+  /// once so an access does no stride arithmetic.
+  struct Dim {
+    int64_t Lower = 1;
+    int64_t Upper = 1;
+    size_t Stride = 1;
+  };
+
   ScalarType Elem = ScalarType::Real;
-  ArrayShape Shape;
+  std::vector<Dim> Dims;
   std::vector<int64_t> Ints;
   std::vector<double> Reals;
 
-  explicit ArrayStorage(const ArrayShape &S) : Elem(S.Element), Shape(S) {
-    size_t N = static_cast<size_t>(S.elementCount());
+  explicit ArrayStorage(const ArrayShape &S) : Elem(S.Element) {
+    size_t N = 1;
+    for (const ArrayDim &D : S.Dims) {
+      Dims.push_back({D.Lower, D.Upper, N});
+      N *= static_cast<size_t>(D.extent());
+    }
     if (Elem == ScalarType::Real)
       Reals.assign(N, 0.0);
     else
@@ -52,6 +66,14 @@ struct Cell {
 // operand types, compare promotion, check terms, branch targets and callees
 // are resolved once, so the dispatch loop never consults a SymbolTable, a
 // Value kind or a callee name. The form lives for one interpret() call.
+//
+// Decoding also specialises the hottest shape. A one-term check becomes an
+// interval test on one cell (oneTermInterval), and two adjacent one-term
+// checks -- the lower/upper pair of one subscript -- fuse into one op. The
+// fused op runs both halves exactly as two ops would: the step limit is
+// tested before the second half, each half reports its own profile site
+// and trap message, and the counters end the same. The second op keeps
+// its slot, so block starts do not move; the fused op steps over it.
 //===----------------------------------------------------------------------===//
 
 /// An operand resolved to a frame cell. Symbol cells are indexed by
@@ -98,6 +120,8 @@ enum class Op : uint8_t {
   CopyI, CopyR, IntToReal, RealToInt,
   Load, Store,
   Check, CondCheck, Trap,
+  CheckIn,   ///< a one-term check as the interval test Lo <= x <= Lo + Span
+  CheckPair, ///< a CheckIn fused with the CheckIn in the next slot
   Br, Jump,
   Ret, RetI, RetR,
   Call, CallI, CallR,
@@ -111,9 +135,10 @@ struct DecodedFunction;
 /// defaults.
 struct DecodedOp {
   Op Code = Op::FellOff;
-  /// DynInstrs this op adds: 0 for checks, 1 + 2 * dims for Load/Store,
-  /// 1 otherwise.
-  uint32_t Cost = 1;
+  /// Steps this op adds to DynInstrs + DynChecks: 1 + 2 * dims for
+  /// Load/Store, 0 for FellOff, 1 otherwise. A check's step is its
+  /// DynChecks count; every other step is an instruction.
+  uint32_t Steps = 1;
   uint32_t Dest = 0;
   Operand A, B;
   /// Load/Store array symbol.
@@ -124,6 +149,10 @@ struct DecodedOp {
   uint32_t End = 0;
   /// Check/CondCheck payload.
   DecodedCheck Check;
+  /// CheckIn/CheckPair interval on cell A.Slot: x holds when x - Lo,
+  /// taken modulo 2^64, is at most Span.
+  int64_t Lo = 0;
+  uint64_t Span = 0;
   /// Br true/false and Jump targets.
   BlockID TrueBlock = InvalidBlock;
   BlockID FalseBlock = InvalidBlock;
@@ -150,6 +179,35 @@ struct DecodedFunction {
   std::vector<Argument> Args;
   size_t ProfileIndex = obs::ExecutionProfile::NoFunction;
 };
+
+/// The int64 values x of one closed interval [Lo, Hi].
+struct CheckInterval {
+  int64_t Lo = 0;
+  int64_t Hi = 0;
+};
+
+/// The int64 values x for which the one-term check  Coeff * x <= Bound
+/// holds, the product taken exactly (see holds()); std::nullopt when no x
+/// does, as for -x <= INT64_MIN.
+std::optional<CheckInterval> oneTermInterval(int64_t Coeff, int64_t Bound) {
+  using I128 = __int128;
+  auto FloorDiv = [](I128 A, I128 B) {
+    I128 Q = A / B;
+    return A % B != 0 && (A < 0) != (B < 0) ? Q - 1 : Q;
+  };
+  const I128 Min = std::numeric_limits<int64_t>::min();
+  const I128 Max = std::numeric_limits<int64_t>::max();
+  I128 Lo = Min, Hi = Max;
+  if (Coeff > 0)
+    Hi = FloorDiv(Bound, Coeff); // in [Min, Max] for Coeff >= 1
+  else if (Coeff < 0)
+    Lo = -FloorDiv(Bound, -I128(Coeff)); // ceil(Bound / Coeff), <= Max + 1
+  else if (Bound < 0)
+    return std::nullopt;
+  if (Lo > Max)
+    return std::nullopt;
+  return CheckInterval{static_cast<int64_t>(Lo), static_cast<int64_t>(Hi)};
+}
 
 /// Decodes the functions reachable from an entry function.
 class Decoder {
@@ -228,6 +286,8 @@ private:
 
   DecodedOp decodeOp(DecodedFunction &DF, const Instruction &I);
   void decode(DecodedFunction &DF);
+  /// Fuses adjacent CheckIn pairs from Ops[First] to the end.
+  static void fuse(DecodedFunction &DF, size_t First);
 
   const Module &M;
   const obs::ExecutionProfile *Prof;
@@ -296,7 +356,7 @@ DecodedOp Decoder::decodeOp(DecodedFunction &DF, const Instruction &I) {
     D.Code = I.Op == Opcode::Load ? Op::Load : Op::Store;
     // Count the address arithmetic the paper's C back end would emit:
     // one multiply and one add per dimension plus the access itself.
-    D.Cost = 1 + 2 * static_cast<uint32_t>(I.Indices.size());
+    D.Steps = 1 + 2 * static_cast<uint32_t>(I.Indices.size());
     D.Array = I.Array;
     D.Begin = static_cast<uint32_t>(DF.Subscripts.size());
     for (const Value &V : I.Indices)
@@ -308,7 +368,18 @@ DecodedOp Decoder::decodeOp(DecodedFunction &DF, const Instruction &I) {
   case Opcode::Check:
   case Opcode::CondCheck:
     D.Code = I.Op == Opcode::Check ? Op::Check : Op::CondCheck;
-    D.Cost = 0;
+    if (I.Op == Opcode::Check && I.Check.expr().terms().size() == 1) {
+      auto [Sym, Coeff] = I.Check.expr().terms().front();
+      // An empty interval stays on the term loop, which never holds.
+      if (std::optional<CheckInterval> In =
+              oneTermInterval(Coeff, I.Check.bound())) {
+        D.Code = Op::CheckIn;
+        D.A.Slot = Sym;
+        D.Lo = In->Lo;
+        D.Span = static_cast<uint64_t>(In->Hi) - static_cast<uint64_t>(In->Lo);
+        break;
+      }
+    }
     D.Check = check(DF, I.Check);
     D.Begin = static_cast<uint32_t>(DF.Guards.size());
     for (const CheckExpr &G : I.Guards)
@@ -401,9 +472,19 @@ void Decoder::decode(DecodedFunction &DF) {
     if (Insts.empty() || !Insts.back().isTerminator()) {
       DecodedOp End;
       End.Code = Op::FellOff;
-      End.Cost = 0;
+      End.Steps = 0;
       End.Block = B;
       DF.Ops.push_back(End);
+    }
+    fuse(DF, DF.BlockStart[B]);
+  }
+}
+
+void Decoder::fuse(DecodedFunction &DF, size_t First) {
+  for (size_t K = First; K + 1 < DF.Ops.size(); ++K) {
+    if (DF.Ops[K].Code == Op::CheckIn && DF.Ops[K + 1].Code == Op::CheckIn) {
+      DF.Ops[K].Code = Op::CheckPair;
+      ++K; // the second half is never the first half of another pair
     }
   }
 }
@@ -415,13 +496,35 @@ struct Frame {
   std::vector<std::unique_ptr<ArrayStorage>> Owned;
 };
 
-/// True when \p C holds on the cells \p S. The sum wraps as
-/// two's-complement int64 arithmetic does.
+/// True when the check or guard \p C holds on the cells \p S, judged by
+/// the exact value of its sum: each product is taken in 128 bits, where it
+/// cannot overflow, and a running sum that leaves 128 bits is carried. A
+/// check thus fails exactly when the true subscript is out of range, and a
+/// guard holds exactly when the condition it stands for does.
 bool holds(const Cell *S, const Term *T, const DecodedCheck &C) {
-  uint64_t Sum = 0;
-  for (const Term *K = T + C.Begin, *E = T + C.End; K != E; ++K)
-    Sum += static_cast<uint64_t>(K->Coeff) * static_cast<uint64_t>(S[K->Slot].I);
-  return static_cast<int64_t>(Sum) <= C.Bound;
+  __int128 Sum = 0;
+  int Carry = 0; // the exact sum is Sum + Carry * 2^128
+  for (const Term *K = T + C.Begin, *E = T + C.End; K != E; ++K) {
+    __int128 Product = __int128(K->Coeff) * S[K->Slot].I;
+    if (__builtin_add_overflow(Sum, Product, &Sum))
+      Carry += Product < 0 ? -1 : 1;
+  }
+  return Carry != 0 ? Carry < 0 : Sum <= C.Bound;
+}
+
+/// int64 arithmetic that wraps as two's complement does, without the
+/// undefined behaviour of signed overflow.
+int64_t wrapAdd(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) +
+                              static_cast<uint64_t>(B));
+}
+int64_t wrapSub(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) -
+                              static_cast<uint64_t>(B));
+}
+int64_t wrapMul(int64_t A, int64_t B) {
+  return static_cast<int64_t>(static_cast<uint64_t>(A) *
+                              static_cast<uint64_t>(B));
 }
 
 double realOf(const Cell *S, Operand X) {
@@ -474,35 +577,14 @@ private:
     return Msg;
   }
 
-  /// Resolves the element a Load/Store addresses into \p A and \p Off;
-  /// faults and returns false when the array is unbound or the subscripts
-  /// are out of bounds.
-  bool locate(const DecodedFunction &DF, const Frame &Fr,
-              const DecodedOp &O, ArrayStorage *&A, size_t &Off) {
-    A = Fr.Arrays[O.Array];
-    if (!A) {
-      fault(ExecResult::Status::HardFault, "unbound array parameter");
-      return false;
-    }
-    const Cell *S = Fr.Cells.data();
-    size_t Offset = 0;
-    size_t Stride = 1;
-    for (uint32_t K = O.Begin; K != O.End; ++K) {
-      int64_t Idx = S[DF.Subscripts[K].Slot].I;
-      const ArrayDim &Dim = A->Shape.Dims[K - O.Begin];
-      if (Idx < Dim.Lower || Idx > Dim.Upper) {
-        fault(ExecResult::Status::HardFault,
-              std::string(O.Code == Op::Load ? "out-of-bounds access"
-                                             : "out-of-bounds store") +
-                  " on array " + DF.F->symbols().get(O.Array).Name +
-                  " (a range check should have fired)");
-        return false;
-      }
-      Offset += static_cast<size_t>(Idx - Dim.Lower) * Stride;
-      Stride *= static_cast<size_t>(Dim.extent());
-    }
-    Off = Offset;
-    return true;
+  /// Faults on a Load/Store whose subscripts are out of bounds.
+  [[gnu::cold]] void outOfBounds(const DecodedFunction &DF,
+                                 const DecodedOp &O) {
+    fault(ExecResult::Status::HardFault,
+          std::string(O.Code == Op::Load ? "out-of-bounds access"
+                                         : "out-of-bounds store") +
+              " on array " + DF.F->symbols().get(O.Array).Name +
+              " (a range check should have fired)");
   }
 
   void execute(const DecodedFunction &DF, Frame &Fr, Cell &ResultOut,
@@ -542,224 +624,265 @@ void Executor::execute(const DecodedFunction &DF, Frame &Fr, Cell &ResultOut,
     P->enterBlock(PFn, Entry, PFS);
   }
 
+  // The counters live in locals, not in R: a cell store is an int64_t
+  // store, which may alias R's uint64_t fields, so counters kept there
+  // would go through memory on every op. Every exit leaves through Exit,
+  // which writes them back, and a Call hands them to the callee in R.
+  // Left is how many of the MaxSteps steps (DynInstrs + DynChecks) remain;
+  // it goes negative when an op's steps carry the count past the limit.
+  // A limit past INT64_MAX steps cannot be reached, so it is capped there.
+  const int64_t Limit = static_cast<int64_t>(std::min<uint64_t>(
+      Opts.MaxSteps, std::numeric_limits<int64_t>::max()));
+  int64_t Left = Limit - static_cast<int64_t>(R.DynInstrs + R.DynChecks);
+  uint64_t Checks = R.DynChecks;
   Cell *S = Fr.Cells.data();
   const DecodedOp *Ops = DF.Ops.data();
   const Term *Terms = DF.Terms.data();
+  const Operand *Subscripts = DF.Subscripts.data();
+  const uint32_t *BlockStart = DF.BlockStart.data();
+  ArrayStorage *const *Arrays = Fr.Arrays.data();
   const DecodedOp *PC = Ops + DF.BlockStart[Entry];
+  const DecodedOp *O = nullptr;
   for (;;) {
-    const DecodedOp &O = *PC++;
-    if (R.DynInstrs + R.DynChecks >= Opts.MaxSteps && O.Code != Op::FellOff) {
-      fault(ExecResult::Status::StepLimit, "step limit exceeded");
-      return;
-    }
-    R.DynInstrs += O.Cost;
+    O = PC++;
+    if (Left <= 0 && O->Code != Op::FellOff)
+      goto StepLimit;
+    Left -= O->Steps;
 
-    switch (O.Code) {
+    switch (O->Code) {
     case Op::AddI:
-      S[O.Dest].I = S[O.A.Slot].I + S[O.B.Slot].I;
+      S[O->Dest].I = wrapAdd(S[O->A.Slot].I, S[O->B.Slot].I);
       break;
     case Op::SubI:
-      S[O.Dest].I = S[O.A.Slot].I - S[O.B.Slot].I;
+      S[O->Dest].I = wrapSub(S[O->A.Slot].I, S[O->B.Slot].I);
       break;
     case Op::MulI:
-      S[O.Dest].I = S[O.A.Slot].I * S[O.B.Slot].I;
+      S[O->Dest].I = wrapMul(S[O->A.Slot].I, S[O->B.Slot].I);
       break;
     case Op::DivI:
-      if (S[O.B.Slot].I == 0) {
-        fault(ExecResult::Status::HardFault, "integer division by zero");
-        return;
+    case Op::ModI: {
+      int64_t A = S[O->A.Slot].I, B = S[O->B.Slot].I;
+      if (B == 0) {
+        fault(ExecResult::Status::HardFault, O->Code == Op::DivI
+                                                 ? "integer division by zero"
+                                                 : "mod by zero");
+        goto Exit;
       }
-      S[O.Dest].I = S[O.A.Slot].I / S[O.B.Slot].I;
+      // INT64_MIN / -1 wraps to INT64_MIN, and its remainder is 0.
+      if (O->Code == Op::DivI)
+        S[O->Dest].I = B == -1 ? wrapSub(0, A) : A / B;
+      else
+        S[O->Dest].I = B == -1 ? 0 : A % B;
       break;
-    case Op::ModI:
-      if (S[O.B.Slot].I == 0) {
-        fault(ExecResult::Status::HardFault, "mod by zero");
-        return;
-      }
-      S[O.Dest].I = S[O.A.Slot].I % S[O.B.Slot].I;
-      break;
+    }
     case Op::NegI:
-      S[O.Dest].I = -S[O.A.Slot].I;
+      S[O->Dest].I = wrapSub(0, S[O->A.Slot].I);
       break;
     case Op::MinI:
-      S[O.Dest].I = std::min(S[O.A.Slot].I, S[O.B.Slot].I);
+      S[O->Dest].I = std::min(S[O->A.Slot].I, S[O->B.Slot].I);
       break;
     case Op::MaxI:
-      S[O.Dest].I = std::max(S[O.A.Slot].I, S[O.B.Slot].I);
+      S[O->Dest].I = std::max(S[O->A.Slot].I, S[O->B.Slot].I);
       break;
     case Op::AbsI: {
-      int64_t A = S[O.A.Slot].I;
-      S[O.Dest].I = A < 0 ? -A : A;
+      int64_t A = S[O->A.Slot].I;
+      S[O->Dest].I = A < 0 ? wrapSub(0, A) : A;
       break;
     }
     case Op::AddR:
-      S[O.Dest].R = realOf(S, O.A) + realOf(S, O.B);
+      S[O->Dest].R = realOf(S, O->A) + realOf(S, O->B);
       break;
     case Op::SubR:
-      S[O.Dest].R = realOf(S, O.A) - realOf(S, O.B);
+      S[O->Dest].R = realOf(S, O->A) - realOf(S, O->B);
       break;
     case Op::MulR:
-      S[O.Dest].R = realOf(S, O.A) * realOf(S, O.B);
+      S[O->Dest].R = realOf(S, O->A) * realOf(S, O->B);
       break;
     case Op::DivR: {
-      double B = realOf(S, O.B);
-      S[O.Dest].R = B == 0.0 ? 0.0 : realOf(S, O.A) / B;
+      double B = realOf(S, O->B);
+      S[O->Dest].R = B == 0.0 ? 0.0 : realOf(S, O->A) / B;
       break;
     }
     case Op::ModR: // mod has no real form; it has always yielded 0
-      S[O.Dest].R = 0.0;
+      S[O->Dest].R = 0.0;
       break;
     case Op::NegR:
-      S[O.Dest].R = -realOf(S, O.A);
+      S[O->Dest].R = -realOf(S, O->A);
       break;
     case Op::MinR:
-      S[O.Dest].R = std::min(realOf(S, O.A), realOf(S, O.B));
+      S[O->Dest].R = std::min(realOf(S, O->A), realOf(S, O->B));
       break;
     case Op::MaxR:
-      S[O.Dest].R = std::max(realOf(S, O.A), realOf(S, O.B));
+      S[O->Dest].R = std::max(realOf(S, O->A), realOf(S, O->B));
       break;
     case Op::AbsR:
-      S[O.Dest].R = std::fabs(realOf(S, O.A));
+      S[O->Dest].R = std::fabs(realOf(S, O->A));
       break;
     case Op::EqI:
-      S[O.Dest].I = S[O.A.Slot].I == S[O.B.Slot].I;
+      S[O->Dest].I = S[O->A.Slot].I == S[O->B.Slot].I;
       break;
     case Op::NeI:
-      S[O.Dest].I = S[O.A.Slot].I != S[O.B.Slot].I;
+      S[O->Dest].I = S[O->A.Slot].I != S[O->B.Slot].I;
       break;
     case Op::LtI:
-      S[O.Dest].I = S[O.A.Slot].I < S[O.B.Slot].I;
+      S[O->Dest].I = S[O->A.Slot].I < S[O->B.Slot].I;
       break;
     case Op::LeI:
-      S[O.Dest].I = S[O.A.Slot].I <= S[O.B.Slot].I;
+      S[O->Dest].I = S[O->A.Slot].I <= S[O->B.Slot].I;
       break;
     case Op::GtI:
-      S[O.Dest].I = S[O.A.Slot].I > S[O.B.Slot].I;
+      S[O->Dest].I = S[O->A.Slot].I > S[O->B.Slot].I;
       break;
     case Op::GeI:
-      S[O.Dest].I = S[O.A.Slot].I >= S[O.B.Slot].I;
+      S[O->Dest].I = S[O->A.Slot].I >= S[O->B.Slot].I;
       break;
     case Op::EqR:
-      S[O.Dest].I = realOf(S, O.A) == realOf(S, O.B);
+      S[O->Dest].I = realOf(S, O->A) == realOf(S, O->B);
       break;
     case Op::NeR:
-      S[O.Dest].I = realOf(S, O.A) != realOf(S, O.B);
+      S[O->Dest].I = realOf(S, O->A) != realOf(S, O->B);
       break;
     case Op::LtR:
-      S[O.Dest].I = realOf(S, O.A) < realOf(S, O.B);
+      S[O->Dest].I = realOf(S, O->A) < realOf(S, O->B);
       break;
     case Op::LeR:
-      S[O.Dest].I = realOf(S, O.A) <= realOf(S, O.B);
+      S[O->Dest].I = realOf(S, O->A) <= realOf(S, O->B);
       break;
     case Op::GtR:
-      S[O.Dest].I = realOf(S, O.A) > realOf(S, O.B);
+      S[O->Dest].I = realOf(S, O->A) > realOf(S, O->B);
       break;
     case Op::GeR:
-      S[O.Dest].I = realOf(S, O.A) >= realOf(S, O.B);
+      S[O->Dest].I = realOf(S, O->A) >= realOf(S, O->B);
       break;
-    case Op::And:
-      S[O.Dest].I = S[O.A.Slot].I != 0 && S[O.B.Slot].I != 0;
-      break;
-    case Op::Or:
-      S[O.Dest].I = S[O.A.Slot].I != 0 || S[O.B.Slot].I != 0;
-      break;
-    case Op::Not:
-      S[O.Dest].I = S[O.A.Slot].I == 0;
-      break;
-    case Op::CopyI:
-      S[O.Dest].I = S[O.A.Slot].I;
-      break;
-    case Op::CopyR:
-      S[O.Dest].R = realOf(S, O.A);
-      break;
-    case Op::IntToReal:
-      S[O.Dest].R = static_cast<double>(S[O.A.Slot].I);
-      break;
-    case Op::RealToInt:
-      S[O.Dest].I = static_cast<int64_t>(realOf(S, O.A));
-      break;
-    case Op::Load: {
-      ArrayStorage *A = nullptr;
-      size_t Off = 0;
-      if (!locate(DF, Fr, O, A, Off))
-        return;
-      if (A->Elem == ScalarType::Real)
-        S[O.Dest].R = A->Reals[Off];
-      else
-        S[O.Dest].I = A->Ints[Off];
+    case Op::Br:
+    case Op::Jump: {
+      BlockID To = O->Code == Op::Jump || S[O->A.Slot].I != 0 ? O->TrueBlock
+                                                              : O->FalseBlock;
+      PC = Ops + BlockStart[To];
       if (P)
-        P->noteAccess(PFn, O.Array, /*IsStore=*/false);
+        P->enterBlock(PFn, To, PFS);
       break;
     }
-    case Op::Store: {
-      ArrayStorage *A = nullptr;
-      size_t Off = 0;
-      if (!locate(DF, Fr, O, A, Off))
-        return;
-      if (A->Elem == ScalarType::Real)
-        A->Reals[Off] = realOf(S, O.A);
-      else
-        A->Ints[Off] = S[O.A.Slot].I;
-      if (P)
-        P->noteAccess(PFn, O.Array, /*IsStore=*/true);
+    case Op::And:
+      S[O->Dest].I = S[O->A.Slot].I != 0 && S[O->B.Slot].I != 0;
       break;
+    case Op::Or:
+      S[O->Dest].I = S[O->A.Slot].I != 0 || S[O->B.Slot].I != 0;
+      break;
+    case Op::Not:
+      S[O->Dest].I = S[O->A.Slot].I == 0;
+      break;
+    case Op::CopyI:
+      S[O->Dest].I = S[O->A.Slot].I;
+      break;
+    case Op::CopyR:
+      S[O->Dest].R = realOf(S, O->A);
+      break;
+    case Op::IntToReal:
+      S[O->Dest].R = static_cast<double>(S[O->A.Slot].I);
+      break;
+    case Op::RealToInt:
+      S[O->Dest].I = static_cast<int64_t>(realOf(S, O->A));
+      break;
+    case Op::Load:
+    case Op::Store: {
+      ArrayStorage *Arr = Arrays[O->Array];
+      if (!Arr)
+        goto Unbound;
+      const ArrayStorage::Dim *Dim = Arr->Dims.data();
+      size_t Off = 0;
+      for (uint32_t K = O->Begin; K != O->End; ++K, ++Dim) {
+        int64_t Idx = S[Subscripts[K].Slot].I;
+        if (Idx < Dim->Lower || Idx > Dim->Upper)
+          goto OutOfBounds;
+        Off += static_cast<size_t>(Idx - Dim->Lower) * Dim->Stride;
+      }
+      bool IsStore = O->Code == Op::Store;
+      if (Arr->Elem == ScalarType::Real) {
+        if (IsStore)
+          Arr->Reals[Off] = realOf(S, O->A);
+        else
+          S[O->Dest].R = Arr->Reals[Off];
+      } else {
+        if (IsStore)
+          Arr->Ints[Off] = S[O->A.Slot].I;
+        else
+          S[O->Dest].I = Arr->Ints[Off];
+      }
+      if (P)
+        P->noteAccess(PFn, O->Array, IsStore);
+      break;
+    }
+    case Op::CheckIn:
+    case Op::CheckPair: {
+    IntervalHalf:
+      ++Checks;
+      bool Traps = static_cast<uint64_t>(S[O->A.Slot].I) -
+                       static_cast<uint64_t>(O->Lo) >
+                   O->Span;
+      if (P)
+        P->noteCheck(PFn, O->Block, O->Index, Traps);
+      if (Traps) {
+        fault(ExecResult::Status::Trapped,
+              checkFailureMessage(*DF.F, *O->Src));
+        goto Exit;
+      }
+      if (O->Code != Op::CheckPair)
+        break;
+      // The second half is the CheckIn in the next slot.
+      O = PC++;
+      if (Left <= 0)
+        goto StepLimit;
+      Left -= O->Steps;
+      goto IntervalHalf;
     }
     case Op::Check:
     case Op::CondCheck: {
-      ++R.DynChecks;
+      ++Checks;
       bool Traps;
-      if (O.Code == Op::Check) {
-        Traps = !holds(S, Terms, O.Check);
+      if (O->Code == Op::Check) {
+        Traps = !holds(S, Terms, O->Check);
       } else {
         ++R.DynCondChecks;
         bool GuardsHold = true;
-        for (uint32_t K = O.Begin; K != O.End; ++K)
+        for (uint32_t K = O->Begin; K != O->End; ++K)
           if (!holds(S, Terms, DF.Guards[K])) {
             GuardsHold = false;
             break;
           }
-        Traps = GuardsHold && !holds(S, Terms, O.Check);
+        Traps = GuardsHold && !holds(S, Terms, O->Check);
       }
       if (P)
-        P->noteCheck(PFn, O.Block, O.Index, Traps);
+        P->noteCheck(PFn, O->Block, O->Index, Traps);
       if (Traps) {
         fault(ExecResult::Status::Trapped,
-              checkFailureMessage(*DF.F, *O.Src));
-        return;
+              checkFailureMessage(*DF.F, *O->Src));
+        goto Exit;
       }
       break;
     }
     case Op::Trap:
       fault(ExecResult::Status::Trapped,
             "trap instruction reached (compile-time range violation)");
-      return;
-    case Op::Br:
-    case Op::Jump: {
-      BlockID To = O.Code == Op::Jump || S[O.A.Slot].I != 0 ? O.TrueBlock
-                                                            : O.FalseBlock;
-      PC = Ops + DF.BlockStart[To];
-      if (P)
-        P->enterBlock(PFn, To, PFS);
-      break;
-    }
+      goto Exit;
     case Op::Ret:
-      return;
+      goto Exit;
     case Op::RetI:
-      ResultOut.I = S[O.A.Slot].I;
-      return;
+      ResultOut.I = S[O->A.Slot].I;
+      goto Exit;
     case Op::RetR:
-      ResultOut.R = realOf(S, O.A);
-      return;
+      ResultOut.R = realOf(S, O->A);
+      goto Exit;
     case Op::Call:
     case Op::CallI:
     case Op::CallR: {
-      if (!O.Callee) {
+      if (!O->Callee) {
         fault(ExecResult::Status::HardFault,
-              "call to unknown function " + O.Src->Callee);
-        return;
+              "call to unknown function " + O->Src->Callee);
+        goto Exit;
       }
-      Frame Sub = makeFrame(*O.Callee);
-      for (uint32_t K = O.Begin; K != O.End; ++K) {
+      Frame Sub = makeFrame(*O->Callee);
+      for (uint32_t K = O->Begin; K != O->End; ++K) {
         const Argument &Arg = DF.Args[K];
         switch (Arg.K) {
         case Argument::Kind::Array:
@@ -774,30 +897,46 @@ void Executor::execute(const DecodedFunction &DF, Frame &Fr, Cell &ResultOut,
         }
       }
       Cell Result;
-      execute(*O.Callee, Sub, Result, Depth + 1);
+      R.DynInstrs = uint64_t(Limit) - uint64_t(Left) - Checks;
+      R.DynChecks = Checks;
+      execute(*O->Callee, Sub, Result, Depth + 1);
+      Left = Limit - static_cast<int64_t>(R.DynInstrs + R.DynChecks);
+      Checks = R.DynChecks;
       if (halted())
-        return;
-      if (O.Code == Op::CallR)
-        S[O.Dest].R = Result.R;
-      else if (O.Code == Op::CallI)
-        S[O.Dest].I = Result.I;
+        goto Exit;
+      if (O->Code == Op::CallR)
+        S[O->Dest].R = Result.R;
+      else if (O->Code == Op::CallI)
+        S[O->Dest].I = Result.I;
       break;
     }
     case Op::PrintI:
-      R.Output.push_back(std::to_string(S[O.A.Slot].I));
+      R.Output.push_back(std::to_string(S[O->A.Slot].I));
       break;
     case Op::PrintR:
-      R.Output.push_back(formatString("%.6g", realOf(S, O.A)));
+      R.Output.push_back(formatString("%.6g", realOf(S, O->A)));
       break;
     case Op::PrintBool:
-      R.Output.push_back(S[O.A.Slot].I ? "T" : "F");
+      R.Output.push_back(S[O->A.Slot].I ? "T" : "F");
       break;
     case Op::FellOff:
       fault(ExecResult::Status::HardFault,
-            "fell off the end of block bb" + std::to_string(O.Block));
-      return;
+            "fell off the end of block bb" + std::to_string(O->Block));
+      goto Exit;
     }
   }
+
+Unbound:
+  fault(ExecResult::Status::HardFault, "unbound array parameter");
+  goto Exit;
+OutOfBounds:
+  outOfBounds(DF, *O);
+  goto Exit;
+StepLimit:
+  fault(ExecResult::Status::StepLimit, "step limit exceeded");
+Exit:
+  R.DynInstrs = uint64_t(Limit) - uint64_t(Left) - Checks;
+  R.DynChecks = Checks;
 }
 
 } // namespace

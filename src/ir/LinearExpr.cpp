@@ -83,27 +83,26 @@ std::string LinearExpr::str(const SymbolTable &Syms) const {
     return std::to_string(Const);
   std::string Out;
   bool First = true;
+  // Magnitudes are unsigned, so INT64_MIN prints without overflow.
+  auto magnitude = [](int64_t V) {
+    return V < 0 ? 0 - static_cast<uint64_t>(V) : static_cast<uint64_t>(V);
+  };
   for (const auto &[Sym, Coeff] : Terms) {
-    int64_t C = Coeff;
     if (First) {
-      if (C < 0) {
+      if (Coeff < 0)
         Out += "-";
-        C = -C;
-      }
     } else {
-      Out += (C < 0) ? " - " : " + ";
-      if (C < 0)
-        C = -C;
+      Out += (Coeff < 0) ? " - " : " + ";
     }
-    if (C != 1)
-      Out += std::to_string(C) + "*";
+    if (magnitude(Coeff) != 1)
+      Out += std::to_string(magnitude(Coeff)) + "*";
     Out += Syms.name(Sym);
     First = false;
   }
   if (Const > 0)
     Out += " + " + std::to_string(Const);
   else if (Const < 0)
-    Out += " - " + std::to_string(-Const);
+    Out += " - " + std::to_string(magnitude(Const));
   return Out;
 }
 

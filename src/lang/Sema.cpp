@@ -77,6 +77,10 @@ void Sema::analyzeUnit(UnitState &U) {
       ArrayShape Shape;
       Shape.Element = D.Ty;
       bool BadDims = false;
+      // Extents and the element count must fit in int64: every access
+      // computes its offset from them.
+      int64_t Count = 1;
+      bool Overflows = false;
       for (auto [Lo, Hi] : V.Dims) {
         if (Hi < Lo) {
           Diags.error(V.Loc, "array '" + V.Name + "' has empty dimension " +
@@ -84,8 +88,17 @@ void Sema::analyzeUnit(UnitState &U) {
                                  std::to_string(Hi));
           BadDims = true;
         }
+        int64_t Extent = 0;
+        Overflows = Overflows || __builtin_sub_overflow(Hi, Lo, &Extent) ||
+                    __builtin_add_overflow(Extent, 1, &Extent) ||
+                    __builtin_mul_overflow(Count, Extent, &Count);
         Shape.Dims.push_back({Lo, Hi});
       }
+      // The shape is still declared, so its uses add no diagnostics.
+      if (Overflows && !BadDims)
+        Diags.error(V.Loc, "array '" + V.Name +
+                               "' has more elements than a 64-bit "
+                               "integer can count");
       if (!BadDims)
         Syms.createArray(V.Name, std::move(Shape), IsParam);
     }

@@ -5,15 +5,20 @@
 /// by-reference array parameters), traps, the instruction/check counters,
 /// and the execution limits. The hand-built modules pin what the
 /// interpreter resolves before a run: mixed int/real operand types, exact
-/// step accounting, guarded checks and calls made from a loop.
+/// step accounting, guarded checks, calls made from a loop, fused check
+/// pairs, and exact check evaluation.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
 
 #include "ir/IRBuilder.h"
+#include "obs/Profile.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <random>
 
 using namespace nascent;
 using namespace nascent::test;
@@ -544,6 +549,265 @@ end function
   ExecResult Opt = interpret(
       *compileWithScheme(Src, PlacementScheme::LLS).M);
   expectBehaviorPreserved(Naive, Opt, "LLS");
+}
+
+/// A two-trip loop whose body runs the one-term check pair
+/// Check(-i <= 0), Check(i <= Upper), which the decoder fuses, followed by
+/// an unpaired Check(2*i <= 100), then stores a(i) with a(0:9). The
+/// header's `i < 2` and the exit's `i <= 3` feed their Br.
+void buildFusedLoop(HandModule &H, int64_t Upper) {
+  IRBuilder &B = H.B;
+  SymbolID I = H.scalar("i", ScalarType::Int);
+  ArrayShape Shape;
+  Shape.Element = ScalarType::Int;
+  Shape.Dims = {{0, 9}};
+  SymbolID A = H.F->symbols().createArray("a", Shape);
+  BlockID Head = B.createBlock("head")->id();
+  BlockID Body = B.createBlock("body")->id();
+  BlockID Exit = B.createBlock("exit")->id();
+  BlockID Done = B.createBlock("done")->id();
+  B.emitCopy(I, Value::intConst(0));
+  B.emitJump(Head);
+  B.setInsertBlock(H.F->block(Head));
+  B.emitBr(B.emitBinary(Opcode::CmpLT, Value::sym(I), Value::intConst(2),
+                        ScalarType::Bool),
+           Body, Exit);
+  B.setInsertBlock(H.F->block(Body));
+  B.emitCheck(CheckExpr(LinearExpr::term(I, -1), 0));
+  B.emitCheck(CheckExpr(LinearExpr::term(I), Upper));
+  B.emitCheck(CheckExpr(LinearExpr::term(I, 2), 100));
+  B.emitStore(A, {Value::sym(I)}, Value::sym(I));
+  B.emitBinaryTo(I, Opcode::Add, Value::sym(I), Value::intConst(1));
+  B.emitJump(Head);
+  B.setInsertBlock(H.F->block(Exit));
+  B.emitBr(B.emitBinary(Opcode::CmpLE, Value::sym(I), Value::intConst(3),
+                        ScalarType::Bool),
+           Done, Done);
+  B.setInsertBlock(H.F->block(Done));
+  B.emitRet();
+}
+
+TEST(Interpreter, FusedOpsStopAtEveryStepLimitLikeUnfusedOps) {
+  // Status and counters for MaxSteps = 0, 1, ..., 28, recorded with the
+  // interpreter that ran every op on its own. The limit lands between the
+  // halves of the fused check pair at 5 and 15.
+  using S = ExecResult::Status;
+  struct Row {
+    S St;
+    uint64_t Instrs, Checks;
+  };
+  const Row Rows[] = {
+      {S::StepLimit, 0, 0},  {S::StepLimit, 1, 0},  {S::StepLimit, 2, 0},
+      {S::StepLimit, 3, 0},  {S::StepLimit, 4, 0},  {S::StepLimit, 4, 1},
+      {S::StepLimit, 4, 2},  {S::StepLimit, 4, 3},  {S::StepLimit, 7, 3},
+      {S::StepLimit, 7, 3},  {S::StepLimit, 7, 3},  {S::StepLimit, 8, 3},
+      {S::StepLimit, 9, 3},  {S::StepLimit, 10, 3}, {S::StepLimit, 11, 3},
+      {S::StepLimit, 11, 4}, {S::StepLimit, 11, 5}, {S::StepLimit, 11, 6},
+      {S::StepLimit, 14, 6}, {S::StepLimit, 14, 6}, {S::StepLimit, 14, 6},
+      {S::StepLimit, 15, 6}, {S::StepLimit, 16, 6}, {S::StepLimit, 17, 6},
+      {S::StepLimit, 18, 6}, {S::StepLimit, 19, 6}, {S::StepLimit, 20, 6},
+      {S::Ok, 21, 6},        {S::Ok, 21, 6},
+  };
+  HandModule H;
+  buildFusedLoop(H, 9);
+  ExecResult Full = interpret(H.M);
+  ASSERT_EQ(Full.St, S::Ok) << Full.FaultMessage;
+  ASSERT_EQ(Full.DynInstrs + Full.DynChecks + 2, std::size(Rows));
+  for (uint64_t Max = 0; Max != std::size(Rows); ++Max) {
+    InterpOptions IO;
+    IO.MaxSteps = Max;
+    ExecResult E = interpret(H.M, IO);
+    const Row &Want = Rows[Max];
+    EXPECT_EQ(E.St, Want.St) << "MaxSteps=" << Max;
+    EXPECT_EQ(E.DynInstrs, Want.Instrs) << "MaxSteps=" << Max;
+    EXPECT_EQ(E.DynChecks, Want.Checks) << "MaxSteps=" << Max;
+    EXPECT_EQ(E.FaultMessage,
+              Want.St == S::StepLimit ? "step limit exceeded" : "")
+        << "MaxSteps=" << Max;
+  }
+}
+
+TEST(Interpreter, FusedPairSecondHalfTrapsOnItsOwnSite) {
+  // With Check(i <= 0) as the pair's second half, i = 1 passes the first
+  // half and fails the second: the trap names the second check, both
+  // halves count, and each half reports to its own profile site.
+  HandModule H;
+  buildFusedLoop(H, 0);
+  obs::ExecutionProfile Prof;
+  Prof.attach(H.M);
+  InterpOptions IO;
+  IO.Profile = &Prof;
+  ExecResult E = interpret(H.M, IO);
+  EXPECT_EQ(E.St, ExecResult::Status::Trapped);
+  EXPECT_EQ(E.FaultMessage, "range check failed: Check(i <= 0)");
+  EXPECT_EQ(E.DynChecks, 5u); // three at i = 0, both halves at i = 1
+  EXPECT_EQ(E.DynInstrs, 11u);
+
+  const std::vector<obs::CheckSiteProfile> &Sites =
+      Prof.functions()[0].Sites;
+  ASSERT_EQ(Sites.size(), 3u);
+  const uint64_t Hits[] = {2, 2, 1}, Traps[] = {0, 1, 0};
+  for (size_t K = 0; K != Sites.size(); ++K) {
+    EXPECT_EQ(Sites[K].Index, K);
+    EXPECT_EQ(Sites[K].Hits, Hits[K]) << Sites[K].CheckStr;
+    EXPECT_EQ(Sites[K].Traps, Traps[K]) << Sites[K].CheckStr;
+  }
+  EXPECT_EQ(Prof.trappedRuns(), 1u);
+}
+
+/// The definition a one-term check must match: Coeff * X <= Bound, with
+/// the product taken exactly.
+bool oneTermHolds(int64_t Coeff, int64_t X, int64_t Bound) {
+  return __int128(Coeff) * X <= Bound;
+}
+
+TEST(Interpreter, OneTermCheckMatchesExactDefinition) {
+  // The decoder turns a one-term check into an interval test on x, alone
+  // or fused as either half of a pair; an empty interval stays a plain
+  // check. Each form is run on every value and compared to the definition.
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  const int64_t Coeffs[] = {1, -1, 2, -2, 3, -7, 1000000007, Max, Min, -Max};
+  const int64_t Bounds[] = {Min, Min + 1, Min / 2, -1000000, -10, -1, 0,
+                            1, 9, 10, 1000000, Max / 3, Max - 1, Max};
+  std::mt19937_64 Rng(20251017);
+  uint64_t Cases = 0, Never = 0;
+  for (int64_t C : Coeffs) {
+    for (int64_t B : Bounds) {
+      std::vector<int64_t> Xs = {Min, Min + 1, -2, -1, 0, 1, 2, Max - 1, Max};
+      // Values around the boundary B / C and around Min / C and Max / C,
+      // where an off-by-one would show. (Min / -1 does not fit in int64,
+      // so the quotients are taken in 128 bits.)
+      for (__int128 Num : {B, Min, Max})
+        for (int D = -3; D <= 3; ++D) {
+          __int128 X = Num / C + D;
+          if (X >= Min && X <= Max)
+            Xs.push_back(static_cast<int64_t>(X));
+        }
+      for (int K = 0; K != 40; ++K)
+        Xs.push_back(static_cast<int64_t>(Rng()));
+
+      // x = X, then the tested check alone, before or after an
+      // always-true one-term check.
+      CheckExpr Tested(LinearExpr::term(0, C), B);
+      CheckExpr True(LinearExpr::term(0), Max);
+      const std::vector<CheckExpr> Forms[] = {
+          {Tested}, {Tested, True}, {True, Tested}};
+      bool HoldsSomewhere = false;
+      for (const std::vector<CheckExpr> &Form : Forms) {
+        HandModule H;
+        SymbolID XSym = H.scalar("x", ScalarType::Int);
+        ASSERT_EQ(XSym, 0u);
+        H.B.emitCopy(XSym, Value::intConst(0));
+        for (const CheckExpr &Chk : Form)
+          H.B.emitCheck(Chk);
+        H.B.emitRet();
+        Value &Init = H.F->block(0)->instructions()[0].Operands[0];
+        for (int64_t X : Xs) {
+          Init = Value::intConst(X);
+          bool Want = oneTermHolds(C, X, B);
+          HoldsSomewhere |= Want;
+          ExecResult E = interpret(H.M);
+          EXPECT_EQ(E.St, Want ? ExecResult::Status::Ok
+                               : ExecResult::Status::Trapped)
+              << C << " * " << X << " <= " << B << " in a form of "
+              << Form.size() << " checks";
+          ++Cases;
+        }
+      }
+      Never += !HoldsSomewhere;
+    }
+  }
+  EXPECT_GT(Never, 0u); // e.g. -1 * x <= INT64_MIN holds for no int64 x
+  EXPECT_GT(Cases, 10000u);
+}
+
+TEST(Interpreter, CheckArithmeticIsExact) {
+  // Checks and guards are judged by the exact value of their sum, even
+  // where a product or a partial sum leaves int64 (or 128 bits): a check
+  // fails exactly when the true value exceeds its bound, and a guard holds
+  // exactly when the true value does not.
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  constexpr int64_t Big = int64_t(1) << 62;
+  // Symbols by ID: n, m, k hold 2^62; lo and a, b, c hold INT64_MIN.
+  const char *Names[] = {"n", "m", "k", "lo", "a", "b", "c"};
+  const int64_t Values[] = {Big, Big, Big, Min, Min, Min, Min};
+  enum : SymbolID { N, M, K, Lo, A, B, C };
+  auto T = [](SymbolID S, int64_t Coeff = 1) {
+    return LinearExpr::term(S, Coeff);
+  };
+  struct Case {
+    const char *Name;
+    std::vector<CheckExpr> Guards; // empty: a plain Check
+    CheckExpr Payload;
+    bool Traps;
+  };
+  const Case Cases[] = {
+      {"one-term product past int64", {}, CheckExpr(T(N, 2), 10), true},
+      {"one-term product at INT64_MIN", {}, CheckExpr(T(N, -2), -1), false},
+      {"term-loop product past int64", {}, CheckExpr(T(N, 2) + T(M), 10),
+       true},
+      {"partial sum past int64", {}, CheckExpr(T(N) + T(M), 10), true},
+      // n + m leaves int64, n + m - k = 2^62 does not.
+      {"partial sum past int64 and back", {},
+       CheckExpr(T(N) + T(M) + T(K, -1), Big), false},
+      {"sum past 2^127", {}, CheckExpr(T(A, Min) + T(B, Min), Max), true},
+      {"sum below -2^127", {},
+       CheckExpr(T(A, Max) + T(B, Max) + T(C, Max), Min), false},
+      // The entry guard of `do i = 1, lo` with lo = INT64_MIN: -lo is
+      // 2^63, so the loop does not run and its hoisted check is skipped.
+      {"guard past int64 fails", {CheckExpr(T(Lo, -1), -1)},
+       CheckExpr(T(N, 2), 10), false},
+      {"guard past int64 holds", {CheckExpr(T(Lo, 2), 0)},
+       CheckExpr(T(N, 2), 10), true},
+      {"guard fails", {CheckExpr(T(N), 0)}, CheckExpr(T(N, 2), 10), false},
+      // -lo leaves int64, -lo - n = 2^62 does not.
+      {"guard holds, payload past int64 and back", {CheckExpr(T(N), Big)},
+       CheckExpr(T(Lo, -1) + T(N, -1), Big), false},
+  };
+  for (const Case &Cse : Cases) {
+    HandModule H;
+    for (SymbolID S = 0; S != std::size(Names); ++S) {
+      ASSERT_EQ(H.scalar(Names[S], ScalarType::Int), S);
+      H.B.emitCopy(S, Value::intConst(Values[S]));
+    }
+    if (Cse.Guards.empty())
+      H.B.emitCheck(Cse.Payload);
+    else
+      H.B.emitCondCheck(Cse.Guards, Cse.Payload);
+    H.B.emitRet();
+    ExecResult E = interpret(H.M);
+    EXPECT_EQ(E.St, Cse.Traps ? ExecResult::Status::Trapped
+                              : ExecResult::Status::Ok)
+        << Cse.Name << ": " << E.FaultMessage;
+    EXPECT_EQ(E.DynChecks, 1u) << Cse.Name;
+  }
+}
+
+TEST(Interpreter, IntegerArithmeticWrapsWithoutFaulting) {
+  // Overflowing integer arithmetic wraps as two's complement does;
+  // INT64_MIN / -1 is INT64_MIN and its remainder is 0.
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  HandModule H;
+  SymbolID A = H.scalar("a", ScalarType::Int);
+  H.B.emitCopy(A, Value::intConst(Min));
+  auto Print = [&](Opcode Op, Value L, Value R) {
+    H.B.emitPrint(H.B.emitBinary(Op, L, R, ScalarType::Int));
+  };
+  Print(Opcode::Div, Value::sym(A), Value::intConst(-1));
+  Print(Opcode::Mod, Value::sym(A), Value::intConst(-1));
+  Print(Opcode::Mul, Value::intConst(2), Value::intConst(Max));
+  Print(Opcode::Add, Value::intConst(Max), Value::intConst(1));
+  Print(Opcode::Sub, Value::sym(A), Value::intConst(1));
+  H.B.emitPrint(H.B.emitUnary(Opcode::Neg, Value::sym(A), ScalarType::Int));
+  H.B.emitRet();
+  ExecResult E = interpret(H.M);
+  ASSERT_EQ(E.St, ExecResult::Status::Ok) << E.FaultMessage;
+  const std::string MinS = std::to_string(Min), MaxS = std::to_string(Max);
+  EXPECT_EQ(E.Output, (std::vector<std::string>{MinS, "0", "-2", MinS, MaxS,
+                                                MinS}));
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace nascent;
 
 namespace {
@@ -97,6 +99,15 @@ TEST_F(LinearExprTest, Printing) {
   EXPECT_EQ(E.str(Syms), "2*i - j + 3");
   EXPECT_EQ(LinearExpr::constant(0).str(Syms), "0");
   EXPECT_EQ(LinearExpr::term(I, -1).str(Syms), "-i");
+}
+
+TEST_F(LinearExprTest, PrintsInt64MinWithoutOverflow) {
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(LinearExpr::term(I, Min).str(Syms), "-9223372036854775808*i");
+  EXPECT_EQ((LinearExpr::term(I) + LinearExpr::term(J, Min)).str(Syms),
+            "i - 9223372036854775808*j");
+  EXPECT_EQ((LinearExpr::term(I) + LinearExpr::constant(Min)).str(Syms),
+            "i - 9223372036854775808");
 }
 
 TEST_F(LinearExprTest, CheckExprCanonicalisation) {

@@ -232,6 +232,33 @@ TEST(Sema, EmptyArrayDimensionRejected) {
   semaFails("program p\n real a(5:3)\nend program", "empty dimension");
 }
 
+TEST(Sema, OverflowingArrayShapeRejected) {
+  // 3037000500^2 exceeds INT64_MAX; so does the extent of the second
+  // a's one dimension. Each gets exactly one diagnostic, and a use of the
+  // array adds none.
+  for (const char *Body : {"integer a(3037000500, 3037000500)\n a(1, 1) = 1",
+                           "integer a(-9223372036854775807:"
+                           "9223372036854775807)\n a(1) = 1"}) {
+    DiagnosticEngine D;
+    Parser P(std::string("program p\n ") + Body + "\nend program", D);
+    auto AST = P.parseProgram();
+    ASSERT_FALSE(D.hasErrors()) << D.render();
+    Sema S(*AST, D);
+    EXPECT_EQ(S.run(), nullptr);
+    EXPECT_EQ(D.errorCount(), 1u) << D.render();
+    EXPECT_NE(D.render().find("more elements than a 64-bit integer can count"),
+              std::string::npos)
+        << D.render();
+  }
+  // The largest count that fits is accepted.
+  DiagnosticEngine D;
+  Parser P("program p\n integer a(3037000499, 3037000499)\nend program", D);
+  auto AST = P.parseProgram();
+  Sema S(*AST, D);
+  S.run();
+  EXPECT_FALSE(D.hasErrors()) << D.render();
+}
+
 TEST(Sema, ParameterMustBeDeclared) {
   semaFails(R"(
 program p
