@@ -1,549 +1,446 @@
 #include "cbackend/CEmitter.h"
 
+#include "interp/Decoded.h"
+#include "obs/Profile.h"
 #include "support/StringUtils.h"
 
-#include <cassert>
-#include <map>
-#include <set>
+#include <cmath>
+#include <iterator>
 
 using namespace nascent;
 
 namespace {
 
-/// Global profile-counter layout: every check site, block, and array of
-/// the module gets one slot in a static counter table, enumerated in
-/// deterministic (function, block id, instruction index) order — the same
-/// order obs::ExecutionProfile::attach uses, so the atexit dump lines and
-/// the interpreter profile line up site for site.
-struct ProfileTables {
-  struct Site {
-    std::string Func;
-    BlockID Block;
-    uint32_t Index;
-    CheckTag Tag;
-  };
-  struct Block {
-    std::string Func;
-    BlockID Id;
-    std::string Name;
-  };
-  struct Arr {
-    std::string Func;
-    std::string Name;
-  };
-  std::vector<Site> Sites;
-  std::vector<Block> Blocks;
-  std::vector<Arr> Arrays;
+/// The runtime every emitted program starts with: counters, the trap and
+/// fault exits, and the C mirrors of Decoded.h's scalar rules.
+constexpr const char *Prelude = R"(/* Generated by nascent-rangecheck's instrumented-C back end. */
+#include <math.h>
+#include <stdio.h>
+#include <stdlib.h>
 
-  /// Per-function lookup for the emitter's hot path.
-  struct FnSlots {
-    size_t BlockBase = 0;
-    std::map<std::pair<BlockID, uint32_t>, size_t> SiteAt;
-    std::map<SymbolID, size_t> ArrayAt;
-  };
-  std::map<std::string, FnSlots> ByFunc;
+static unsigned long long nck_instrs = 0, nck_checks = 0, nck_condchecks = 0;
 
-  static ProfileTables build(const Module &M) {
-    ProfileTables T;
-    for (const Function *F : M.functions()) {
-      FnSlots &S = T.ByFunc[F->name()];
-      S.BlockBase = T.Blocks.size();
-      for (const auto &BB : *F)
-        T.Blocks.push_back({F->name(), BB->id(), BB->name()});
-      for (SymbolID Sym = 0; Sym != F->symbols().size(); ++Sym)
-        if (F->symbols().get(Sym).isArray()) {
-          S.ArrayAt[Sym] = T.Arrays.size();
-          T.Arrays.push_back({F->name(), F->symbols().get(Sym).Name});
-        }
-      for (const auto &BB : *F) {
-        const auto &Insts = BB->instructions();
-        for (uint32_t Idx = 0; Idx != Insts.size(); ++Idx)
-          if (Insts[Idx].isRangeCheck()) {
-            S.SiteAt[{BB->id(), Idx}] = T.Sites.size();
-            T.Sites.push_back({F->name(), BB->id(), Idx, Insts[Idx].Tag});
-          }
-      }
-    }
-    return T;
+static void nck_report(void) {
+  fprintf(stderr, "[nascent-counts] instrs=%llu checks=%llu condchecks=%llu\n",
+          nck_instrs, nck_checks, nck_condchecks);
+}
+
+/* A failed check or a Trap exits with status 2, a hard fault with 3. */
+static void nck_trap(const char *What) {
+  fprintf(stderr, "[nascent-trap] %s\n", What);
+  nck_report();
+  exit(2);
+}
+static void nck_fault(const char *What) {
+  fprintf(stderr, "[nascent-fault] %s\n", What);
+  nck_report();
+  exit(3);
+}
+
+/* int64 arithmetic wraps as two's complement: INT64_MIN / -1 is INT64_MIN
+   and its remainder is 0. */
+static inline long long nck_add(long long A, long long B) {
+  return (long long)((unsigned long long)A + (unsigned long long)B);
+}
+static inline long long nck_sub(long long A, long long B) {
+  return (long long)((unsigned long long)A - (unsigned long long)B);
+}
+static inline long long nck_mul(long long A, long long B) {
+  return (long long)((unsigned long long)A * (unsigned long long)B);
+}
+static inline long long nck_div(long long A, long long B) {
+  return B == -1 ? nck_sub(0, A) : A / B;
+}
+static inline long long nck_mod(long long A, long long B) {
+  return B == -1 ? 0 : A % B;
+}
+
+/* int(x): truncation when it fits, INT64_MIN for NaN and out of range. */
+static inline long long nck_rtoi(double X) {
+  return X >= -0x1p63 && X < 0x1p63 ? (long long)X : -9223372036854775807LL - 1;
+}
+
+/* Whether sum C[k] * X[k] <= Bound holds by the exact sum: products in
+   128 bits and a running sum whose overflow is carried. */
+static inline int nck_holds(int N, const long long *C, const long long *X,
+                            long long Bound) {
+  __int128 Sum = 0;
+  int Carry = 0;
+  for (int K = 0; K < N; ++K) {
+    __int128 P = (__int128)C[K] * X[K];
+    if (__builtin_add_overflow(Sum, P, &Sum))
+      Carry += P < 0 ? -1 : 1;
   }
+  return Carry != 0 ? Carry < 0 : Sum <= Bound;
+}
+
+)";
+
+/// C forms of the value ops Op::AddI through Op::RealToInt, in Op order.
+/// '@' stands for operand A and '#' for operand B, both read as reals when
+/// Real is set and as integers otherwise.
+struct ValueForm {
+  const char *Text;
+  bool Real;
+};
+constexpr ValueForm ValueForms[] = {
+    {"nck_add(@, #)", false}, {"nck_sub(@, #)", false},
+    {"nck_mul(@, #)", false}, {"nck_div(@, #)", false},
+    {"nck_mod(@, #)", false}, {"nck_sub(0, @)", false},
+    {"# < @ ? # : @", false}, {"@ < # ? # : @", false}, // std::min, max
+    {"@ < 0 ? nck_sub(0, @) : @", false},
+    {"@ + #", true}, {"@ - #", true}, {"@ * #", true},
+    {"# == 0.0 ? 0.0 : @ / #", true}, {"0.0", true}, {"-(@)", true},
+    {"# < @ ? # : @", true}, {"@ < # ? # : @", true}, {"fabs(@)", true},
+    {"@ == #", false}, {"@ != #", false}, {"@ < #", false},
+    {"@ <= #", false}, {"@ > #", false}, {"@ >= #", false},
+    {"@ == #", true}, {"@ != #", true}, {"@ < #", true},
+    {"@ <= #", true}, {"@ > #", true}, {"@ >= #", true},
+    {"@ != 0 && # != 0", false}, {"@ != 0 || # != 0", false},
+    {"@ == 0", false}, {"@", false}, {"@", true}, {"(double)@", false},
+    {"nck_rtoi(@)", true},
+};
+static_assert(std::size(ValueForms) == static_cast<size_t>(Op::RealToInt) + 1);
+
+/// A C literal of \p V; INT64_MIN has none of its own.
+std::string cInt(int64_t V) {
+  if (V == std::numeric_limits<int64_t>::min())
+    return "(-9223372036854775807LL - 1)";
+  return std::to_string(V) + "LL";
+}
+
+/// A C double literal that reads back as exactly \p V.
+std::string cReal(double V) {
+  if (std::isnan(V))
+    return "__builtin_nan(\"\")";
+  if (std::isinf(V))
+    return V < 0 ? "(-__builtin_inf())" : "__builtin_inf()";
+  std::string S = formatString("%.17g", V);
+  if (S.find_first_of(".e") == std::string::npos)
+    S += ".0";
+  return S;
+}
+
+std::string cString(const std::string &S) {
+  std::string Out = "\"";
+  for (char C : S) {
+    if (C == '"' || C == '\\')
+      Out += '\\';
+    Out += C;
+  }
+  return Out + "\"";
+}
+
+std::string cType(ScalarType T) {
+  return T == ScalarType::Real ? "double" : "long long";
+}
+
+/// The first global profile counter slot of one function's sites, blocks
+/// and arrays: the profile skeleton numbers them per function, and the
+/// tables hold the functions back to back.
+struct SlotBase {
+  size_t Sites = 0, Blocks = 0, Arrays = 0;
 };
 
-/// Per-function emission context.
-class FunctionEmitter {
+/// Prints one decoded function as C.
+class FunctionPrinter {
 public:
-  FunctionEmitter(const Module &M, const Function &F,
-                  const ProfileTables *PT = nullptr)
-      : M(M), F(F), PT(PT),
-        Slots(PT ? &PT->ByFunc.at(F.name()) : nullptr) {}
-
-  /// C-safe name of a symbol: user variables become v_<name>, temps keep
-  /// a t<N> shape ("%t3" -> "t3"), arrays become a_<name>.
-  std::string symName(SymbolID S) const {
-    const Symbol &Sym = F.symbols().get(S);
-    std::string Base;
-    for (char C : Sym.Name)
-      if (C != '%')
-        Base += C;
-    if (Sym.isArray())
-      return "a_" + Base;
-    if (Sym.Kind == SymbolKind::Temp)
-      return Base; // "%t3" -> "t3", already unique
-    return "v_" + Base;
-  }
-
-  static std::string cType(ScalarType T) {
-    return T == ScalarType::Real ? "double" : "long long";
-  }
-
-  std::string operand(const Value &V) const {
-    switch (V.kind()) {
-    case Value::Kind::Sym:
-      return symName(V.symbol());
-    case Value::Kind::IntConst:
-    case Value::Kind::BoolConst:
-      return std::to_string(V.intValue()) + "LL";
-    case Value::Kind::RealConst:
-      return formatString("%.17g", V.realValue());
-    case Value::Kind::None:
-      break;
+  FunctionPrinter(const DecodedFunction &DF,
+                  const obs::ExecutionProfile *Skel, SlotBase Base)
+      : DF(DF), F(*DF.F), Skel(Skel), Base(Base) {
+    // Declarations are the only place symbols are looked up.
+    const SymbolTable &Syms = F.symbols();
+    for (SymbolID S = 0; S != Syms.size(); ++S) {
+      const Symbol &Sym = Syms.get(S);
+      // User variables become v_<name>, temps keep their t<N> shape
+      // ("%t3" -> "t3"), arrays become a_<name>.
+      std::string Stem;
+      for (char C : Sym.Name)
+        if (C != '%')
+          Stem += C;
+      Names.push_back(Sym.isArray()                   ? "a_" + Stem
+                      : Sym.Kind == SymbolKind::Temp ? Stem
+                                                      : "v_" + Stem);
+      Types.push_back(Sym.Type);
+      Layouts.push_back(Sym.isArray() ? layoutOf(Sym.Shape)
+                                      : std::vector<DimLayout>());
+      if (Sym.IsParam)
+        continue;
+      Locals += "  " + cType(Sym.Type) + " " + Names.back() +
+                (Sym.isArray() ? "[" +
+                                     std::to_string(Sym.Shape.elementCount()) +
+                                     "] = {0};\n"
+                               : " = 0;\n");
     }
-    return "0";
-  }
-
-  /// Column-major flattened index expression for an access.
-  std::string flatIndex(const Symbol &A,
-                        const std::vector<Value> &Indices) const {
-    std::string Out;
-    int64_t Stride = 1;
-    for (size_t D = 0; D != Indices.size(); ++D) {
-      const ArrayDim &Dim = A.Shape.Dims[D];
-      std::string Term = "(" + operand(Indices[D]) + " - " +
-                         std::to_string(Dim.Lower) + "LL)";
-      if (Stride != 1)
-        Term += " * " + std::to_string(Stride) + "LL";
-      if (!Out.empty())
-        Out += " + ";
-      Out += Term;
-      Stride *= Dim.extent();
-    }
-    return Out.empty() ? "0" : Out;
-  }
-
-  std::string checkCond(const CheckExpr &C) const {
-    std::string E;
-    for (const auto &[Sym, Coeff] : C.expr().terms()) {
-      if (!E.empty())
-        E += " + ";
-      E += std::to_string(Coeff) + "LL * " + symName(Sym);
-    }
-    if (E.empty())
-      E = "0LL";
-    return "(" + E + ") <= " + std::to_string(C.bound()) + "LL";
   }
 
   std::string signature() const {
-    std::string Sig;
-    if (F.resultType())
-      Sig += cType(*F.resultType());
-    else
-      Sig += "void";
-    Sig += " fn_" + F.name() + "(";
-    bool First = true;
-    for (SymbolID P : F.params()) {
-      if (!First)
-        Sig += ", ";
-      First = false;
-      const Symbol &S = F.symbols().get(P);
-      if (S.isArray())
-        Sig += cType(S.Type) + " *" + symName(P);
-      else
-        Sig += cType(S.Type) + " " + symName(P);
-    }
-    if (First)
-      Sig += "void";
-    Sig += ")";
-    return Sig;
+    std::string Sig = (F.resultType() ? cType(*F.resultType()) : "void") +
+                      " fn_" + F.name() + "(";
+    for (SymbolID P : F.params())
+      Sig += (P == F.params().front() ? "" : ", ") + cType(Types[P]) +
+             (Layouts[P].empty() ? " " : " *") + Names[P];
+    return Sig + (F.params().empty() ? "void)" : ")");
   }
 
-  std::string emitBody() {
-    std::string Out;
-    // Local declarations (parameters are already in scope).
-    std::set<SymbolID> Params(F.params().begin(), F.params().end());
-    for (SymbolID S = 0; S != F.symbols().size(); ++S) {
-      if (Params.count(S))
-        continue;
-      const Symbol &Sym = F.symbols().get(S);
-      if (Sym.isArray()) {
-        Out += "  " + cType(Sym.Type) + " " + symName(S) + "[" +
-               std::to_string(Sym.Shape.elementCount()) + "] = {0};\n";
-      } else {
-        Out += "  " + cType(Sym.Type) + " " + symName(S) + " = 0;\n";
-      }
-    }
-    Out += "  goto bb0;\n";
-    for (const auto &BB : F) {
-      Out += "bb" + std::to_string(BB->id()) + ": ;\n";
-      if (Slots)
-        Out += "  nck_count(&nck_blocks[" +
-               std::to_string(Slots->BlockBase + BB->id()) + "]);\n";
-      const auto &Insts = BB->instructions();
-      for (uint32_t Idx = 0; Idx != Insts.size(); ++Idx)
-        Out += emitInstruction(Insts[Idx], BB->id(), Idx);
-      if (!BB->hasTerminator())
-        Out += "  return" +
-               std::string(F.resultType() ? " 0" : "") + ";\n";
+  std::string body() const {
+    std::string Out = Locals + "  goto bb" + std::to_string(F.entryBlock()) +
+                      ";\n";
+    for (BlockID B = 0; B != DF.BlockStart.size(); ++B) {
+      Out += "bb" + std::to_string(B) + ": ;\n";
+      if (Skel)
+        Out += "  " + count("nck_blocks", Base.Blocks + B) + "\n";
+      size_t End = B + 1 == DF.BlockStart.size() ? DF.Ops.size()
+                                                 : DF.BlockStart[B + 1];
+      for (size_t K = DF.BlockStart[B]; K != End; ++K)
+        Out += statement(DF.Ops[K]);
     }
     return Out;
   }
 
 private:
-  std::string destType(const Instruction &I) const {
-    return cType(F.symbols().get(I.Dest).Type);
+  /// The cell a decoded op reads as an integer (S[X.Slot].I).
+  std::string intOf(Operand X) const {
+    return X.Slot < Names.size() ? Names[X.Slot]
+                                 : cInt(DF.InitialCells[X.Slot].I);
   }
 
-  std::string binaryExpr(const Instruction &I) const {
-    const std::string A = operand(I.Operands[0]);
-    const std::string B = operand(I.Operands[1]);
-    bool Real = F.symbols().get(I.Dest).Type == ScalarType::Real;
-    switch (I.Op) {
-    case Opcode::Add:
-      return A + " + " + B;
-    case Opcode::Sub:
-      return A + " - " + B;
-    case Opcode::Mul:
-      return A + " * " + B;
-    case Opcode::Div:
-      if (Real)
-        return "(" + B + " == 0.0 ? 0.0 : " + A + " / " + B + ")";
-      return "nck_idiv(" + A + ", " + B + ")";
-    case Opcode::Mod:
-      return "nck_imod(" + A + ", " + B + ")";
-    case Opcode::Min:
-      return "(" + A + " < " + B + " ? " + A + " : " + B + ")";
-    case Opcode::Max:
-      return "(" + A + " > " + B + " ? " + A + " : " + B + ")";
-    default:
-      break;
-    }
-    return "0";
+  /// The cell a decoded op reads as a real (realOf).
+  std::string realOf(Operand X) const {
+    if (!X.Real)
+      return "(double)" + intOf(X);
+    return X.Slot < Names.size() ? Names[X.Slot]
+                                 : cReal(DF.InitialCells[X.Slot].R);
   }
 
-  /// Comparison operands follow the operand types, not the (bool) dest.
-  std::string cmpExpr(const Instruction &I) const {
-    auto IsReal = [&](const Value &V) {
-      if (V.isSym())
-        return F.symbols().get(V.symbol()).Type == ScalarType::Real;
-      return V.isRealConst();
-    };
-    std::string A = operand(I.Operands[0]);
-    std::string B = operand(I.Operands[1]);
-    if (IsReal(I.Operands[0]) || IsReal(I.Operands[1])) {
-      A = "(double)" + A;
-      B = "(double)" + B;
+  /// The call of nck_holds that mirrors holds() on \p C.
+  std::string holds(const DecodedCheck &C) const {
+    std::string Coeffs, Cells;
+    for (uint32_t K = C.Begin; K != C.End; ++K) {
+      std::string Sep = K == C.Begin ? "" : ", ";
+      Coeffs += Sep + cInt(DF.Terms[K].Coeff);
+      Cells += Sep + Names[DF.Terms[K].Slot];
     }
-    const char *Op = "==";
-    switch (I.Op) {
-    case Opcode::CmpEQ:
-      Op = "==";
-      break;
-    case Opcode::CmpNE:
-      Op = "!=";
-      break;
-    case Opcode::CmpLT:
-      Op = "<";
-      break;
-    case Opcode::CmpLE:
-      Op = "<=";
-      break;
-    case Opcode::CmpGT:
-      Op = ">";
-      break;
-    case Opcode::CmpGE:
-      Op = ">=";
-      break;
-    default:
-      break;
-    }
-    return "(" + A + " " + Op + " " + B + ") ? 1 : 0";
+    if (C.Begin == C.End)
+      return "nck_holds(0, 0, 0, " + cInt(C.Bound) + ")";
+    return "nck_holds(" + std::to_string(C.End - C.Begin) +
+           ", (const long long[]){" + Coeffs + "}, (const long long[]){" +
+           Cells + "}, " + cInt(C.Bound) + ")";
   }
 
-  std::string emitInstruction(const Instruction &I, BlockID Block,
-                              uint32_t Idx) {
+  /// The condition under which the check op \p O traps: the interval test
+  /// of a CheckIn, or the guards holding and the check not.
+  std::string fails(const DecodedOp &O) const {
+    if (O.Code == Op::CheckIn || O.Code == Op::CheckPair)
+      return "(unsigned long long)" + intOf(O.A) + " - " +
+             std::to_string(static_cast<uint64_t>(O.Lo)) + "ULL > " +
+             std::to_string(O.Span) + "ULL";
     std::string Out;
-    auto Line = [&](const std::string &S) { Out += "  " + S + "\n"; };
-
-    // Instrumentation mirrors the interpreter's counting exactly.
-    if (I.isRangeCheck())
-      Line("nck_checks++;" + std::string(I.Op == Opcode::CondCheck
-                                             ? " nck_condchecks++;"
-                                             : ""));
-    else if (I.Op == Opcode::Load || I.Op == Opcode::Store)
-      Line("nck_instrs += " + std::to_string(1 + 2 * I.Indices.size()) +
-           ";");
-    else
-      Line("nck_instrs++;");
-
-    // Profile counters: a site's hit counter bumps on every execution
-    // (even when CondCheck guards are false, matching the interpreter's
-    // noteCheck), the trap counter right before the trap exit.
-    size_t SiteSlot = ~size_t(0);
-    if (Slots && I.isRangeCheck()) {
-      SiteSlot = Slots->SiteAt.at({Block, Idx});
-      Line("nck_count(&nck_site_hits[" + std::to_string(SiteSlot) + "]);");
-    }
-    std::string TrapProfile =
-        SiteSlot == ~size_t(0)
-            ? std::string()
-            : "nck_count(&nck_site_traps[" + std::to_string(SiteSlot) +
-                  "]); ";
-
-    switch (I.Op) {
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::Div:
-    case Opcode::Mod:
-    case Opcode::Min:
-    case Opcode::Max:
-      Line(symName(I.Dest) + " = " + binaryExpr(I) + ";");
-      break;
-    case Opcode::Neg:
-      Line(symName(I.Dest) + " = -" + operand(I.Operands[0]) + ";");
-      break;
-    case Opcode::Abs: {
-      std::string A = operand(I.Operands[0]);
-      Line(symName(I.Dest) + " = (" + A + " < 0 ? -" + A + " : " + A +
-           ");");
-      break;
-    }
-    case Opcode::CmpEQ:
-    case Opcode::CmpNE:
-    case Opcode::CmpLT:
-    case Opcode::CmpLE:
-    case Opcode::CmpGT:
-    case Opcode::CmpGE:
-      Line(symName(I.Dest) + " = " + cmpExpr(I) + ";");
-      break;
-    case Opcode::And:
-      Line(symName(I.Dest) + " = (" + operand(I.Operands[0]) +
-           " != 0 && " + operand(I.Operands[1]) + " != 0) ? 1 : 0;");
-      break;
-    case Opcode::Or:
-      Line(symName(I.Dest) + " = (" + operand(I.Operands[0]) +
-           " != 0 || " + operand(I.Operands[1]) + " != 0) ? 1 : 0;");
-      break;
-    case Opcode::Not:
-      Line(symName(I.Dest) + " = (" + operand(I.Operands[0]) +
-           " == 0) ? 1 : 0;");
-      break;
-    case Opcode::Copy:
-      Line(symName(I.Dest) + " = " + operand(I.Operands[0]) + ";");
-      break;
-    case Opcode::IntToReal:
-      Line(symName(I.Dest) + " = (double)" + operand(I.Operands[0]) + ";");
-      break;
-    case Opcode::RealToInt:
-      Line(symName(I.Dest) + " = (long long)" + operand(I.Operands[0]) +
-           ";");
-      break;
-    case Opcode::Load: {
-      const Symbol &A = F.symbols().get(I.Array);
-      Line(symName(I.Dest) + " = " + symName(I.Array) + "[" +
-           flatIndex(A, I.Indices) + "];");
-      if (Slots)
-        Line("nck_count(&nck_arr_loads[" +
-             std::to_string(Slots->ArrayAt.at(I.Array)) + "]);");
-      break;
-    }
-    case Opcode::Store: {
-      const Symbol &A = F.symbols().get(I.Array);
-      Line(symName(I.Array) + "[" + flatIndex(A, I.Indices) + "] = " +
-           operand(I.Operands[0]) + ";");
-      if (Slots)
-        Line("nck_count(&nck_arr_stores[" +
-             std::to_string(Slots->ArrayAt.at(I.Array)) + "]);");
-      break;
-    }
-    case Opcode::Check:
-      Line("if (!(" + checkCond(I.Check) + ")) { " + TrapProfile +
-           "nck_trap(\"" +
-           (I.Origin.ArrayName.empty() ? std::string("range check")
-                                       : "array " + I.Origin.ArrayName) +
-           "\"); }");
-      break;
-    case Opcode::CondCheck: {
-      std::string Guards;
-      for (const CheckExpr &G : I.Guards) {
-        if (!Guards.empty())
-          Guards += " && ";
-        Guards += "(" + checkCond(G) + ")";
-      }
-      Line("if (" + Guards + ") { if (!(" + checkCond(I.Check) + ")) { " +
-           TrapProfile + "nck_trap(\"" +
-           (I.Origin.ArrayName.empty() ? std::string("range check")
-                                       : "array " + I.Origin.ArrayName) +
-           "\"); } }");
-      break;
-    }
-    case Opcode::Trap:
-      Line("nck_trap(\"compile-time detected violation\");");
-      break;
-    case Opcode::Br:
-      Line("if (" + operand(I.Operands[0]) + " != 0) goto bb" +
-           std::to_string(I.TrueTarget) + "; else goto bb" +
-           std::to_string(I.FalseTarget) + ";");
-      break;
-    case Opcode::Jump:
-      Line("goto bb" + std::to_string(I.TrueTarget) + ";");
-      break;
-    case Opcode::Ret:
-      if (F.resultType())
-        Line("return " +
-             (I.Operands.empty() ? std::string("0")
-                                 : operand(I.Operands[0])) +
-             ";");
-      else
-        Line("return;");
-      break;
-    case Opcode::Call: {
-      const Function *Callee = M.function(I.Callee);
-      assert(Callee && "verified module");
-      std::string CallStr = "fn_" + I.Callee + "(";
-      for (size_t K = 0; K != I.Operands.size(); ++K) {
-        if (K)
-          CallStr += ", ";
-        const Symbol &PS = Callee->symbols().get(Callee->params()[K]);
-        if (PS.isArray())
-          CallStr += symName(I.Operands[K].symbol());
-        else if (PS.Type == ScalarType::Real)
-          CallStr += "(double)" + operand(I.Operands[K]);
-        else
-          CallStr += "(long long)" + operand(I.Operands[K]);
-      }
-      CallStr += ")";
-      if (I.Dest != InvalidSymbol)
-        Line(symName(I.Dest) + " = " + CallStr + ";");
-      else
-        Line(CallStr + ";");
-      break;
-    }
-    case Opcode::Print: {
-      const Value &V = I.Operands[0];
-      bool Real = V.isRealConst() ||
-                  (V.isSym() && F.symbols().get(V.symbol()).Type ==
-                                    ScalarType::Real);
-      bool Bool = V.isBoolConst() ||
-                  (V.isSym() && F.symbols().get(V.symbol()).Type ==
-                                    ScalarType::Bool);
-      if (Real)
-        Line("printf(\"%.6g\\n\", (double)" + operand(V) + ");");
-      else if (Bool)
-        Line("printf(\"%s\\n\", " + operand(V) + " ? \"T\" : \"F\");");
-      else
-        Line("printf(\"%lld\\n\", (long long)" + operand(V) + ");");
-      break;
-    }
-    }
-    return Out;
+    for (uint32_t K = O.Begin; K != O.End; ++K)
+      Out += holds(DF.Guards[K]) + " && ";
+    return Out + "!" + holds(O.Check);
   }
 
-  const Module &M;
+  /// The element a Load or Store addresses, column-major.
+  std::string element(const DecodedOp &O) const {
+    std::string Index;
+    const DimLayout *Dim = Layouts[O.Array].data();
+    for (uint32_t K = O.Begin; K != O.End; ++K, ++Dim) {
+      Index += (K == O.Begin ? "(" : " + (") + intOf(DF.Subscripts[K]) +
+               " - " + cInt(Dim->Lower) + ")";
+      if (Dim->Stride != 1)
+        Index += " * " + std::to_string(Dim->Stride) + "LL";
+    }
+    return Names[O.Array] + "[" + (Index.empty() ? "0" : Index) + "]";
+  }
+
+  /// The C statement that runs \p O, after its step count.
+  std::string statement(const DecodedOp &O) const {
+    std::string Out = "  ";
+    if (isCheckOp(O.Code))
+      Out += O.Code == Op::CondCheck ? "nck_checks++; nck_condchecks++; "
+                                     : "nck_checks++; ";
+    else if (O.Steps != 0)
+      Out += O.Steps == 1 ? "nck_instrs++; "
+                          : "nck_instrs += " + std::to_string(O.Steps) + "; ";
+    return Out + effect(O) + "\n";
+  }
+
+  /// "nck_count(&Table[Slot]); " with a profile, nothing without one.
+  std::string count(const char *Table, size_t Slot) const {
+    return Skel ? "nck_count(&" + std::string(Table) + "[" +
+                      std::to_string(Slot) + "]); "
+                : "";
+  }
+
+  std::string effect(const DecodedOp &O) const {
+    auto Halt = [&] { return cString(haltMessage(DF, O)); };
+    size_t Site = 0, Array = 0;
+    if (Skel && isCheckOp(O.Code))
+      Site = Base.Sites + Skel->siteIndex(DF.ProfileIndex, O.Block, O.Index);
+    if (Skel && (O.Code == Op::Load || O.Code == Op::Store))
+      Array = Base.Arrays + Skel->arrayIndex(DF.ProfileIndex, O.Array);
+    switch (O.Code) {
+    case Op::DivI:
+    case Op::ModI:
+      return "if (" + intOf(O.B) + " == 0) nck_fault(" + Halt() + "); " +
+             value(O);
+    case Op::Load:
+      return count("nck_arr_loads", Array) + Names[O.Dest] + " = " +
+             element(O) + ";";
+    case Op::Store:
+      return count("nck_arr_stores", Array) + element(O) + " = " +
+             (Types[O.Array] == ScalarType::Real ? realOf(O.A) : intOf(O.A)) +
+             ";";
+    case Op::Check:
+    case Op::CondCheck:
+    case Op::CheckIn:
+    case Op::CheckPair:
+      // A site's hit counter bumps on every execution, also when the
+      // guards of a CondCheck are false; its trap counter before the trap.
+      return count("nck_site_hits", Site) + "if (" + fails(O) + ") { " +
+             count("nck_site_traps", Site) + "nck_trap(" + Halt() + "); }";
+    case Op::Trap:
+      return "nck_trap(" + Halt() + ");";
+    case Op::Br:
+      return "if (" + intOf(O.A) + " != 0) goto bb" +
+             std::to_string(O.TrueBlock) + "; else goto bb" +
+             std::to_string(O.FalseBlock) + ";";
+    case Op::Jump:
+      return "goto bb" + std::to_string(O.TrueBlock) + ";";
+    case Op::Ret:
+      return F.resultType() ? "return 0;" : "return;";
+    case Op::RetI:
+      return "return " + intOf(O.A) + ";";
+    case Op::RetR:
+      return "return " + realOf(O.A) + ";";
+    case Op::Call:
+    case Op::CallI:
+    case Op::CallR: {
+      if (!O.Callee)
+        return "nck_fault(" + Halt() + ");";
+      std::string Call = "fn_" + O.Callee->F->name() + "(";
+      for (uint32_t K = O.Begin; K != O.End; ++K) {
+        const Argument &Arg = DF.Args[K];
+        Call += (K == O.Begin ? "" : ", ") +
+                (Arg.K == Argument::Kind::Array  ? Names[Arg.From.Slot]
+                 : Arg.K == Argument::Kind::Real ? realOf(Arg.From)
+                                                 : intOf(Arg.From));
+      }
+      return (O.Code == Op::Call ? "" : Names[O.Dest] + " = ") + Call + ");";
+    }
+    case Op::PrintI:
+      return "printf(\"%lld\\n\", " + intOf(O.A) + ");";
+    case Op::PrintR:
+      return "printf(\"%.6g\\n\", " + realOf(O.A) + ");";
+    case Op::PrintBool:
+      return "puts(" + intOf(O.A) + " ? \"T\" : \"F\");";
+    case Op::FellOff:
+      return "nck_fault(" + Halt() + ");";
+    default:
+      return value(O);
+    }
+  }
+
+  /// Dest = the value op's C form.
+  std::string value(const DecodedOp &O) const {
+    const ValueForm &Form = ValueForms[static_cast<size_t>(O.Code)];
+    std::string Out = Names[O.Dest] + " = ";
+    for (const char *C = Form.Text; *C; ++C)
+      Out += *C == '@'   ? (Form.Real ? realOf(O.A) : intOf(O.A))
+             : *C == '#' ? (Form.Real ? realOf(O.B) : intOf(O.B))
+                         : std::string(1, *C);
+    return Out + ";";
+  }
+
+  const DecodedFunction &DF;
   const Function &F;
-  const ProfileTables *PT = nullptr;
-  const ProfileTables::FnSlots *Slots = nullptr;
+  const obs::ExecutionProfile *Skel;
+  SlotBase Base;
+  std::vector<std::string> Names;              ///< by SymbolID
+  std::vector<ScalarType> Types;               ///< by SymbolID
+  std::vector<std::vector<DimLayout>> Layouts; ///< by SymbolID, arrays only
+  std::string Locals;                          ///< local declarations
 };
 
 /// The static counter tables, the saturating bump helper, and the atexit
-/// dump. Every table has at least one slot so empty modules stay valid C.
-std::string emitProfileRuntime(const ProfileTables &T) {
+/// dump, one slot per site, block and array of the profile skeleton.
+/// Every table has at least one slot so empty modules stay valid C.
+std::string profileRuntime(const obs::ExecutionProfile &Skel) {
+  std::string Sites, Blocks, Arrays;
+  size_t NSites = 0, NBlocks = 0, NArrays = 0;
+  for (const obs::FunctionProfile &FP : Skel.functions()) {
+    std::string Fn = "  fprintf(stderr, \"[nascent-prof";
+    for (const obs::CheckSiteProfile &S : FP.Sites) {
+      std::string Slot = std::to_string(NSites++);
+      Sites += Fn + "site] func=" + FP.Name +
+               " block=" + std::to_string(S.Block) +
+               " index=" + std::to_string(S.Index) +
+               " tag=" + std::to_string(S.Tag) +
+               " hits=%llu traps=%llu\\n\", nck_site_hits[" + Slot +
+               "], nck_site_traps[" + Slot + "]);\n";
+    }
+    for (size_t B = 0; B != FP.BlockCounts.size(); ++B)
+      Blocks += Fn + "block] func=" + FP.Name +
+                " block=" + std::to_string(B) +
+                " count=%llu\\n\", nck_blocks[" + std::to_string(NBlocks++) +
+                "]);\n";
+    for (const obs::ArrayProfile &A : FP.Arrays) {
+      std::string Slot = std::to_string(NArrays++);
+      Arrays += Fn + "array] func=" + FP.Name + " array=" + A.Name +
+                " loads=%llu stores=%llu\\n\", nck_arr_loads[" + Slot +
+                "], nck_arr_stores[" + Slot + "]);\n";
+    }
+  }
   auto Dim = [](size_t N) { return std::to_string(N ? N : 1); };
-  std::string Out;
-  Out += "/* Execution-profile counter tables: one slot per check site, "
-         "block, and array. */\n";
-  Out += "static unsigned long long nck_site_hits[" + Dim(T.Sites.size()) +
-         "], nck_site_traps[" + Dim(T.Sites.size()) + "];\n";
-  Out += "static unsigned long long nck_blocks[" + Dim(T.Blocks.size()) +
-         "];\n";
-  Out += "static unsigned long long nck_arr_loads[" +
-         Dim(T.Arrays.size()) + "], nck_arr_stores[" +
-         Dim(T.Arrays.size()) + "];\n\n";
-  Out += "static void nck_count(unsigned long long *C) {\n"
+  return "/* Execution-profile counter tables: one slot per check site, "
+         "block, and array. */\n"
+         "static unsigned long long nck_site_hits[" +
+         Dim(NSites) + "], nck_site_traps[" + Dim(NSites) +
+         "];\nstatic unsigned long long nck_blocks[" + Dim(NBlocks) +
+         "];\nstatic unsigned long long nck_arr_loads[" + Dim(NArrays) +
+         "], nck_arr_stores[" + Dim(NArrays) +
+         "];\n\n"
+         "static void nck_count(unsigned long long *C) {\n"
          "  if (*C != 0xFFFFFFFFFFFFFFFFULL) ++*C; /* saturate, don't wrap "
-         "*/\n}\n\n";
-  Out += "static void nck_profile_dump(void) {\n";
-  for (size_t I = 0; I != T.Sites.size(); ++I) {
-    const ProfileTables::Site &S = T.Sites[I];
-    Out += "  fprintf(stderr, \"[nascent-profsite] func=" + S.Func +
-           " block=" + std::to_string(S.Block) +
-           " index=" + std::to_string(S.Index) +
-           " tag=" + std::to_string(S.Tag) +
-           " hits=%llu traps=%llu\\n\", nck_site_hits[" +
-           std::to_string(I) + "], nck_site_traps[" + std::to_string(I) +
-           "]);\n";
-  }
-  for (size_t I = 0; I != T.Blocks.size(); ++I) {
-    const ProfileTables::Block &B = T.Blocks[I];
-    Out += "  fprintf(stderr, \"[nascent-profblock] func=" + B.Func +
-           " block=" + std::to_string(B.Id) +
-           " count=%llu\\n\", nck_blocks[" + std::to_string(I) + "]);\n";
-  }
-  for (size_t I = 0; I != T.Arrays.size(); ++I) {
-    const ProfileTables::Arr &A = T.Arrays[I];
-    Out += "  fprintf(stderr, \"[nascent-profarray] func=" + A.Func +
-           " array=" + A.Name +
-           " loads=%llu stores=%llu\\n\", nck_arr_loads[" +
-           std::to_string(I) + "], nck_arr_stores[" + std::to_string(I) +
-           "]);\n";
-  }
-  Out += "}\n\n";
-  return Out;
+         "*/\n}\n\n"
+         "static void nck_profile_dump(void) {\n" +
+         Sites + Blocks + Arrays + "}\n\n";
 }
 
 } // namespace
 
 std::string nascent::emitModuleToC(const Module &M,
                                    const CEmitOptions &Opts) {
-  ProfileTables PT;
+  obs::ExecutionProfile Skel;
   if (Opts.Profile)
-    PT = ProfileTables::build(M);
-  std::string Out;
-  Out += "/* Generated by nascent-rangecheck's instrumented-C back end. */\n";
-  Out += "#include <stdio.h>\n#include <stdlib.h>\n\n";
-  Out += "static unsigned long long nck_instrs = 0, nck_checks = 0, "
-         "nck_condchecks = 0;\n\n";
-  if (Opts.Profile)
-    Out += emitProfileRuntime(PT);
-  Out += "static void nck_report(void) {\n"
-         "  fprintf(stderr, \"[nascent-counts] instrs=%llu checks=%llu "
-         "condchecks=%llu\\n\",\n"
-         "          nck_instrs, nck_checks, nck_condchecks);\n}\n\n";
-  Out += "static void nck_trap(const char *What) {\n"
-         "  fprintf(stderr, \"[nascent-trap] range check failed: %s\\n\", "
-         "What);\n"
-         "  nck_report();\n  exit(2);\n}\n\n";
-  Out += "static long long nck_idiv(long long A, long long B) {\n"
-         "  if (B == 0) { fprintf(stderr, \"[nascent-trap] division by "
-         "zero\\n\"); exit(3); }\n  return A / B;\n}\n\n";
-  Out += "static long long nck_imod(long long A, long long B) {\n"
-         "  if (B == 0) { fprintf(stderr, \"[nascent-trap] mod by "
-         "zero\\n\"); exit(3); }\n  return A % B;\n}\n\n";
+    Skel.attach(M);
+  const obs::ExecutionProfile *P = Opts.Profile ? &Skel : nullptr;
+  DecodedModule DM = decodeModule(M, P);
 
-  // Prototypes first (callees may appear in any order).
-  for (const Function *F : M.functions()) {
-    FunctionEmitter FE(M, *F);
-    Out += "static " + FE.signature() + ";\n";
+  std::string Out = Prelude;
+  if (P)
+    Out += profileRuntime(Skel);
+  std::vector<FunctionPrinter> Printers;
+  SlotBase Base;
+  for (const DecodedFunction &DF : DM.Functions) {
+    Printers.emplace_back(DF, P, Base);
+    if (P) {
+      const obs::FunctionProfile &FP = Skel.functions()[DF.ProfileIndex];
+      Base.Sites += FP.Sites.size();
+      Base.Blocks += FP.BlockCounts.size();
+      Base.Arrays += FP.Arrays.size();
+    }
   }
+  // Prototypes first: callees may appear in any order.
+  for (const FunctionPrinter &FP : Printers)
+    Out += "static " + FP.signature() + ";\n";
   Out += "\n";
-
-  for (const Function *F : M.functions()) {
-    FunctionEmitter FE(M, *F, Opts.Profile ? &PT : nullptr);
-    Out += "static " + FE.signature() + " {\n";
-    Out += FE.emitBody();
-    Out += "}\n\n";
-  }
+  for (const FunctionPrinter &FP : Printers)
+    Out += "static " + FP.signature() + " {\n" + FP.body() + "}\n\n";
 
   Out += "int main(void) {\n";
-  if (Opts.Profile)
+  if (P)
     Out += "  atexit(nck_profile_dump); /* survives the trap exit */\n";
   Out += "  fn_" + M.entryName() + "();\n  nck_report();\n  return 0;\n}\n";
   return Out;

@@ -1,5 +1,6 @@
 #include "frontend/Lowering.h"
 
+#include "interp/Decoded.h"
 #include "ir/IRBuilder.h"
 
 #include <map>
@@ -214,7 +215,7 @@ Value FunctionLowerer::convert(Value V, ScalarType From, ScalarType To) {
   }
   if (From == ScalarType::Real && To == ScalarType::Int) {
     if (V.isRealConst())
-      return Value::intConst(static_cast<int64_t>(V.realValue()));
+      return Value::intConst(realToInt(V.realValue()));
     return B.emitUnary(Opcode::RealToInt, V, ScalarType::Int);
   }
   return V;
@@ -261,8 +262,8 @@ LoweredExpr FunctionLowerer::lowerExpr(const Expr &E) {
     switch (U.Op) {
     case UnaryOp::Neg:
       if (Sub.V.isIntConst()) {
-        Out.V = Value::intConst(-Sub.V.intValue());
-        Out.Lin = LinearExpr::constant(-Sub.V.intValue());
+        Out.V = Value::intConst(wrapSub(0, Sub.V.intValue()));
+        Out.Lin = LinearExpr::constant(Out.V.intValue());
         return Out;
       }
       if (Sub.V.isRealConst()) {
@@ -316,19 +317,21 @@ LoweredExpr FunctionLowerer::lowerExpr(const Expr &E) {
                                             : PromTy);
 
     // Constant folding for integer arithmetic keeps the naive code from
-    // being absurd and keeps linear forms tight.
+    // being absurd and keeps linear forms tight. It follows the run's
+    // wrapping rules, so a folded constant is what the run would compute;
+    // a zero divisor is left for the run to fault on.
     auto FoldInt = [&](int64_t A, int64_t C) -> std::optional<int64_t> {
       switch (Bi.Op) {
       case BinaryOp::Add:
-        return A + C;
+        return wrapAdd(A, C);
       case BinaryOp::Sub:
-        return A - C;
+        return wrapSub(A, C);
       case BinaryOp::Mul:
-        return A * C;
+        return wrapMul(A, C);
       case BinaryOp::Div:
-        return C == 0 ? std::nullopt : std::optional<int64_t>(A / C);
+        return C == 0 ? std::nullopt : std::optional<int64_t>(wrapDiv(A, C));
       case BinaryOp::Mod:
-        return C == 0 ? std::nullopt : std::optional<int64_t>(A % C);
+        return C == 0 ? std::nullopt : std::optional<int64_t>(wrapMod(A, C));
       case BinaryOp::Min:
         return std::min(A, C);
       case BinaryOp::Max:

@@ -118,12 +118,18 @@ void ExecutionProfile::enterBlock(size_t FnIdx, BlockID B,
       saturatingInc(FS.Trips[L]);
 }
 
+int32_t ExecutionProfile::siteIndex(size_t FnIdx, BlockID B,
+                                    uint32_t Index) const {
+  const std::vector<int32_t> &Sites = Plans[FnIdx].SiteAt[B];
+  return Index < Sites.size() ? Sites[Index] : -1;
+}
+
 void ExecutionProfile::noteCheck(size_t FnIdx, BlockID B, uint32_t Index,
                                  bool Trapped) {
-  const std::vector<int32_t> &Sites = Plans[FnIdx].SiteAt[B];
-  if (Index >= Sites.size() || Sites[Index] < 0)
+  int32_t Site = siteIndex(FnIdx, B, Index);
+  if (Site < 0)
     return; // check fabricated after attach; not a profiled site
-  CheckSiteProfile &SP = Funcs[FnIdx].Sites[Sites[Index]];
+  CheckSiteProfile &SP = Funcs[FnIdx].Sites[Site];
   saturatingInc(SP.Hits);
   if (Trapped)
     saturatingInc(SP.Traps);
@@ -131,7 +137,7 @@ void ExecutionProfile::noteCheck(size_t FnIdx, BlockID B, uint32_t Index,
 
 void ExecutionProfile::noteAccess(size_t FnIdx, SymbolID Array,
                                   bool IsStore) {
-  int32_t Idx = Plans[FnIdx].ArrayIndex[Array];
+  int32_t Idx = arrayIndex(FnIdx, Array);
   if (Idx < 0)
     return;
   ArrayProfile &AP = Funcs[FnIdx].Arrays[Idx];

@@ -140,6 +140,16 @@ public:
   /// the attached module. The interpreter caches this per frame.
   size_t functionIndex(const Function *F) const;
 
+  /// Index into functions()[FnIdx].Sites of the check at (\p B,
+  /// \p Index); -1 when no site was attached there.
+  int32_t siteIndex(size_t FnIdx, BlockID B, uint32_t Index) const;
+
+  /// Index into functions()[FnIdx].Arrays of array symbol \p Array; -1
+  /// for a symbol that is not an array.
+  int32_t arrayIndex(size_t FnIdx, SymbolID Array) const {
+    return Plans[FnIdx].ArrayIndex[Array];
+  }
+
   /// A fresh per-frame loop state for function \p FnIdx.
   ProfileFrameState makeFrameState(size_t FnIdx) const;
 

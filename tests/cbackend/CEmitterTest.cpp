@@ -2,10 +2,13 @@
 ///
 /// \file
 /// Instrumented-C back end tests: the emitted C compiles with the system
-/// compiler, and running it produces exactly the interpreter's output and
-/// dynamic counters — validating both the back end and, independently,
-/// the interpreter (the paper's methodology was precisely "translate to
-/// instrumented C, compile, run, count").
+/// compiler, and running it produces exactly the interpreter's output,
+/// exit status and dynamic counters — validating both the back end and,
+/// independently, the interpreter (the paper's methodology was precisely
+/// "translate to instrumented C, compile, run, count"). Where the compiler
+/// supports it the C is built with -fsanitize=undefined and
+/// -fno-sanitize-recover=all, so undefined behaviour in the emitted C,
+/// such as a signed overflow, fails the test.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +21,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace nascent;
@@ -33,11 +38,24 @@ bool haveCC() {
   return Have == 1;
 }
 
+/// The sanitizer flags to build emitted C with; empty when cc lacks them.
+const std::string &sanitizeFlags() {
+  static const std::string Flags =
+      std::system("echo 'int main(void) { return 0; }' | cc -x c "
+                  "-fsanitize=undefined -fno-sanitize-recover=all -o "
+                  "/dev/null - > /dev/null 2>&1") == 0
+          ? " -fsanitize=undefined -fno-sanitize-recover=all"
+          : "";
+  return Flags;
+}
+
 struct CRun {
   int ExitCode = -1;
   std::vector<std::string> Stdout;
   uint64_t Instrs = 0, Checks = 0, CondChecks = 0;
   bool Trapped = false;
+  std::string Halt;       ///< the trap or fault message
+  bool Sanitized = false; ///< the sanitizer reported an error
 };
 
 /// Emits, compiles, and runs \p M; fails the test on compile errors.
@@ -52,7 +70,8 @@ CRun compileAndRunC(const Module &M, const std::string &Tag) {
     std::ofstream Out(CPath);
     Out << emitModuleToC(M);
   }
-  std::string Compile = "cc -O1 -o " + Bin + " " + CPath + " 2> " + ErrPath;
+  std::string Compile = "cc -O1" + sanitizeFlags() + " -o " + Bin + " " +
+                        CPath + " 2> " + ErrPath;
   int CC = std::system(Compile.c_str());
   EXPECT_EQ(CC, 0) << "C compilation failed for " << Tag;
   CRun R;
@@ -69,8 +88,13 @@ CRun compileAndRunC(const Module &M, const std::string &Tag) {
 
   std::ifstream Err(ErrPath);
   while (std::getline(Err, Line)) {
+    for (const char *Tag : {"[nascent-trap] ", "[nascent-fault] "})
+      if (Line.rfind(Tag, 0) == 0)
+        R.Halt = Line.substr(std::strlen(Tag));
     if (Line.find("[nascent-trap]") != std::string::npos)
       R.Trapped = true;
+    if (Line.find("runtime error") != std::string::npos)
+      R.Sanitized = true;
     unsigned long long I, C, Q;
     if (std::sscanf(Line.c_str(),
                     "[nascent-counts] instrs=%llu checks=%llu "
@@ -84,25 +108,46 @@ CRun compileAndRunC(const Module &M, const std::string &Tag) {
   return R;
 }
 
-void expectMatchesInterpreter(const std::string &Source,
+/// Compiles \p Source, runs it both ways and requires the same output,
+/// outcome, message and counts: the emitted program exits 0 on Ok, 2 on a
+/// trap and 3 on a hard fault. Returns the C run.
+CRun expectMatchesInterpreter(const std::string &Source,
                               const PipelineOptions &PO,
                               const std::string &Tag) {
-  if (!haveCC())
-    GTEST_SKIP() << "no system C compiler available";
   CompileResult R = compileOrDie(Source, PO);
   ExecResult E = interpret(*R.M);
   CRun C = compileAndRunC(*R.M, Tag);
-
+  EXPECT_FALSE(C.Sanitized) << Tag << ": undefined behaviour in emitted C";
   EXPECT_EQ(C.Stdout, E.Output) << Tag;
   EXPECT_EQ(C.Trapped, E.St == ExecResult::Status::Trapped) << Tag;
-  if (E.St == ExecResult::Status::Ok) {
-    EXPECT_EQ(C.Instrs, E.DynInstrs) << Tag;
-    EXPECT_EQ(C.Checks, E.DynChecks) << Tag;
-    EXPECT_EQ(C.CondChecks, E.DynCondChecks) << Tag;
-  }
+  EXPECT_EQ(C.ExitCode, E.St == ExecResult::Status::Ok        ? 0
+                        : E.St == ExecResult::Status::Trapped ? 2
+                                                              : 3)
+      << Tag << ": " << E.FaultMessage;
+  EXPECT_EQ(C.Halt, E.FaultMessage) << Tag;
+  EXPECT_EQ(C.Instrs, E.DynInstrs) << Tag;
+  EXPECT_EQ(C.Checks, E.DynChecks) << Tag;
+  EXPECT_EQ(C.CondChecks, E.DynCondChecks) << Tag;
+  return C;
 }
 
+std::string readProgram(const std::string &Name) {
+  std::ifstream In(std::string(NASCENT_TEST_PROGRAMS_DIR) + "/" + Name +
+                   ".mf");
+  std::stringstream SS;
+  SS << In.rdbuf();
+  EXPECT_FALSE(SS.str().empty()) << Name;
+  return SS.str();
+}
+
+const PlacementScheme AllSchemes[] = {
+    PlacementScheme::NI,  PlacementScheme::CS,  PlacementScheme::LNI,
+    PlacementScheme::SE,  PlacementScheme::LI,  PlacementScheme::LLS,
+    PlacementScheme::ALL, PlacementScheme::MCM, PlacementScheme::AI};
+
 TEST(CEmitter, ArithmeticAndControlFlow) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
   PipelineOptions PO;
   PO.Optimize = false;
   expectMatchesInterpreter(R"(
@@ -123,6 +168,8 @@ end program
 }
 
 TEST(CEmitter, ArraysAndCalls) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
   PipelineOptions PO;
   PO.Optimize = false;
   expectMatchesInterpreter(R"(
@@ -163,6 +210,8 @@ end function
 }
 
 TEST(CEmitter, TrapBehaviourMatches) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
   PipelineOptions PO;
   PO.Optimize = false;
   expectMatchesInterpreter(R"(
@@ -178,7 +227,30 @@ end program
                            PO, "trap");
 }
 
+TEST(CEmitter, HardFaultMatches) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
+  PipelineOptions PO;
+  PO.Optimize = false;
+  CRun C = expectMatchesInterpreter(R"(
+program p
+  integer k
+  print 1
+  k = input(0)
+  print 5 / k
+end program
+function input(v) : integer
+  integer v
+  return v
+end function
+)",
+                                    PO, "div_zero");
+  EXPECT_EQ(C.Halt, "integer division by zero");
+}
+
 TEST(CEmitter, OptimizedProgramsMatchToo) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
   for (PlacementScheme S :
        {PlacementScheme::NI, PlacementScheme::SE, PlacementScheme::LLS}) {
     PipelineOptions PO;
@@ -202,18 +274,102 @@ end program
 TEST(CEmitter, SuiteProgramsMatchEndToEnd) {
   if (!haveCC())
     GTEST_SKIP() << "no system C compiler available";
-  // The full methodology check on the whole suite, naive and
-  // LLS-optimized: C execution == interpretation, counter for counter.
+  // The full methodology check on the whole suite, naive and under every
+  // scheme: C execution == interpretation, counter for counter.
   for (const SuiteProgram &P : benchmarkSuite()) {
-    for (bool Optimize : {false, true}) {
-      PipelineOptions PO;
-      PO.Optimize = Optimize;
-      PO.Opt.Scheme = PlacementScheme::LLS;
+    PipelineOptions PO;
+    PO.Optimize = false;
+    expectMatchesInterpreter(P.Source, PO, std::string(P.Name) + "_naive");
+    PO.Optimize = true;
+    for (PlacementScheme S : AllSchemes) {
+      PO.Opt.Scheme = S;
       expectMatchesInterpreter(P.Source, PO,
-                               std::string(P.Name) +
-                                   (Optimize ? "_lls" : "_naive"));
+                               std::string(P.Name) + "_" +
+                                   placementSchemeName(S));
     }
   }
+}
+
+TEST(CEmitter, OverflowingSubscriptsTrap) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
+  // With n = 2^62, 2*n overflows int64: the naive check and the hoisted
+  // Cond-check of LLS and ALL must still trap on Check(2*n <= 10), judged
+  // by the exact value, rather than let the store run out of bounds.
+  PipelineOptions PO;
+  PO.Optimize = false;
+  CRun C = expectMatchesInterpreter(readProgram("overflow_subscript"), PO,
+                                    "overflow_subscript");
+  EXPECT_EQ(C.ExitCode, 2);
+  PO.Optimize = true;
+  for (PlacementScheme S : {PlacementScheme::LLS, PlacementScheme::ALL}) {
+    PO.Opt.Scheme = S;
+    std::string Tag = std::string("overflow_loop_") + placementSchemeName(S);
+    C = expectMatchesInterpreter(readProgram("overflow_loop"), PO, Tag);
+    EXPECT_EQ(C.ExitCode, 2) << Tag;
+  }
+}
+
+TEST(CEmitter, EmptyLoopAtInt64MinRuns) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
+  // With n = INT64_MIN the loop never runs, so no build traps: the
+  // hoisted check's entry guard -n <= -1 is false.
+  auto Expect = [](const PipelineOptions &PO, const std::string &Tag) {
+    CRun C = expectMatchesInterpreter(readProgram("overflow_loop_min"), PO,
+                                      Tag);
+    EXPECT_EQ(C.ExitCode, 0) << Tag;
+    EXPECT_EQ(C.Stdout, std::vector<std::string>{"0"}) << Tag;
+  };
+  PipelineOptions PO;
+  PO.Optimize = false;
+  Expect(PO, "overflow_loop_min_naive");
+  PO.Optimize = true;
+  for (PlacementScheme S : AllSchemes) {
+    PO.Opt.Scheme = S;
+    Expect(PO, std::string("overflow_loop_min_") + placementSchemeName(S));
+  }
+}
+
+TEST(CEmitter, Int64EdgeArithmeticMatches) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
+  // Division, mod, abs, negation and products at INT64_MIN wrap the same
+  // way in both paths, and int() of a real out of int64's range is
+  // INT64_MIN in both. input() keeps the operands out of constant folding.
+  PipelineOptions PO;
+  PO.Optimize = false;
+  CRun C = expectMatchesInterpreter(R"(
+program p
+  integer m, d
+  real x
+  m = input(-9223372036854775807 - 1)
+  d = input(-1)
+  print m / d
+  print mod(m, d)
+  print abs(m)
+  print -m
+  print m * d
+  print m - 1
+  x = real(input(1))
+  x = x * 1.0e300
+  print int(x)
+  print int(-x)
+  print int(x * x - x * x)
+  print int(-2.5 * x / x)
+end program
+function input(v) : integer
+  integer v
+  return v
+end function
+)",
+                                    PO, "int64_edges");
+  const std::string Min = std::to_string(std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(C.Stdout, (std::vector<std::string>{Min, "0", Min, Min, Min,
+                                                std::to_string(
+                                                    std::numeric_limits<
+                                                        int64_t>::max()),
+                                                Min, Min, Min, "-2"}));
 }
 
 TEST(CEmitter, DeterministicOutput) {

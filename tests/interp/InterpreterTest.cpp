@@ -90,6 +90,28 @@ end program
   EXPECT_EQ(E.Output, (std::vector<std::string>{"7", "8", "2"}));
 }
 
+TEST(Interpreter, RealToIntTruncatesOrGivesInt64Min) {
+  // int(x) truncates when the result fits int64 and is INT64_MIN for NaN
+  // and for values out of range, both at run time and when folded.
+  ExecResult E = runNaive(R"(
+program p
+  real x
+  x = 1.0e300
+  print int(x)
+  print int(-x)
+  print int(x * x - x * x)
+  print int(1.0e300)
+  print int(-2.9)
+  x = 9.2e18
+  print int(x)
+end program
+)");
+  ASSERT_EQ(E.St, ExecResult::Status::Ok) << E.FaultMessage;
+  const std::string Min = std::to_string(std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(E.Output, (std::vector<std::string>{Min, Min, Min, Min, "-2",
+                                                "9200000000000000000"}));
+}
+
 TEST(Interpreter, LogicalOps) {
   ExecResult E = runNaive(R"(
 program p
