@@ -11,10 +11,11 @@ void postOrderVisit(const Function &F, BlockID B, std::vector<bool> &Seen,
   // Iterative DFS to avoid deep recursion on long CFGs.
   struct Frame {
     BlockID B;
-    std::vector<BlockID> Succs;
+    SuccessorList Succs;
     size_t NextSucc = 0;
   };
   std::vector<Frame> Stack;
+  Stack.reserve(F.numBlocks());
   Seen[B] = true;
   Stack.push_back({B, F.block(B)->successors(), 0});
   while (!Stack.empty()) {
@@ -37,6 +38,7 @@ void postOrderVisit(const Function &F, BlockID B, std::vector<bool> &Seen,
 std::vector<BlockID> nascent::reversePostOrder(const Function &F) {
   std::vector<bool> Seen(F.numBlocks(), false);
   std::vector<BlockID> Post;
+  Post.reserve(F.numBlocks());
   postOrderVisit(F, F.entryBlock(), Seen, Post);
   std::reverse(Post.begin(), Post.end());
   return Post;

@@ -14,6 +14,7 @@
 #include "ir/Function.h"
 #include "support/DenseBitVector.h"
 
+#include <span>
 #include <vector>
 
 namespace nascent {
@@ -28,9 +29,11 @@ struct DataflowProblem {
   size_t UniverseSize = 0;
 
   /// Per-block Gen and Kill sets, indexed by BlockID, each sized to
-  /// UniverseSize.
-  std::vector<DenseBitVector> Gen;
-  std::vector<DenseBitVector> Kill;
+  /// UniverseSize. The problem only refers to the tables: their owner
+  /// (typically a CheckContext) keeps them alive across the solve, so a
+  /// solve copies no transfer sets.
+  std::span<const DenseBitVector> Gen;
+  std::span<const DenseBitVector> Kill;
 
   /// Value at the CFG boundary: the entry's In for forward problems, the
   /// Out of exit blocks (Ret/Trap) for backward problems. Defaults to the

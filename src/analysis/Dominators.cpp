@@ -10,8 +10,6 @@ DominatorTree::DominatorTree(const Function &F) {
   size_t N = F.numBlocks();
   IDom.assign(N, InvalidBlock);
   RPONumber.assign(N, -1);
-  Children.assign(N, {});
-  Frontier.assign(N, {});
 
   RPO = reversePostOrder(F);
   for (size_t I = 0; I != RPO.size(); ++I)
@@ -42,12 +40,15 @@ DominatorTree::DominatorTree(const Function &F) {
 
   // The entry's idom is conventionally itself during the fixpoint; expose
   // it as "none" and build the child lists.
+  std::vector<std::pair<BlockID, BlockID>> Edges;
+  Edges.reserve(RPO.size());
   for (BlockID B : RPO) {
     if (B == Entry)
       continue;
     if (IDom[B] != InvalidBlock)
-      Children[IDom[B]].push_back(B);
+      Edges.push_back({IDom[B], B});
   }
+  Children.assign(N, Edges);
   IDom[Entry] = InvalidBlock;
 
   computeFrontiers(F);
@@ -78,8 +79,29 @@ bool DominatorTree::dominates(BlockID A, BlockID B) const {
   }
 }
 
+void DominatorTree::BlockRows::assign(
+    size_t NumRows, const std::vector<std::pair<BlockID, BlockID>> &Pairs) {
+  Begin.assign(NumRows + 1, 0);
+  for (const auto &[Row, Item] : Pairs)
+    ++Begin[Row + 1];
+  for (size_t R = 0; R != NumRows; ++R)
+    Begin[R + 1] += Begin[R];
+  Items.resize(Pairs.size());
+  // Place each item at its row's fill cursor (borrowing Begin[R] and
+  // restoring it below), so a row keeps its items in appearance order.
+  for (const auto &[Row, Item] : Pairs)
+    Items[Begin[Row]++] = Item;
+  for (size_t R = NumRows; R-- > 0;)
+    Begin[R + 1] = Begin[R];
+  Begin[0] = 0;
+}
+
 void DominatorTree::computeFrontiers(const Function &F) {
   // Cytron et al. frontier computation via the "two or more preds" rule.
+  // Every insertion of B into a frontier happens while B is the current
+  // join block, so LastJoin[Runner] == B detects a repeat.
+  std::vector<std::pair<BlockID, BlockID>> Entries;
+  std::vector<BlockID> LastJoin(IDom.size(), InvalidBlock);
   for (BlockID B : RPO) {
     const std::vector<BlockID> &Preds = F.block(B)->preds();
     if (Preds.size() < 2)
@@ -89,11 +111,13 @@ void DominatorTree::computeFrontiers(const Function &F) {
         continue;
       BlockID Runner = P;
       while (Runner != InvalidBlock && Runner != IDom[B]) {
-        auto &Fr = Frontier[Runner];
-        if (std::find(Fr.begin(), Fr.end(), B) == Fr.end())
-          Fr.push_back(B);
+        if (LastJoin[Runner] != B) {
+          LastJoin[Runner] = B;
+          Entries.push_back({Runner, B});
+        }
         Runner = IDom[Runner];
       }
     }
   }
+  Frontier.assign(IDom.size(), Entries);
 }

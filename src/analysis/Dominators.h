@@ -11,6 +11,7 @@
 
 #include "ir/Function.h"
 
+#include <span>
 #include <vector>
 
 namespace nascent {
@@ -19,7 +20,8 @@ namespace nascent {
 ///
 /// The function's predecessor lists must be current (call recomputePreds
 /// before constructing). Unreachable blocks have no idom and dominate
-/// nothing.
+/// nothing. Child lists and frontiers are rows of two flat tables, so a
+/// tree costs a fixed number of allocations whatever the block count.
 class DominatorTree {
 public:
   explicit DominatorTree(const Function &F);
@@ -34,14 +36,14 @@ public:
   /// True when \p B is reachable from the entry.
   bool isReachable(BlockID B) const { return RPONumber[B] >= 0; }
 
-  /// Children of \p B in the dominator tree.
-  const std::vector<BlockID> &children(BlockID B) const {
-    return Children[B];
+  /// Children of \p B in the dominator tree, in reverse post-order.
+  std::span<const BlockID> children(BlockID B) const {
+    return Children.row(B);
   }
 
   /// Dominance frontier of \p B.
-  const std::vector<BlockID> &frontier(BlockID B) const {
-    return Frontier[B];
+  std::span<const BlockID> frontier(BlockID B) const {
+    return Frontier.row(B);
   }
 
   /// Blocks in reverse post-order (reachable only).
@@ -51,11 +53,26 @@ private:
   BlockID intersect(BlockID A, BlockID B) const;
   void computeFrontiers(const Function &F);
 
+  /// Per-block lists packed into one array: row B is
+  /// Items[Begin[B] .. Begin[B + 1]).
+  struct BlockRows {
+    std::vector<uint32_t> Begin;
+    std::vector<BlockID> Items;
+
+    std::span<const BlockID> row(BlockID B) const {
+      return {Items.data() + Begin[B], Begin[B + 1] - Begin[B]};
+    }
+    /// Packs \p Pairs (row, item) into \p NumRows rows, keeping the
+    /// order in which each row's items appear.
+    void assign(size_t NumRows,
+                const std::vector<std::pair<BlockID, BlockID>> &Pairs);
+  };
+
   std::vector<BlockID> IDom;
   std::vector<int> RPONumber; ///< -1 for unreachable blocks
   std::vector<BlockID> RPO;
-  std::vector<std::vector<BlockID>> Children;
-  std::vector<std::vector<BlockID>> Frontier;
+  BlockRows Children;
+  BlockRows Frontier;
 };
 
 } // namespace nascent

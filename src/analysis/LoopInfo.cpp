@@ -129,8 +129,7 @@ void LoopInfo::findPreheaders(const Function &F) {
       continue;
     // A preheader must fall through solely to the header so an inserted
     // check executes iff the loop is entered.
-    if (F.block(Candidate)->successors() ==
-        std::vector<BlockID>{L->Header})
+    if (F.block(Candidate)->successors() == SuccessorList(L->Header))
       L->Preheader = Candidate;
   }
 }

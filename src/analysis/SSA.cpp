@@ -1,39 +1,32 @@
 #include "analysis/SSA.h"
 
 #include <algorithm>
-#include <set>
 
 using namespace nascent;
-
-void SSA::forEachSymbolUse(const Instruction &I, const SymbolTable &Syms,
-                           const std::function<void(SymbolID)> &Fn) {
-  for (const Value &V : I.Operands)
-    if (V.isSym() && !Syms.get(V.symbol()).isArray())
-      Fn(V.symbol());
-  for (const Value &V : I.Indices)
-    if (V.isSym() && !Syms.get(V.symbol()).isArray())
-      Fn(V.symbol());
-  for (const auto &[Sym, Coeff] : I.Check.expr().terms()) {
-    (void)Coeff;
-    Fn(Sym);
-  }
-  for (const CheckExpr &G : I.Guards)
-    for (const auto &[Sym, Coeff] : G.expr().terms()) {
-      (void)Coeff;
-      Fn(Sym);
-    }
-}
 
 SSA::SSA(const Function &F, const DominatorTree &DT) : F(F) {
   size_t NumBlocks = F.numBlocks();
   BlockPhis.assign(NumBlocks, {});
-  InstUses.assign(NumBlocks, {});
-  InstDefs.assign(NumBlocks, {});
+
+  // Lay the instructions out flat in block order and size each one's run
+  // of use entries; rename fills them in dominator-tree order.
+  InstBase.resize(NumBlocks + 1);
+  uint32_t NumInsts = 0;
   for (size_t B = 0; B != NumBlocks; ++B) {
-    InstUses[B].assign(F.block(static_cast<BlockID>(B))->size(), {});
-    InstDefs[B].assign(F.block(static_cast<BlockID>(B))->size(),
-                       InvalidSSAValue);
+    InstBase[B] = NumInsts;
+    NumInsts += static_cast<uint32_t>(F.block(static_cast<BlockID>(B))->size());
   }
+  InstBase[NumBlocks] = NumInsts;
+  UseBegin.reserve(NumInsts + 1);
+  uint32_t NumUses = 0;
+  for (const auto &BB : F)
+    for (const Instruction &I : BB->instructions()) {
+      UseBegin.push_back(NumUses);
+      forEachSymbolUse(I, F.symbols(), [&](SymbolID) { ++NumUses; });
+    }
+  UseBegin.push_back(NumUses);
+  Uses.assign(NumUses, InvalidSSAValue);
+  InstDefs.assign(NumInsts, InvalidSSAValue);
 
   // Entry values for every scalar symbol.
   EntryValues.assign(F.symbols().size(), InvalidSSAValue);
@@ -54,32 +47,47 @@ SSA::SSA(const Function &F, const DominatorTree &DT) : F(F) {
 void SSA::placePhis(const DominatorTree &DT) {
   size_t NumSyms = F.symbols().size();
 
-  // Def blocks per symbol; the entry block implicitly defines everything.
-  std::vector<std::set<BlockID>> DefBlocks(NumSyms);
+  // Def blocks per symbol as one sorted (symbol, block) table; the entry
+  // block implicitly defines everything. A symbol defined several times
+  // in a block is noted once for it.
+  std::vector<std::pair<SymbolID, BlockID>> Sites;
+  std::vector<BlockID> LastSite(NumSyms, InvalidBlock);
   for (BlockID B : DT.rpo()) {
     for (const Instruction &I : F.block(B)->instructions())
-      if (I.Dest != InvalidSymbol && !F.symbols().get(I.Dest).isArray())
-        DefBlocks[I.Dest].insert(B);
+      if (I.Dest != InvalidSymbol && !F.symbols().get(I.Dest).isArray() &&
+          LastSite[I.Dest] != B) {
+        LastSite[I.Dest] = B;
+        Sites.push_back({I.Dest, B});
+      }
   }
-  for (SymbolID S = 0; S != NumSyms; ++S) {
-    if (F.symbols().get(S).isArray())
-      continue;
-    DefBlocks[S].insert(F.entryBlock());
-  }
+  for (SymbolID S = 0; S != NumSyms; ++S)
+    if (!F.symbols().get(S).isArray())
+      Sites.push_back({S, F.entryBlock()});
+  std::sort(Sites.begin(), Sites.end());
+  Sites.erase(std::unique(Sites.begin(), Sites.end()), Sites.end());
 
-  // Iterated dominance frontier per symbol.
-  for (SymbolID S = 0; S != NumSyms; ++S) {
-    if (F.symbols().get(S).isArray())
-      continue;
-    std::vector<BlockID> Work(DefBlocks[S].begin(), DefBlocks[S].end());
-    std::set<BlockID> HasPhi;
+  // Iterated dominance frontier per symbol. PhiFor[B] names the symbol
+  // whose phi block B last received, so it needs no reset per symbol.
+  std::vector<SymbolID> PhiFor(F.numBlocks(), InvalidSymbol);
+  std::vector<BlockID> Work;
+  auto SiteIt = Sites.begin();
+  while (SiteIt != Sites.end()) {
+    SymbolID S = SiteIt->first;
+    auto SiteEnd = std::find_if(SiteIt, Sites.end(),
+                                [S](const auto &P) { return P.first != S; });
+    auto IsDefBlock = [&](BlockID B) {
+      return std::binary_search(SiteIt, SiteEnd, std::make_pair(S, B));
+    };
+    Work.clear();
+    for (auto It = SiteIt; It != SiteEnd; ++It)
+      Work.push_back(It->second);
     while (!Work.empty()) {
       BlockID B = Work.back();
       Work.pop_back();
       for (BlockID FB : DT.frontier(B)) {
-        if (HasPhi.count(FB))
+        if (PhiFor[FB] == S)
           continue;
-        HasPhi.insert(FB);
+        PhiFor[FB] = S;
         SSAPhi P;
         P.Sym = S;
         P.Incoming.assign(F.block(FB)->preds().size(), InvalidSSAValue);
@@ -91,19 +99,27 @@ void SSA::placePhis(const DominatorTree &DT) {
         P.Result = static_cast<SSAValueID>(Defs.size());
         Defs.push_back(D);
         BlockPhis[FB].push_back(std::move(P));
-        if (!DefBlocks[S].count(FB))
+        if (!IsDefBlock(FB))
           Work.push_back(FB);
       }
     }
+    SiteIt = SiteEnd;
   }
 }
 
 void SSA::rename(const DominatorTree &DT) {
-  size_t NumSyms = F.symbols().size();
-  std::vector<std::vector<SSAValueID>> Stacks(NumSyms);
-  for (SymbolID S = 0; S != NumSyms; ++S)
-    if (EntryValues[S] != InvalidSSAValue)
-      Stacks[S].push_back(EntryValues[S]);
+  // The current definition of each symbol, plus an undo log of the
+  // definitions a block overrode, restored when the walk leaves it.
+  std::vector<SSAValueID> Current = EntryValues;
+  struct Undo {
+    SymbolID Sym;
+    SSAValueID Prev;
+  };
+  std::vector<Undo> Log;
+  auto Define = [&](SymbolID S, SSAValueID V) {
+    Log.push_back({S, Current[S]});
+    Current[S] = V;
+  };
 
   // Pre-compute, for each block, the index of each predecessor so phi
   // operands can be filled from the predecessor side.
@@ -115,15 +131,16 @@ void SSA::rename(const DominatorTree &DT) {
     return -1;
   };
 
-  // Iterative DFS over the dominator tree with explicit "undo" frames.
+  // Iterative DFS over the dominator tree; each frame remembers the log
+  // length at its entry.
   struct Frame {
     BlockID B;
     size_t NextChild = 0;
-    std::vector<SymbolID> Pushed; ///< symbols to pop when leaving
+    size_t LogMark = 0;
     bool Entered = false;
   };
   std::vector<Frame> Stack;
-  Stack.push_back({F.entryBlock(), 0, {}, false});
+  Stack.push_back({F.entryBlock(), 0, 0, false});
 
   while (!Stack.empty()) {
     Frame &Top = Stack.back();
@@ -131,19 +148,20 @@ void SSA::rename(const DominatorTree &DT) {
 
     if (!Top.Entered) {
       Top.Entered = true;
+      Top.LogMark = Log.size();
       // Phi results become current definitions.
-      for (SSAPhi &P : BlockPhis[B]) {
-        Stacks[P.Sym].push_back(P.Result);
-        Top.Pushed.push_back(P.Sym);
-      }
+      for (SSAPhi &P : BlockPhis[B])
+        Define(P.Sym, P.Result);
       // Instructions: record uses at the pre-def point, then push defs.
       auto &BBInsts = F.block(B)->instructions();
       for (size_t Idx = 0; Idx != BBInsts.size(); ++Idx) {
         const Instruction &I = BBInsts[Idx];
-        auto &Uses = InstUses[B][Idx];
+        size_t Flat = InstBase[B] + Idx;
+        SSAValueID *Use = Uses.data() + UseBegin[Flat];
         forEachSymbolUse(I, F.symbols(), [&](SymbolID S) {
-          assert(!Stacks[S].empty() && "symbol has no reaching definition");
-          Uses.push_back(Stacks[S].back());
+          assert(Current[S] != InvalidSSAValue &&
+                 "symbol has no reaching definition");
+          *Use++ = Current[S];
         });
         if (I.Dest != InvalidSymbol && !F.symbols().get(I.Dest).isArray()) {
           SSADef D;
@@ -153,9 +171,8 @@ void SSA::rename(const DominatorTree &DT) {
           D.InstIdx = static_cast<uint32_t>(Idx);
           SSAValueID V = static_cast<SSAValueID>(Defs.size());
           Defs.push_back(D);
-          InstDefs[B][Idx] = V;
-          Stacks[I.Dest].push_back(V);
-          Top.Pushed.push_back(I.Dest);
+          InstDefs[Flat] = V;
+          Define(I.Dest, V);
         }
       }
       // Fill phi operands of CFG successors.
@@ -164,33 +181,35 @@ void SSA::rename(const DominatorTree &DT) {
         if (PI < 0)
           continue;
         for (SSAPhi &P : BlockPhis[S]) {
-          assert(!Stacks[P.Sym].empty() && "phi operand has no definition");
-          P.Incoming[static_cast<size_t>(PI)] = Stacks[P.Sym].back();
+          assert(Current[P.Sym] != InvalidSSAValue &&
+                 "phi operand has no definition");
+          P.Incoming[static_cast<size_t>(PI)] = Current[P.Sym];
         }
       }
     }
 
     if (Top.NextChild < DT.children(B).size()) {
       BlockID Child = DT.children(B)[Top.NextChild++];
-      Stack.push_back({Child, 0, {}, false});
+      Stack.push_back({Child, 0, 0, false});
       continue;
     }
 
-    // Leaving: pop this block's definitions.
-    for (auto It = Top.Pushed.rbegin(); It != Top.Pushed.rend(); ++It)
-      Stacks[*It].pop_back();
+    // Leaving: restore the definitions this block overrode.
+    for (size_t K = Log.size(); K-- > Top.LogMark;)
+      Current[Log[K].Sym] = Log[K].Prev;
+    Log.resize(Top.LogMark);
     Stack.pop_back();
   }
 }
 
 SSAValueID SSA::useOfSymbol(BlockID B, size_t InstIdx, SymbolID Sym) const {
   const Instruction &I = F.block(B)->instructions()[InstIdx];
-  const auto &Uses = InstUses[B][InstIdx];
+  std::span<const SSAValueID> InstUses = usesOf(B, InstIdx);
   size_t K = 0;
   SSAValueID Found = InvalidSSAValue;
   forEachSymbolUse(I, F.symbols(), [&](SymbolID S) {
     if (S == Sym && Found == InvalidSSAValue)
-      Found = Uses[K];
+      Found = InstUses[K];
     ++K;
   });
   return Found;

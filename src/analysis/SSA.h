@@ -16,7 +16,7 @@
 #include "analysis/Dominators.h"
 #include "ir/Function.h"
 
-#include <functional>
+#include <span>
 #include <vector>
 
 namespace nascent {
@@ -48,20 +48,26 @@ struct SSAPhi {
 /// The SSA overlay for one function. Construction requires current
 /// predecessor lists and a dominator tree. The overlay is invalidated by
 /// any IR mutation.
+///
+/// Per-instruction uses and definitions live in flat tables indexed by
+/// the instruction's position in block order, so building the overlay
+/// allocates per function, not per instruction.
 class SSA {
 public:
   SSA(const Function &F, const DominatorTree &DT);
 
   /// SSA values of the scalar-symbol uses of instruction (B, InstIdx), in
-  /// the canonical order produced by forEachSymbolUse.
-  const std::vector<SSAValueID> &usesOf(BlockID B, size_t InstIdx) const {
-    return InstUses[B][InstIdx];
+  /// the canonical order produced by forEachSymbolUse. The entries of an
+  /// instruction in an unreachable block are InvalidSSAValue.
+  std::span<const SSAValueID> usesOf(BlockID B, size_t InstIdx) const {
+    size_t I = InstBase[B] + InstIdx;
+    return {Uses.data() + UseBegin[I], UseBegin[I + 1] - UseBegin[I]};
   }
 
   /// The SSA value defined by instruction (B, InstIdx); InvalidSSAValue
   /// when the instruction has no scalar destination.
   SSAValueID defOf(BlockID B, size_t InstIdx) const {
-    return InstDefs[B][InstIdx];
+    return InstDefs[InstBase[B] + InstIdx];
   }
 
   const SSADef &def(SSAValueID V) const { return Defs[V]; }
@@ -76,8 +82,25 @@ public:
   /// Enumerates the scalar-symbol uses of \p I in the canonical order:
   /// operands, then subscripts, then check-expression terms, then guard
   /// terms. Array symbols (e.g. whole-array call arguments) are skipped.
+  template <typename CallableT>
   static void forEachSymbolUse(const Instruction &I, const SymbolTable &Syms,
-                               const std::function<void(SymbolID)> &Fn);
+                               CallableT &&Fn) {
+    for (const Value &V : I.Operands)
+      if (V.isSym() && !Syms.get(V.symbol()).isArray())
+        Fn(V.symbol());
+    for (const Value &V : I.Indices)
+      if (V.isSym() && !Syms.get(V.symbol()).isArray())
+        Fn(V.symbol());
+    for (const auto &[Sym, Coeff] : I.Check.expr().terms()) {
+      (void)Coeff;
+      Fn(Sym);
+    }
+    for (const CheckExpr &G : I.Guards)
+      for (const auto &[Sym, Coeff] : G.expr().terms()) {
+        (void)Coeff;
+        Fn(Sym);
+      }
+  }
 
   /// Resolves the SSA value of symbol \p Sym at the *use position* of
   /// instruction (B, InstIdx). Returns InvalidSSAValue when \p Sym is not
@@ -91,8 +114,14 @@ private:
   const Function &F;
   std::vector<SSADef> Defs;
   std::vector<std::vector<SSAPhi>> BlockPhis;
-  std::vector<std::vector<std::vector<SSAValueID>>> InstUses;
-  std::vector<std::vector<SSAValueID>> InstDefs;
+  /// Flat index of each block's first instruction; one past the last
+  /// instruction at the end.
+  std::vector<uint32_t> InstBase;
+  /// Per flat instruction, its first entry in Uses; one past the last
+  /// entry at the end.
+  std::vector<uint32_t> UseBegin;
+  std::vector<SSAValueID> Uses;
+  std::vector<SSAValueID> InstDefs;    ///< per flat instruction
   std::vector<SSAValueID> EntryValues; ///< per-symbol entry value
 };
 

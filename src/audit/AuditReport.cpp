@@ -50,6 +50,8 @@ std::string AuditFinding::str() const {
     OS << " func=" << FunctionName;
   if (Block != InvalidBlock)
     OS << " block=" << Block << " inst=" << InstIndex;
+  if (Tag != NoCheckTag)
+    OS << " tag=" << Tag;
   OS << " loc=" << Loc.str() << ": " << Message;
   return OS.str();
 }

@@ -53,6 +53,10 @@ struct AuditFinding {
   std::string FunctionName;
   BlockID Block = InvalidBlock;
   size_t InstIndex = 0;
+  /// Lifecycle tag of the check (or trap) the finding is anchored on;
+  /// NoCheckTag when the anchor is no check. Provenance replays the
+  /// decisions behind it (ProvenanceRecorder::explainTag).
+  CheckTag Tag = NoCheckTag;
   SourceLocation Loc;
   std::string Scheme;  ///< placement scheme name under audit
   std::string Message; ///< one-sentence statement of the violation
@@ -60,7 +64,8 @@ struct AuditFinding {
   /// strings that explain the verdict.
   std::vector<std::string> Witness;
 
-  /// Renders "rule=... func=... block=... inst=... loc=...: message".
+  /// Renders "rule=... func=... block=... inst=... [tag=...] loc=...:
+  /// message"; tag= appears only for a finding anchored on a tagged check.
   std::string str() const;
 };
 

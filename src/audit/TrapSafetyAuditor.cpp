@@ -6,6 +6,7 @@
 #include "opt/CheckContext.h"
 #include "opt/IntervalAnalysis.h"
 
+#include <algorithm>
 #include <optional>
 #include <unordered_map>
 
@@ -106,27 +107,41 @@ bool everyIterationCompletes(const Function &F, const LoopInfo &LI,
   return true;
 }
 
+/// The visit marks and work list of reachesWithout, reused across calls:
+/// a block is seen in the current search when its stamp equals Epoch, so
+/// a new search only bumps the epoch.
+struct ReachScratch {
+  std::vector<uint32_t> SeenAt;
+  uint32_t Epoch = 0;
+  std::vector<BlockID> Work;
+};
+
 /// DFS from \p From that never enters \p Avoid; true when it reaches
 /// \p Target or any Ret-terminated block.
 bool reachesWithout(const Function &F, BlockID From, BlockID Avoid,
-                    BlockID Target) {
+                    BlockID Target, ReachScratch &S) {
   if (From == Avoid)
     return false;
-  std::vector<bool> Seen(F.numBlocks(), false);
-  std::vector<BlockID> Work{From};
-  Seen[From] = true;
-  while (!Work.empty()) {
-    BlockID B = Work.back();
-    Work.pop_back();
+  if (S.SeenAt.size() < F.numBlocks())
+    S.SeenAt.resize(F.numBlocks(), 0);
+  if (++S.Epoch == 0) {
+    std::fill(S.SeenAt.begin(), S.SeenAt.end(), 0);
+    S.Epoch = 1;
+  }
+  S.Work.assign(1, From);
+  S.SeenAt[From] = S.Epoch;
+  while (!S.Work.empty()) {
+    BlockID B = S.Work.back();
+    S.Work.pop_back();
     if (B == Target)
       return true;
     if (F.block(B)->terminator().Op == Opcode::Ret)
       return true;
-    for (BlockID S : F.block(B)->successors()) {
-      if (S == Avoid || Seen[S])
+    for (BlockID Succ : F.block(B)->successors()) {
+      if (Succ == Avoid || S.SeenAt[Succ] == S.Epoch)
         continue;
-      Seen[S] = true;
-      Work.push_back(S);
+      S.SeenAt[Succ] = S.Epoch;
+      S.Work.push_back(Succ);
     }
   }
   return false;
@@ -174,16 +189,26 @@ struct GapInfo {
   std::vector<size_t> GapStart;  ///< first inst index of each gap
 };
 
-GapInfo computeGaps(const BasicBlock &BB) {
-  GapInfo G;
+/// Fills \p G with the gaps of \p BB, reusing its storage.
+void computeGaps(const BasicBlock &BB, GapInfo &G) {
   const auto &Insts = BB.instructions();
+  G.NcPos.clear();
   for (size_t I = 0; I != Insts.size(); ++I)
     if (!Insts[I].isRangeCheck())
       G.NcPos.push_back(I);
   G.GapStart.resize(G.NcPos.size() + 1);
   for (size_t I = 0; I != G.NcPos.size() + 1; ++I)
     G.GapStart[I] = I == 0 ? 0 : G.NcPos[I - 1] + 1;
-  return G;
+}
+
+/// Copies \p V into slot \p I of \p Slots, growing the table when it is
+/// short. The slots keep their storage from block to block, so per-gap
+/// snapshots copy into existing words instead of allocating.
+void storeSlot(std::vector<DenseBitVector> &Slots, size_t I,
+               const DenseBitVector &V) {
+  if (Slots.size() <= I)
+    Slots.resize(I + 1);
+  Slots[I] = V;
 }
 
 class PairAuditor {
@@ -238,6 +263,15 @@ private:
 
   std::optional<IntervalCheckClassification> Intervals;
 
+  /// Scratch reused by every block the auditor visits: the gap table, the
+  /// per-gap anticipatability and availability snapshots of the original
+  /// (direction A) and of the optimized availability (direction B), the
+  /// running set they are cut from, and the reachability search.
+  GapInfo Gaps;
+  std::vector<DenseBitVector> AnticAt, AvailAt, AvailEnd;
+  DenseBitVector Cur;
+  ReachScratch Reach;
+
   const IntervalCheckClassification &intervals() {
     if (!Intervals)
       Intervals = classifyChecksByIntervals(Orig);
@@ -270,6 +304,7 @@ private:
     F.FunctionName = Opt.name();
     F.Block = B;
     F.InstIndex = Idx;
+    F.Tag = I.Tag;
     F.Loc = I.Origin.Loc.isValid() ? I.Origin.Loc : I.Loc;
     F.Scheme = placementSchemeName(Opts.Scheme);
     F.Message = std::move(Message);
@@ -393,7 +428,8 @@ private:
           continue;
         size_t MIdx = static_cast<size_t>(M->DoLoopIndex);
         const DoLoopInfo &MDL = *EnvOrig[MIdx].DL;
-        if (reachesWithout(Orig, DL.BodyEntry, MDL.Preheader, DL.Latch))
+        if (reachesWithout(Orig, DL.BodyEntry, MDL.Preheader, DL.Latch,
+                           Reach))
           continue; // not an articulation point of L's body
         if (!Env.EveryIterCompletes)
           continue; // the first iteration might not reach M's preheader...
@@ -415,48 +451,46 @@ private:
     }
   }
 
-  /// Per-gap anticipatability of the original block: AnticAt[g] is the
-  /// set anticipated immediately before the first instruction of gap g
-  /// (the block's exit set for a gap starting past the end).
-  std::vector<DenseBitVector> anticAtGaps(BlockID B,
-                                          const GapInfo &Gaps) const {
+  /// Per-gap anticipatability of original block \p B into AnticAt:
+  /// AnticAt[g] is the set anticipated immediately before the first
+  /// instruction of gap g of Gaps (the block's exit set for a gap starting
+  /// past the end).
+  void anticAtGaps(BlockID B) {
     const auto &Insts = Orig.block(B)->instructions();
-    std::vector<DenseBitVector> At(Gaps.GapStart.size());
-    DenseBitVector Cur = B < Antic.Out.size()
-                             ? Antic.Out[B]
-                             : DenseBitVector(OrigCtx.universe().size());
-    size_t G = At.size();
+    if (B < Antic.Out.size())
+      Cur = Antic.Out[B];
+    else
+      Cur = DenseBitVector(OrigCtx.universe().size());
+    size_t G = Gaps.GapStart.size();
     for (size_t I = Insts.size();; --I) {
       if (G > 0 && Gaps.GapStart[G - 1] == I)
-        At[--G] = Cur;
+        storeSlot(AnticAt, --G, Cur);
       if (I == 0)
         break;
       OrigCtx.applyKill(Insts[I - 1], Cur);
       OrigCtx.applyAnticGen(B, I - 1, Insts[I - 1], Cur);
     }
-    return At;
   }
 
-  /// Per-gap availability of the original block: AvailAt[g] is the set
-  /// available immediately before the first instruction of gap g.
-  std::vector<DenseBitVector> availAtGaps(BlockID B,
-                                          const GapInfo &Gaps) const {
+  /// Per-gap availability of original block \p B into AvailAt:
+  /// AvailAt[g] is the set available immediately before the first
+  /// instruction of gap g of Gaps.
+  void availAtGaps(BlockID B) {
     const auto &Insts = Orig.block(B)->instructions();
-    std::vector<DenseBitVector> At(Gaps.GapStart.size());
-    DenseBitVector Cur = B < Avail.In.size()
-                             ? Avail.In[B]
-                             : DenseBitVector(OrigCtx.universe().size());
+    if (B < Avail.In.size())
+      Cur = Avail.In[B];
+    else
+      Cur = DenseBitVector(OrigCtx.universe().size());
     Cur |= OrigCtx.genInBits(B);
     size_t G = 0;
     for (size_t I = 0;; ++I) {
-      if (G < At.size() && Gaps.GapStart[G] == I)
-        At[G++] = Cur;
+      if (G < Gaps.GapStart.size() && Gaps.GapStart[G] == I)
+        storeSlot(AvailAt, G++, Cur);
       if (I == Insts.size())
         break;
       OrigCtx.applyKill(Insts[I], Cur);
       OrigCtx.applyAvailGen(B, I, Insts[I], Cur);
     }
-    return At;
   }
 
   /// True when some symbol of \p E is (re)defined at or after position
@@ -638,7 +672,7 @@ private:
   /// \p G is the gap the trap sits in; \p NcEnd the original inst index of
   /// the non-check ending the gap (or block size for the last gap).
   void auditTrap(BlockID B, size_t OI, const Instruction &I, size_t G,
-                 const GapInfo &Gaps, const DenseBitVector &AnticGap) {
+                 const DenseBitVector &AnticGap) {
     ++Report.stats().TrapsAudited;
     // (i) a check anticipated here is statically false: every original
     // continuation trips it.
@@ -687,9 +721,9 @@ private:
   void auditBlockPair(BlockID B) {
     const BasicBlock &OB = *Orig.block(B);
     const BasicBlock &PB = *Opt.block(B);
-    GapInfo Gaps = computeGaps(OB);
-    std::vector<DenseBitVector> AnticAt = anticAtGaps(B, Gaps);
-    std::vector<DenseBitVector> AvailAt = availAtGaps(B, Gaps);
+    computeGaps(OB, Gaps);
+    anticAtGaps(B);
+    availAtGaps(B);
     size_t RNc = 0; // non-checks matched so far == current gap index
     bool Truncated = false;
     for (size_t OI = 0; OI != PB.size(); ++OI) {
@@ -711,7 +745,7 @@ private:
       if (I.Op == Opcode::Trap) {
         // Compile-time-false check folded into a trap, truncating the
         // block; everything after it in the original is unreachable.
-        auditTrap(B, OI, I, RNc, Gaps, AnticAt[RNc]);
+        auditTrap(B, OI, I, RNc, AnticAt[RNc]);
         TrapGap[B] = RNc;
         Truncated = true;
         break;
@@ -1015,15 +1049,16 @@ private:
             ++Report.stats().OriginalChecksCovered;
         continue;
       }
-      // Availability at the end of each optimized gap.
-      std::vector<DenseBitVector> AvailEnd;
-      DenseBitVector Cur = BAvail.In[B];
+      // Availability at the end of each optimized gap, in the first
+      // NumEnds slots of AvailEnd.
+      size_t NumEnds = 0;
+      Cur = BAvail.In[B];
       Cur |= BCtx.genInBits(B);
       const BasicBlock &PB = *Opt.block(B);
       for (size_t I = 0; I != PB.size(); ++I) {
         const Instruction &Inst = PB.instructions()[I];
         if (!Inst.isRangeCheck())
-          AvailEnd.push_back(Cur);
+          storeSlot(AvailEnd, NumEnds++, Cur);
         BCtx.applyKill(Inst, Cur);
         BCtx.applyAvailGen(B, I, Inst, Cur);
       }
@@ -1047,7 +1082,7 @@ private:
           ++Report.stats().OriginalChecksCovered;
           continue;
         }
-        if (G < AvailEnd.size() &&
+        if (G < NumEnds &&
             anyAsStrongAs(BCtx.universe(), AvailEnd[G], D.Check)) {
           ++Report.stats().OriginalChecksCovered;
           continue;

@@ -354,8 +354,8 @@ uint64_t nascent::cache::approxContextSeedBytes(const ContextSeed &S) {
     return B;
   const ContextCore &C = *S.Core;
   B += sizeof(ContextCore);
-  for (const auto &Ids : C.InstCheck)
-    B += sizeof(Ids) + Ids.size() * sizeof(CheckID);
+  B += C.InstBase.size() * sizeof(uint32_t) +
+       C.InstCheck.size() * sizeof(CheckID);
   for (const CheckOrigin &O : C.RepOrigin)
     B += sizeof(CheckOrigin) + O.ArrayName.size();
   B += approxBitVectorsBytes(C.GenIn);

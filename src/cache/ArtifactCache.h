@@ -90,7 +90,11 @@ struct SolveMemo {
 /// tables changes after construction, so a seeded context binds to the
 /// shared instance instead of copying a few hundred heap blocks per hit.
 struct ContextCore {
-  std::vector<std::vector<CheckID>> InstCheck;
+  /// Per-instruction check ids, flat in block order: instruction (B, Idx)
+  /// is InstCheck[InstBase[B] + Idx]; InstBase ends one past the last
+  /// block.
+  std::vector<uint32_t> InstBase;
+  std::vector<CheckID> InstCheck;
   std::vector<CheckOrigin> RepOrigin;
   std::vector<DenseBitVector> GenIn;
   std::vector<DenseBitVector> Kill;

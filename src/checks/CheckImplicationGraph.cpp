@@ -1,7 +1,6 @@
 #include "checks/CheckImplicationGraph.h"
 
 #include <algorithm>
-#include <deque>
 
 using namespace nascent;
 
@@ -66,15 +65,20 @@ CheckImplicationGraph::shortestFrom(FamilyID From) const {
       std::max({U.numFamilies(), MaxNode, size_t(From) + 1});
   Row.Dist.assign(NumNodes, Unreachable);
   Row.Dist[From] = 0;
-  std::deque<FamilyID> Work;
-  Work.push_back(From);
+  // FIFO order over a ring: InQueue keeps each node in it at most once.
+  if (Queue.size() < NumNodes)
+    Queue.resize(NumNodes);
+  size_t Head = 0, Queued = 0;
+  auto Push = [&](FamilyID F) { Queue[(Head + Queued++) % NumNodes] = F; };
+  Push(From);
   DenseBitVector InQueue(NumNodes);
   InQueue.set(From);
   size_t Steps = 0;
   const size_t MaxSteps = (NumNodes + 1) * (EdgeCount + 1) + 16;
-  while (!Work.empty() && Steps++ < MaxSteps) {
-    FamilyID F = Work.front();
-    Work.pop_front();
+  while (Queued != 0 && Steps++ < MaxSteps) {
+    FamilyID F = Queue[Head];
+    Head = (Head + 1) % NumNodes;
+    --Queued;
     InQueue.reset(F);
     if (F >= Edges.size())
       continue;
@@ -84,7 +88,7 @@ CheckImplicationGraph::shortestFrom(FamilyID From) const {
         Row.Dist[E.To] = DF + E.W;
         if (!InQueue.test(E.To)) {
           InQueue.set(E.To);
-          Work.push_back(E.To);
+          Push(E.To);
         }
       }
     }

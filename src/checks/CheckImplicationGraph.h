@@ -136,6 +136,9 @@ private:
 
   /// Cached rows indexed by source family.
   mutable std::vector<DistRow> Rows;
+  /// The work queue of shortestFrom, kept between calls: a ring over the
+  /// node space, which holds each node at most once.
+  mutable std::vector<FamilyID> Queue;
 };
 
 } // namespace nascent

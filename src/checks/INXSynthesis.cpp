@@ -5,9 +5,9 @@
 #include "analysis/LoopInfo.h"
 #include "analysis/SSA.h"
 #include "obs/StatRegistry.h"
+#include "support/DenseBitVector.h"
 
 #include <map>
-#include <set>
 
 using namespace nascent;
 
@@ -73,14 +73,15 @@ INXStats nascent::synthesizeINXChecks(Function &F,
 
   // Per-loop sets of symbols defined inside the loop, to decide whether a
   // region-constant SSA value can be named by its symbol directly or needs
-  // a loop-entry snapshot.
-  std::map<const Loop *, std::set<SymbolID>> DefinedIn;
+  // a loop-entry snapshot. Indexed by the loop's header block.
+  std::vector<DenseBitVector> DefinedIn(F.numBlocks());
   for (const Loop *L : LI.loopsInnermostFirst()) {
-    auto &Defs = DefinedIn[L];
+    DenseBitVector &Defs = DefinedIn[L->Header];
+    Defs.resize(F.symbols().size());
     for (BlockID B : L->Blocks)
       for (const Instruction &I : F.block(B)->instructions())
         if (I.Dest != InvalidSymbol)
-          Defs.insert(I.Dest);
+          Defs.set(I.Dest);
   }
 
   std::vector<CheckRewrite> Rewrites;
@@ -92,7 +93,7 @@ INXStats nascent::synthesizeINXChecks(Function &F,
     const SSADef &D = S.def(V);
     if (D.Sym == InvalidSymbol)
       return false;
-    if (!DefinedIn[L].count(D.Sym)) {
+    if (!DefinedIn[L->Header].test(D.Sym)) {
       // The symbol is never written inside the loop: its value anywhere in
       // the loop equals the region-constant value; use it directly.
       OutSym = D.Sym;

@@ -12,10 +12,47 @@
 
 #include "ir/Instruction.h"
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
 namespace nascent {
+
+/// The successor block ids of one block, held inline: a terminator has at
+/// most two targets, so asking a block for its successors never touches
+/// the heap. Iterates like a container, in terminator order (a Br's true
+/// target first).
+class SuccessorList {
+public:
+  using value_type = BlockID;
+  using const_iterator = const BlockID *;
+  using iterator = const_iterator;
+
+  SuccessorList() = default;
+  explicit SuccessorList(BlockID A) : Ids{A, InvalidBlock}, Count(1) {}
+  SuccessorList(BlockID A, BlockID B) : Ids{A, B}, Count(2) {}
+
+  const_iterator begin() const { return Ids.data(); }
+  const_iterator end() const { return Ids.data() + Count; }
+  size_t size() const { return Count; }
+  bool empty() const { return Count == 0; }
+  BlockID operator[](size_t I) const {
+    assert(I < Count && "successor index out of range");
+    return Ids[I];
+  }
+
+  friend bool operator==(const SuccessorList &A, const SuccessorList &B) {
+    return A.Count == B.Count && std::equal(A.begin(), A.end(), B.begin());
+  }
+  friend bool operator!=(const SuccessorList &A, const SuccessorList &B) {
+    return !(A == B);
+  }
+
+private:
+  std::array<BlockID, 2> Ids = {InvalidBlock, InvalidBlock};
+  uint32_t Count = 0;
+};
 
 /// One CFG node. Blocks are owned by their Function and addressed by their
 /// dense BlockID.
@@ -87,8 +124,10 @@ public:
     Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Out), Insts.end());
   }
 
-  /// Successor block ids, derived from the terminator (empty for Ret/Trap).
-  std::vector<BlockID> successors() const;
+  /// Successor block ids, derived from the terminator: two for a Br with
+  /// distinct targets, one for a Jump or a Br whose targets are equal,
+  /// none for Ret/Trap (or a block without a terminator).
+  SuccessorList successors() const;
 
   /// Predecessors; valid only after Function::recomputePreds.
   const std::vector<BlockID> &preds() const { return Preds; }

@@ -86,10 +86,16 @@ void CheckContext::recordBuildStats() {
 
 void CheckContext::buildUniverse(const std::vector<PreheaderFact> &Facts) {
   cache::ContextCore &W = *OwnedCore;
-  W.InstCheck.assign(F.numBlocks(), {});
+  W.InstBase.resize(F.numBlocks() + 1);
+  uint32_t NumInsts = 0;
   for (const auto &BB : F) {
-    auto &Ids = W.InstCheck[BB->id()];
-    Ids.assign(BB->size(), InvalidCheck);
+    W.InstBase[BB->id()] = NumInsts;
+    NumInsts += static_cast<uint32_t>(BB->size());
+  }
+  W.InstBase[F.numBlocks()] = NumInsts;
+  W.InstCheck.assign(NumInsts, InvalidCheck);
+  for (const auto &BB : F) {
+    CheckID *Ids = W.InstCheck.data() + W.InstBase[BB->id()];
     for (size_t Idx = 0; Idx != BB->size(); ++Idx) {
       const Instruction &I = BB->instructions()[Idx];
       if (I.Op != Opcode::Check)
@@ -136,7 +142,7 @@ void CheckContext::applyAvailGen(BlockID B, size_t Idx, const Instruction &I,
                                  DenseBitVector &Bits) const {
   if (I.Op != Opcode::Check)
     return;
-  CheckID C = Core.InstCheck[B][Idx];
+  CheckID C = Core.InstCheck[Core.InstBase[B] + Idx];
   if (C == InvalidCheck)
     return;
   Bits |= weakerClosure(C);
@@ -146,7 +152,7 @@ void CheckContext::applyAnticGen(BlockID B, size_t Idx, const Instruction &I,
                                  DenseBitVector &Bits) const {
   if (I.Op != Opcode::Check)
     return;
-  CheckID C = Core.InstCheck[B][Idx];
+  CheckID C = Core.InstCheck[Core.InstBase[B] + Idx];
   if (C == InvalidCheck)
     return;
   Bits |= weakerClosureSameFamily(C);
@@ -186,20 +192,28 @@ void CheckContext::ensureClosures() const {
   }
 
   // Suffix masks over each family's bound-ascending member list:
-  // Suffix[F][K] = {members K..}. "All members with bound >= T" is then a
-  // binary search plus one word-parallel OR, for any threshold T.
+  // suffix(F, K) = {members K..}. "All members with bound >= T" is then a
+  // binary search plus one word-parallel OR, for any threshold T. Family
+  // F's masks are rows SuffixBase[F] .. SuffixBase[F] + |F| of one table.
   size_t NumFams = U.numFamilies();
-  std::vector<std::vector<DenseBitVector>> Suffix(NumFams);
+  std::vector<size_t> SuffixBase(NumFams + 1, 0);
+  for (size_t FI = 0; FI != NumFams; ++FI)
+    SuffixBase[FI + 1] = SuffixBase[FI] +
+                         U.familyMembers(static_cast<FamilyID>(FI)).size() + 1;
+  std::vector<DenseBitVector> SuffixRows(SuffixBase[NumFams],
+                                         DenseBitVector(N));
   for (size_t FI = 0; FI != NumFams; ++FI) {
     const std::vector<CheckID> &Members =
         U.familyMembers(static_cast<FamilyID>(FI));
-    std::vector<DenseBitVector> S(Members.size() + 1, DenseBitVector(N));
+    DenseBitVector *S = SuffixRows.data() + SuffixBase[FI];
     for (size_t K = Members.size(); K-- > 0;) {
       S[K] = S[K + 1];
       S[K].set(Members[K]);
     }
-    Suffix[FI] = std::move(S);
   }
+  auto Suffix = [&](size_t FI, size_t K) -> const DenseBitVector & {
+    return SuffixRows[SuffixBase[FI] + K];
+  };
 
   auto FirstWithBoundAtLeast = [this](const std::vector<CheckID> &Members,
                                       int64_t T) {
@@ -224,8 +238,8 @@ void CheckContext::ensureClosures() const {
         // Same family: everything with a bound at least ours. (Binary
         // search instead of position K keeps duplicate bounds exact.)
         size_t Start = FirstWithBoundAtLeast(Members, BoundC);
-        W.ClosureCache[C] |= Suffix[FI][Start];
-        W.FamClosureCache[C] |= Suffix[FI][Start];
+        W.ClosureCache[C] |= Suffix(FI, Start);
+        W.FamClosureCache[C] |= Suffix(FI, Start);
       }
       W.ClosureCache[C].set(C);
       W.FamClosureCache[C].set(C);
@@ -236,7 +250,7 @@ void CheckContext::ensureClosures() const {
           static_cast<FamilyID>(FI), [&](FamilyID FJ, int64_t Wt) {
             const std::vector<CheckID> &MJ = U.familyMembers(FJ);
             W.ClosureCache[C] |=
-                Suffix[FJ][FirstWithBoundAtLeast(MJ, BoundC + Wt)];
+                Suffix(FJ, FirstWithBoundAtLeast(MJ, BoundC + Wt));
           });
     }
   }
@@ -345,7 +359,7 @@ DataflowResult CheckContext::solveAnticipatability() const {
 
 bool CheckContext::locallyAnticipates(BlockID B, CheckID C) const {
   const BasicBlock *BB = F.block(B);
-  const std::vector<CheckID> &Ids = Core.InstCheck[B];
+  const CheckID *Ids = Core.InstCheck.data() + Core.InstBase[B];
   for (size_t Idx = 0; Idx != BB->size(); ++Idx) {
     const Instruction &I = BB->instructions()[Idx];
     if (I.Dest != InvalidSymbol) {

@@ -79,9 +79,10 @@ public:
   /// every other instruction (including CondCheck) and for instructions
   /// inserted after this context was built.
   CheckID idOf(BlockID B, size_t Idx) const {
-    if (B >= Core.InstCheck.size() || Idx >= Core.InstCheck[B].size())
+    if (size_t(B) + 1 >= Core.InstBase.size() ||
+        Idx >= Core.InstBase[B + 1] - Core.InstBase[B])
       return InvalidCheck;
-    return Core.InstCheck[B][Idx];
+    return Core.InstCheck[Core.InstBase[B] + Idx];
   }
 
   /// A representative origin for diagnostics on inserted copies of \p C.

@@ -108,12 +108,15 @@ public:
       if (!F.symbols().get(P).isArray())
         Entry[P] = Interval::top();
 
+    // One scratch pair for every block visit: a changed block swaps its
+    // new states in (and the scratch takes the old ones' storage), so a
+    // visit copies into existing capacity instead of allocating.
+    State NewIn, NewOut;
     bool Changed = true;
     unsigned Rounds = 0;
     while (Changed && Rounds++ < 64) {
       Changed = false;
       for (BlockID B : RPO) {
-        State NewIn;
         if (B == F.entryBlock()) {
           NewIn = Entry;
         } else {
@@ -141,12 +144,12 @@ public:
               NewIn[S].Hi = Interval::PosInf;
           }
         }
-        State NewOut = NewIn;
+        NewOut = NewIn;
         for (const Instruction &I : F.block(B)->instructions())
           transfer(I, NewOut);
         if (NewIn != In[B] || NewOut != Out[B]) {
-          In[B] = std::move(NewIn);
-          Out[B] = std::move(NewOut);
+          std::swap(In[B], NewIn);
+          std::swap(Out[B], NewOut);
           Changed = true;
         }
       }
@@ -280,12 +283,13 @@ nascent::classifyChecksByIntervals(const Function &F,
   };
 
   C.PerInst.resize(F.numBlocks());
+  State S; // reused by every block
   for (const auto &BB : F) {
     BlockID B = BB->id();
     C.PerInst[B].assign(BB->size(), IntervalVerdict::NotACheck);
     if (Solver.In[B].empty())
       continue; // unreachable
-    State S = Solver.In[B];
+    S = Solver.In[B];
     for (size_t Idx = 0; Idx != BB->size(); ++Idx) {
       const Instruction &I = BB->instructions()[Idx];
       if (I.Op != Opcode::Check) {

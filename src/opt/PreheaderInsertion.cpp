@@ -3,6 +3,7 @@
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
 
+#include <algorithm>
 #include <optional>
 #include <unordered_map>
 
@@ -58,29 +59,43 @@ bool everyIterationCompletes(const Function &F, const LoopInfo &LI,
   return true;
 }
 
+/// The visit stamps and work list of reachesWithout, reused by every
+/// query of one pass: a block is seen in the current search when its
+/// stamp equals Epoch.
+struct ReachScratch {
+  std::vector<uint32_t> SeenAt;
+  uint32_t Epoch = 0;
+  std::vector<BlockID> Work;
+};
+
 /// True when no path from \p From reaches \p Avoid... specifically: DFS
 /// from \p From that never enters \p Avoid; returns true when it reaches
 /// \p Target or a Ret-terminated block.
 bool reachesWithout(const Function &F, BlockID From, BlockID Avoid,
-                    BlockID Target) {
-  std::vector<bool> Seen(F.numBlocks(), false);
-  std::vector<BlockID> Work{From};
-  Seen[From] = true;
+                    BlockID Target, ReachScratch &S) {
   if (From == Avoid)
     return false;
-  while (!Work.empty()) {
-    BlockID B = Work.back();
-    Work.pop_back();
+  if (S.SeenAt.size() < F.numBlocks())
+    S.SeenAt.resize(F.numBlocks(), 0);
+  if (++S.Epoch == 0) {
+    std::fill(S.SeenAt.begin(), S.SeenAt.end(), 0);
+    S.Epoch = 1;
+  }
+  S.Work.assign(1, From);
+  S.SeenAt[From] = S.Epoch;
+  while (!S.Work.empty()) {
+    BlockID B = S.Work.back();
+    S.Work.pop_back();
     if (B == Target)
       return true;
     const Instruction &T = F.block(B)->terminator();
     if (T.Op == Opcode::Ret)
       return true; // early function exit counts as "escaped"
-    for (BlockID S : F.block(B)->successors()) {
-      if (S == Avoid || Seen[S])
+    for (BlockID Succ : F.block(B)->successors()) {
+      if (Succ == Avoid || S.SeenAt[Succ] == S.Epoch)
         continue;
-      Seen[S] = true;
-      Work.push_back(S);
+      S.SeenAt[Succ] = S.Epoch;
+      S.Work.push_back(Succ);
     }
   }
   return false;
@@ -121,6 +136,7 @@ void nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
   }
   const LoopInfo &LI = *CachedLoops;
   DataflowResult Antic = Ctx.solveAnticipatability();
+  ReachScratch Reach;
 
   // Checks that occur as plain Check instructions inside each loop; a
   // candidate is only worth hoisting when it covers at least one of them.
@@ -194,7 +210,7 @@ void nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
           continue;
         bool Articulation =
             B == DL.BodyEntry ||
-            !reachesWithout(F, DL.BodyEntry, B, DL.Latch);
+            !reachesWithout(F, DL.BodyEntry, B, DL.Latch, Reach);
         if (!Articulation)
           continue;
         for (size_t Idx = 0; Idx != F.block(B)->size(); ++Idx) {
@@ -327,7 +343,7 @@ void nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
         if (I.Op != Opcode::CondCheck)
           continue;
         // (a) execution guarantee.
-        if (reachesWithout(F, DL.BodyEntry, B, DL.Latch))
+        if (reachesWithout(F, DL.BodyEntry, B, DL.Latch, Reach))
           continue;
         // (b) guard invariance.
         bool GuardsInv = true;

@@ -43,8 +43,10 @@ TEST(Dataflow, ForwardGenKillPropagation) {
   P.Dir = DataflowProblem::Direction::Forward;
   P.MeetOp = DataflowProblem::Meet::Intersect;
   P.UniverseSize = 4;
-  P.Gen = {bits(4, {0}), bits(4, {1}), bits(4, {})};
-  P.Kill = {bits(4, {}), bits(4, {0}), bits(4, {})};
+  std::vector<DenseBitVector> Gen = {bits(4, {0}), bits(4, {1}), bits(4, {})};
+  std::vector<DenseBitVector> Kill = {bits(4, {}), bits(4, {0}), bits(4, {})};
+  P.Gen = Gen;
+  P.Kill = Kill;
 
   DataflowResult R = solveDataflow(C.F, P);
   EXPECT_EQ(R.Out[C.B0], bits(4, {0}));
@@ -75,8 +77,11 @@ TEST(Dataflow, IntersectAtMerge) {
 
   DataflowProblem P;
   P.UniverseSize = 2;
-  P.Gen = {bits(2, {1}), bits(2, {0}), bits(2, {}), bits(2, {})};
-  P.Kill.assign(4, DenseBitVector(2));
+  std::vector<DenseBitVector> Gen = {bits(2, {1}), bits(2, {0}), bits(2, {}),
+                                     bits(2, {})};
+  std::vector<DenseBitVector> Kill(4, DenseBitVector(2));
+  P.Gen = Gen;
+  P.Kill = Kill;
 
   DataflowResult RI = solveDataflow(F, P);
   EXPECT_EQ(RI.In[J->id()], bits(2, {1})); // fact 0 only on the then path
@@ -109,10 +114,12 @@ TEST(Dataflow, LoopReachesFixpoint) {
 
   DataflowProblem P;
   P.UniverseSize = 2;
-  P.Gen.assign(4, DenseBitVector(2));
-  P.Kill.assign(4, DenseBitVector(2));
-  P.Gen[E->id()].set(0);
-  P.Gen[Body->id()].set(1);
+  std::vector<DenseBitVector> Gen(4, DenseBitVector(2));
+  std::vector<DenseBitVector> Kill(4, DenseBitVector(2));
+  Gen[E->id()].set(0);
+  Gen[Body->id()].set(1);
+  P.Gen = Gen;
+  P.Kill = Kill;
 
   DataflowResult R = solveDataflow(F, P);
   EXPECT_TRUE(R.In[H->id()].test(0));
@@ -129,8 +136,11 @@ TEST(Dataflow, BackwardAnticipation) {
   DataflowProblem P;
   P.Dir = DataflowProblem::Direction::Backward;
   P.UniverseSize = 2;
-  P.Gen = {bits(2, {}), bits(2, {}), bits(2, {0, 1})};
-  P.Kill = {bits(2, {}), bits(2, {0}), bits(2, {})};
+  std::vector<DenseBitVector> Gen = {bits(2, {}), bits(2, {}),
+                                     bits(2, {0, 1})};
+  std::vector<DenseBitVector> Kill = {bits(2, {}), bits(2, {0}), bits(2, {})};
+  P.Gen = Gen;
+  P.Kill = Kill;
 
   DataflowResult R = solveDataflow(C.F, P);
   EXPECT_TRUE(R.In[C.B2].test(0));
@@ -147,8 +157,9 @@ TEST(Dataflow, BackwardBoundaryAtExits) {
   DataflowProblem P;
   P.Dir = DataflowProblem::Direction::Backward;
   P.UniverseSize = 1;
-  P.Gen.assign(3, DenseBitVector(1));
-  P.Kill.assign(3, DenseBitVector(1));
+  std::vector<DenseBitVector> Sets(3, DenseBitVector(1));
+  P.Gen = Sets;
+  P.Kill = Sets;
   DataflowResult R = solveDataflow(C.F, P);
   EXPECT_FALSE(R.Out[C.B2].test(0));
   EXPECT_FALSE(R.In[C.B0].test(0));

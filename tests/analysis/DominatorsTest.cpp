@@ -9,6 +9,10 @@ using namespace nascent;
 
 namespace {
 
+std::vector<BlockID> listOf(std::span<const BlockID> Row) {
+  return {Row.begin(), Row.end()};
+}
+
 /// Builds the classic diamond: entry -> {then, else} -> join -> exit(ret).
 struct Diamond {
   Function F{"f"};
@@ -56,8 +60,8 @@ TEST(Dominators, DiamondFrontiers) {
   DominatorTree DT(D.F);
   // Both branch blocks have the join in their frontier; the entry has
   // nothing (it dominates everything).
-  EXPECT_EQ(DT.frontier(D.Then), std::vector<BlockID>{D.Join});
-  EXPECT_EQ(DT.frontier(D.Else), std::vector<BlockID>{D.Join});
+  EXPECT_EQ(listOf(DT.frontier(D.Then)), std::vector<BlockID>{D.Join});
+  EXPECT_EQ(listOf(DT.frontier(D.Else)), std::vector<BlockID>{D.Join});
   EXPECT_TRUE(DT.frontier(D.Entry).empty());
 }
 
@@ -86,8 +90,16 @@ TEST(Dominators, LoopFrontierContainsHeader) {
   EXPECT_EQ(DT.idom(Exit->id()), Header->id());
   // The body's frontier is the header (back edge target), and the header
   // is in its own frontier through the loop.
-  EXPECT_EQ(DT.frontier(Body->id()), std::vector<BlockID>{Header->id()});
-  EXPECT_EQ(DT.frontier(Header->id()), std::vector<BlockID>{Header->id()});
+  EXPECT_EQ(listOf(DT.frontier(Body->id())),
+            std::vector<BlockID>{Header->id()});
+  EXPECT_EQ(listOf(DT.frontier(Header->id())),
+            std::vector<BlockID>{Header->id()});
+  EXPECT_EQ(listOf(DT.children(Entry->id())),
+            std::vector<BlockID>{Header->id()});
+  // Children come in reverse post-order: the DFS finishes the body first.
+  EXPECT_EQ(listOf(DT.children(Header->id())),
+            (std::vector<BlockID>{Exit->id(), Body->id()}));
+  EXPECT_TRUE(DT.children(Body->id()).empty());
 }
 
 TEST(Dominators, UnreachableBlocks) {

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 using namespace nascent;
 using namespace nascent::test;
 
@@ -225,6 +227,68 @@ TEST(TrapSafetyAuditor, EmptiedBlockIsAnchoredAtOriginalTerminator) {
   SourceLocation Want = T.Origin.Loc.isValid() ? T.Origin.Loc : T.Loc;
   EXPECT_EQ(Found.Loc.Line, Want.Line);
   EXPECT_EQ(Found.Loc.Column, Want.Column);
+}
+
+TEST(TrapSafetyAuditor, LostCheckFindingNamesTheOriginalCheck) {
+  // Seed a lost check into an optimized suite program: delete residual
+  // checks of the LLS result one at a time until the audit against the
+  // naive original loses a trap. The finding is anchored on the original
+  // check, carries its lifecycle tag, prints it, and provenance replays
+  // that check's decisions.
+  const SuiteProgram *P = findSuiteProgram("linpackd");
+  ASSERT_NE(P, nullptr);
+  CompileResult Naive = compileNaive(P->Source);
+  CompileResult Opt = compileWithScheme(P->Source, PlacementScheme::LLS);
+  AuditOptions AO;
+  AO.Scheme = PlacementScheme::LLS;
+  std::optional<AuditReport> Lost;
+  for (size_t FI = 0; FI != Opt.M->functions().size() && !Lost; ++FI) {
+    const Function &F = *Opt.M->functions()[FI];
+    for (BlockID B = 0; B != F.numBlocks() && !Lost; ++B)
+      for (size_t Idx = 0; Idx != F.block(B)->size() && !Lost; ++Idx) {
+        if (F.block(B)->instructions()[Idx].Op != Opcode::Check)
+          continue;
+        std::unique_ptr<Module> Mutant = Opt.M->clone();
+        auto &Insts = Mutant->functions()[FI]->block(B)->instructions();
+        Insts.erase(Insts.begin() + static_cast<ptrdiff_t>(Idx));
+        std::unique_ptr<Module> Orig = Naive.M->clone();
+        AuditReport R = auditModulePair(*Orig, *Mutant, AO);
+        if (countRule(R, AuditRule::LostCheck) != 0)
+          Lost = std::move(R);
+      }
+  }
+  ASSERT_TRUE(Lost.has_value()) << "no residual check guards a trap";
+
+  const AuditFinding *Found = nullptr;
+  for (const AuditFinding &F : Lost->findings())
+    if (F.Rule == AuditRule::LostCheck) {
+      Found = &F;
+      break;
+    }
+  ASSERT_NE(Found, nullptr);
+  const Function *OrigF = Naive.M->function(Found->FunctionName);
+  ASSERT_NE(OrigF, nullptr);
+  const Instruction &OrigCheck =
+      OrigF->block(Found->Block)->instructions()[Found->InstIndex];
+  ASSERT_EQ(OrigCheck.Op, Opcode::Check);
+  ASSERT_NE(OrigCheck.Tag, NoCheckTag);
+  EXPECT_EQ(Found->Tag, OrigCheck.Tag);
+  std::string Tag = "tag=" + std::to_string(Found->Tag);
+  EXPECT_NE(Found->str().find(" " + Tag + " "), std::string::npos)
+      << Found->str();
+
+  // Tags are assigned by lowering, so the optimized compile's record
+  // follows the same check from insertion to its terminal state.
+  std::string Chain = Opt.Provenance.explainTag(Found->Tag);
+  EXPECT_FALSE(Chain.empty());
+  EXPECT_NE(Chain.find(std::to_string(Found->Tag)), std::string::npos)
+      << Chain;
+  EXPECT_EQ(Chain, Opt.Provenance.explainTag(OrigCheck.Tag));
+
+  // A finding anchored on no check prints no tag.
+  AuditFinding Untagged = *Found;
+  Untagged.Tag = NoCheckTag;
+  EXPECT_EQ(Untagged.str().find("tag="), std::string::npos);
 }
 
 TEST(CigConsistencyLint, AcceptsWellFormedUniverse) {

@@ -188,11 +188,11 @@ end program
   // Canonical shape: preheader jumps to header; header branches to body
   // and exit; latch increments the index and jumps to the header.
   F->recomputePreds();
-  EXPECT_EQ(F->block(DL.Preheader)->successors(),
-            std::vector<BlockID>{DL.Header});
-  auto HeaderSuccs = F->block(DL.Header)->successors();
+  EXPECT_EQ(F->block(DL.Preheader)->successors(), SuccessorList(DL.Header));
+  SuccessorList HeaderSuccs = F->block(DL.Header)->successors();
   ASSERT_EQ(HeaderSuccs.size(), 2u);
   EXPECT_EQ(HeaderSuccs[0], DL.BodyEntry);
+  EXPECT_EQ(F->block(DL.Latch)->successors(), SuccessorList(DL.Header));
   const Instruction &Inc = F->block(DL.Latch)->instructions()[0];
   EXPECT_EQ(Inc.Op, Opcode::Add);
   EXPECT_EQ(Inc.Dest, DL.IndexVar);

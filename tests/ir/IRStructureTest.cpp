@@ -59,13 +59,50 @@ TEST(IRBuilder, BuildsDiamond) {
   B.emitRet();
 
   F.recomputePreds();
-  EXPECT_EQ(Entry->successors(), (std::vector<BlockID>{Then->id(),
-                                                       Else->id()}));
+  EXPECT_EQ(Entry->successors(), SuccessorList(Then->id(), Else->id()));
+  EXPECT_EQ(Then->successors(), SuccessorList(Join->id()));
+  EXPECT_TRUE(Join->successors().empty());
   EXPECT_EQ(Join->preds().size(), 2u);
   EXPECT_TRUE(Join->terminator().Op == Opcode::Ret);
 
   DiagnosticEngine D;
   EXPECT_TRUE(verifyFunction(F, D)) << D.render();
+}
+
+TEST(BasicBlock, SuccessorsFollowTheTerminator) {
+  // Br lists its true target first; a Br whose targets are equal has one
+  // successor; Ret and Trap have none.
+  Function F("f");
+  IRBuilder B(F);
+  SymbolID C = F.symbols().createScalar("c", ScalarType::Bool);
+  BasicBlock *Entry = B.createBlock("entry");
+  BasicBlock *Same = B.createBlock("same");
+  BasicBlock *Exit = B.createBlock("exit");
+  BasicBlock *Fail = B.createBlock("fail");
+  B.setInsertBlock(Entry);
+  B.emitBr(Value::sym(C), Fail->id(), Same->id());
+  B.setInsertBlock(Same);
+  B.emitBr(Value::sym(C), Exit->id(), Exit->id());
+  B.setInsertBlock(Exit);
+  B.emitRet();
+  B.setInsertBlock(Fail);
+  B.emitTrap();
+
+  SuccessorList Two = Entry->successors();
+  ASSERT_EQ(Two.size(), 2u);
+  EXPECT_EQ(Two[0], Fail->id());
+  EXPECT_EQ(Two[1], Same->id());
+  EXPECT_EQ(std::vector<BlockID>(Two.begin(), Two.end()),
+            (std::vector<BlockID>{Fail->id(), Same->id()}));
+  EXPECT_EQ(Same->successors(), SuccessorList(Exit->id()));
+  EXPECT_EQ(Same->successors().size(), 1u);
+  EXPECT_NE(Same->successors(), SuccessorList(Exit->id(), Exit->id()));
+  EXPECT_TRUE(Exit->successors().empty());
+  EXPECT_EQ(Exit->successors(), SuccessorList());
+  EXPECT_TRUE(Fail->successors().empty());
+
+  F.recomputePreds();
+  EXPECT_EQ(Exit->preds(), std::vector<BlockID>{Same->id()});
 }
 
 TEST(Function, SplitCriticalEdges) {
