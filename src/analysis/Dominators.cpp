@@ -103,7 +103,7 @@ void DominatorTree::computeFrontiers(const Function &F) {
   std::vector<std::pair<BlockID, BlockID>> Entries;
   std::vector<BlockID> LastJoin(IDom.size(), InvalidBlock);
   for (BlockID B : RPO) {
-    const std::vector<BlockID> &Preds = F.block(B)->preds();
+    const PredList &Preds = F.block(B)->preds();
     if (Preds.size() < 2)
       continue;
     for (BlockID P : Preds) {

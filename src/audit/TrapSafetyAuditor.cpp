@@ -45,32 +45,6 @@ bool anyAsStrongAs(const CheckUniverse &U, const DenseBitVector &Bits,
   return false;
 }
 
-bool valueEq(const Value &A, const Value &B) {
-  if (A.kind() != B.kind())
-    return false;
-  switch (A.kind()) {
-  case Value::Kind::None:
-    return true;
-  case Value::Kind::Sym:
-    return A.symbol() == B.symbol();
-  case Value::Kind::IntConst:
-  case Value::Kind::BoolConst:
-    return A.intValue() == B.intValue();
-  case Value::Kind::RealConst:
-    return A.realValue() == B.realValue();
-  }
-  return false;
-}
-
-bool valuesEq(const std::vector<Value> &A, const std::vector<Value> &B) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0; I != A.size(); ++I)
-    if (!valueEq(A[I], B[I]))
-      return false;
-  return true;
-}
-
 // The helpers below mirror the (file-static) ones in PreheaderInsertion.cpp;
 // the auditor re-derives every side condition rather than trusting the
 // optimizer's own bookkeeping.
@@ -527,7 +501,7 @@ private:
       return false;
     if (A.Dest != B.Dest || A.Array != B.Array || A.Callee != B.Callee)
       return false;
-    if (!valuesEq(A.Operands, B.Operands) || !valuesEq(A.Indices, B.Indices))
+    if (A.Operands != B.Operands || A.Indices != B.Indices)
       return false;
     if (A.Op == Opcode::Br || A.Op == Opcode::Jump) {
       BlockID BT = resolveOptTarget(B.TrueTarget);

@@ -336,7 +336,9 @@ uint64_t nascent::cache::approxModuleBytes(const Module &M) {
       B += sizeof(BasicBlock) + BB->name().size();
       for (const Instruction &I : BB->instructions()) {
         B += sizeof(Instruction);
-        B += (I.Operands.size() + I.Indices.size()) * sizeof(Value);
+        for (const ValueList *L : {&I.Operands, &I.Indices})
+          if (!L->isInline())
+            B += L->capacity() * sizeof(Value);
         B += I.Guards.size() * sizeof(CheckExpr);
         B += (I.Check.expr().terms().size() + 2) * 16;
         B += I.Origin.ArrayName.size() + I.Callee.size();

@@ -12,8 +12,11 @@ using namespace nascent;
 namespace {
 
 /// The runtime every emitted program starts with: counters, the trap and
-/// fault exits, and the C mirrors of Decoded.h's scalar rules.
-constexpr const char *Prelude = R"(/* Generated by nascent-rangecheck's instrumented-C back end. */
+/// fault exits (each emitted only when a statement calls it, so a program
+/// that cannot fault compiles warning-free under -Wall), and the C mirrors
+/// of Decoded.h's scalar rules.
+constexpr const char *PreludeCounters =
+    R"(/* Generated by nascent-rangecheck's instrumented-C back end. */
 #include <math.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -25,19 +28,30 @@ static void nck_report(void) {
           nck_instrs, nck_checks, nck_condchecks);
 }
 
-/* A failed check or a Trap exits with status 2, a hard fault with 3. */
+)";
+
+constexpr const char *PreludeTrap =
+    R"(/* A failed check or a Trap exits with status 2. */
 static void nck_trap(const char *What) {
   fprintf(stderr, "[nascent-trap] %s\n", What);
   nck_report();
   exit(2);
 }
+
+)";
+
+constexpr const char *PreludeFault =
+    R"(/* A hard fault exits with status 3. */
 static void nck_fault(const char *What) {
   fprintf(stderr, "[nascent-fault] %s\n", What);
   nck_report();
   exit(3);
 }
 
-/* int64 arithmetic wraps as two's complement: INT64_MIN / -1 is INT64_MIN
+)";
+
+constexpr const char *PreludeArithmetic =
+    R"(/* int64 arithmetic wraps as two's complement: INT64_MIN / -1 is INT64_MIN
    and its remainder is 0. */
 static inline long long nck_add(long long A, long long B) {
   return (long long)((unsigned long long)A + (unsigned long long)B);
@@ -166,7 +180,10 @@ public:
                                       : std::vector<DimLayout>());
       if (Sym.IsParam)
         continue;
-      Locals += "  " + cType(Sym.Type) + " " + Names.back() +
+      // The symbol table keeps every declared variable, also one the
+      // program never reads (linpackd's k), so locals may go unused.
+      Locals += "  __attribute__((unused)) " + cType(Sym.Type) + " " +
+                Names.back() +
                 (Sym.isArray() ? "[" +
                                      std::to_string(Sym.Shape.elementCount()) +
                                      "] = {0};\n"
@@ -197,6 +214,10 @@ public:
     }
     return Out;
   }
+
+  /// Which halting helpers the statements body() printed call.
+  bool usesTrap() const { return UsesTrap; }
+  bool usesFault() const { return UsesFault; }
 
 private:
   /// The cell a decoded op reads as an integer (S[X.Slot].I).
@@ -273,8 +294,18 @@ private:
                 : "";
   }
 
+  /// nck_trap(What); marks the helper used.
+  std::string trap(const DecodedOp &O) const {
+    UsesTrap = true;
+    return "nck_trap(" + cString(haltMessage(DF, O)) + ");";
+  }
+  /// nck_fault(What); marks the helper used.
+  std::string fault(const DecodedOp &O) const {
+    UsesFault = true;
+    return "nck_fault(" + cString(haltMessage(DF, O)) + ");";
+  }
+
   std::string effect(const DecodedOp &O) const {
-    auto Halt = [&] { return cString(haltMessage(DF, O)); };
     size_t Site = 0, Array = 0;
     if (Skel && isCheckOp(O.Code))
       Site = Base.Sites + Skel->siteIndex(DF.ProfileIndex, O.Block, O.Index);
@@ -283,8 +314,7 @@ private:
     switch (O.Code) {
     case Op::DivI:
     case Op::ModI:
-      return "if (" + intOf(O.B) + " == 0) nck_fault(" + Halt() + "); " +
-             value(O);
+      return "if (" + intOf(O.B) + " == 0) " + fault(O) + " " + value(O);
     case Op::Load:
       return count("nck_arr_loads", Array) + Names[O.Dest] + " = " +
              element(O) + ";";
@@ -299,9 +329,9 @@ private:
       // A site's hit counter bumps on every execution, also when the
       // guards of a CondCheck are false; its trap counter before the trap.
       return count("nck_site_hits", Site) + "if (" + fails(O) + ") { " +
-             count("nck_site_traps", Site) + "nck_trap(" + Halt() + "); }";
+             count("nck_site_traps", Site) + trap(O) + " }";
     case Op::Trap:
-      return "nck_trap(" + Halt() + ");";
+      return trap(O);
     case Op::Br:
       return "if (" + intOf(O.A) + " != 0) goto bb" +
              std::to_string(O.TrueBlock) + "; else goto bb" +
@@ -318,7 +348,7 @@ private:
     case Op::CallI:
     case Op::CallR: {
       if (!O.Callee)
-        return "nck_fault(" + Halt() + ");";
+        return fault(O);
       std::string Call = "fn_" + O.Callee->F->name() + "(";
       for (uint32_t K = O.Begin; K != O.End; ++K) {
         const Argument &Arg = DF.Args[K];
@@ -336,7 +366,7 @@ private:
     case Op::PrintBool:
       return "puts(" + intOf(O.A) + " ? \"T\" : \"F\");";
     case Op::FellOff:
-      return "nck_fault(" + Halt() + ");";
+      return fault(O);
     default:
       return value(O);
     }
@@ -361,6 +391,7 @@ private:
   std::vector<ScalarType> Types;               ///< by SymbolID
   std::vector<std::vector<DimLayout>> Layouts; ///< by SymbolID, arrays only
   std::string Locals;                          ///< local declarations
+  mutable bool UsesTrap = false, UsesFault = false; ///< set by body()
 };
 
 /// The static counter tables, the saturating bump helper, and the atexit
@@ -418,9 +449,6 @@ std::string nascent::emitModuleToC(const Module &M,
   const obs::ExecutionProfile *P = Opts.Profile ? &Skel : nullptr;
   DecodedModule DM = decodeModule(M, P);
 
-  std::string Out = Prelude;
-  if (P)
-    Out += profileRuntime(Skel);
   std::vector<FunctionPrinter> Printers;
   SlotBase Base;
   for (const DecodedFunction &DF : DM.Functions) {
@@ -432,12 +460,27 @@ std::string nascent::emitModuleToC(const Module &M,
       Base.Arrays += FP.Arrays.size();
     }
   }
+  // Bodies first: they decide which halting helpers the prelude carries.
+  std::string Bodies;
+  bool Trap = false, Fault = false;
+  for (const FunctionPrinter &FP : Printers) {
+    Bodies += "static " + FP.signature() + " {\n" + FP.body() + "}\n\n";
+    Trap |= FP.usesTrap();
+    Fault |= FP.usesFault();
+  }
+
+  std::string Out = PreludeCounters;
+  if (Trap)
+    Out += PreludeTrap;
+  if (Fault)
+    Out += PreludeFault;
+  Out += PreludeArithmetic;
+  if (P)
+    Out += profileRuntime(Skel);
   // Prototypes first: callees may appear in any order.
   for (const FunctionPrinter &FP : Printers)
     Out += "static " + FP.signature() + ";\n";
-  Out += "\n";
-  for (const FunctionPrinter &FP : Printers)
-    Out += "static " + FP.signature() + " {\n" + FP.body() + "}\n\n";
+  Out += "\n" + Bodies;
 
   Out += "int main(void) {\n";
   if (P)

@@ -60,9 +60,9 @@ private:
 
   /// Lowers subscripts of an array access, emitting the naive checks, and
   /// returns the index values.
-  std::vector<Value> lowerSubscripts(SymbolID Array,
-                                     const std::vector<ExprPtr> &Indices,
-                                     SourceLocation Loc);
+  ValueList lowerSubscripts(SymbolID Array,
+                            const std::vector<ExprPtr> &Indices,
+                            SourceLocation Loc);
 
   // --- statement lowering ----------------------------------------------
   void lowerStmtList(const std::vector<StmtPtr> &Stmts);
@@ -70,8 +70,8 @@ private:
   void lowerIf(const IfStmt &S);
   void lowerDo(const DoStmt &S);
   void lowerWhile(const WhileStmt &S);
-  std::vector<Value> lowerCallArgs(const std::string &Callee,
-                                   const std::vector<ExprPtr> &Args);
+  ValueList lowerCallArgs(const std::string &Callee,
+                          const std::vector<ExprPtr> &Args);
 
   /// Starts a new block and makes it current (clearing the CSE cache).
   void switchTo(BasicBlock *BB) {
@@ -250,7 +250,7 @@ LoweredExpr FunctionLowerer::lowerExpr(const Expr &E) {
   }
   case ExprKind::ArrayRef: {
     const auto &A = static_cast<const ArrayRefExpr &>(E);
-    std::vector<Value> Idx = lowerSubscripts(A.Sym, A.Indices, A.Loc);
+    ValueList Idx = lowerSubscripts(A.Sym, A.Indices, A.Loc);
     Out.V = B.emitLoad(A.Sym, std::move(Idx));
     if (E.Ty == ScalarType::Int)
       Out.Lin = LinearExpr::term(atomFor(E, Out.V.symbol()));
@@ -429,7 +429,7 @@ LoweredExpr FunctionLowerer::lowerExpr(const Expr &E) {
   }
   case ExprKind::Call: {
     const auto &C = static_cast<const CallExpr &>(E);
-    std::vector<Value> Args = lowerCallArgs(C.Callee, C.Args);
+    ValueList Args = lowerCallArgs(C.Callee, C.Args);
     Out.V = B.emitCall(C.Callee, std::move(Args), E.Ty);
     if (E.Ty == ScalarType::Int && Out.V.isSym())
       Out.Lin = LinearExpr::term(Out.V.symbol()); // calls never share atoms
@@ -441,14 +441,13 @@ LoweredExpr FunctionLowerer::lowerExpr(const Expr &E) {
   return Out;
 }
 
-std::vector<Value>
-FunctionLowerer::lowerSubscripts(SymbolID Array,
-                                 const std::vector<ExprPtr> &Indices,
-                                 SourceLocation Loc) {
+ValueList FunctionLowerer::lowerSubscripts(SymbolID Array,
+                                           const std::vector<ExprPtr> &Indices,
+                                           SourceLocation Loc) {
   // Copy: lowering the index expressions creates temporaries, which can
   // reallocate the symbol table and invalidate references into it.
   const Symbol A = F.symbols().get(Array);
-  std::vector<Value> Out;
+  ValueList Out;
   Out.reserve(Indices.size());
   for (size_t D = 0; D != Indices.size(); ++D) {
     LoweredExpr L = lowerExpr(*Indices[D]);
@@ -468,12 +467,11 @@ FunctionLowerer::lowerSubscripts(SymbolID Array,
   return Out;
 }
 
-std::vector<Value>
-FunctionLowerer::lowerCallArgs(const std::string &Callee,
-                               const std::vector<ExprPtr> &Args) {
+ValueList FunctionLowerer::lowerCallArgs(const std::string &Callee,
+                                         const std::vector<ExprPtr> &Args) {
   const Function *CalleeF = M.function(Callee);
   assert(CalleeF && "sema guarantees the callee exists");
-  std::vector<Value> Out;
+  ValueList Out;
   Out.reserve(Args.size());
   for (size_t K = 0; K != Args.size(); ++K) {
     const Symbol &Param = CalleeF->symbols().get(CalleeF->params()[K]);
@@ -515,7 +513,7 @@ void FunctionLowerer::lowerStmt(const Stmt &S) {
   case StmtKind::ArrayAssign: {
     const auto &A = static_cast<const ArrayAssignStmt &>(S);
     const Symbol Info = F.symbols().get(A.Sym); // copy: table may grow
-    std::vector<Value> Idx = lowerSubscripts(A.Sym, A.Indices, A.Loc);
+    ValueList Idx = lowerSubscripts(A.Sym, A.Indices, A.Loc);
     Value V = lowerToType(*A.Value, Info.Type);
     B.emitStore(A.Sym, std::move(Idx), V);
     cseInvalidateArray(A.Sym);
@@ -532,7 +530,7 @@ void FunctionLowerer::lowerStmt(const Stmt &S) {
     return;
   case StmtKind::Call: {
     const auto &C = static_cast<const CallStmt &>(S);
-    std::vector<Value> Args = lowerCallArgs(C.Callee, C.Args);
+    ValueList Args = lowerCallArgs(C.Callee, C.Args);
     B.emitCall(C.Callee, std::move(Args), std::nullopt);
     return;
   }

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstring>
 #include <map>
+#include <new>
 #include <optional>
 #include <unordered_map>
 
@@ -354,4 +355,22 @@ std::string nascent::haltMessage(const DecodedFunction &DF,
            (I.Origin.IsUpper ? ", upper" : ", lower") + " bound, line " +
            I.Origin.Loc.str() + ")";
   return Msg;
+}
+
+std::string nascent::refusedArrayMessage(const DecodedModule &DM) {
+  for (const DecodedFunction &DF : DM.Functions)
+    for (const auto &[Sym, Shape] : DF.LocalArrays) {
+      // Probe with address space only: the block is freed untouched.
+      size_t N = static_cast<size_t>(Shape->elementCount());
+      void *P = N > std::vector<int64_t>().max_size()
+                    ? nullptr
+                    : ::operator new(N * sizeof(int64_t), std::nothrow);
+      if (P) {
+        ::operator delete(P);
+        continue;
+      }
+      return "cannot allocate array " + DF.F->symbols().get(Sym).Name +
+             " (" + std::to_string(N) + " elements)";
+    }
+  return "out of memory";
 }

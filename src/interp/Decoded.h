@@ -235,6 +235,14 @@ inline bool holds(const Cell *S, const Term *T, const DecodedCheck &C) {
 /// terminator.
 std::string haltMessage(const DecodedFunction &DF, const DecodedOp &O);
 
+/// The message a run halts with when the allocator refused memory: it
+/// names the first local array of \p DM, in decode order, whose storage
+/// the allocator refuses on its own ("out of memory" when none). Defined
+/// here, not beside the executor: a new helper in Interpreter.cpp changes
+/// GCC's inlining of the executor loop and moved the checked-run time by
+/// ~4 %.
+std::string refusedArrayMessage(const DecodedModule &DM);
+
 } // namespace nascent
 
 #endif // NASCENT_INTERP_DECODED_H

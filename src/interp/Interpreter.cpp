@@ -10,6 +10,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <new>
+#include <stdexcept>
 
 using namespace nascent;
 
@@ -448,7 +450,18 @@ ExecResult nascent::interpret(const Module &M, const InterpOptions &Opts) {
       Opts.Profile && Opts.Profile->attached() ? Opts.Profile : nullptr;
   DecodedModule DM = decodeModule(M, Prof);
   Executor E(Opts, R, Prof);
-  E.runEntry(*DM.Entry);
+  // An array the allocator refuses ends the run as a HardFault. It is
+  // caught here, not where frames are built, so the executor loop stays
+  // as it is; the counts stay those of the last call boundary.
+  try {
+    E.runEntry(*DM.Entry);
+  } catch (const std::bad_alloc &) {
+    R.St = ExecResult::Status::HardFault;
+    R.FaultMessage = refusedArrayMessage(DM);
+  } catch (const std::length_error &) {
+    R.St = ExecResult::Status::HardFault;
+    R.FaultMessage = refusedArrayMessage(DM);
+  }
   if (Opts.Profile && Opts.Profile->attached())
     Opts.Profile->noteRun(R.St == ExecResult::Status::Trapped);
   ++NumRuns;

@@ -54,6 +54,11 @@ private:
   uint32_t Count = 0;
 };
 
+/// The predecessor block ids of one block. Almost every block has one or
+/// two predecessors, so four ids live inline (the footprint of a
+/// std::vector) and copying a block allocates nothing for them.
+using PredList = InlineVector<BlockID, 4>;
+
 /// One CFG node. Blocks are owned by their Function and addressed by their
 /// dense BlockID.
 class BasicBlock {
@@ -130,7 +135,7 @@ public:
   SuccessorList successors() const;
 
   /// Predecessors; valid only after Function::recomputePreds.
-  const std::vector<BlockID> &preds() const { return Preds; }
+  const PredList &preds() const { return Preds; }
 
 private:
   friend class Function;
@@ -138,7 +143,7 @@ private:
   BlockID ID;
   std::string Name;
   std::vector<Instruction> Insts;
-  std::vector<BlockID> Preds;
+  PredList Preds;
 };
 
 } // namespace nascent

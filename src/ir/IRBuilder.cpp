@@ -43,7 +43,7 @@ void IRBuilder::emitCopy(SymbolID Dest, Value A) {
   append(std::move(I));
 }
 
-Value IRBuilder::emitLoad(SymbolID Array, std::vector<Value> Indices) {
+Value IRBuilder::emitLoad(SymbolID Array, ValueList Indices) {
   SymbolID Dest = F.symbols().createTemp(F.symbols().get(Array).Type);
   Instruction I;
   I.Op = Opcode::Load;
@@ -54,7 +54,7 @@ Value IRBuilder::emitLoad(SymbolID Array, std::vector<Value> Indices) {
   return Value::sym(Dest);
 }
 
-void IRBuilder::emitStore(SymbolID Array, std::vector<Value> Indices, Value V) {
+void IRBuilder::emitStore(SymbolID Array, ValueList Indices, Value V) {
   Instruction I;
   I.Op = Opcode::Store;
   I.Array = Array;
@@ -119,7 +119,7 @@ void IRBuilder::emitTrap(CheckOrigin Origin) {
   append(std::move(I));
 }
 
-Value IRBuilder::emitCall(const std::string &Callee, std::vector<Value> Args,
+Value IRBuilder::emitCall(const std::string &Callee, ValueList Args,
                           std::optional<ScalarType> ResultTy) {
   Instruction I;
   I.Op = Opcode::Call;

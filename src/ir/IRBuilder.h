@@ -45,10 +45,10 @@ public:
   void emitCopy(SymbolID Dest, Value A);
 
   /// Emits a Load of Array[Indices...] into a fresh temp and returns it.
-  Value emitLoad(SymbolID Array, std::vector<Value> Indices);
+  Value emitLoad(SymbolID Array, ValueList Indices);
 
   /// Emits Array[Indices...] = V.
-  void emitStore(SymbolID Array, std::vector<Value> Indices, Value V);
+  void emitStore(SymbolID Array, ValueList Indices, Value V);
 
   /// Emits an unconditional range check.
   void emitCheck(CheckExpr C, CheckOrigin Origin = {});
@@ -65,7 +65,7 @@ public:
 
   /// Emits a call; returns the result temp for functions, or an engaged-
   /// empty Value for subroutines.
-  Value emitCall(const std::string &Callee, std::vector<Value> Args,
+  Value emitCall(const std::string &Callee, ValueList Args,
                  std::optional<ScalarType> ResultTy);
 
   void emitPrint(Value V);

@@ -13,6 +13,7 @@
 
 #include "ir/CheckExpr.h"
 #include "ir/Symbol.h"
+#include "support/InlineVector.h"
 #include "support/SourceLocation.h"
 
 #include <cstdint>
@@ -89,7 +90,8 @@ inline bool isRangeCheckOp(Opcode Op) {
   return Op == Opcode::Check || Op == Opcode::CondCheck;
 }
 
-/// An operand: a symbol reference or an immediate constant.
+/// An operand: a symbol reference or an immediate constant. 16 bytes: the
+/// kind plus one payload slot that the kind selects.
 class Value {
 public:
   enum class Kind { None, Sym, IntConst, RealConst, BoolConst };
@@ -141,27 +143,57 @@ public:
     return Real;
   }
 
+  /// Same kind and same payload (reals compare as doubles).
+  friend bool operator==(const Value &A, const Value &B) {
+    if (A.K != B.K)
+      return false;
+    switch (A.K) {
+    case Kind::None:
+      return true;
+    case Kind::Sym:
+      return A.SymId == B.SymId;
+    case Kind::IntConst:
+    case Kind::BoolConst:
+      return A.Int == B.Int;
+    case Kind::RealConst:
+      return A.Real == B.Real;
+    }
+    return false;
+  }
+  friend bool operator!=(const Value &A, const Value &B) { return !(A == B); }
+
 private:
   Kind K = Kind::None;
-  SymbolID SymId = InvalidSymbol;
-  int64_t Int = 0;
-  double Real = 0;
+  union {
+    SymbolID SymId;
+    int64_t Int = 0;
+    double Real;
+  };
 };
+
+/// Operands and subscripts of one instruction. Suite instructions have at
+/// most two operands (only a few calls pass more) and arrays at most two
+/// dimensions, so two values live inline and copying an instruction
+/// allocates nothing; longer lists spill to the heap in the same order
+/// (support/InlineVector.h).
+using ValueList = InlineVector<Value, 2>;
 
 /// One IR instruction. A tagged struct rather than a class hierarchy: the
 /// optimizer freely moves, clones, and rewrites instructions and value
 /// semantics keep that simple.
 struct Instruction {
+  // The four 32-bit fields lead so the record packs without padding.
   Opcode Op = Opcode::Copy;
   SymbolID Dest = InvalidSymbol;  ///< destination (arith/copy/load/call)
-  std::vector<Value> Operands;    ///< op-dependent operands (see Opcode)
   SymbolID Array = InvalidSymbol; ///< Load/Store array symbol
-  std::vector<Value> Indices;     ///< Load/Store subscripts, one per dim
+  CheckTag Tag = NoCheckTag;      ///< lifecycle identity (Check/CondCheck/Trap)
+
+  ValueList Operands; ///< op-dependent operands (see Opcode)
+  ValueList Indices;  ///< Load/Store subscripts, one per dim
 
   CheckExpr Check;               ///< Check/CondCheck payload
   std::vector<CheckExpr> Guards; ///< CondCheck guards (conjunction)
   CheckOrigin Origin;            ///< provenance for Check/CondCheck/Trap
-  CheckTag Tag = NoCheckTag;     ///< lifecycle identity (Check/CondCheck/Trap)
 
   std::string Callee; ///< Call target name
 
@@ -173,6 +205,10 @@ struct Instruction {
   bool isTerminator() const { return nascent::isTerminator(Op); }
   bool isRangeCheck() const { return isRangeCheckOp(Op); }
 };
+
+static_assert(sizeof(Value) == 16, "a Value is a kind and one payload");
+static_assert(sizeof(Instruction) <= 256,
+              "instructions are copied wholesale by Module::clone");
 
 } // namespace nascent
 

@@ -6,57 +6,11 @@
 
 using namespace nascent;
 
-LinearExpr::LinearExpr(const LinearExpr &Other) : Const(Other.Const) {
+void LinearExpr::copyTerms(const LinearExpr &Other) {
   uint32_t N = Other.size();
   resizeForCopy(N);
   std::copy(Other.syms(), Other.syms() + N, syms());
   std::copy(Other.coeffs(), Other.coeffs() + N, coeffs());
-}
-
-LinearExpr::LinearExpr(LinearExpr &&Other) noexcept : Const(Other.Const) {
-  if (Other.onHeap()) {
-    Heap = Other.Heap;
-  } else {
-    InlineSyms[0] = Other.InlineSyms[0];
-    InlineSyms[1] = Other.InlineSyms[1];
-  }
-  Coeffs[0] = Other.Coeffs[0];
-  Coeffs[1] = Other.Coeffs[1];
-  Other.Coeffs[0] = Other.Coeffs[1] = 0;
-}
-
-LinearExpr &LinearExpr::operator=(const LinearExpr &Other) {
-  if (this == &Other)
-    return *this;
-  uint32_t N = Other.size();
-  resizeForCopy(N);
-  std::copy(Other.syms(), Other.syms() + N, syms());
-  std::copy(Other.coeffs(), Other.coeffs() + N, coeffs());
-  Const = Other.Const;
-  return *this;
-}
-
-LinearExpr &LinearExpr::operator=(LinearExpr &&Other) noexcept {
-  if (this == &Other)
-    return *this;
-  release();
-  if (Other.onHeap()) {
-    Heap = Other.Heap;
-  } else {
-    InlineSyms[0] = Other.InlineSyms[0];
-    InlineSyms[1] = Other.InlineSyms[1];
-  }
-  Coeffs[0] = Other.Coeffs[0];
-  Coeffs[1] = Other.Coeffs[1];
-  Const = Other.Const;
-  Other.Coeffs[0] = Other.Coeffs[1] = 0;
-  return *this;
-}
-
-void LinearExpr::release() {
-  if (onHeap())
-    ::operator delete(Heap);
-  Coeffs[0] = Coeffs[1] = 0;
 }
 
 /// A heap block for \p Cap terms: Cap coefficients, then Cap symbols.

@@ -91,11 +91,39 @@ public:
     size_t N;
   };
 
+  // Copies and moves of inline expressions are a few word moves, inlined
+  // into every Instruction and CheckExpr copy; only heap expressions take
+  // the out-of-line path.
   LinearExpr() = default;
-  LinearExpr(const LinearExpr &Other);
-  LinearExpr(LinearExpr &&Other) noexcept;
-  LinearExpr &operator=(const LinearExpr &Other);
-  LinearExpr &operator=(LinearExpr &&Other) noexcept;
+  LinearExpr(const LinearExpr &Other) : Const(Other.Const) {
+    if (Other.onHeap())
+      copyTerms(Other);
+    else
+      takeWords(Other);
+  }
+  LinearExpr(LinearExpr &&Other) noexcept : Const(Other.Const) {
+    takeWords(Other);
+    Other.Coeffs[0] = Other.Coeffs[1] = 0;
+  }
+  LinearExpr &operator=(const LinearExpr &Other) {
+    if (this == &Other)
+      return *this;
+    if (onHeap() || Other.onHeap())
+      copyTerms(Other);
+    else
+      takeWords(Other);
+    Const = Other.Const;
+    return *this;
+  }
+  LinearExpr &operator=(LinearExpr &&Other) noexcept {
+    if (this == &Other)
+      return *this;
+    release();
+    takeWords(Other);
+    Const = Other.Const;
+    Other.Coeffs[0] = Other.Coeffs[1] = 0;
+    return *this;
+  }
   ~LinearExpr() {
     if (onHeap())
       ::operator delete(Heap);
@@ -236,7 +264,25 @@ private:
   /// Inline, the caller's nonzero coefficients are what make the size.
   void resizeForCopy(uint32_t N);
   /// Frees the heap block, if any, leaving an empty inline expression.
-  void release();
+  void release() {
+    if (onHeap())
+      ::operator delete(Heap);
+    Coeffs[0] = Coeffs[1] = 0;
+  }
+  /// Copies \p Other's terms into this expression's own storage.
+  void copyTerms(const LinearExpr &Other);
+  /// Takes \p Other's term words as they are: its inline terms, or its
+  /// heap block and size word.
+  void takeWords(const LinearExpr &Other) {
+    if (Other.onHeap()) {
+      Heap = Other.Heap;
+    } else {
+      InlineSyms[0] = Other.InlineSyms[0];
+      InlineSyms[1] = Other.InlineSyms[1];
+    }
+    Coeffs[0] = Other.Coeffs[0];
+    Coeffs[1] = Other.Coeffs[1];
+  }
 
   union {
     SymbolID InlineSyms[InlineTerms] = {0, 0};

@@ -4,6 +4,7 @@
 #include "obs/BenchSchema.h"
 #include "obs/Json.h"
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -96,6 +97,15 @@ void ProvenanceRecorder::record(LifecycleKind Kind, LifecyclePass Pass,
 void ProvenanceRecorder::record(LifecycleEvent E) {
   E.Seq = static_cast<uint32_t>(All.size());
   All.push_back(E);
+}
+
+void ProvenanceRecorder::reserve(size_t Events, size_t NewSnapshots,
+                                 size_t Terms, CheckTag MaxTag) {
+  All.reserve(All.size() + Events);
+  Snapshots.reserve(Snapshots.size() + NewSnapshots);
+  TermPool.reserve(TermPool.size() + Terms);
+  if (MaxTag >= CurrentOf.size())
+    CurrentOf.resize(MaxTag + 1, NoSnapshot);
 }
 
 size_t ProvenanceRecorder::count(LifecycleKind K,
@@ -365,29 +375,51 @@ std::vector<std::string> ProvenanceRecorder::validate() const {
   return Problems;
 }
 
-void obs::recordInsertedChecks(const Module &M, ProvenanceRecorder &PR) {
-  for (const Function *F : M.functions())
+namespace {
+
+/// Calls \p Visit(F, Block, I) for every tagged range check of \p Fns.
+template <typename Fn>
+void forEachTaggedCheck(const std::vector<const Function *> &Fns,
+                        Fn &&Visit) {
+  for (const Function *F : Fns)
     for (const auto &BB : *F)
-      for (const Instruction &I : BB->instructions()) {
-        if (!I.isRangeCheck() || I.Tag == NoCheckTag)
-          continue;
-        PR.record(LifecycleKind::Inserted, LifecyclePass::Lowering, *F,
-                  BB->id(), I, JustificationId::NaiveCheck);
-      }
+      for (const Instruction &I : BB->instructions())
+        if (I.isRangeCheck() && I.Tag != NoCheckTag)
+          Visit(*F, BB->id(), I);
+}
+
+} // namespace
+
+void obs::recordInsertedChecks(const Module &M, ProvenanceRecorder &PR) {
+  const std::vector<const Function *> Fns = M.functions();
+  size_t Checks = 0, Terms = 0;
+  CheckTag MaxTag = NoCheckTag;
+  forEachTaggedCheck(Fns, [&](const Function &, BlockID,
+                              const Instruction &I) {
+    ++Checks;
+    Terms += I.Check.expr().terms().size();
+    MaxTag = std::max(MaxTag, I.Tag);
+  });
+  PR.reserve(2 * Checks, Checks, Terms, MaxTag);
+  forEachTaggedCheck(Fns, [&](const Function &F, BlockID B,
+                              const Instruction &I) {
+    PR.record(LifecycleKind::Inserted, LifecyclePass::Lowering, F, B, I,
+              JustificationId::NaiveCheck);
+  });
 }
 
 void obs::recordResidualChecks(const Module &M, ProvenanceRecorder &PR) {
-  for (const Function *F : M.functions())
-    for (const auto &BB : *F)
-      for (const Instruction &I : BB->instructions()) {
-        if (!I.isRangeCheck() || I.Tag == NoCheckTag)
-          continue;
-        PR.record(LifecycleKind::Residualized, LifecyclePass::Pipeline, *F,
-                  BB->id(), I,
-                  I.Op == Opcode::CondCheck
-                      ? JustificationId::CondCheckSurvived
-                      : JustificationId::CheckSurvived);
-      }
+  const std::vector<const Function *> Fns = M.functions();
+  size_t Checks = 0;
+  forEachTaggedCheck(
+      Fns, [&](const Function &, BlockID, const Instruction &) { ++Checks; });
+  PR.reserve(Checks, 0, 0, NoCheckTag);
+  forEachTaggedCheck(Fns, [&](const Function &F, BlockID B,
+                              const Instruction &I) {
+    PR.record(LifecycleKind::Residualized, LifecyclePass::Pipeline, F, B, I,
+              I.Op == Opcode::CondCheck ? JustificationId::CondCheckSurvived
+                                        : JustificationId::CheckSurvived);
+  });
 }
 
 namespace {

@@ -211,6 +211,12 @@ public:
   /// Appends \p E verbatim, assigning its sequence number.
   void record(LifecycleEvent E);
 
+  /// Makes room for \p Events more events, \p NewSnapshots more snapshots
+  /// holding \p Terms more terms, and tags up to \p MaxTag, so recording
+  /// that much regrows no table.
+  void reserve(size_t Events, size_t NewSnapshots, size_t Terms,
+               CheckTag MaxTag);
+
   const std::vector<LifecycleEvent> &events() const { return All; }
   const std::vector<CheckSnapshot> &snapshots() const { return Snapshots; }
 
@@ -281,6 +287,8 @@ private:
 /// Records one Inserted event per tagged range check currently in \p M,
 /// attributed to Lowering. The pipeline calls this right after lowering
 /// (and optimizer passes record their own insertions as they happen).
+/// The tables are sized once up front: room for two events per check
+/// (its insertion and its terminal event) and one snapshot each.
 void recordInsertedChecks(const Module &M, ProvenanceRecorder &PR);
 
 /// Records the terminal Residualized event for every tagged range check

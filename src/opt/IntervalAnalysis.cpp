@@ -4,6 +4,7 @@
 #include "analysis/Dominators.h"
 #include "analysis/LoopInfo.h"
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -86,32 +87,55 @@ Interval Interval::absValue() const {
 
 namespace {
 
-/// The per-program-point abstract state: one interval per integer scalar.
+/// The per-program-point abstract state: one interval per tracked symbol.
 using State = std::vector<Interval>;
 
+/// The value-range fixpoint over one function. Only the symbols transfer
+/// can write -- integer and bool scalars -- get a slot in a state; a real
+/// or array symbol keeps its entry interval at every point (no
+/// instruction assigns it an interval, and valueOf reads it as top), so
+/// leaving it out changes no hull, widening or comparison. The states of
+/// all blocks sit in two flat tables, one row per block.
 class IntervalSolver {
 public:
   explicit IntervalSolver(const Function &F) : F(F) {
-    NumSyms = F.symbols().size();
+    const SymbolTable &Syms = F.symbols();
+    Slot.assign(Syms.size(), UntrackedZero);
+    for (SymbolID S = 0; S != Syms.size(); ++S)
+      if (tracked(Syms.get(S)))
+        Slot[S] = static_cast<uint32_t>(NumSlots++);
+    for (SymbolID P : F.params())
+      if (Slot[P] == UntrackedZero && !Syms.get(P).isArray())
+        Slot[P] = UntrackedTop; // a real parameter: unknown throughout
+    // Per block, the instructions that write a slot: transfer leaves a
+    // state unchanged on every other one, so block visits skip them.
+    WriterStart.reserve(F.numBlocks() + 1);
+    for (const auto &BB : F) {
+      WriterStart.push_back(static_cast<uint32_t>(Writers.size()));
+      for (const Instruction &I : BB->instructions())
+        if (I.Dest != InvalidSymbol && isTracked(I.Dest))
+          Writers.push_back(&I);
+    }
+    WriterStart.push_back(static_cast<uint32_t>(Writers.size()));
   }
 
   void solve() {
     std::vector<BlockID> RPO = reversePostOrder(F);
-    In.assign(F.numBlocks(), State());
-    Out.assign(F.numBlocks(), State());
+    In.assign(F.numBlocks() * NumSlots, Interval());
+    Out.assign(F.numBlocks() * NumSlots, Interval());
+    Reached.assign(F.numBlocks(), 0);
     Visits.assign(F.numBlocks(), 0);
 
     // Entry state: parameters unknown, everything else starts at zero
     // (mini-Fortran zero-initialises; see docs/LANGUAGE.md).
-    State Entry(NumSyms, Interval::constant(0));
+    State Entry(NumSlots, Interval::constant(0));
     for (SymbolID P : F.params())
-      if (!F.symbols().get(P).isArray())
-        Entry[P] = Interval::top();
+      if (isTracked(P))
+        Entry[Slot[P]] = Interval::top();
 
-    // One scratch pair for every block visit: a changed block swaps its
-    // new states in (and the scratch takes the old ones' storage), so a
-    // visit copies into existing capacity instead of allocating.
-    State NewIn, NewOut;
+    // One scratch pair for every block visit, copied into a block's rows
+    // when the visit changed them.
+    State NewIn(NumSlots), NewOut(NumSlots);
     bool Changed = true;
     unsigned Rounds = 0;
     while (Changed && Rounds++ < 64) {
@@ -122,57 +146,69 @@ public:
         } else {
           bool First = true;
           for (BlockID P : F.block(B)->preds()) {
-            if (Out[P].empty())
+            if (!Reached[P])
               continue; // unprocessed predecessor: skip this round
+            const Interval *PO = out(P);
             if (First) {
-              NewIn = Out[P];
+              std::copy(PO, PO + NumSlots, NewIn.begin());
               First = false;
             } else {
-              for (size_t S = 0; S != NumSyms; ++S)
-                NewIn[S] = NewIn[S].hull(Out[P][S]);
+              for (size_t S = 0; S != NumSlots; ++S)
+                NewIn[S] = NewIn[S].hull(PO[S]);
             }
           }
           if (First)
             continue; // no processed predecessor yet
         }
+        Interval *BI = row(In, B), *BO = row(Out, B);
         // Widen after a few visits so loop-carried updates terminate.
-        if (!In[B].empty() && ++Visits[B] > 3) {
-          for (size_t S = 0; S != NumSyms; ++S) {
-            if (NewIn[S].Lo < In[B][S].Lo)
+        if (Reached[B] && ++Visits[B] > 3) {
+          for (size_t S = 0; S != NumSlots; ++S) {
+            if (NewIn[S].Lo < BI[S].Lo)
               NewIn[S].Lo = Interval::NegInf;
-            if (NewIn[S].Hi > In[B][S].Hi)
+            if (NewIn[S].Hi > BI[S].Hi)
               NewIn[S].Hi = Interval::PosInf;
           }
         }
         NewOut = NewIn;
-        for (const Instruction &I : F.block(B)->instructions())
-          transfer(I, NewOut);
-        if (NewIn != In[B] || NewOut != Out[B]) {
-          std::swap(In[B], NewIn);
-          std::swap(Out[B], NewOut);
+        for (uint32_t K = WriterStart[B]; K != WriterStart[B + 1]; ++K)
+          transfer(*Writers[K], NewOut.data());
+        if (!Reached[B] || !std::equal(NewIn.begin(), NewIn.end(), BI) ||
+            !std::equal(NewOut.begin(), NewOut.end(), BO)) {
+          std::copy(NewIn.begin(), NewIn.end(), BI);
+          std::copy(NewOut.begin(), NewOut.end(), BO);
+          Reached[B] = 1;
           Changed = true;
         }
       }
     }
   }
 
+  /// True once \p B's states exist (false for unreachable blocks).
+  bool reached(BlockID B) const { return Reached[B]; }
+  size_t numSlots() const { return NumSlots; }
+  const Interval *in(BlockID B) const { return In.data() + B * NumSlots; }
+  const Interval *out(BlockID B) const { return Out.data() + B * NumSlots; }
+
+  /// Interval of symbol \p Sym under state \p S: its slot, or the entry
+  /// interval an untracked symbol keeps everywhere.
+  Interval symbolValue(SymbolID Sym, const Interval *S) const {
+    if (isTracked(Sym))
+      return S[Slot[Sym]];
+    return Slot[Sym] == UntrackedTop ? Interval::top() : Interval::constant(0);
+  }
+
   /// Interval of \p V under state \p S.
-  Interval valueOf(const Value &V, const State &S) const {
+  Interval valueOf(const Value &V, const Interval *S) const {
     if (V.isIntConst() || V.isBoolConst())
       return Interval::constant(V.intValue());
-    if (V.isSym()) {
-      const Symbol &Sym = F.symbols().get(V.symbol());
-      if (!Sym.isArray() && Sym.Type != ScalarType::Real)
-        return S[V.symbol()];
-    }
+    if (V.isSym() && isTracked(V.symbol()))
+      return S[Slot[V.symbol()]];
     return Interval::top();
   }
 
-  void transfer(const Instruction &I, State &S) const {
-    if (I.Dest == InvalidSymbol)
-      return;
-    const Symbol &D = F.symbols().get(I.Dest);
-    if (D.isArray() || D.Type == ScalarType::Real)
+  void transfer(const Instruction &I, Interval *S) const {
+    if (I.Dest == InvalidSymbol || !isTracked(I.Dest))
       return;
     Interval R = Interval::top();
     switch (I.Op) {
@@ -230,12 +266,31 @@ public:
     default:
       break; // Load, Call, RealToInt, ...: unknown
     }
-    S[I.Dest] = R;
+    S[Slot[I.Dest]] = R;
+  }
+
+private:
+  /// Slot markers of the untracked symbols, by their entry interval.
+  static constexpr uint32_t UntrackedZero = ~uint32_t(0);
+  static constexpr uint32_t UntrackedTop = ~uint32_t(0) - 1;
+
+  /// The symbols transfer can assign an interval to.
+  static bool tracked(const Symbol &S) {
+    return !S.isArray() && S.Type != ScalarType::Real;
+  }
+  bool isTracked(SymbolID Sym) const { return Slot[Sym] < NumSlots; }
+
+  Interval *row(std::vector<Interval> &Table, BlockID B) {
+    return Table.data() + B * NumSlots;
   }
 
   const Function &F;
-  size_t NumSyms = 0;
-  std::vector<State> In, Out;
+  std::vector<uint32_t> Slot; ///< symbol -> state slot, or an Untracked*
+  size_t NumSlots = 0;
+  std::vector<const Instruction *> Writers; ///< slot writers, block by block
+  std::vector<uint32_t> WriterStart;        ///< block -> first writer
+  std::vector<Interval> In, Out; ///< NumSlots intervals per block
+  std::vector<uint8_t> Reached;
   std::vector<unsigned> Visits;
 };
 
@@ -263,13 +318,13 @@ nascent::classifyChecksByIntervals(const Function &F,
       if (L->DoLoopIndex < 0)
         continue;
       const DoLoopInfo &DL = F.doLoops()[static_cast<size_t>(L->DoLoopIndex)];
-      if (DL.IndexVar != Sym || Solver.Out[DL.Preheader].empty())
+      if (DL.IndexVar != Sym || !Solver.reached(DL.Preheader))
         continue;
-      const State &PH = Solver.Out[DL.Preheader];
+      const Interval *PH = Solver.out(DL.Preheader);
       auto EvalLin = [&](const LinearExpr &E) {
         Interval R = Interval::constant(E.constantPart());
         for (const auto &[S, Coef] : E.terms())
-          R = R.add(PH[S].mulConst(Coef));
+          R = R.add(Solver.symbolValue(S, PH).mulConst(Coef));
         return R;
       };
       Interval Lo = EvalLin(DL.LowerBound);
@@ -283,23 +338,23 @@ nascent::classifyChecksByIntervals(const Function &F,
   };
 
   C.PerInst.resize(F.numBlocks());
-  State S; // reused by every block
+  State S(Solver.numSlots()); // reused by every block
   for (const auto &BB : F) {
     BlockID B = BB->id();
     C.PerInst[B].assign(BB->size(), IntervalVerdict::NotACheck);
-    if (Solver.In[B].empty())
+    if (!Solver.reached(B))
       continue; // unreachable
-    S = Solver.In[B];
+    std::copy(Solver.in(B), Solver.in(B) + S.size(), S.begin());
     for (size_t Idx = 0; Idx != BB->size(); ++Idx) {
       const Instruction &I = BB->instructions()[Idx];
       if (I.Op != Opcode::Check) {
-        Solver.transfer(I, S);
+        Solver.transfer(I, S.data());
         continue;
       }
       // Evaluate the range-expression's interval at this point.
       Interval E = Interval::constant(0);
       for (const auto &[Sym, Coeff] : I.Check.expr().terms()) {
-        Interval V = S[Sym];
+        Interval V = Solver.symbolValue(Sym, S.data());
         Interval Refined = RefinedIndex(B, Sym);
         // Intersect (both are sound over-approximations).
         Interval Tight{V.Lo > Refined.Lo ? V.Lo : Refined.Lo,

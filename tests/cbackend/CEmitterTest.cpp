@@ -8,7 +8,8 @@
 /// "translate to instrumented C, compile, run, count"). Where the compiler
 /// supports it the C is built with -fsanitize=undefined and
 /// -fno-sanitize-recover=all, so undefined behaviour in the emitted C,
-/// such as a signed overflow, fails the test.
+/// such as a signed overflow, fails the test, and with -Wall -Werror, so
+/// the emitted C stays warning-free.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,14 +39,21 @@ bool haveCC() {
   return Have == 1;
 }
 
-/// The sanitizer flags to build emitted C with; empty when cc lacks them.
-const std::string &sanitizeFlags() {
+/// \p Flags (with a leading space) when cc accepts them, else empty.
+std::string ifAccepted(const std::string &Flags) {
+  return std::system(("echo 'int main(void) { return 0; }' | cc -x c" +
+                      Flags + " -o /dev/null - > /dev/null 2>&1")
+                         .c_str()) == 0
+             ? Flags
+             : "";
+}
+
+/// The sanitizer and warning flags to build emitted C with; each set is
+/// left out when cc lacks it.
+const std::string &compileFlags() {
   static const std::string Flags =
-      std::system("echo 'int main(void) { return 0; }' | cc -x c "
-                  "-fsanitize=undefined -fno-sanitize-recover=all -o "
-                  "/dev/null - > /dev/null 2>&1") == 0
-          ? " -fsanitize=undefined -fno-sanitize-recover=all"
-          : "";
+      ifAccepted(" -fsanitize=undefined -fno-sanitize-recover=all") +
+      ifAccepted(" -Wall -Werror");
   return Flags;
 }
 
@@ -70,13 +78,17 @@ CRun compileAndRunC(const Module &M, const std::string &Tag) {
     std::ofstream Out(CPath);
     Out << emitModuleToC(M);
   }
-  std::string Compile = "cc -O1" + sanitizeFlags() + " -o " + Bin + " " +
+  std::string Compile = "cc -O1" + compileFlags() + " -o " + Bin + " " +
                         CPath + " 2> " + ErrPath;
   int CC = std::system(Compile.c_str());
-  EXPECT_EQ(CC, 0) << "C compilation failed for " << Tag;
   CRun R;
-  if (CC != 0)
+  if (CC != 0) {
+    std::stringstream Diagnostics;
+    Diagnostics << std::ifstream(ErrPath).rdbuf();
+    ADD_FAILURE() << "C compilation failed for " << Tag << ":\n"
+                  << Diagnostics.str();
     return R;
+  }
 
   int Rc = std::system((Bin + " > " + OutPath + " 2> " + ErrPath).c_str());
   R.ExitCode = WEXITSTATUS(Rc);

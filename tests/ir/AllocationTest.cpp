@@ -2,19 +2,23 @@
 ///
 /// \file
 /// The check-alloc gate: the IR queries every analysis runs in its inner
-/// loops must not touch the heap. This binary replaces the global
-/// operator new/delete with counting versions; a count is taken only
-/// inside an AllocationScope, so gtest's own allocations never show.
+/// loops must not touch the heap, nor may copying an instruction, and a
+/// module copy allocates per block and per symbol, not per instruction.
+/// This binary replaces the global operator new/delete with counting
+/// versions; a count is taken only inside an AllocationScope, so gtest's
+/// own allocations never show.
 ///
 /// Not built under NASCENT_SANITIZE: the sanitizer runtimes own
 /// operator new.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/Pipeline.h"
 #include "ir/CheckExpr.h"
 #include "ir/Function.h"
 #include "ir/IRBuilder.h"
 #include "ir/LinearExpr.h"
+#include "suite/Suite.h"
 
 #include <gtest/gtest.h>
 
@@ -175,6 +179,143 @@ TEST(AllocationGate, SmallCheckExprs) {
   Sink = Hash;
   EXPECT_EQ(Count, 0u);
   EXPECT_TRUE(Same);
+}
+
+/// A Store a(i, j) = 1.5 with its upper-bound check's payload filled in:
+/// two subscripts, one operand, a two-term check and a short array name,
+/// the shape of most suite instructions.
+Instruction storeWithInlineLists() {
+  constexpr SymbolID I = 0, J = 1, N = 2, A = 3;
+  Instruction S;
+  S.Op = Opcode::Store;
+  S.Array = A;
+  S.Indices = {Value::sym(I), Value::sym(J)};
+  S.Operands = {Value::realConst(1.5)};
+  S.Check = CheckExpr(LinearExpr::term(I) - LinearExpr::term(N), 0);
+  S.Origin = CheckOrigin{"a", 1, true, SourceLocation(3, 7)};
+  S.Tag = 9;
+  return S;
+}
+
+TEST(AllocationGate, InstructionsWithInlineLists) {
+  const Instruction Src = storeWithInlineLists();
+  size_t Count;
+  bool Same;
+  {
+    AllocationScope Scope;
+    Instruction Copy = Src;                             // copy
+    Same = Copy.Operands == Src.Operands &&             // compare
+           Copy.Indices == Src.Indices && Copy.Check == Src.Check &&
+           Copy.Origin.ArrayName == Src.Origin.ArrayName;
+    Instruction Moved = std::move(Copy);                // move
+    Instruction Assigned;
+    Assigned = Moved;                                   // copy-assign
+    Assigned.Indices[1] = Value::intConst(4);
+    Same = Same && Assigned.Indices != Src.Indices;
+    Moved = std::move(Assigned);                        // move-assign
+    Moved.Operands.clear();
+    Moved.Operands.push_back(Value::sym(2));
+    Moved.Operands.insert(Moved.Operands.begin(), Value::intConst(1));
+    Moved.Operands.erase(Moved.Operands.begin());
+    Same = Same && Moved.Operands.size() == 1 && Moved.Operands.isInline();
+    Sink = Moved.Indices.size() + Moved.Operands.size();
+    Count = Scope.count();
+  }
+  EXPECT_EQ(Count, 0u);
+  EXPECT_TRUE(Same);
+}
+
+TEST(AllocationGate, OperandPastInlineCapacity) {
+  // The positive control for the operand lists: a third operand (a call
+  // passing three arguments) spills once, and so does copying it.
+  Instruction Call;
+  Call.Op = Opcode::Call;
+  Call.Operands = {Value::sym(0), Value::sym(1)};
+  size_t Spill, Copy;
+  {
+    AllocationScope Scope;
+    Call.Operands.push_back(Value::intConst(7));
+    Spill = Scope.count();
+  }
+  {
+    AllocationScope Scope;
+    Instruction Dup = Call;
+    Sink = Dup.Operands.size();
+    Copy = Scope.count();
+  }
+  EXPECT_EQ(Spill, 1u);
+  EXPECT_EQ(Copy, 1u);
+  EXPECT_EQ(Call.Operands.size(), 3u);
+  EXPECT_EQ(Call.Operands[2], Value::intConst(7));
+}
+
+TEST(AllocationGate, PredecessorLists) {
+  // A loop whose header joins the entry edge and the back edge, and an
+  // exit block: recomputing and copying predecessor lists stays inline.
+  Function F("f");
+  IRBuilder B(F);
+  SymbolID C = F.symbols().createScalar("c", ScalarType::Bool);
+  BasicBlock *Entry = B.createBlock("entry");
+  BasicBlock *Header = B.createBlock("header");
+  BasicBlock *Body = B.createBlock("body");
+  BasicBlock *Exit = B.createBlock("exit");
+  B.setInsertBlock(Entry);
+  B.emitJump(Header->id());
+  B.setInsertBlock(Header);
+  B.emitBr(Value::sym(C), Body->id(), Exit->id());
+  B.setInsertBlock(Body);
+  B.emitJump(Header->id());
+  B.setInsertBlock(Exit);
+  B.emitRet();
+
+  size_t Count;
+  {
+    AllocationScope Scope;
+    F.recomputePreds();
+    PredList Copy = Header->preds();
+    Sink = Copy.size() + Exit->preds().size();
+    Count = Scope.count();
+  }
+  EXPECT_EQ(Count, 0u);
+  EXPECT_EQ(Header->preds(), (PredList{Entry->id(), Body->id()}));
+  EXPECT_EQ(Exit->preds(), PredList{Header->id()});
+}
+
+TEST(AllocationGate, SuiteModuleClones) {
+  // Module::clone is what a frontend cache hit, a cache store and the
+  // audit snapshot pay. Its allocations are the blocks (the object and
+  // its instruction array), the symbol tables (the symbol array, one
+  // name-lookup node per named symbol, one shape per array) and a few
+  // per function; no instruction allocates unless a list spilled (a
+  // call with three or more arguments). The bound is that structure.
+  for (const SuiteProgram &P : benchmarkSuite()) {
+    PipelineOptions Opts;
+    Opts.Optimize = false;
+    CompileResult R = compileSource(P.Source, Opts);
+    ASSERT_TRUE(R.Success) << P.Name;
+    size_t Blocks = 0, Named = 0, Arrays = 0, Functions = 0, Spilled = 0;
+    for (const Function *F : R.M->functions()) {
+      ++Functions;
+      for (const Symbol &S : F->symbols().symbols()) {
+        Named += S.Kind != SymbolKind::Temp;
+        Arrays += S.isArray();
+      }
+      for (const auto &BB : *F) {
+        ++Blocks;
+        for (const Instruction &I : BB->instructions())
+          Spilled += !I.Operands.isInline() + !I.Indices.isInline();
+      }
+    }
+    size_t Count;
+    std::unique_ptr<Module> Copy;
+    {
+      AllocationScope Scope;
+      Copy = R.M->clone();
+      Count = Scope.count();
+    }
+    size_t Bound = 2 * Blocks + Named + Arrays + 8 * Functions + Spilled + 2;
+    EXPECT_LE(Count, Bound) << P.Name;
+  }
 }
 
 } // namespace

@@ -2,7 +2,8 @@
 ///
 /// \file
 /// Tests of the IR structures: symbol tables, the builder, CFG edges,
-/// critical-edge splitting, the printer, and the verifier.
+/// critical-edge splitting, the printer, the verifier, and the inline
+/// operand lists.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +12,10 @@
 #include "ir/Verifier.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <vector>
 
 using namespace nascent;
 
@@ -102,7 +107,7 @@ TEST(BasicBlock, SuccessorsFollowTheTerminator) {
   EXPECT_TRUE(Fail->successors().empty());
 
   F.recomputePreds();
-  EXPECT_EQ(Exit->preds(), std::vector<BlockID>{Same->id()});
+  EXPECT_EQ(Exit->preds(), PredList{Same->id()});
 }
 
 TEST(Function, SplitCriticalEdges) {
@@ -232,4 +237,147 @@ TEST(IRPrinter, RendersInstructions) {
             std::string::npos);
   EXPECT_NE(Out.find("store a[n] = 1.5"), std::string::npos);
   EXPECT_NE(Out.find("ret"), std::string::npos);
+}
+
+TEST(ValueList, RandomEditsMatchAReferenceModel) {
+  // Random edits over a pool of operand lists, mirrored on std::vectors:
+  // the elements, their order and equality must match after every step,
+  // across spills past the two inline slots and shrinks back.
+  std::mt19937 Rng(21);
+  auto Pick = [&](int Lo, int Hi) {
+    return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
+  };
+  auto RandomValue = [&] {
+    switch (Pick(0, 3)) {
+    case 0:
+      return Value::sym(SymbolID(Pick(0, 9)));
+    case 1:
+      return Value::intConst(Pick(-9, 9));
+    case 2:
+      return Value::realConst(Pick(-9, 9) * 0.5);
+    default:
+      return Value::boolConst(Pick(0, 1));
+    }
+  };
+
+  constexpr size_t PoolSize = 4;
+  std::vector<ValueList> Pool(PoolSize);
+  std::vector<std::vector<Value>> Models(PoolSize);
+  size_t Spilled = 0, Refilled = 0;
+  for (int Step = 0; Step != 4000; ++Step) {
+    size_t X = size_t(Pick(0, PoolSize - 1));
+    size_t Y = size_t(Pick(0, PoolSize - 1));
+    ValueList &L = Pool[X];
+    std::vector<Value> &M = Models[X];
+    bool WasInline = L.isInline();
+    switch (Pick(0, 9)) {
+    case 0:
+    case 1: {
+      if (M.size() >= 6)
+        break; // keep the lists near the spill boundary
+      Value V = RandomValue();
+      L.push_back(V);
+      M.push_back(V);
+      break;
+    }
+    case 2: {
+      if (M.size() >= 6)
+        break;
+      size_t At = size_t(Pick(0, int(M.size())));
+      // Half the time the inserted value is one of the list's own
+      // elements, which a spill must not lose.
+      bool Own = !M.empty() && Pick(0, 1);
+      size_t From = Own ? size_t(Pick(0, int(M.size()) - 1)) : 0;
+      Value V = Own ? M[From] : RandomValue();
+      auto It = L.insert(L.begin() + At, Own ? L[From] : V);
+      M.insert(M.begin() + static_cast<ptrdiff_t>(At), V);
+      EXPECT_EQ(*It, V);
+      break;
+    }
+    case 3: {
+      if (M.empty())
+        break;
+      size_t At = size_t(Pick(0, int(M.size()) - 1));
+      L.erase(L.begin() + At);
+      M.erase(M.begin() + static_cast<ptrdiff_t>(At));
+      break;
+    }
+    case 4: {
+      std::vector<Value> Src(size_t(Pick(0, 5)));
+      for (Value &V : Src)
+        V = RandomValue();
+      L.assign(Src.begin(), Src.end());
+      M = Src;
+      break;
+    }
+    case 5:
+      Pool[X] = Pool[Y];
+      Models[X] = Models[Y];
+      break;
+    case 6: {
+      ValueList Tmp = std::move(Pool[Y]);
+      Pool[Y] = std::move(Pool[X]);
+      Pool[X] = std::move(Tmp);
+      std::swap(Models[X], Models[Y]);
+      break;
+    }
+    case 7: {
+      ValueList Copy(Pool[Y]);
+      EXPECT_EQ(Copy, Pool[Y]);
+      EXPECT_EQ(Copy.isInline(), Copy.size() <= ValueList::InlineCapacity);
+      L = std::move(Copy);
+      M = Models[Y];
+      break;
+    }
+    case 8:
+      if (!M.empty()) {
+        L.erase(L.end() - 1);
+        M.pop_back();
+      }
+      break;
+    default:
+      if (Pick(0, 3) == 0) {
+        L.clear();
+        M.clear();
+      }
+      break;
+    }
+    Spilled += WasInline && !Pool[X].isInline();
+    Refilled += !WasInline && Pool[X].isInline();
+    for (size_t K = 0; K != PoolSize; ++K) {
+      ASSERT_EQ(Pool[K].size(), Models[K].size()) << "step " << Step;
+      EXPECT_TRUE(std::equal(Pool[K].begin(), Pool[K].end(),
+                             Models[K].begin()))
+          << "step " << Step;
+      EXPECT_EQ(Pool[K].empty(), Models[K].empty());
+      EXPECT_LE(Pool[K].size(), Pool[K].capacity());
+    }
+    EXPECT_EQ(Pool[X] == Pool[Y], Models[X] == Models[Y]) << "step " << Step;
+  }
+  // The walk crossed the spill boundary both ways many times.
+  EXPECT_GT(Spilled, 50u);
+  EXPECT_GT(Refilled, 50u);
+}
+
+TEST(ValueList, SpillKeepsOrderAndCapacity) {
+  ValueList L = {Value::sym(1), Value::intConst(2)};
+  EXPECT_TRUE(L.isInline());
+  L.push_back(Value::realConst(3.5));
+  EXPECT_FALSE(L.isInline());
+  ASSERT_EQ(L.size(), 3u);
+  EXPECT_EQ(L[0], Value::sym(1));
+  EXPECT_EQ(L[1], Value::intConst(2));
+  EXPECT_EQ(L[2], Value::realConst(3.5));
+  // A shrunk list keeps its heap block, as std::vector keeps capacity...
+  L.erase(L.begin(), L.begin() + 2);
+  EXPECT_FALSE(L.isInline());
+  EXPECT_EQ(L, ValueList{Value::realConst(3.5)});
+  // ...but a copy of it is inline again.
+  ValueList Copy = L;
+  EXPECT_TRUE(Copy.isInline());
+  EXPECT_EQ(Copy, L);
+  // Values compare by kind and payload.
+  EXPECT_NE(Value::intConst(1), Value::boolConst(true));
+  EXPECT_NE(Value::sym(0), Value::intConst(0));
+  EXPECT_EQ(Value(), Value());
 }

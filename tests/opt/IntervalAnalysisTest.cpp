@@ -158,6 +158,125 @@ end program
   EXPECT_EQ(E.DynChecks, 0u);
 }
 
+/// One letter per plain Check of \p F in block and instruction order: P
+/// passes, F fails, U unknown, - unreachable.
+std::string verdictString(const Function &F) {
+  IntervalCheckClassification C = classifyChecksByIntervals(F);
+  std::string Out;
+  for (const auto &BB : F)
+    for (size_t I = 0; I != BB->size(); ++I) {
+      if (BB->instructions()[I].Op != Opcode::Check)
+        continue;
+      switch (C.at(BB->id(), I)) {
+      case IntervalVerdict::NotACheck:
+        Out += '-';
+        break;
+      case IntervalVerdict::Unknown:
+        Out += 'U';
+        break;
+      case IntervalVerdict::AlwaysPasses:
+        Out += 'P';
+        break;
+      case IntervalVerdict::AlwaysFails:
+        Out += 'F';
+        break;
+      }
+    }
+  return Out;
+}
+
+TEST(IntervalAnalysis, VerdictsOverInterleavedRealAndArraySymbols) {
+  // The solver's states cover only the integer scalars, so this pins its
+  // verdicts on a shape the suite only brushes: integer scalars declared
+  // between reals and arrays, a real parameter next to an integer one, a
+  // while loop whose counter needs widening (its lower bound holds, its
+  // upper one is lost, so big(k) stays unknown where 64 unwidened rounds
+  // would bound k below 200), a subscript read from a real (unknown), a
+  // violation proved under a branch, and a routine with no integer
+  // symbol at all, whose checks are still judged.
+  CompileResult R = compileNaive(R"(program p
+  real a(20), r
+  integer b(30), n
+  r = 2.5
+  n = 7
+  call mixed(a, r, b, n)
+  call reals(a, r)
+  print a(1)
+end program
+
+subroutine mixed(a, x, b, n)
+  real s, a(20), x, t
+  integer k, b(30), j
+  real u, c(5, 4)
+  integer big(200)
+  integer i, m, q, n
+  real v
+  s = x * 2.0
+  k = 1
+  while (k < n) do
+    b(k) = k
+    a(k + 1) = s
+    k = k + 2
+  end while
+  b(k) = 0
+  big(k) = 1
+  do i = 1, 10
+    t = real(i) + s
+    a(i + 10) = t
+    c(mod(i, 5) + 1, 2) = t
+    m = i * 3
+    b(m) = i
+  end do
+  j = int(x)
+  a(j) = x
+  q = 0
+  u = 1.0
+  if (n > 100) then
+    b(q + 40) = 1
+  end if
+  v = a(2)
+  c(q + 1, 4) = v + u
+  b(m - 29) = 2
+end subroutine
+
+subroutine reals(a, x)
+  real a(20), x, y
+  y = x
+  a(3) = y
+  a(21) = y
+end subroutine
+)");
+  struct Expected {
+    const char *Function;
+    const char *Verdicts;
+    unsigned Unknown;
+    size_t Eliminated, Trapped, ChecksLeft;
+  };
+  const Expected Want[] = {
+      {"p", "PP", 0, 2, 0, 0},
+      {"mixed", "PUPUPUPUPPPPPPPUUUPFPPPPPPUU", 9, 18, 1, 9},
+      {"reals", "PPPF", 0, 3, 1, 0},
+  };
+  for (const Expected &E : Want) {
+    SCOPED_TRACE(E.Function);
+    Function &F = *R.M->function(E.Function);
+    EXPECT_EQ(verdictString(F), E.Verdicts);
+    DiagnosticEngine D;
+    obs::ProvenanceRecorder PR;
+    IntervalStats St = eliminateChecksByIntervals(F, D, PR);
+    EXPECT_EQ(St.ChecksUnknown, E.Unknown);
+    EXPECT_EQ(PR.count(obs::LifecycleKind::Eliminated,
+                       obs::LifecyclePass::IntervalAnalysis),
+              E.Eliminated);
+    EXPECT_EQ(PR.count(obs::LifecycleKind::Trapped), E.Trapped);
+    size_t Left = 0;
+    for (const auto &BB : F)
+      for (const Instruction &I : BB->instructions())
+        Left += I.isRangeCheck();
+    EXPECT_EQ(Left, E.ChecksLeft);
+  }
+}
+
 TEST(IntervalAnalysis, SchemePreservesBehaviorOnSuite) {
   for (const SuiteProgram &P : benchmarkSuite()) {
     SCOPED_TRACE(P.Name);
