@@ -30,7 +30,7 @@ size_t nascent::lintCheckImplicationGraph(const CheckUniverse &U,
   // --- 2. family total order -------------------------------------------
   for (FamilyID F = 0; F != U.numFamilies(); ++F) {
     const LinearExpr &Expr = U.familyExpr(F);
-    const std::vector<CheckID> &Members = U.familyMembers(F);
+    std::span<const CheckID> Members = U.familyMembers(F);
     int64_t PrevBound = 0;
     bool HavePrev = false;
     for (CheckID C : Members) {
@@ -64,7 +64,7 @@ size_t nascent::lintCheckImplicationGraph(const CheckUniverse &U,
   for (CheckID C = 0; C != U.size(); ++C) {
     for (const auto &[Sym, Coeff] : U.check(C).expr().terms()) {
       (void)Coeff;
-      const std::vector<CheckID> &Users = U.checksUsingSymbol(Sym);
+      std::span<const CheckID> Users = U.checksUsingSymbol(Sym);
       if (std::find(Users.begin(), Users.end(), C) == Users.end())
         Report.add(makeFinding(
             AuditRule::CigKillSet, Where,

@@ -7,7 +7,9 @@
 #include "opt/IntervalAnalysis.h"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 using namespace nascent;
@@ -21,23 +23,19 @@ bool constFalse(const CheckExpr &C) {
   return C.isCompileTimeConstant() && !C.evaluatesToTrue();
 }
 
-/// A fails whenever B fails: same range-expression, tighter-or-equal bound.
-bool asStrongAs(const CheckExpr &A, const CheckExpr &B) {
-  return A.expr() == B.expr() && A.bound() <= B.bound();
-}
-
-/// True when some check of \p Bits is as strong as \p C. The candidates
-/// are exactly C's family members up to C's bound, so the family's bound
-/// order is walked instead of every set bit. The universe must key
-/// families by expression (any ImplicationMode but None).
+/// True when some check of \p Bits is as strong as the check with range
+/// expression family \p F and bound \p Bound: a member of F up to that
+/// bound (a check fails whenever a same-expression check with a larger
+/// bound fails). The family's bound order is walked instead of every set
+/// bit. The universe must key families by expression (any
+/// ImplicationMode but None); InvalidFamily has no members.
 bool anyAsStrongAs(const CheckUniverse &U, const DenseBitVector &Bits,
-                   const CheckExpr &C) {
+                   FamilyID F, int64_t Bound) {
   assert(!U.familyPerCheckMode() && "families must be keyed by expression");
-  FamilyID F = U.findFamily(C.expr());
   if (F == InvalidFamily)
     return false;
   for (CheckID M : U.familyMembers(F)) {
-    if (U.check(M).bound() > C.bound())
+    if (U.check(M).bound() > Bound)
       return false;
     if (Bits.test(M))
       return true;
@@ -67,13 +65,14 @@ bool exprInvariant(const LinearExpr &E, const DenseBitVector &Defined) {
   return true;
 }
 
+/// \p InL: the blocks of \p L, over the function's blocks.
 bool everyIterationCompletes(const Function &F, const LoopInfo &LI,
-                             const Loop &L) {
+                             const Loop &L, const DenseBitVector &InL) {
   for (BlockID B : L.Blocks)
     if (F.block(B)->terminator().Op == Opcode::Ret)
       return false;
   for (const Loop *Sub : LI.loopsInnermostFirst()) {
-    if (Sub == &L || !L.contains(Sub->Header))
+    if (Sub == &L || !InL.test(Sub->Header))
       continue;
     if (Sub->DoLoopIndex < 0)
       return false; // nested while loop: may not terminate
@@ -135,44 +134,39 @@ LinearExpr substituteExtreme(const LinearExpr &Expr, SymbolID Var,
 struct LoopEnv {
   const DoLoopInfo *DL = nullptr;
   const Loop *L = nullptr;
+  DenseBitVector Blocks;  ///< L's blocks, over the function's blocks
   DenseBitVector Defined; ///< over the function's symbols
   bool EveryIterCompletes = false;
 };
 
 /// "Control at the preheader's end + Req all hold there + J fails there
 /// implies the original traps" — the auditor's reconstructed meaning of a
-/// guarded preheader check.
+/// guarded preheader check. J and the Req guards are transport-table ids;
+/// the guards are ReqSize consecutive entries of the auditor's guard pool.
 struct Justification {
-  CheckExpr J;
-  std::vector<CheckExpr> Req;
+  CheckID J;
+  uint32_t ReqBegin;
+  uint32_t ReqSize;
+  uint64_t Hash; ///< of J and the guard ids, for de-duplication
 };
 
-size_t justificationHash(const CheckExpr &J,
-                         const std::vector<CheckExpr> &Req) {
-  size_t H = J.hash();
-  for (const CheckExpr &R : Req)
-    H = H * 31 + R.hash();
-  return H;
+/// Gap g of a block is the run of check instructions before its g-th
+/// non-check instruction (the last gap follows the terminator). A gap
+/// starts at index 0 and right after every non-check.
+bool startsGap(const std::vector<Instruction> &Insts, size_t I) {
+  return I == 0 || !Insts[I - 1].isRangeCheck();
 }
 
-/// Per-block map from gap index to the program points of the original.
-/// Gap g is the run of check instructions before the g-th non-check
-/// instruction (the last gap precedes the terminator).
-struct GapInfo {
-  std::vector<size_t> NcPos;     ///< indices of non-range-check insts
-  std::vector<size_t> GapStart;  ///< first inst index of each gap
-};
+/// Whether gap \p G is marked in \p Needed (unmarked past its end).
+bool neededGap(const std::vector<uint8_t> &Needed, size_t G) {
+  return G < Needed.size() && Needed[G];
+}
 
-/// Fills \p G with the gaps of \p BB, reusing its storage.
-void computeGaps(const BasicBlock &BB, GapInfo &G) {
-  const auto &Insts = BB.instructions();
-  G.NcPos.clear();
-  for (size_t I = 0; I != Insts.size(); ++I)
-    if (!Insts[I].isRangeCheck())
-      G.NcPos.push_back(I);
-  G.GapStart.resize(G.NcPos.size() + 1);
-  for (size_t I = 0; I != G.NcPos.size() + 1; ++I)
-    G.GapStart[I] = I == 0 ? 0 : G.NcPos[I - 1] + 1;
+/// Marks gap \p G in \p Needed, growing it.
+void markGap(std::vector<uint8_t> &Needed, size_t G) {
+  if (Needed.size() <= G)
+    Needed.resize(G + 1, 0);
+  Needed[G] = 1;
 }
 
 /// Copies \p V into slot \p I of \p Slots, growing the table when it is
@@ -191,10 +185,16 @@ public:
               AuditReport &Report)
       : Orig(Orig), Opt(Opt), Opts(Opts), Report(Report),
         OrigCtx(Orig, ImplicationMode::All), DTOrig(Orig), LIOrig(Orig, DTOrig),
-        DTOpt(Opt) {
+        DTOpt(Opt), Table(OrigCtx.universe()) {
     Antic = OrigCtx.solveAnticipatability();
     Avail = OrigCtx.solveAvailability();
     buildLoopEnvs(Orig, DTOrig, LIOrig, EnvOrig, PreheaderLoopOrig);
+    NumLoops = EnvOrig.size();
+    OutOf.assign(Table.size() * NumLoops, NotYet);
+    GuardOf.assign(NumLoops, InvalidCheck);
+    for (size_t L = 0; L != NumLoops; ++L)
+      if (EnvOrig[L].L)
+        GuardOf[L] = internForm(EnvOrig[L].DL->entryGuard());
     buildJustifiedAt();
   }
 
@@ -224,10 +224,31 @@ private:
   /// Per do-loop index of the original (the optimized CFG may have lost
   /// loops to trap truncation; all loop reasoning uses these).
   std::vector<LoopEnv> EnvOrig;
+  size_t NumLoops = 0;
   /// Preheader block id -> do-loop index.
   std::unordered_map<BlockID, int> PreheaderLoopOrig;
-  /// Per do-loop index of the original: justifications at its preheader.
-  std::vector<std::vector<Justification>> JustifiedAt;
+
+  /// The transport table: every check the auditor moves across loops,
+  /// interned. It starts as a copy of the original's universe, so an
+  /// original check and its family keep their OrigCtx ids; transported
+  /// forms and loop entry guards are interned after them. OutOf holds,
+  /// per (check, do-loop), the check's form at that loop's preheader:
+  /// the check itself when the loop leaves it invariant, the substituted
+  /// check, InvalidCheck when it cannot be transported, or NotYet.
+  CheckUniverse Table;
+  std::vector<CheckID> OutOf; ///< row-major: check * NumLoops + loop
+  static constexpr CheckID NotYet = InvalidCheck - 1;
+  /// Per do-loop index: the table id of its entry guard (InvalidCheck for
+  /// a loop without a natural loop).
+  std::vector<CheckID> GuardOf;
+
+  /// Justifications at each do-loop's preheader: the entries
+  /// JustBegin[L] .. JustEnd[L] of Justs, with their guards in ReqPool.
+  /// JustSlots indexes the loop being built, for de-duplication.
+  std::vector<Justification> Justs;
+  std::vector<uint32_t> JustBegin, JustEnd;
+  std::vector<CheckID> ReqPool;
+  std::vector<uint64_t> JustSlots;
 
   std::vector<bool> BlockOk;
   /// For direction B: per original block, the gap index (count of matched
@@ -237,12 +258,20 @@ private:
 
   std::optional<IntervalCheckClassification> Intervals;
 
-  /// Scratch reused by every block the auditor visits: the gap table, the
-  /// per-gap anticipatability and availability snapshots of the original
-  /// (direction A) and of the optimized availability (direction B), the
-  /// running set they are cut from, and the reachability search.
-  GapInfo Gaps;
-  std::vector<DenseBitVector> AnticAt, AvailAt, AvailEnd;
+  /// Scratch reused by every block the auditor visits: the gaps to
+  /// snapshot and the checks found in them, the per-gap anticipatability
+  /// and availability snapshots of the original (direction A), the
+  /// running set they are cut from (also direction B's optimized
+  /// availability), and the reachability search.
+  std::vector<uint8_t> NeededGaps; ///< the gaps whose snapshot is read
+  /// The checks of the optimized block being audited, with the gaps of
+  /// the original they sit in, in block order.
+  struct GapItem {
+    size_t Idx;
+    size_t Gap;
+  };
+  std::vector<GapItem> Items;
+  std::vector<DenseBitVector> AnticAt, AvailAt;
   DenseBitVector Cur;
   ReachScratch Reach;
 
@@ -264,8 +293,11 @@ private:
         continue;
       LoopEnv &E = Envs[static_cast<size_t>(L->DoLoopIndex)];
       E.L = L;
+      E.Blocks = DenseBitVector(F.numBlocks());
+      for (BlockID B : L->Blocks)
+        E.Blocks.set(B);
       E.Defined = definedSymbols(F, *L);
-      E.EveryIterCompletes = everyIterationCompletes(F, LI, *L);
+      E.EveryIterCompletes = everyIterationCompletes(F, LI, *L, E.Blocks);
       PreheaderLoop[E.DL->Preheader] = L->DoLoopIndex;
     }
   }
@@ -296,25 +328,26 @@ private:
     return C.str(Opt.symbols());
   }
 
-  /// Transports \p CE out of do-loop \p Env by substituting the extreme
-  /// value of the loop's index (or basic) variable, exactly as loop-limit
-  /// substitution does — but re-deriving every side condition. Returns
-  /// nullopt when the check cannot be spoken for at the preheader.
-  ///
-  /// \p RequireCompletion: direction A transports an anticipated body
-  /// check to the preheader, which is only sound when every started
-  /// iteration reaches the extreme one. Direction B transports a
-  /// *performed* preheader check into the body, where the do-loop header
-  /// test already bounds the index, so completion is not needed.
-  std::optional<CheckExpr> transportOut(const CheckExpr &CE,
-                                        const LoopEnv &Env,
-                                        bool RequireCompletion) const {
-    if (exprInvariant(CE.expr(), Env.Defined))
-      return CE;
+  bool tableTrue(CheckID C) const { return constTrue(Table.check(C)); }
+  bool tableFalse(CheckID C) const { return constFalse(Table.check(C)); }
+
+  /// Interns \p C into the transport table, growing OutOf to match.
+  CheckID internForm(const CheckExpr &C) {
+    CheckID ID = Table.intern(C);
+    if (OutOf.size() < Table.size() * NumLoops)
+      OutOf.resize(Table.size() * NumLoops, NotYet);
+    return ID;
+  }
+
+  /// The check \p CE, which do-loop \p Env does not leave invariant,
+  /// with the extreme value of the loop's index (or basic) variable
+  /// substituted, exactly as loop-limit substitution does — but
+  /// re-deriving every side condition. Returns nullopt when the check
+  /// cannot be spoken for at the preheader.
+  static std::optional<CheckExpr> substituteOut(const CheckExpr &CE,
+                                                const LoopEnv &Env) {
     const DoLoopInfo &DL = *Env.DL;
     if (DL.Step != 1 && DL.Step != -1)
-      return std::nullopt;
-    if (RequireCompletion && !Env.EveryIterCompletes)
       return std::nullopt;
     int64_t CI = CE.expr().coeff(DL.IndexVar);
     int64_t CB = DL.BasicVar != InvalidSymbol ? CE.expr().coeff(DL.BasicVar)
@@ -347,12 +380,94 @@ private:
     return CheckExpr(Subst, CE.bound());
   }
 
+  /// Transports table check \p C out of do-loop \p LIdx: \p C itself
+  /// when the loop leaves it invariant, the table id of its substituted
+  /// form otherwise, InvalidCheck when it cannot be transported. Each
+  /// (check, loop) is derived once and then read from OutOf.
+  ///
+  /// \p RequireCompletion: direction A transports an anticipated body
+  /// check to the preheader, which is only sound when every started
+  /// iteration reaches the extreme one. Direction B transports a
+  /// *performed* preheader check into the body, where the do-loop header
+  /// test already bounds the index, so completion is not needed.
+  CheckID transportOut(CheckID C, size_t LIdx, bool RequireCompletion) {
+    const LoopEnv &Env = EnvOrig[LIdx];
+    CheckID R = OutOf[C * NumLoops + LIdx];
+    if (R == NotYet) {
+      const CheckExpr &CE = Table.check(C);
+      if (exprInvariant(CE.expr(), Env.Defined))
+        R = C;
+      else if (std::optional<CheckExpr> T = substituteOut(CE, Env))
+        R = internForm(*T);
+      else
+        R = InvalidCheck;
+      OutOf[C * NumLoops + LIdx] = R;
+    }
+    if (RequireCompletion && R != C && !Env.EveryIterCompletes)
+      return InvalidCheck;
+    return R;
+  }
+
+  /// Adds the justification (J, Req) to the loop being built unless an
+  /// equal one is there; Req is \p NumReq pool entries from \p ReqFrom
+  /// followed by \p Last. The loop's entries start at \p Begin.
+  void addJustification(uint32_t Begin, CheckID J, uint32_t ReqFrom,
+                        uint32_t NumReq, CheckID Last) {
+    uint64_t H = J;
+    for (uint32_t K = 0; K != NumReq; ++K)
+      H = H * 31 + ReqPool[ReqFrom + K];
+    H = H * 31 + Last;
+    H *= 0x9e3779b97f4a7c15ull;
+    auto Same = [&](const Justification &E) {
+      if (E.Hash != H || E.J != J || E.ReqSize != NumReq + 1 ||
+          ReqPool[E.ReqBegin + NumReq] != Last)
+        return false;
+      for (uint32_t K = 0; K != NumReq; ++K)
+        if (ReqPool[E.ReqBegin + K] != ReqPool[ReqFrom + K])
+          return false;
+      return true;
+    };
+    // Open addressing over the loop's entries (index + 1; 0 is free),
+    // kept at most half full.
+    size_t Count = Justs.size() - Begin;
+    if (2 * (Count + 1) > JustSlots.size()) {
+      JustSlots.assign(std::bit_ceil(std::max<size_t>(16, 4 * (Count + 1))),
+                       0);
+      for (size_t E = Begin; E != Justs.size(); ++E) {
+        size_t I = Justs[E].Hash & (JustSlots.size() - 1);
+        while (JustSlots[I] != 0)
+          I = (I + 1) & (JustSlots.size() - 1);
+        JustSlots[I] = E - Begin + 1;
+      }
+    }
+    size_t Mask = JustSlots.size() - 1;
+    size_t I = H & Mask;
+    for (; JustSlots[I] != 0; I = (I + 1) & Mask)
+      if (Same(Justs[Begin + JustSlots[I] - 1]))
+        return;
+    JustSlots[I] = Count + 1;
+    uint32_t ReqBegin = static_cast<uint32_t>(ReqPool.size());
+    for (uint32_t K = 0; K != NumReq; ++K) {
+      CheckID R = ReqPool[ReqFrom + K];
+      ReqPool.push_back(R);
+    }
+    ReqPool.push_back(Last);
+    Justs.push_back({J, ReqBegin, NumReq + 1, H});
+  }
+
+  /// The justifications at the preheader of do-loop \p LIdx.
+  std::span<const Justification> justifiedAt(size_t LIdx) const {
+    return {Justs.data() + JustBegin[LIdx], Justs.data() + JustEnd[LIdx]};
+  }
+
   /// Builds, for every do-loop of the *original*, the set of checks whose
   /// failure at the preheader (under stated conditions) implies the
   /// original traps. Loops are visited innermost-first so inner loops'
   /// entries are ready when outer loops lift them.
   void buildJustifiedAt() {
-    JustifiedAt.assign(Orig.doLoops().size(), {});
+    // A loop that is never built keeps an empty range.
+    JustBegin.assign(NumLoops, 0);
+    JustEnd.assign(NumLoops, 0);
     for (const Loop *L : LIOrig.loopsInnermostFirst()) {
       if (L->DoLoopIndex < 0)
         continue;
@@ -361,44 +476,28 @@ private:
       if (!Env.L)
         continue;
       const DoLoopInfo &DL = *Env.DL;
-      CheckExpr Guard = DL.entryGuard();
-      std::vector<Justification> &Out = JustifiedAt[LIdx];
-      // Entry index by hash; only entries with an equal hash are compared.
-      std::unordered_multimap<size_t, size_t> ByHash;
-      auto addEntry = [&](CheckExpr J, std::vector<CheckExpr> Req) {
-        size_t H = justificationHash(J, Req);
-        auto [Lo, Hi] = ByHash.equal_range(H);
-        for (auto It = Lo; It != Hi; ++It)
-          if (Out[It->second].J == J && Out[It->second].Req == Req)
-            return;
-        ByHash.emplace(H, Out.size());
-        Out.push_back({std::move(J), std::move(Req)});
-      };
+      CheckID Guard = GuardOf[LIdx];
+      uint32_t Begin = static_cast<uint32_t>(Justs.size());
+      JustSlots.assign(JustSlots.size(), 0);
       // Base: checks anticipated at the body entry. If the guard holds,
       // the first iteration runs the body; an anticipated check failing
-      // there traps on every body path.
+      // there traps on every body path. Invariant w.r.t. the header's
+      // definitions would be enough (the header redefines nothing; index
+      // updates live in the latch), but be conservative and require full
+      // loop-invariance or a valid limit substitution.
       if (DL.BodyEntry < Antic.In.size()) {
         const DenseBitVector &In = Antic.In[DL.BodyEntry];
         In.forEachSetBit([&](size_t Bit) {
-          const CheckExpr &A = OrigCtx.universe().check(
-              static_cast<CheckID>(Bit));
-          // Invariant w.r.t. the header's definitions is enough: the
-          // header redefines nothing (index updates live in the latch),
-          // but be conservative and require full loop-invariance or a
-          // valid limit substitution. An invariant check transports to
-          // itself, so only a variant one needs the substitution.
-          if (exprInvariant(A.expr(), Env.Defined))
-            addEntry(A, {Guard});
-          else if (std::optional<CheckExpr> T = transportOut(A, Env, true))
-            if (!(*T == A))
-              addEntry(*T, {Guard});
+          CheckID T = transportOut(static_cast<CheckID>(Bit), LIdx, true);
+          if (T != InvalidCheck)
+            addJustification(Begin, T, 0, 0, Guard);
         });
       }
       // Lift: an inner do-loop M whose preheader is an articulation point
       // of L's body (every completing iteration passes through it)
       // forwards its own justifications, transported across L.
       for (const Loop *M : LIOrig.loopsInnermostFirst()) {
-        if (M == L || M->DoLoopIndex < 0 || !L->contains(M->Header))
+        if (M == L || M->DoLoopIndex < 0 || !Env.Blocks.test(M->Header))
           continue;
         size_t MIdx = static_cast<size_t>(M->DoLoopIndex);
         const DoLoopInfo &MDL = *EnvOrig[MIdx].DL;
@@ -407,63 +506,42 @@ private:
           continue; // not an articulation point of L's body
         if (!Env.EveryIterCompletes)
           continue; // the first iteration might not reach M's preheader...
-        for (const Justification &J2 : JustifiedAt[MIdx]) {
+        for (size_t E = JustBegin[MIdx]; E != JustEnd[MIdx]; ++E) {
+          Justification J2 = Justs[E]; // a copy: Justs grows below
           bool ReqOk = true;
-          for (const CheckExpr &R : J2.Req)
-            if (!exprInvariant(R.expr(), Env.Defined))
-              ReqOk = false;
+          for (uint32_t K = 0; K != J2.ReqSize && ReqOk; ++K)
+            ReqOk = exprInvariant(Table.check(ReqPool[J2.ReqBegin + K]).expr(),
+                                  Env.Defined);
           if (!ReqOk)
             continue;
-          std::optional<CheckExpr> T = transportOut(J2.J, Env, true);
-          if (!T)
-            continue;
-          std::vector<CheckExpr> Req = J2.Req;
-          Req.push_back(Guard);
-          addEntry(*T, std::move(Req));
+          CheckID T = transportOut(J2.J, LIdx, true);
+          if (T != InvalidCheck)
+            addJustification(Begin, T, J2.ReqBegin, J2.ReqSize, Guard);
         }
       }
+      JustBegin[LIdx] = Begin;
+      JustEnd[LIdx] = static_cast<uint32_t>(Justs.size());
     }
   }
 
-  /// Per-gap anticipatability of original block \p B into AnticAt:
-  /// AnticAt[g] is the set anticipated immediately before the first
-  /// instruction of gap g of Gaps (the block's exit set for a gap starting
-  /// past the end).
-  void anticAtGaps(BlockID B) {
+  /// Per-gap anticipatability of original block \p B (with \p NumGaps
+  /// gaps) into AnticAt, for the gaps marked in NeededGaps: AnticAt[g] is
+  /// the set anticipated immediately before the first instruction of gap
+  /// g (the block's exit set for the gap after the terminator).
+  void anticAtGaps(BlockID B, size_t NumGaps) {
     const auto &Insts = Orig.block(B)->instructions();
     if (B < Antic.Out.size())
       Cur = Antic.Out[B];
     else
       Cur = DenseBitVector(OrigCtx.universe().size());
-    size_t G = Gaps.GapStart.size();
+    size_t G = NumGaps;
     for (size_t I = Insts.size();; --I) {
-      if (G > 0 && Gaps.GapStart[G - 1] == I)
-        storeSlot(AnticAt, --G, Cur);
+      if (startsGap(Insts, I) && neededGap(NeededGaps, --G))
+        storeSlot(AnticAt, G, Cur);
       if (I == 0)
         break;
       OrigCtx.applyKill(Insts[I - 1], Cur);
       OrigCtx.applyAnticGen(B, I - 1, Insts[I - 1], Cur);
-    }
-  }
-
-  /// Per-gap availability of original block \p B into AvailAt:
-  /// AvailAt[g] is the set available immediately before the first
-  /// instruction of gap g of Gaps.
-  void availAtGaps(BlockID B) {
-    const auto &Insts = Orig.block(B)->instructions();
-    if (B < Avail.In.size())
-      Cur = Avail.In[B];
-    else
-      Cur = DenseBitVector(OrigCtx.universe().size());
-    Cur |= OrigCtx.genInBits(B);
-    size_t G = 0;
-    for (size_t I = 0;; ++I) {
-      if (G < Gaps.GapStart.size() && Gaps.GapStart[G] == I)
-        storeSlot(AvailAt, G++, Cur);
-      if (I == Insts.size())
-        break;
-      OrigCtx.applyKill(Insts[I], Cur);
-      OrigCtx.applyAvailGen(B, I, Insts[I], Cur);
     }
   }
 
@@ -518,41 +596,61 @@ private:
     return true;
   }
 
+  /// The family of optimized check \p C in the transport table (the
+  /// only hash of its expression the rules below take) and, when that
+  /// family is one of the original's, the same id in OrigCtx's universe.
+  struct CheckFamilies {
+    FamilyID Table = InvalidFamily;
+    FamilyID Orig = InvalidFamily;
+  };
+  CheckFamilies familiesOf(const CheckExpr &C) const {
+    CheckFamilies Out;
+    Out.Table = Table.findFamily(C.expr());
+    if (Out.Table < OrigCtx.universe().numFamilies())
+      Out.Orig = Out.Table;
+    return Out;
+  }
+
   /// Rule (a): some check anticipated at this gap's start in the original
   /// is as strong as \p C — executing C here can only trap where the
   /// original was already doomed to trap.
   bool justifiedAnticipated(const DenseBitVector &AnticGap,
-                            const CheckExpr &C) const {
-    return anyAsStrongAs(OrigCtx.universe(), AnticGap, C);
+                            const CheckExpr &C, CheckFamilies Fam) const {
+    return anyAsStrongAs(OrigCtx.universe(), AnticGap, Fam.Orig, C.bound());
   }
 
   /// Rule (c): some check the original performs on every path to this gap
   /// is as strong as \p C — C can never fire first.
   bool justifiedAvailable(const DenseBitVector &AvailGap,
-                          const CheckExpr &C) const {
-    return anyAsStrongAs(OrigCtx.universe(), AvailGap, C);
+                          const CheckExpr &C, CheckFamilies Fam) const {
+    return anyAsStrongAs(OrigCtx.universe(), AvailGap, Fam.Orig, C.bound());
   }
 
-  /// Rule (b): \p Payload sits in the preheader of original do-loop
-  /// \p LIdx guarded by \p Guards; check the guard chain against the
-  /// reconstructed justifications. Extra guards only weaken the check.
+  /// Rule (b): \p Payload (of table family \p Fam) sits in the preheader
+  /// of original do-loop \p LIdx guarded by \p Guards; check the guard
+  /// chain against the reconstructed justifications. Extra guards only
+  /// weaken the check.
   bool justifiedPreheader(size_t LIdx, const CheckExpr &Payload,
+                          FamilyID Fam,
                           const std::vector<CheckExpr> &Guards) const {
-    for (const Justification &J : JustifiedAt[LIdx]) {
-      if (!asStrongAs(J.J, Payload))
+    if (Fam == InvalidFamily)
+      return false; // no justification shares the payload's expression
+    for (const Justification &J : justifiedAt(LIdx)) {
+      // J is as strong as the payload: same expression, bound no larger.
+      if (Table.familyOf(J.J) != Fam ||
+          Table.check(J.J).bound() > Payload.bound())
         continue;
       bool ReqOk = true;
-      for (const CheckExpr &R : J.Req) {
-        if (constTrue(R))
+      for (uint32_t K = 0; K != J.ReqSize && ReqOk; ++K) {
+        CheckID R = ReqPool[J.ReqBegin + K];
+        if (tableTrue(R))
           continue;
-        bool Present = false;
+        ReqOk = false;
         for (const CheckExpr &G : Guards)
-          if (G == R)
-            Present = true;
-        if (!Present) {
-          ReqOk = false;
-          break;
-        }
+          if (Table.check(R) == G) {
+            ReqOk = true;
+            break;
+          }
       }
       if (ReqOk)
         return true;
@@ -567,11 +665,12 @@ private:
     const CheckExpr &C = I.Check;
     if (constTrue(C))
       return; // can never trap
-    if (justifiedAnticipated(AnticGap, C)) {
+    CheckFamilies Fam = familiesOf(C);
+    if (justifiedAnticipated(AnticGap, C, Fam)) {
       ++Report.stats().JustifiedAnticipated;
       return;
     }
-    if (justifiedAvailable(AvailGap, C)) {
+    if (justifiedAvailable(AvailGap, C, Fam)) {
       ++Report.stats().JustifiedAvailable;
       return;
     }
@@ -585,7 +684,7 @@ private:
         !tailDefines(B, OI + 1, C.expr()) &&
         justifiedPreheader(static_cast<size_t>(
                                PreheaderLoopOrig.find(B)->second),
-                           C, {})) {
+                           C, Fam.Table, {})) {
       ++Report.stats().JustifiedPreheader;
       return;
     }
@@ -608,11 +707,12 @@ private:
       return;
     // A conditional check is weaker than its payload; payload-level
     // justification carries over.
-    if (justifiedAnticipated(AnticGap, C)) {
+    CheckFamilies Fam = familiesOf(C);
+    if (justifiedAnticipated(AnticGap, C, Fam)) {
       ++Report.stats().JustifiedAnticipated;
       return;
     }
-    if (justifiedAvailable(AvailGap, C)) {
+    if (justifiedAvailable(AvailGap, C, Fam)) {
       ++Report.stats().JustifiedAvailable;
       return;
     }
@@ -628,8 +728,8 @@ private:
     bool Tail = tailDefines(B, OI + 1, C.expr());
     for (const CheckExpr &G : I.Guards)
       Tail = Tail || tailDefines(B, OI + 1, G.expr());
-    if (!Tail &&
-        justifiedPreheader(static_cast<size_t>(It->second), C, I.Guards)) {
+    if (!Tail && justifiedPreheader(static_cast<size_t>(It->second), C,
+                                    Fam.Table, I.Guards)) {
       ++Report.stats().JustifiedPreheader;
       return;
     }
@@ -659,10 +759,13 @@ private:
       return;
     // (ii) the interval classifier proves an original check of this gap
     // always fails.
-    size_t End = G < Gaps.NcPos.size() ? Gaps.NcPos[G]
-                                       : Orig.block(B)->size();
-    for (size_t Idx = Gaps.GapStart[G]; Idx < End; ++Idx) {
-      const Instruction &OInst = Orig.block(B)->instructions()[Idx];
+    const auto &OInsts = Orig.block(B)->instructions();
+    size_t Start = 0;
+    for (size_t Seen = 0; Seen != G; ++Start)
+      Seen += !OInsts[Start].isRangeCheck();
+    for (size_t Idx = Start; Idx < OInsts.size() && OInsts[Idx].isRangeCheck();
+         ++Idx) {
+      const Instruction &OInst = OInsts[Idx];
       if (OInst.Op == Opcode::Check &&
           intervals().at(B, Idx) == IntervalVerdict::AlwaysFails) {
         ++Report.stats().IntervalDischarged;
@@ -674,10 +777,10 @@ private:
     auto It = PreheaderLoopOrig.find(B);
     if (It != PreheaderLoopOrig.end()) {
       for (const Justification &J :
-           JustifiedAt[static_cast<size_t>(It->second)]) {
-        bool ReqOk = constFalse(J.J);
-        for (const CheckExpr &R : J.Req)
-          ReqOk = ReqOk && constTrue(R);
+           justifiedAt(static_cast<size_t>(It->second))) {
+        bool ReqOk = tableFalse(J.J);
+        for (uint32_t K = 0; K != J.ReqSize && ReqOk; ++K)
+          ReqOk = tableTrue(ReqPool[J.ReqBegin + K]);
         if (ReqOk)
           return;
       }
@@ -695,44 +798,79 @@ private:
   void auditBlockPair(BlockID B) {
     const BasicBlock &OB = *Orig.block(B);
     const BasicBlock &PB = *Opt.block(B);
-    computeGaps(OB, Gaps);
-    anticAtGaps(B);
-    availAtGaps(B);
-    size_t RNc = 0; // non-checks matched so far == current gap index
-    bool Truncated = false;
+    const auto &OInsts = OB.instructions();
+    // The original's availability walk runs in step with the matching:
+    // while the optimized block is in gap g, Cur is the set available at
+    // the start of the original's gap g, so a check there snapshots it
+    // into AvailAt[g]. Anticipatability runs backward, afterwards, over
+    // the gaps the matching found checks or a trap in.
+    if (B < Avail.In.size())
+      Cur = Avail.In[B];
+    else
+      Cur = DenseBitVector(OrigCtx.universe().size());
+    Cur |= OrigCtx.genInBits(B);
+    size_t Walked = 0; // original instructions the availability walk passed
+    size_t NumNc = 0;  // non-checks among them
+    auto walkTo = [&](size_t End) {
+      for (; Walked != End; ++Walked) {
+        NumNc += !OInsts[Walked].isRangeCheck();
+        OrigCtx.applyKill(OInsts[Walked], Cur);
+        OrigCtx.applyAvailGen(B, Walked, OInsts[Walked], Cur);
+      }
+    };
+    NeededGaps.clear();
+    Items.clear();
+    size_t RNc = 0;  // non-checks matched so far == current gap index
+    size_t OPos = 0; // original index past the last matched non-check
+    size_t StopAt = PB.size(); // optimized index of a trap or mismatch
     for (size_t OI = 0; OI != PB.size(); ++OI) {
       const Instruction &I = PB.instructions()[OI];
       if (I.isRangeCheck()) {
-        const DenseBitVector &AnticGap = AnticAt[RNc];
-        const DenseBitVector &AvailGap = AvailAt[RNc];
-        if (I.Op == Opcode::Check)
-          auditPlainCheck(B, OI, I, AnticGap, AvailGap);
-        else
-          auditCondCheck(B, OI, I, AnticGap, AvailGap);
+        if (!neededGap(NeededGaps, RNc))
+          storeSlot(AvailAt, RNc, Cur);
+        Items.push_back({OI, RNc});
+        markGap(NeededGaps, RNc);
         continue;
       }
-      if (RNc < Gaps.NcPos.size() &&
-          sameNonCheck(OB.instructions()[Gaps.NcPos[RNc]], I)) {
+      while (OPos < OB.size() && OInsts[OPos].isRangeCheck())
+        ++OPos;
+      if (OPos < OB.size() && sameNonCheck(OInsts[OPos], I)) {
         ++RNc;
+        walkTo(++OPos);
         continue;
       }
+      if (I.Op == Opcode::Trap)
+        markGap(NeededGaps, RNc);
+      StopAt = OI;
+      break;
+    }
+    walkTo(OB.size());
+    anticAtGaps(B, NumNc + 1);
+    for (const GapItem &It : Items) {
+      const Instruction &I = PB.instructions()[It.Idx];
+      if (I.Op == Opcode::Check)
+        auditPlainCheck(B, It.Idx, I, AnticAt[It.Gap], AvailAt[It.Gap]);
+      else
+        auditCondCheck(B, It.Idx, I, AnticAt[It.Gap], AvailAt[It.Gap]);
+    }
+    if (StopAt != PB.size()) {
+      const Instruction &I = PB.instructions()[StopAt];
       if (I.Op == Opcode::Trap) {
         // Compile-time-false check folded into a trap, truncating the
         // block; everything after it in the original is unreachable.
-        auditTrap(B, OI, I, RNc, AnticAt[RNc]);
+        auditTrap(B, StopAt, I, RNc, AnticAt[RNc]);
         TrapGap[B] = RNc;
-        Truncated = true;
-        break;
+        return;
       }
       AuditFinding F = finding(
-          AuditRule::IrCorrespondence, B, OI, I,
+          AuditRule::IrCorrespondence, B, StopAt, I,
           "optimized instruction does not correspond to the original "
           "block's instruction sequence");
       Report.add(std::move(F));
       BlockOk[B] = false;
       return;
     }
-    if (!Truncated && RNc != Gaps.NcPos.size()) {
+    if (RNc != NumNc) {
       // An emptied optimized block is anchored at the original's
       // terminator.
       const Instruction &At = !PB.empty()        ? PB.instructions().back()
@@ -784,11 +922,12 @@ private:
         ++Report.stats().ChecksAudited;
         if (constTrue(I.Check))
           break;
-        if (justifiedAnticipated(AnticT, I.Check)) {
+        CheckFamilies Fam = familiesOf(I.Check);
+        if (justifiedAnticipated(AnticT, I.Check, Fam)) {
           ++Report.stats().JustifiedAnticipated;
           break;
         }
-        if (justifiedAvailable(AvailFrom, I.Check)) {
+        if (justifiedAvailable(AvailFrom, I.Check, Fam)) {
           ++Report.stats().JustifiedAvailable;
           break;
         }
@@ -841,48 +980,40 @@ private:
   // --- Direction B: no lost traps ----------------------------------------
 
   /// Enumerates nesting chains of do-loops: [L1..Lt] where each next
-  /// loop's preheader lies inside the previous loop. The chains come from
-  /// the ORIGINAL loop structure: a trap-truncated body leaves the
-  /// optimized latch unreachable and dissolves the loop in the optimized
-  /// LoopInfo, yet the surviving loop-control instructions still behave
-  /// exactly as the original metadata describes. Nesting depth strictly
-  /// increases along a chain, so enumeration terminates.
-  void enumerateChains(std::vector<size_t> &Chain,
-                       std::vector<std::vector<size_t>> &Out) const {
-    Out.push_back(Chain);
+  /// loop's preheader lies inside the previous loop, appended to
+  /// \p Pool back to back (each chain's end is recorded in \p Ends). The
+  /// chains come from the ORIGINAL loop structure: a trap-truncated body
+  /// leaves the optimized latch unreachable and dissolves the loop in the
+  /// optimized LoopInfo, yet the surviving loop-control instructions
+  /// still behave exactly as the original metadata describes. Nesting
+  /// depth strictly increases along a chain, so enumeration terminates.
+  void enumerateChains(std::vector<uint32_t> &Chain,
+                       std::vector<uint32_t> &Pool,
+                       std::vector<uint32_t> &Ends) const {
+    Pool.insert(Pool.end(), Chain.begin(), Chain.end());
+    Ends.push_back(static_cast<uint32_t>(Pool.size()));
     const LoopEnv &Last = EnvOrig[Chain.back()];
-    for (size_t M = 0; M != EnvOrig.size(); ++M) {
+    for (uint32_t M = 0; M != EnvOrig.size(); ++M) {
       if (!EnvOrig[M].L || M == Chain.back())
         continue;
-      if (Last.L->contains(EnvOrig[M].DL->Preheader)) {
+      if (Last.Blocks.test(EnvOrig[M].DL->Preheader)) {
         Chain.push_back(M);
-        enumerateChains(Chain, Out);
+        enumerateChains(Chain, Pool, Ends);
         Chain.pop_back();
       }
     }
   }
 
-  /// Transports \p D from the innermost chain loop's body entry out to
-  /// the head loop's preheader, substituting index extremes loop by loop.
-  /// Completion is not required: at body entry the do-loop header test
-  /// already confines each index to its range. Returns \p D itself when it
-  /// is invariant in every chain loop, the substituted check (kept in
-  /// \p Storage) otherwise, and null when it cannot be transported.
-  const CheckExpr *chainTransport(const CheckExpr &D,
-                                  const std::vector<size_t> &Chain,
-                                  std::optional<CheckExpr> &Storage) const {
-    const CheckExpr *Cur = &D;
-    for (size_t K = Chain.size(); K-- > 0;) {
-      const LoopEnv &Env = EnvOrig[Chain[K]];
-      if (exprInvariant(Cur->expr(), Env.Defined))
-        continue;
-      std::optional<CheckExpr> T = transportOut(*Cur, Env, false);
-      if (!T)
-        return nullptr;
-      Storage = std::move(*T);
-      Cur = &*Storage;
-    }
-    return Cur;
+  /// Transports table check \p D from the innermost chain loop's body
+  /// entry out to the head loop's preheader, one loop at a time, each
+  /// step a transport-table read once derived. Completion is not
+  /// required: at body entry the do-loop header test already confines
+  /// each index to its range. Returns \p D itself when it is invariant in
+  /// every chain loop, and InvalidCheck when it cannot be transported.
+  CheckID chainTransport(CheckID D, std::span<const uint32_t> Chain) {
+    for (size_t K = Chain.size(); K-- > 0 && D != InvalidCheck;)
+      D = transportOut(D, Chain[K], false);
+    return D;
   }
 
   /// Validates preheader facts over the *optimized* IR from scratch: the
@@ -891,39 +1022,45 @@ private:
   std::vector<PreheaderFact> collectFacts() {
     std::vector<PreheaderFact> Facts;
     const CheckUniverse &U = OrigCtx.universe();
-    // Facts already recorded, per body entry, by universe id.
-    std::unordered_map<BlockID, DenseBitVector> Seen;
+    // Facts already recorded, per body entry, by universe id: a body's
+    // row of Seen, numbered on its first fact.
+    std::vector<uint32_t> SeenRow(Orig.numBlocks(), ~0u);
+    std::vector<uint8_t> Seen;
     auto addFact = [&](BlockID Body, CheckID D) {
-      DenseBitVector &Done =
-          Seen.try_emplace(Body, U.size()).first->second;
-      if (!Done.test(D)) {
-        Done.set(D);
+      if (SeenRow[Body] == ~0u) {
+        SeenRow[Body] = static_cast<uint32_t>(Seen.size() / U.size());
+        Seen.resize(Seen.size() + U.size(), 0);
+      }
+      uint8_t &Done = Seen[SeenRow[Body] * U.size() + D];
+      if (!Done) {
+        Done = 1;
         Facts.push_back({Body, U.check(D)});
         ++Report.stats().FactsValidated;
       }
     };
-    // Per chain: each universe check transported to the head preheader
-    // (null when it cannot be), computed once and read by both kinds of
+    // Per chain: each universe check's table id at the head preheader
+    // (InvalidCheck when it cannot be transported), read by both kinds of
     // fact.
-    std::vector<std::optional<CheckExpr>> Storage(U.size());
-    std::vector<const CheckExpr *> Transported(U.size());
+    std::vector<CheckID> Transported(U.size());
 
-    std::vector<std::vector<size_t>> Chains;
-    for (size_t I = 0; I != EnvOrig.size(); ++I)
+    std::vector<uint32_t> Chain, Pool, Ends;
+    for (uint32_t I = 0; I != EnvOrig.size(); ++I)
       if (EnvOrig[I].L) {
-        std::vector<size_t> Chain{I};
-        enumerateChains(Chain, Chains);
+        Chain.assign(1, I);
+        enumerateChains(Chain, Pool, Ends);
       }
 
-    for (const std::vector<size_t> &Chain : Chains) {
+    for (size_t CI = 0; CI != Ends.size(); ++CI) {
+      std::span<const uint32_t> Chain(Pool.data() + (CI ? Ends[CI - 1] : 0),
+                                      Pool.data() + Ends[CI]);
       BlockID Body = EnvOrig[Chain.back()].DL->BodyEntry;
       for (CheckID D = 0; D != U.size(); ++D)
-        Transported[D] = chainTransport(U.check(D), Chain, Storage[D]);
+        Transported[D] = chainTransport(D, Chain);
       // Loop-semantics facts: substituting every chained index's extreme
       // leaves a statically-true check, so the header tests alone
       // guarantee D at the innermost body entry.
       for (CheckID D = 0; D != U.size(); ++D)
-        if (Transported[D] && constTrue(*Transported[D]))
+        if (Transported[D] != InvalidCheck && tableTrue(Transported[D]))
           addFact(Body, D);
       // Instruction facts: a (guarded) check physically in the head
       // preheader covers D when its payload is as strong as D's
@@ -949,7 +1086,7 @@ private:
           }
           bool Match = false;
           for (size_t K = 0; K != Chain.size() && !Match; ++K) {
-            if (!(G == EnvOrig[Chain[K]].DL->entryGuard()))
+            if (!(Table.check(GuardOf[Chain[K]]) == G))
               continue;
             bool Inv = true;
             for (size_t J = 0; J != K; ++J)
@@ -963,9 +1100,17 @@ private:
         }
         if (!GuardsOk)
           continue;
-        for (CheckID D = 0; D != U.size(); ++D)
-          if (Transported[D] && asStrongAs(Inst.Check, *Transported[D]))
+        // The payload covers D when D's transported form has the
+        // payload's expression and a bound no smaller.
+        FamilyID Fam = Table.findFamily(Inst.Check.expr());
+        if (Fam == InvalidFamily)
+          continue;
+        for (CheckID D = 0; D != U.size(); ++D) {
+          CheckID T = Transported[D];
+          if (T != InvalidCheck && Table.familyOf(T) == Fam &&
+              Inst.Check.bound() <= Table.check(T).bound())
             addFact(Body, D);
+        }
       }
     }
     return Facts;
@@ -977,24 +1122,25 @@ private:
   /// Re-derived purely from the original's loop metadata, independent of
   /// whatever reasoning the optimizer used. Header and latch blocks are
   /// excluded per loop: there the loop variables are outside the [first,
-  /// last] iteration range the substitution speaks for.
-  bool loopLimitAlwaysPasses(BlockID B, const CheckExpr &C) const {
-    CheckExpr Cur = C;
+  /// last] iteration range the substitution speaks for. \p C is the
+  /// check's id in OrigCtx's universe, and so in the transport table.
+  bool loopLimitAlwaysPasses(BlockID B, CheckID C) {
     for (const Loop *L : LIOrig.loopsInnermostFirst()) {
-      if (L->DoLoopIndex < 0 || !L->contains(B))
+      if (L->DoLoopIndex < 0)
         continue;
-      const LoopEnv &Env = EnvOrig[static_cast<size_t>(L->DoLoopIndex)];
-      if (!Env.L)
+      size_t LIdx = static_cast<size_t>(L->DoLoopIndex);
+      const LoopEnv &Env = EnvOrig[LIdx];
+      if (!Env.L || !Env.Blocks.test(B))
         continue;
-      if (exprInvariant(Cur.expr(), Env.Defined))
-        continue;
+      CheckID T = transportOut(C, LIdx, false);
+      if (T == C)
+        continue; // invariant in this loop
       if (B == Env.DL->Header || B == Env.DL->Latch)
         return false;
-      std::optional<CheckExpr> T = transportOut(Cur, Env, false);
-      if (!T)
+      if (T == InvalidCheck)
         return false;
-      Cur = *T;
-      if (constTrue(Cur))
+      C = T;
+      if (tableTrue(C))
         return true;
     }
     return false;
@@ -1009,6 +1155,11 @@ private:
       lintCheckImplicationGraph(BCtx.universe(), BCtx.cig(), Opt.name(),
                                 Report);
     DataflowResult BAvail = BCtx.solveAvailability();
+    // Each original family's id in BCtx's universe, for the cover test.
+    const CheckUniverse &OrigU = OrigCtx.universe();
+    std::vector<FamilyID> BFamily(OrigU.numFamilies());
+    for (FamilyID F = 0; F != OrigU.numFamilies(); ++F)
+      BFamily[F] = BCtx.universe().findFamily(OrigU.familyExpr(F));
     for (BlockID B = 0; B != Orig.numBlocks(); ++B) {
       if (!BlockOk[B])
         continue; // correspondence already broken; findings exist
@@ -1023,64 +1174,85 @@ private:
             ++Report.stats().OriginalChecksCovered;
         continue;
       }
-      // Availability at the end of each optimized gap, in the first
-      // NumEnds slots of AvailEnd.
-      size_t NumEnds = 0;
+      // The optimized availability walk runs in step with the original
+      // block: when it reaches its g-th non-check, Cur is the set
+      // available at the end of its gap g, and the original checks of
+      // gap g are judged against it. Gaps past the optimized block's
+      // non-checks have no such set.
+      const BasicBlock &OB = *Orig.block(B);
+      const BasicBlock &PB = *Opt.block(B);
+      size_t OIdx = 0, G = 0;
+      auto judgeGap = [&](const DenseBitVector *AvailEnd) {
+        for (; OIdx != OB.size(); ++OIdx) {
+          const Instruction &D = OB.instructions()[OIdx];
+          if (!D.isRangeCheck()) {
+            ++OIdx;
+            ++G;
+            return;
+          }
+          if (D.Op == Opcode::Check) // the original carries only plain checks
+            judgeOriginalCheck(B, OIdx, G, D, BCtx, BFamily, AvailEnd);
+        }
+      };
       Cur = BAvail.In[B];
       Cur |= BCtx.genInBits(B);
-      const BasicBlock &PB = *Opt.block(B);
       for (size_t I = 0; I != PB.size(); ++I) {
         const Instruction &Inst = PB.instructions()[I];
         if (!Inst.isRangeCheck())
-          storeSlot(AvailEnd, NumEnds++, Cur);
+          judgeGap(&Cur);
         BCtx.applyKill(Inst, Cur);
         BCtx.applyAvailGen(B, I, Inst, Cur);
       }
-      const BasicBlock &OB = *Orig.block(B);
-      size_t G = 0;
-      for (size_t Idx = 0; Idx != OB.size(); ++Idx) {
-        const Instruction &D = OB.instructions()[Idx];
-        if (!D.isRangeCheck()) {
-          ++G;
-          continue;
-        }
-        if (D.Op != Opcode::Check)
-          continue; // the original carries only plain checks
-        if (constTrue(D.Check)) {
-          ++Report.stats().OriginalChecksCovered;
-          continue;
-        }
-        if (TrapGap[B] != NoTrap && G >= TrapGap[B]) {
-          // The optimized program traps before this point on every path
-          // that reaches it; the obligation is vacuous.
-          ++Report.stats().OriginalChecksCovered;
-          continue;
-        }
-        if (G < NumEnds &&
-            anyAsStrongAs(BCtx.universe(), AvailEnd[G], D.Check)) {
-          ++Report.stats().OriginalChecksCovered;
-          continue;
-        }
-        if (intervals().at(B, Idx) == IntervalVerdict::AlwaysPasses) {
-          // Interval analysis certifies, independently of the optimizer,
-          // that the check could never fire in the first place.
-          ++Report.stats().IntervalDischarged;
-          ++Report.stats().OriginalChecksCovered;
-          continue;
-        }
-        if (loopLimitAlwaysPasses(B, D.Check)) {
-          ++Report.stats().LimitDischarged;
-          ++Report.stats().OriginalChecksCovered;
-          continue;
-        }
-        AuditFinding F = finding(
-            AuditRule::LostCheck, B, Idx, D,
-            "no as-strong-or-stronger optimized check is performed on "
-            "every path to this original check");
-        F.Witness.push_back("check: " + checkStr(D.Check));
-        Report.add(std::move(F));
-      }
+      while (OIdx != OB.size())
+        judgeGap(nullptr);
     }
+  }
+
+  /// Direction B's obligation for original check \p D at (\p B, \p Idx)
+  /// in gap \p G: some as-strong-or-stronger check is available in
+  /// \p AvailEnd (the optimized availability at the end of gap G, null
+  /// when the optimized block has no such gap), or the check is vacuous
+  /// or independently discharged.
+  void judgeOriginalCheck(BlockID B, size_t Idx, size_t G,
+                          const Instruction &D, const CheckContext &BCtx,
+                          const std::vector<FamilyID> &BFamily,
+                          const DenseBitVector *AvailEnd) {
+    if (constTrue(D.Check)) {
+      ++Report.stats().OriginalChecksCovered;
+      return;
+    }
+    if (TrapGap[B] != NoTrap && G >= TrapGap[B]) {
+      // The optimized program traps before this point on every path
+      // that reaches it; the obligation is vacuous.
+      ++Report.stats().OriginalChecksCovered;
+      return;
+    }
+    CheckID DId = OrigCtx.idOf(B, Idx);
+    if (AvailEnd &&
+        anyAsStrongAs(BCtx.universe(), *AvailEnd,
+                      BFamily[OrigCtx.universe().familyOf(DId)],
+                      D.Check.bound())) {
+      ++Report.stats().OriginalChecksCovered;
+      return;
+    }
+    if (intervals().at(B, Idx) == IntervalVerdict::AlwaysPasses) {
+      // Interval analysis certifies, independently of the optimizer,
+      // that the check could never fire in the first place.
+      ++Report.stats().IntervalDischarged;
+      ++Report.stats().OriginalChecksCovered;
+      return;
+    }
+    if (loopLimitAlwaysPasses(B, DId)) {
+      ++Report.stats().LimitDischarged;
+      ++Report.stats().OriginalChecksCovered;
+      return;
+    }
+    AuditFinding F = finding(
+        AuditRule::LostCheck, B, Idx, D,
+        "no as-strong-or-stronger optimized check is performed on "
+        "every path to this original check");
+    F.Witness.push_back("check: " + checkStr(D.Check));
+    Report.add(std::move(F));
   }
 
   static constexpr size_t NoTrap = ~size_t(0);

@@ -357,7 +357,8 @@ uint64_t nascent::cache::approxContextSeedBytes(const ContextSeed &S) {
   const ContextCore &C = *S.Core;
   B += sizeof(ContextCore);
   B += C.InstBase.size() * sizeof(uint32_t) +
-       C.InstCheck.size() * sizeof(CheckID);
+       C.InstCheck.size() * sizeof(CheckID) +
+       C.InstDest.size() * sizeof(SymbolID);
   for (const CheckOrigin &O : C.RepOrigin)
     B += sizeof(CheckOrigin) + O.ArrayName.size();
   B += approxBitVectorsBytes(C.GenIn);

@@ -95,6 +95,10 @@ struct ContextCore {
   /// block.
   std::vector<uint32_t> InstBase;
   std::vector<CheckID> InstCheck;
+  /// Per-instruction destination symbol (InvalidSymbol for none), in the
+  /// same flat order: the block transfer sets are built from these two
+  /// tables without revisiting the instructions.
+  std::vector<SymbolID> InstDest;
   std::vector<CheckOrigin> RepOrigin;
   std::vector<DenseBitVector> GenIn;
   std::vector<DenseBitVector> Kill;

@@ -180,14 +180,26 @@ public:
                                       : std::vector<DimLayout>());
       if (Sym.IsParam)
         continue;
+      if (Sym.isArray()) {
+        // Local arrays live on the heap, zeroed, for the call's duration:
+        // on the C stack a large one would overflow it where the
+        // interpreter runs fine. A refused allocation is the
+        // interpreter's hard fault, with its message.
+        std::string Count = std::to_string(Sym.Shape.elementCount());
+        Locals += "  " + cType(Sym.Type) + " *" + Names.back() +
+                  " = calloc(" + Count + "u, sizeof *" + Names.back() +
+                  ");\n  if (!" + Names.back() + ") nck_fault(" +
+                  cString("cannot allocate array " + Sym.Name + " (" +
+                          Count + " elements)") +
+                  ");\n";
+        Frees += "free(" + Names.back() + "); ";
+        UsesFault = true;
+        continue;
+      }
       // The symbol table keeps every declared variable, also one the
       // program never reads (linpackd's k), so locals may go unused.
       Locals += "  __attribute__((unused)) " + cType(Sym.Type) + " " +
-                Names.back() +
-                (Sym.isArray() ? "[" +
-                                     std::to_string(Sym.Shape.elementCount()) +
-                                     "] = {0};\n"
-                               : " = 0;\n");
+                Names.back() + " = 0;\n";
     }
   }
 
@@ -339,11 +351,11 @@ private:
     case Op::Jump:
       return "goto bb" + std::to_string(O.TrueBlock) + ";";
     case Op::Ret:
-      return F.resultType() ? "return 0;" : "return;";
+      return Frees + (F.resultType() ? "return 0;" : "return;");
     case Op::RetI:
-      return "return " + intOf(O.A) + ";";
+      return Frees + "return " + intOf(O.A) + ";";
     case Op::RetR:
-      return "return " + realOf(O.A) + ";";
+      return Frees + "return " + realOf(O.A) + ";";
     case Op::Call:
     case Op::CallI:
     case Op::CallR: {
@@ -391,7 +403,9 @@ private:
   std::vector<ScalarType> Types;               ///< by SymbolID
   std::vector<std::vector<DimLayout>> Layouts; ///< by SymbolID, arrays only
   std::string Locals;                          ///< local declarations
-  mutable bool UsesTrap = false, UsesFault = false; ///< set by body()
+  std::string Frees; ///< frees the local arrays before a return
+  /// Set by the constructor (array allocation) and by body().
+  mutable bool UsesTrap = false, UsesFault = false;
 };
 
 /// The static counter tables, the saturating bump helper, and the atexit

@@ -42,13 +42,10 @@ CheckContext::CheckContext(const Function &F, ImplicationMode Mode,
   obs::TraceScope Scope(Trace, "cig-seed");
   BuildWordOps = Seed.BuildWordOps;
   Solves = Seed.Solves;
-  // Replay the telemetry of the organic build this seed stands in for:
-  // its bit-vector work and its interning of every universe entry (seeds
-  // are only stored for fact-free builds, where each entry was interned
-  // exactly once). The stat epilogue below then re-records the same
-  // counters and histograms the organic constructor would have.
+  // Replay the bit-vector work of the organic build this seed stands in
+  // for. The stat epilogue below then re-records the same counters and
+  // histograms the organic constructor would have.
   DenseBitVector::creditThreadOps(Seed.BuildWordOps);
-  CheckUniverse::creditInterned(U.size());
   recordBuildStats();
 }
 
@@ -77,6 +74,7 @@ cache::ContextSeed CheckContext::makeSeed() const {
 
 void CheckContext::recordBuildStats() {
   ++NumContexts;
+  CheckUniverse::creditInterned(U.size());
   UniverseSizes.record(U.size());
   FamilyCounts.record(U.numFamilies());
   NumCigEdges += CIG.numEdges();
@@ -93,23 +91,46 @@ void CheckContext::buildUniverse(const std::vector<PreheaderFact> &Facts) {
     NumInsts += static_cast<uint32_t>(BB->size());
   }
   W.InstBase[F.numBlocks()] = NumInsts;
+  // One walk over the instructions records each one's destination,
+  // marks the plain checks and counts them, so the universe's tables are
+  // sized once (at most one entry per check instruction and preheader
+  // fact) and interning touches only the marked instructions.
+  constexpr CheckID Unnamed = InvalidCheck - 1;
   W.InstCheck.assign(NumInsts, InvalidCheck);
+  W.InstDest.resize(NumInsts);
+  size_t NumChecks = Facts.size(), NumTerms = 0;
+  for (const auto &BB : F) {
+    CheckID *Ids = W.InstCheck.data() + W.InstBase[BB->id()];
+    SymbolID *Dests = W.InstDest.data() + W.InstBase[BB->id()];
+    for (size_t Idx = 0; Idx != BB->size(); ++Idx) {
+      const Instruction &I = BB->instructions()[Idx];
+      Dests[Idx] = I.Dest;
+      if (I.Op != Opcode::Check)
+        continue;
+      Ids[Idx] = Unnamed;
+      ++NumChecks;
+      NumTerms += I.Check.expr().terms().size();
+    }
+  }
+  for (const PreheaderFact &PF : Facts)
+    NumTerms += PF.Fact.expr().terms().size();
+  OwnedU.reserve(NumChecks, NumTerms, F.symbols().size());
+  W.RepOrigin.resize(NumChecks);
   for (const auto &BB : F) {
     CheckID *Ids = W.InstCheck.data() + W.InstBase[BB->id()];
     for (size_t Idx = 0; Idx != BB->size(); ++Idx) {
-      const Instruction &I = BB->instructions()[Idx];
-      if (I.Op != Opcode::Check)
+      if (Ids[Idx] != Unnamed)
         continue;
+      const Instruction &I = BB->instructions()[Idx];
       CheckID C = OwnedU.intern(I.Check);
       Ids[Idx] = C;
-      if (W.RepOrigin.size() <= C)
-        W.RepOrigin.resize(C + 1);
       if (W.RepOrigin[C].ArrayName.empty())
         W.RepOrigin[C] = I.Origin;
     }
   }
   // Conditional checks participate through their facts; also intern their
   // main payloads so closures can reference them.
+  StoredFacts.reserve(Facts.size());
   for (const PreheaderFact &PF : Facts)
     StoredFacts.push_back(
       {PF.BodyEntry, OwnedU.intern(PF.Fact), PF.Source});
@@ -203,7 +224,7 @@ void CheckContext::ensureClosures() const {
   std::vector<DenseBitVector> SuffixRows(SuffixBase[NumFams],
                                          DenseBitVector(N));
   for (size_t FI = 0; FI != NumFams; ++FI) {
-    const std::vector<CheckID> &Members =
+    std::span<const CheckID> Members =
         U.familyMembers(static_cast<FamilyID>(FI));
     DenseBitVector *S = SuffixRows.data() + SuffixBase[FI];
     for (size_t K = Members.size(); K-- > 0;) {
@@ -215,7 +236,7 @@ void CheckContext::ensureClosures() const {
     return SuffixRows[SuffixBase[FI] + K];
   };
 
-  auto FirstWithBoundAtLeast = [this](const std::vector<CheckID> &Members,
+  auto FirstWithBoundAtLeast = [this](std::span<const CheckID> Members,
                                       int64_t T) {
     size_t Lo = 0, Hi = Members.size();
     while (Lo < Hi) {
@@ -229,7 +250,7 @@ void CheckContext::ensureClosures() const {
   };
 
   for (size_t FI = 0; FI != NumFams; ++FI) {
-    const std::vector<CheckID> &Members =
+    std::span<const CheckID> Members =
         U.familyMembers(static_cast<FamilyID>(FI));
     for (size_t K = 0; K != Members.size(); ++K) {
       CheckID C = Members[K];
@@ -248,7 +269,7 @@ void CheckContext::ensureClosures() const {
       // and shared by all its members.
       CIG.forEachReachable(
           static_cast<FamilyID>(FI), [&](FamilyID FJ, int64_t Wt) {
-            const std::vector<CheckID> &MJ = U.familyMembers(FJ);
+            std::span<const CheckID> MJ = U.familyMembers(FJ);
             W.ClosureCache[C] |=
                 Suffix(FJ, FirstWithBoundAtLeast(MJ, BoundC + Wt));
           });
@@ -263,32 +284,35 @@ void CheckContext::buildBlockSets() {
   W.AvailGen.assign(F.numBlocks(), DenseBitVector(N));
   W.AnticGen.assign(F.numBlocks(), DenseBitVector(N));
 
-  for (const auto &BB : F) {
-    BlockID B = BB->id();
+  // The scans read the flat destination and check-id tables filled by
+  // buildUniverse instead of revisiting the instructions.
+  for (BlockID B = 0; B != F.numBlocks(); ++B) {
+    const CheckID *Ids = W.InstCheck.data() + W.InstBase[B];
+    const SymbolID *Dests = W.InstDest.data() + W.InstBase[B];
+    size_t Size = W.InstBase[B + 1] - W.InstBase[B];
 
-    // Kill: union over definitions.
-    for (const Instruction &I : BB->instructions()) {
-      if (I.Dest == InvalidSymbol)
-        continue;
-      for (CheckID C : U.checksUsingSymbol(I.Dest))
-        W.Kill[B].set(C);
-    }
-
-    // Availability gen: forward scan starting from the entry facts.
+    // Kill (the union over definitions) and availability gen, in one
+    // forward scan starting from the entry facts.
     DenseBitVector Running = W.GenIn[B];
-    for (size_t Idx = 0; Idx != BB->size(); ++Idx) {
-      const Instruction &I = BB->instructions()[Idx];
-      applyKill(I, Running);
-      applyAvailGen(B, Idx, I, Running);
+    for (size_t Idx = 0; Idx != Size; ++Idx) {
+      if (Dests[Idx] != InvalidSymbol)
+        for (CheckID C : U.checksUsingSymbol(Dests[Idx])) {
+          W.Kill[B].set(C);
+          Running.reset(C);
+        }
+      if (Ids[Idx] != InvalidCheck)
+        Running |= weakerClosure(Ids[Idx]);
     }
     W.AvailGen[B] = std::move(Running);
 
     // Anticipatability gen: backward scan from an empty exit set.
     DenseBitVector Back(N);
-    for (size_t Idx = BB->size(); Idx-- > 0;) {
-      const Instruction &I = BB->instructions()[Idx];
-      applyKill(I, Back);
-      applyAnticGen(B, Idx, I, Back);
+    for (size_t Idx = Size; Idx-- > 0;) {
+      if (Dests[Idx] != InvalidSymbol)
+        for (CheckID C : U.checksUsingSymbol(Dests[Idx]))
+          Back.reset(C);
+      if (Ids[Idx] != InvalidCheck)
+        Back |= weakerClosureSameFamily(Ids[Idx]);
     }
     W.AnticGen[B] = std::move(Back);
   }

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// Stable 128-bit content hashing for the artifact cache (src/cache).
-/// FNV-1a style mixing over two independent 64-bit lanes, fed strictly as
-/// little-endian byte sequences so a key computed on one machine (or one
+/// Multiply-rotate mixing over two independent 64-bit lanes, fed strictly
+/// as little-endian byte sequences so a key computed on one machine (or one
 /// build) names the same content on any other — the content-addressing
 /// contract of docs/caching.md. Not cryptographic; collision resistance
 /// only needs to beat the handful of distinct sources a sweep touches.
@@ -52,8 +52,11 @@ struct Hash128Hasher {
 };
 
 /// Incremental stable hasher. Every input is decomposed into bytes in
-/// little-endian order before mixing, so the digest never depends on the
-/// host byte order or on integer widths chosen by the compiler.
+/// little-endian order, so the digest never depends on the host byte
+/// order or on integer widths chosen by the compiler. The byte stream is
+/// absorbed 8 bytes (one little-endian word) per step; a partial word is
+/// held until the next call completes it, so the digest depends only on
+/// the stream, never on how it was split across calls.
 class StableHasher {
 public:
   StableHasher();
@@ -82,6 +85,8 @@ public:
 private:
   uint64_t A, B;
   uint64_t Length = 0;
+  uint64_t PendingWord = 0; ///< the first Pending bytes of the next word
+  unsigned Pending = 0;
 };
 
 /// One-shot convenience: the digest of a byte string.

@@ -16,6 +16,9 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <iterator>
+
 using namespace nascent;
 using support::Hash128;
 
@@ -51,6 +54,61 @@ TEST(ArtifactCache, StableHasherIsOrderAndLengthSensitive) {
   EXPECT_NE(H2.digest(), H3.digest());
   // digest() is non-destructive.
   EXPECT_EQ(H3.digest(), H3.digest());
+}
+
+TEST(ArtifactCache, StableHasherDigestIgnoresHowTheStreamIsSplit) {
+  // The hasher absorbs whole 8-byte words and holds a partial word until
+  // the next call completes it: any split of one byte stream, and u64()
+  // against its little-endian bytes at any alignment, give one digest.
+  const SuiteProgram *P = findSuiteProgram("vortex");
+  ASSERT_NE(P, nullptr);
+  std::string Src = P->Source;
+  Hash128 Whole = support::hashString(Src);
+  for (size_t Step : {1u, 3u, 7u, 8u, 9u, 13u, 64u}) {
+    support::StableHasher H;
+    for (size_t I = 0; I < Src.size(); I += Step)
+      H.bytes(Src.data() + I, std::min(Step, Src.size() - I));
+    EXPECT_EQ(H.digest(), Whole) << "chunks of " << Step;
+  }
+  // Uneven cuts, some empty.
+  support::StableHasher Uneven;
+  size_t Cuts[] = {0, 0, 5, 6, 17, 40, 41, 300, Src.size()};
+  for (size_t K = 0; K + 1 != std::size(Cuts); ++K)
+    Uneven.bytes(Src.data() + Cuts[K], Cuts[K + 1] - Cuts[K]);
+  EXPECT_EQ(Uneven.digest(), Whole);
+
+  const uint64_t V = 0x0123456789abcdefull;
+  uint8_t LE[8];
+  for (int I = 0; I != 8; ++I)
+    LE[I] = static_cast<uint8_t>(V >> (8 * I));
+  for (size_t Lead = 0; Lead != 9; ++Lead) {
+    support::StableHasher A, B;
+    A.bytes(Src.data(), Lead);
+    B.bytes(Src.data(), Lead);
+    A.u64(V);
+    B.bytes(LE, 8);
+    A.str("tail");
+    B.u64(4);
+    B.bytes("tail", 4);
+    EXPECT_EQ(A.digest(), B.digest()) << "u64 after " << Lead << " bytes";
+  }
+}
+
+TEST(ArtifactCache, StableHasherByteFlipChangesBothLanes) {
+  // Each lane absorbs a word through a bijection, so a stream that
+  // differs in one byte differs in both 64-bit halves of the digest.
+  const SuiteProgram *P = findSuiteProgram("trfd");
+  ASSERT_NE(P, nullptr);
+  std::string Src = P->Source;
+  Hash128 Base = support::hashString(Src);
+  for (size_t I = 0; I != Src.size(); ++I)
+    for (unsigned char Flip : {0x01, 0x80, 0xff}) {
+      std::string Mut = Src;
+      Mut[I] = static_cast<char>(static_cast<unsigned char>(Mut[I]) ^ Flip);
+      Hash128 H = support::hashString(Mut);
+      ASSERT_NE(H.Lo, Base.Lo) << "byte " << I << " flip " << int(Flip);
+      ASSERT_NE(H.Hi, Base.Hi) << "byte " << I << " flip " << int(Flip);
+    }
 }
 
 TEST(ArtifactCache, FunctionContentKeyTracksIRContent) {

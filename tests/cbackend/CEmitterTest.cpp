@@ -343,6 +343,38 @@ TEST(CEmitter, EmptyLoopAtInt64MinRuns) {
   }
 }
 
+TEST(CEmitter, LargeLocalArraysRun) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
+  // integer a(4000000) is 32 MB: on the C stack it overflowed the usual
+  // 8 MB limit (SIGSEGV) where the interpreter runs fine. Local arrays
+  // are allocated at function entry instead.
+  std::string Source = readProgram("large_array");
+  PipelineOptions PO;
+  PO.Optimize = false;
+  CRun C = expectMatchesInterpreter(Source, PO, "large_array_naive");
+  EXPECT_EQ(C.ExitCode, 0);
+  EXPECT_EQ(C.Stdout, (std::vector<std::string>{"7998004000", "4000000"}));
+  PO.Optimize = true;
+  PO.Opt.Scheme = PlacementScheme::LLS;
+  C = expectMatchesInterpreter(Source, PO, "large_array_LLS");
+  EXPECT_EQ(C.ExitCode, 0);
+}
+
+TEST(CEmitter, RefusedArrayFaults) {
+  if (!haveCC())
+    GTEST_SKIP() << "no system C compiler available";
+  // A 16 TB array fits int64 but not memory: the allocator refuses it
+  // (Linux's default overcommit heuristic), and the emitted program
+  // ends as the interpreter does, a hard fault naming the array.
+  PipelineOptions PO;
+  PO.Optimize = false;
+  CRun C = expectMatchesInterpreter(readProgram("huge_array"), PO,
+                                    "huge_array");
+  EXPECT_EQ(C.ExitCode, 3);
+  EXPECT_EQ(C.Halt, "cannot allocate array a (2000000000000 elements)");
+}
+
 TEST(CEmitter, Int64EdgeArithmeticMatches) {
   if (!haveCC())
     GTEST_SKIP() << "no system C compiler available";

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "checks/CheckUniverse.h"
 #include "driver/Pipeline.h"
 #include "ir/CheckExpr.h"
 #include "ir/Function.h"
@@ -316,6 +317,55 @@ TEST(AllocationGate, SuiteModuleClones) {
     size_t Bound = 2 * Blocks + Named + Arrays + 8 * Functions + Spilled + 2;
     EXPECT_LE(Count, Bound) << P.Name;
   }
+}
+
+/// Interns \p Checks (each twice) into a universe presized for them and
+/// returns the allocations that took, building and filling included.
+size_t presizedUniverseAllocations(const std::vector<CheckExpr> &Checks,
+                                   size_t NumSymbols) {
+  size_t Terms = 0;
+  for (const CheckExpr &C : Checks)
+    Terms += C.expr().terms().size();
+  size_t Count;
+  {
+    AllocationScope Scope;
+    CheckUniverse U;
+    U.reserve(Checks.size(), Terms, NumSymbols);
+    fprintf(stderr, "after reserve %zu\n", Scope.count());
+    for (int Round = 0; Round != 2; ++Round)
+      for (const CheckExpr &C : Checks) {
+        size_t B0 = Scope.count();
+        Sink = U.intern(C);
+        if (Scope.count() != B0) fprintf(stderr, "alloc at check %zu terms %zu\n", (size_t)(&C - Checks.data()), C.expr().terms().size());
+      }
+    Sink = U.familyMembers(U.familyOf(0)).size();
+    Count = Scope.count();
+  }
+  return Count;
+}
+
+TEST(AllocationGate, PresizedCheckUniverse) {
+  // A universe sized once from its check count allocates its flat tables
+  // and nothing per check: 64 distinct checks (32 families of two bounds,
+  // one or two inline terms) cost as many blocks as 8 do.
+  auto Make = [](size_t N) {
+    std::vector<CheckExpr> Out;
+    for (size_t K = 0; K != N; ++K) {
+      SymbolID A = static_cast<SymbolID>(K / 2 % 16);
+      LinearExpr E = LinearExpr::term(A);
+      if (K / 32 % 2)
+        E += LinearExpr::term(A + 1, -2);
+      Out.emplace_back(E, static_cast<int64_t>(K % 2 ? 10 : 3));
+    }
+    return Out;
+  };
+  std::vector<CheckExpr> Small = Make(8), Large = Make(64);
+  size_t SmallCount = presizedUniverseAllocations(Small, 17);
+  size_t LargeCount = presizedUniverseAllocations(Large, 17);
+  EXPECT_EQ(LargeCount, SmallCount);
+  // Checks, families (per check and per family), the two indexes, the
+  // member and symbol pools and the per-symbol lists.
+  EXPECT_LE(LargeCount, 8u);
 }
 
 } // namespace
