@@ -1,10 +1,41 @@
 #include "analysis/InductionVariables.h"
 
+#include <algorithm>
+
 using namespace nascent;
 
 namespace {
 constexpr unsigned MaxWalkDepth = 64;
+
+/// Drops zero coefficients and demotes a coefficient-less Linear.
+IVExpr normalize(IVExpr E) {
+  E.Base.dropZeros();
+  if (E.K == IVExpr::Kind::Linear && E.Coeff == 0)
+    E.K = IVExpr::Kind::Invariant;
+  return E;
+}
 } // namespace
+
+bool IVBase::add(SSAValueID V, int64_t C) {
+  IVTerm *It = std::lower_bound(
+      Terms.begin(), Terms.end(), V,
+      [](const IVTerm &T, SSAValueID Key) { return T.Value < Key; });
+  if (It != Terms.end() && It->Value == V) {
+    int64_t Sum = 0;
+    if (__builtin_add_overflow(It->Coeff, C, &Sum))
+      return false;
+    It->Coeff = Sum;
+    return true;
+  }
+  Terms.insert(It, IVTerm{V, C});
+  return true;
+}
+
+void IVBase::dropZeros() {
+  IVTerm *Out = std::remove_if(Terms.begin(), Terms.end(),
+                               [](const IVTerm &T) { return T.Coeff == 0; });
+  Terms.erase(Out, Terms.end());
+}
 
 const char *IVExpr::kindName() const {
   switch (K) {
@@ -27,20 +58,7 @@ bool InductionAnalysis::definedOutside(SSAValueID V, const Loop *L) const {
   return !L->contains(D.Block);
 }
 
-IVExpr InductionAnalysis::normalize(IVExpr E) {
-  // Drop zero coefficients and demote a coefficient-less Linear.
-  for (auto It = E.Base.begin(); It != E.Base.end();) {
-    if (It->second == 0)
-      It = E.Base.erase(It);
-    else
-      ++It;
-  }
-  if (E.K == IVExpr::Kind::Linear && E.Coeff == 0)
-    E.K = IVExpr::Kind::Invariant;
-  return E;
-}
-
-IVExpr InductionAnalysis::add(const IVExpr &A, const IVExpr &B) {
+IVExpr IVExpr::add(const IVExpr &A, const IVExpr &B) {
   using Kind = IVExpr::Kind;
   if (A.K == Kind::Unknown || B.K == Kind::Unknown)
     return IVExpr::unknown();
@@ -54,15 +72,17 @@ IVExpr InductionAnalysis::add(const IVExpr &A, const IVExpr &B) {
   E.K = (A.K == Kind::Linear || B.K == Kind::Linear) ? Kind::Linear
                                                      : Kind::Invariant;
   E.L = A.L ? A.L : B.L;
-  E.Coeff = A.Coeff + B.Coeff;
   E.Base = A.Base;
+  if (__builtin_add_overflow(A.Coeff, B.Coeff, &E.Coeff) ||
+      __builtin_add_overflow(A.BaseConst, B.BaseConst, &E.BaseConst))
+    return IVExpr::unknown();
   for (const auto &[V, C] : B.Base)
-    E.Base[V] += C;
-  E.BaseConst = A.BaseConst + B.BaseConst;
+    if (!E.Base.add(V, C))
+      return IVExpr::unknown();
   return normalize(E);
 }
 
-IVExpr InductionAnalysis::scale(const IVExpr &A, int64_t Factor) {
+IVExpr IVExpr::scale(const IVExpr &A, int64_t Factor) {
   using Kind = IVExpr::Kind;
   if (A.K == Kind::Unknown)
     return IVExpr::unknown();
@@ -71,18 +91,20 @@ IVExpr InductionAnalysis::scale(const IVExpr &A, int64_t Factor) {
   if (A.K == Kind::Polynomial)
     return A;
   IVExpr E = A;
-  E.Coeff *= Factor;
-  E.BaseConst *= Factor;
+  if (__builtin_mul_overflow(E.Coeff, Factor, &E.Coeff) ||
+      __builtin_mul_overflow(E.BaseConst, Factor, &E.BaseConst))
+    return IVExpr::unknown();
   for (auto &[V, C] : E.Base)
-    C *= Factor;
+    if (__builtin_mul_overflow(C, Factor, &C))
+      return IVExpr::unknown();
   return normalize(E);
 }
 
 std::optional<int64_t> InductionAnalysis::constantValue(SSAValueID V) {
-  auto It = ConstMemo.find(V);
-  if (It != ConstMemo.end())
-    return It->second;
-  ConstMemo[V] = std::nullopt; // cycle breaker
+  ConstState &St = Consts[V];
+  if (St.St != ConstState::NotStarted) // a cycle reads "not constant"
+    return St.Known ? std::optional<int64_t>(St.Value) : std::nullopt;
+  St.St = ConstState::InProgress;
 
   const SSADef &D = S.def(V);
   std::optional<int64_t> Result;
@@ -100,6 +122,9 @@ std::optional<int64_t> InductionAnalysis::constantValue(SSAValueID V) {
         return std::nullopt;
       return constantValue(UseV);
     };
+    // A result that overflows is what the run wraps to, not the exact
+    // value the analysis reasons with: it is no constant.
+    int64_t R = 0;
     switch (I.Op) {
     case Opcode::Copy: {
       Result = OperandConst(0);
@@ -108,42 +133,48 @@ std::optional<int64_t> InductionAnalysis::constantValue(SSAValueID V) {
     case Opcode::Add:
       if (auto A = OperandConst(0))
         if (auto B = OperandConst(1))
-          Result = *A + *B;
+          if (!__builtin_add_overflow(*A, *B, &R))
+            Result = R;
       break;
     case Opcode::Sub:
       if (auto A = OperandConst(0))
         if (auto B = OperandConst(1))
-          Result = *A - *B;
+          if (!__builtin_sub_overflow(*A, *B, &R))
+            Result = R;
       break;
     case Opcode::Mul:
       if (auto A = OperandConst(0))
         if (auto B = OperandConst(1))
-          Result = *A * *B;
+          if (!__builtin_mul_overflow(*A, *B, &R))
+            Result = R;
       break;
     case Opcode::Neg:
       if (auto A = OperandConst(0))
-        Result = -*A;
+        if (!__builtin_sub_overflow(int64_t(0), *A, &R))
+          Result = R;
       break;
     default:
       break;
     }
   }
-  ConstMemo[V] = Result;
+  St.St = ConstState::Done; // Consts is sized once: St is still valid
+  St.Known = Result.has_value();
+  St.Value = Result.value_or(0);
   return Result;
 }
 
 IVExpr InductionAnalysis::classify(SSAValueID V, const Loop *L) {
   assert(L && "classification requires a loop");
-  auto Key = std::make_pair(V, L);
-  auto It = Memo.find(Key);
-  if (It != Memo.end())
-    return It->second;
-  if (InProgress[Key])
+  size_t Key = static_cast<size_t>(V) * LI.numLoops() + L->Index;
+  uint32_t Slot = MemoSlot[Key];
+  if (Slot == InProgress)
     return IVExpr::unknown(); // cyclic dependence outside a basic-IV shape
-  InProgress[Key] = true;
+  if (Slot != NotStarted)
+    return Memo[Slot];
+  MemoSlot[Key] = InProgress;
   IVExpr E = classifyImpl(V, L);
-  InProgress[Key] = false;
-  Memo[Key] = E;
+  MemoSlot[Key] = static_cast<uint32_t>(Memo.size());
+  Memo.push_back(E);
   return E;
 }
 
@@ -179,7 +210,7 @@ IVExpr InductionAnalysis::classifyImpl(SSAValueID V, const Loop *L) {
     IVExpr E;
     E.K = IVExpr::Kind::Invariant;
     E.L = L;
-    E.Base[V] = 1;
+    (void)E.Base.add(V, 1);
     return E;
   }
 
@@ -192,18 +223,19 @@ IVExpr InductionAnalysis::classifyImpl(SSAValueID V, const Loop *L) {
     // Candidate basic induction variable: phi(init from outside,
     // next from inside) with next = phi + step, step invariant.
     const SSAPhi &P = S.phisIn(D.Block)[D.InstIdx];
+    std::span<const SSAValueID> In = S.incoming(P);
     const auto &Preds = S.function().block(D.Block)->preds();
     SSAValueID Init = InvalidSSAValue;
     SSAValueID Next = InvalidSSAValue;
     for (size_t K = 0; K != Preds.size(); ++K) {
       if (L->contains(Preds[K])) {
-        if (Next != InvalidSSAValue && Next != P.Incoming[K])
+        if (Next != InvalidSSAValue && Next != In[K])
           return IVExpr::unknown(); // differing values from multiple latches
-        Next = P.Incoming[K];
+        Next = In[K];
       } else {
-        if (Init != InvalidSSAValue && Init != P.Incoming[K])
+        if (Init != InvalidSSAValue && Init != In[K])
           return IVExpr::unknown();
-        Init = P.Incoming[K];
+        Init = In[K];
       }
     }
     if (Init == InvalidSSAValue || Next == InvalidSSAValue)
@@ -249,18 +281,18 @@ IVExpr InductionAnalysis::classifyImpl(SSAValueID V, const Loop *L) {
   case Opcode::Copy:
     return Cls(0);
   case Opcode::Add:
-    return add(Cls(0), Cls(1));
+    return IVExpr::add(Cls(0), Cls(1));
   case Opcode::Sub:
-    return add(Cls(0), scale(Cls(1), -1));
+    return IVExpr::add(Cls(0), IVExpr::scale(Cls(1), -1));
   case Opcode::Neg:
-    return scale(Cls(0), -1);
+    return IVExpr::scale(Cls(0), -1);
   case Opcode::Mul: {
     IVExpr A = Cls(0);
     IVExpr B = Cls(1);
     if (A.isConstant())
-      return scale(B, A.BaseConst);
+      return IVExpr::scale(B, A.BaseConst);
     if (B.isConstant())
-      return scale(A, B.BaseConst);
+      return IVExpr::scale(A, B.BaseConst);
     return IVExpr::unknown();
   }
   default:
@@ -289,7 +321,7 @@ InductionAnalysis::affineAroundPhi(SSAValueID V, SSAValueID PhiV,
       R.Rest = IVExpr();
       R.Rest.K = IVExpr::Kind::Invariant;
       R.Rest.L = L;
-      R.Rest.Base[V] = 1;
+      (void)R.Rest.Base.add(V, 1);
     }
     return R;
   }
@@ -329,9 +361,14 @@ InductionAnalysis::affineAroundPhi(SSAValueID V, SSAValueID PhiV,
     if (A.St != AroundPhi::Status::Affine ||
         B.St != AroundPhi::Status::Affine)
       return Out; // Unknown
+    int64_t Signed = 0;
+    if (__builtin_mul_overflow(SignB, B.CoeffPhi, &Signed) ||
+        __builtin_add_overflow(A.CoeffPhi, Signed, &Out.CoeffPhi))
+      return Out; // Unknown
+    Out.Rest = IVExpr::add(A.Rest, IVExpr::scale(B.Rest, SignB));
+    if (Out.Rest.K == IVExpr::Kind::Unknown)
+      return Out;
     Out.St = AroundPhi::Status::Affine;
-    Out.CoeffPhi = A.CoeffPhi + SignB * B.CoeffPhi;
-    Out.Rest = add(A.Rest, scale(B.Rest, SignB));
     return Out;
   };
 
@@ -345,8 +382,10 @@ InductionAnalysis::affineAroundPhi(SSAValueID V, SSAValueID PhiV,
   case Opcode::Neg: {
     AroundPhi A = Walk(0);
     if (A.St == AroundPhi::Status::Affine) {
-      A.CoeffPhi = -A.CoeffPhi;
-      A.Rest = scale(A.Rest, -1);
+      A.Rest = IVExpr::scale(A.Rest, -1);
+      if (__builtin_sub_overflow(int64_t(0), A.CoeffPhi, &A.CoeffPhi) ||
+          A.Rest.K == IVExpr::Kind::Unknown)
+        return R;
     }
     return A;
   }
@@ -356,17 +395,19 @@ InductionAnalysis::affineAroundPhi(SSAValueID V, SSAValueID PhiV,
     if (A.St != AroundPhi::Status::Affine ||
         B.St != AroundPhi::Status::Affine)
       return R;
-    // Only constant scaling keeps the recurrence affine in the phi.
-    if (A.CoeffPhi == 0 && A.Rest.isConstant()) {
-      B.CoeffPhi *= A.Rest.BaseConst;
-      B.Rest = scale(B.Rest, A.Rest.BaseConst);
-      return B;
-    }
-    if (B.CoeffPhi == 0 && B.Rest.isConstant()) {
-      A.CoeffPhi *= B.Rest.BaseConst;
-      A.Rest = scale(A.Rest, B.Rest.BaseConst);
-      return A;
-    }
+    // Only constant scaling keeps the recurrence affine in the phi; a
+    // product that overflows ends the walk instead of wrapping.
+    auto ScaleBy = [&R](AroundPhi X, int64_t Factor) {
+      X.Rest = IVExpr::scale(X.Rest, Factor);
+      if (__builtin_mul_overflow(X.CoeffPhi, Factor, &X.CoeffPhi) ||
+          X.Rest.K == IVExpr::Kind::Unknown)
+        return R;
+      return X;
+    };
+    if (A.CoeffPhi == 0 && A.Rest.isConstant())
+      return ScaleBy(B, A.Rest.BaseConst);
+    if (B.CoeffPhi == 0 && B.Rest.isConstant())
+      return ScaleBy(A, B.Rest.BaseConst);
     return R;
   }
   default: {

@@ -15,12 +15,42 @@
 
 #include "analysis/LoopInfo.h"
 #include "analysis/SSA.h"
+#include "support/InlineVector.h"
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <vector>
 
 namespace nascent {
+
+/// One region-constant term of an induction expression.
+struct IVTerm {
+  SSAValueID Value;
+  int64_t Coeff;
+};
+
+/// The affine symbolic part of an induction expression: terms sorted by
+/// SSA value id, held inline (suite checks have at most two).
+class IVBase {
+public:
+  bool empty() const { return Terms.empty(); }
+  size_t size() const { return Terms.size(); }
+  const IVTerm *begin() const { return Terms.begin(); }
+  const IVTerm *end() const { return Terms.end(); }
+  IVTerm *begin() { return Terms.begin(); }
+  IVTerm *end() { return Terms.end(); }
+
+  /// Adds \p C to the coefficient of \p V, inserting \p V in order (with
+  /// coefficient \p C). Returns false, changing nothing, when the sum
+  /// overflows int64.
+  [[nodiscard]] bool add(SSAValueID V, int64_t C);
+
+  /// Drops the terms whose coefficient is zero.
+  void dropZeros();
+
+private:
+  InlineVector<IVTerm, 2> Terms;
+};
 
 /// Classification of one SSA value relative to a loop.
 struct IVExpr {
@@ -37,7 +67,7 @@ struct IVExpr {
 
   /// Affine symbolic part: region-constant SSA values (defined outside L)
   /// with integer coefficients, plus a constant.
-  std::map<SSAValueID, int64_t> Base;
+  IVBase Base;
   int64_t BaseConst = 0;
 
   bool isInvariant() const { return K == Kind::Invariant; }
@@ -57,14 +87,22 @@ struct IVExpr {
 
   /// Printable classification name matching the paper's Figure 2 table.
   const char *kindName() const;
+
+  /// The sum of \p A and \p B; Unknown when a coefficient overflows.
+  static IVExpr add(const IVExpr &A, const IVExpr &B);
+  /// \p A times \p Factor; Unknown when a coefficient overflows.
+  static IVExpr scale(const IVExpr &A, int64_t Factor);
 };
 
-/// Memoized induction-variable classifier over one SSA overlay.
+/// Memoized induction-variable classifier over one SSA overlay. The memo
+/// tables are flat, indexed by SSA value and loop index.
 class InductionAnalysis {
 public:
   InductionAnalysis(const SSA &S, const LoopInfo &LI,
                     const DominatorTree &DT)
-      : S(S), LI(LI), DT(DT) {}
+      : S(S), LI(LI), DT(DT),
+        MemoSlot(S.numValues() * LI.numLoops(), NotStarted),
+        Consts(S.numValues()) {}
 
   /// Classifies SSA value \p V relative to loop \p L (which must be
   /// non-null). Results are memoized.
@@ -105,17 +143,23 @@ private:
   /// True when the definition of \p V lies outside loop \p L.
   bool definedOutside(SSAValueID V, const Loop *L) const;
 
-  static IVExpr add(const IVExpr &A, const IVExpr &B);
-  static IVExpr scale(const IVExpr &A, int64_t Factor);
-  static IVExpr normalize(IVExpr E);
-
   const SSA &S;
   const LoopInfo &LI;
   const DominatorTree &DT;
 
-  std::map<std::pair<SSAValueID, const Loop *>, IVExpr> Memo;
-  std::map<std::pair<SSAValueID, const Loop *>, bool> InProgress;
-  std::map<SSAValueID, std::optional<int64_t>> ConstMemo;
+  /// Per (value, loop): NotStarted, InProgress, or the index of the
+  /// result in Memo.
+  static constexpr uint32_t NotStarted = ~uint32_t(0);
+  static constexpr uint32_t InProgress = ~uint32_t(0) - 1;
+  std::vector<uint32_t> MemoSlot;
+  std::vector<IVExpr> Memo;
+  /// Per value: constantValue's state and result.
+  struct ConstState {
+    enum : uint8_t { NotStarted, InProgress, Done } St = NotStarted;
+    bool Known = false;
+    int64_t Value = 0;
+  };
+  std::vector<ConstState> Consts;
 };
 
 } // namespace nascent

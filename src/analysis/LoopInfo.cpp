@@ -1,31 +1,34 @@
 #include "analysis/LoopInfo.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace nascent;
-
-bool Loop::contains(BlockID B) const {
-  return std::find(Blocks.begin(), Blocks.end(), B) != Blocks.end();
-}
 
 LoopInfo::LoopInfo(const Function &F, const DominatorTree &DT) {
   BlockLoop.assign(F.numBlocks(), nullptr);
 
-  // Collect back edges (P -> H where H dominates P), grouped by header.
-  std::map<BlockID, std::vector<BlockID>> LatchesByHeader;
+  // Collect back edges (P -> H where H dominates P), grouped by header in
+  // ascending order, each header's latches in RPO.
+  std::vector<std::pair<BlockID, BlockID>> BackEdges; // (header, latch)
   for (BlockID B : DT.rpo()) {
     for (BlockID S : F.block(B)->successors())
       if (DT.dominates(S, B))
-        LatchesByHeader[S].push_back(B);
+        BackEdges.push_back({S, B});
   }
+  std::stable_sort(
+      BackEdges.begin(), BackEdges.end(),
+      [](const auto &A, const auto &B) { return A.first < B.first; });
 
-  // Discover headers in reverse RPO so inner loops (later headers in RPO)
-  // are created before their enclosing loops would claim their blocks; the
-  // forest construction below orders by member counts, so creation order
-  // only needs determinism.
-  for (auto &[Header, Latches] : LatchesByHeader)
+  // The forest construction below orders loops by member counts, so
+  // creation order only needs determinism.
+  std::vector<BlockID> Latches;
+  for (size_t K = 0; K != BackEdges.size();) {
+    BlockID Header = BackEdges[K].first;
+    Latches.clear();
+    for (; K != BackEdges.size() && BackEdges[K].first == Header; ++K)
+      Latches.push_back(BackEdges[K].second);
     discoverLoop(F, DT, Header, Latches);
+  }
 
   buildForest();
   findPreheaders(F);
@@ -38,15 +41,17 @@ void LoopInfo::discoverLoop(const Function &F, const DominatorTree &DT,
   auto L = std::make_unique<Loop>();
   L->Header = Header;
   L->Latches = Latches;
+  L->Index = static_cast<unsigned>(Loops.size());
   // Standard natural-loop membership: backward walk from each latch until
   // the header.
-  std::vector<bool> InLoop(F.numBlocks(), false);
-  InLoop[Header] = true;
+  DenseBitVector &InLoop = L->BlockSet;
+  InLoop.resize(F.numBlocks());
+  InLoop.set(Header);
   L->Blocks.push_back(Header);
   std::vector<BlockID> Work;
   for (BlockID Latch : Latches)
-    if (!InLoop[Latch]) {
-      InLoop[Latch] = true;
+    if (!InLoop.test(Latch)) {
+      InLoop.set(Latch);
       L->Blocks.push_back(Latch);
       Work.push_back(Latch);
     }
@@ -54,9 +59,9 @@ void LoopInfo::discoverLoop(const Function &F, const DominatorTree &DT,
     BlockID B = Work.back();
     Work.pop_back();
     for (BlockID P : F.block(B)->preds()) {
-      if (!DT.isReachable(P) || InLoop[P])
+      if (!DT.isReachable(P) || InLoop.test(P))
         continue;
-      InLoop[P] = true;
+      InLoop.set(P);
       L->Blocks.push_back(P);
       Work.push_back(P);
     }

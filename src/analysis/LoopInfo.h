@@ -12,6 +12,7 @@
 
 #include "analysis/Dominators.h"
 #include "ir/Function.h"
+#include "support/DenseBitVector.h"
 
 #include <memory>
 #include <vector>
@@ -26,6 +27,8 @@ struct Loop {
   std::vector<BlockID> Latches;
   /// All member blocks (header included), in discovery order.
   std::vector<BlockID> Blocks;
+  /// The same members as a set over the function's blocks.
+  DenseBitVector BlockSet;
   /// Parent loop in the nesting forest; null for top-level loops.
   Loop *Parent = nullptr;
   /// Directly nested loops.
@@ -39,8 +42,12 @@ struct Loop {
   /// Index into Function::doLoops() when this loop carries front-end
   /// do-loop metadata; -1 otherwise (e.g. while loops).
   int DoLoopIndex = -1;
+  /// Dense index of this loop within its LoopInfo (creation order).
+  unsigned Index = 0;
 
-  bool contains(BlockID B) const;
+  bool contains(BlockID B) const {
+    return B < BlockSet.size() && BlockSet.test(B);
+  }
 };
 
 /// Loop forest for one function.

@@ -6,7 +6,6 @@ using namespace nascent;
 
 SSA::SSA(const Function &F, const DominatorTree &DT) : F(F) {
   size_t NumBlocks = F.numBlocks();
-  BlockPhis.assign(NumBlocks, {});
 
   // Lay the instructions out flat in block order and size each one's run
   // of use entries; rename fills them in dominator-tree order.
@@ -46,41 +45,87 @@ SSA::SSA(const Function &F, const DominatorTree &DT) : F(F) {
 
 void SSA::placePhis(const DominatorTree &DT) {
   size_t NumSyms = F.symbols().size();
+  size_t NumBlocks = F.numBlocks();
+  BlockID Entry = F.entryBlock();
+  auto IsScalar = [&](SymbolID S) { return !F.symbols().get(S).isArray(); };
 
-  // Def blocks per symbol as one sorted (symbol, block) table; the entry
-  // block implicitly defines everything. A symbol defined several times
-  // in a block is noted once for it.
-  std::vector<std::pair<SymbolID, BlockID>> Sites;
+  // Def blocks per symbol, grouped by symbol: the SiteLen[S] blocks from
+  // Sites[SiteBegin[S]] in ascending order, without repeats. The entry
+  // block implicitly defines every scalar.
+  std::vector<uint32_t> SiteBegin(NumSyms + 1, 0);
   std::vector<BlockID> LastSite(NumSyms, InvalidBlock);
-  for (BlockID B : DT.rpo()) {
-    for (const Instruction &I : F.block(B)->instructions())
-      if (I.Dest != InvalidSymbol && !F.symbols().get(I.Dest).isArray() &&
-          LastSite[I.Dest] != B) {
-        LastSite[I.Dest] = B;
-        Sites.push_back({I.Dest, B});
-      }
-  }
+  auto ForEachSite = [&](auto &&Fn) {
+    for (BlockID B : DT.rpo())
+      for (const Instruction &I : F.block(B)->instructions())
+        if (I.Dest != InvalidSymbol && IsScalar(I.Dest) &&
+            LastSite[I.Dest] != B) {
+          LastSite[I.Dest] = B;
+          Fn(I.Dest, B);
+        }
+  };
+  ForEachSite([&](SymbolID S, BlockID) { ++SiteBegin[S + 1]; });
   for (SymbolID S = 0; S != NumSyms; ++S)
-    if (!F.symbols().get(S).isArray())
-      Sites.push_back({S, F.entryBlock()});
-  std::sort(Sites.begin(), Sites.end());
-  Sites.erase(std::unique(Sites.begin(), Sites.end()), Sites.end());
+    SiteBegin[S + 1] += SiteBegin[S] + (IsScalar(S) ? 1 : 0);
+  std::vector<BlockID> Sites(SiteBegin[NumSyms]);
+  std::vector<uint32_t> Fill(SiteBegin.begin(), SiteBegin.end() - 1);
+  for (SymbolID S = 0; S != NumSyms; ++S)
+    if (IsScalar(S))
+      Sites[Fill[S]++] = Entry;
+  LastSite.assign(NumSyms, InvalidBlock);
+  ForEachSite([&](SymbolID S, BlockID B) { Sites[Fill[S]++] = B; });
+  std::vector<uint32_t> SiteLen(NumSyms);
+  for (SymbolID S = 0; S != NumSyms; ++S) {
+    auto First = Sites.begin() + SiteBegin[S];
+    auto Last = Sites.begin() + SiteBegin[S + 1];
+    std::sort(First, Last);
+    SiteLen[S] = static_cast<uint32_t>(std::unique(First, Last) - First);
+  }
 
-  // Iterated dominance frontier per symbol. PhiFor[B] names the symbol
-  // whose phi block B last received, so it needs no reset per symbol.
-  std::vector<SymbolID> PhiFor(F.numBlocks(), InvalidSymbol);
+  // Iterated dominance frontier per symbol, in symbol order. PhiFor[B]
+  // names the symbol whose phi block B last received, so it needs no reset
+  // per symbol. Most symbols are defined in one block besides the entry;
+  // their phi blocks depend only on that block, so the sequence found for
+  // the first such symbol is replayed for the rest.
+  std::vector<SymbolID> PhiFor(NumBlocks, InvalidSymbol);
   std::vector<BlockID> Work;
-  auto SiteIt = Sites.begin();
-  while (SiteIt != Sites.end()) {
-    SymbolID S = SiteIt->first;
-    auto SiteEnd = std::find_if(SiteIt, Sites.end(),
-                                [S](const auto &P) { return P.first != S; });
-    auto IsDefBlock = [&](BlockID B) {
-      return std::binary_search(SiteIt, SiteEnd, std::make_pair(S, B));
-    };
-    Work.clear();
-    for (auto It = SiteIt; It != SiteEnd; ++It)
-      Work.push_back(It->second);
+  // Phis in creation order with their blocks; grouped by block below.
+  std::vector<BlockID> PhiBlock;
+  PhiBegin.assign(NumBlocks + 1, 0);
+  constexpr uint32_t NotComputed = ~uint32_t(0);
+  std::vector<uint32_t> SeqBegin(NumBlocks, NotComputed), SeqEnd(NumBlocks);
+  std::vector<BlockID> SeqPool;
+  auto AddPhi = [&](SymbolID S, BlockID FB) {
+    SSAPhi P;
+    P.Sym = S;
+    P.NumIncoming = static_cast<uint32_t>(F.block(FB)->preds().size());
+    SSADef D;
+    D.K = SSADef::Kind::Phi;
+    D.Sym = S;
+    D.Block = FB;
+    D.InstIdx = PhiBegin[FB + 1]++; // counts FB's phis for now
+    P.Result = static_cast<SSAValueID>(Defs.size());
+    Defs.push_back(D);
+    Phis.push_back(P);
+    PhiBlock.push_back(FB);
+  };
+  for (SymbolID S = 0; S != NumSyms; ++S) {
+    uint32_t Len = SiteLen[S];
+    const BlockID *First = Sites.data() + SiteBegin[S], *Last = First + Len;
+    if (Len == 0)
+      continue;
+    // The one block besides the entry, when there is exactly one.
+    BlockID Key = InvalidBlock;
+    if (Len == 1)
+      Key = First[0];
+    else if (Len == 2 && (First[0] == Entry || First[1] == Entry))
+      Key = First[0] == Entry ? First[1] : First[0];
+    if (Key != InvalidBlock && SeqBegin[Key] != NotComputed) {
+      for (uint32_t K = SeqBegin[Key]; K != SeqEnd[Key]; ++K)
+        AddPhi(S, SeqPool[K]);
+      continue;
+    }
+    uint32_t Begin = static_cast<uint32_t>(SeqPool.size());
+    Work.assign(First, Last);
     while (!Work.empty()) {
       BlockID B = Work.back();
       Work.pop_back();
@@ -88,23 +133,34 @@ void SSA::placePhis(const DominatorTree &DT) {
         if (PhiFor[FB] == S)
           continue;
         PhiFor[FB] = S;
-        SSAPhi P;
-        P.Sym = S;
-        P.Incoming.assign(F.block(FB)->preds().size(), InvalidSSAValue);
-        SSADef D;
-        D.K = SSADef::Kind::Phi;
-        D.Sym = S;
-        D.Block = FB;
-        D.InstIdx = static_cast<uint32_t>(BlockPhis[FB].size());
-        P.Result = static_cast<SSAValueID>(Defs.size());
-        Defs.push_back(D);
-        BlockPhis[FB].push_back(std::move(P));
-        if (!IsDefBlock(FB))
+        AddPhi(S, FB);
+        if (Key != InvalidBlock)
+          SeqPool.push_back(FB);
+        if (!std::binary_search(First, Last, FB))
           Work.push_back(FB);
       }
     }
-    SiteIt = SiteEnd;
+    if (Key != InvalidBlock) {
+      SeqBegin[Key] = Begin;
+      SeqEnd[Key] = static_cast<uint32_t>(SeqPool.size());
+    }
   }
+
+  // Group the phis by block (stably, so each keeps its index within its
+  // block) and give each a run of the incoming pool.
+  for (size_t B = 0; B != F.numBlocks(); ++B)
+    PhiBegin[B + 1] += PhiBegin[B];
+  std::vector<SSAPhi> Grouped(Phis.size());
+  std::vector<uint32_t> Next(PhiBegin.begin(), PhiBegin.end() - 1);
+  for (size_t K = 0; K != Phis.size(); ++K)
+    Grouped[Next[PhiBlock[K]]++] = Phis[K];
+  Phis = std::move(Grouped);
+  uint32_t NumIncoming = 0;
+  for (SSAPhi &P : Phis) {
+    P.IncomingBegin = NumIncoming;
+    NumIncoming += P.NumIncoming;
+  }
+  Incoming.assign(NumIncoming, InvalidSSAValue);
 }
 
 void SSA::rename(const DominatorTree &DT) {
@@ -150,7 +206,7 @@ void SSA::rename(const DominatorTree &DT) {
       Top.Entered = true;
       Top.LogMark = Log.size();
       // Phi results become current definitions.
-      for (SSAPhi &P : BlockPhis[B])
+      for (const SSAPhi &P : phisIn(B))
         Define(P.Sym, P.Result);
       // Instructions: record uses at the pre-def point, then push defs.
       auto &BBInsts = F.block(B)->instructions();
@@ -180,10 +236,10 @@ void SSA::rename(const DominatorTree &DT) {
         int PI = PredIndex(S, B);
         if (PI < 0)
           continue;
-        for (SSAPhi &P : BlockPhis[S]) {
+        for (const SSAPhi &P : phisIn(S)) {
           assert(Current[P.Sym] != InvalidSSAValue &&
                  "phi operand has no definition");
-          P.Incoming[static_cast<size_t>(PI)] = Current[P.Sym];
+          Incoming[P.IncomingBegin + static_cast<size_t>(PI)] = Current[P.Sym];
         }
       }
     }

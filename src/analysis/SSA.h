@@ -41,8 +41,10 @@ struct SSADef {
 struct SSAPhi {
   SymbolID Sym = InvalidSymbol;
   SSAValueID Result = InvalidSSAValue;
-  /// Incoming values aligned with the block's predecessor list.
-  std::vector<SSAValueID> Incoming;
+  /// Incoming values aligned with the block's predecessor list: a run of
+  /// the overlay's incoming pool (SSA::incoming).
+  uint32_t IncomingBegin = 0;
+  uint32_t NumIncoming = 0;
 };
 
 /// The SSA overlay for one function. Construction requires current
@@ -50,8 +52,9 @@ struct SSAPhi {
 /// any IR mutation.
 ///
 /// Per-instruction uses and definitions live in flat tables indexed by
-/// the instruction's position in block order, so building the overlay
-/// allocates per function, not per instruction.
+/// the instruction's position in block order, and the phis of all blocks
+/// and their incoming values in two pools, so building the overlay
+/// allocates per function, not per instruction or phi.
 class SSA {
 public:
   SSA(const Function &F, const DominatorTree &DT);
@@ -72,7 +75,14 @@ public:
 
   const SSADef &def(SSAValueID V) const { return Defs[V]; }
 
-  const std::vector<SSAPhi> &phisIn(BlockID B) const { return BlockPhis[B]; }
+  std::span<const SSAPhi> phisIn(BlockID B) const {
+    return {Phis.data() + PhiBegin[B], PhiBegin[B + 1] - PhiBegin[B]};
+  }
+
+  /// Incoming values of \p P, aligned with its block's predecessors.
+  std::span<const SSAValueID> incoming(const SSAPhi &P) const {
+    return {Incoming.data() + P.IncomingBegin, P.NumIncoming};
+  }
 
   size_t numValues() const { return Defs.size(); }
 
@@ -113,7 +123,11 @@ private:
 
   const Function &F;
   std::vector<SSADef> Defs;
-  std::vector<std::vector<SSAPhi>> BlockPhis;
+  /// Every block's phis, grouped by block in block order; the phis of B
+  /// are Phis[PhiBegin[B], PhiBegin[B + 1]), in creation order.
+  std::vector<SSAPhi> Phis;
+  std::vector<uint32_t> PhiBegin;
+  std::vector<SSAValueID> Incoming;
   /// Flat index of each block's first instruction; one past the last
   /// instruction at the end.
   std::vector<uint32_t> InstBase;

@@ -65,14 +65,13 @@ bool exprInvariant(const LinearExpr &E, const DenseBitVector &Defined) {
   return true;
 }
 
-/// \p InL: the blocks of \p L, over the function's blocks.
 bool everyIterationCompletes(const Function &F, const LoopInfo &LI,
-                             const Loop &L, const DenseBitVector &InL) {
+                             const Loop &L) {
   for (BlockID B : L.Blocks)
     if (F.block(B)->terminator().Op == Opcode::Ret)
       return false;
   for (const Loop *Sub : LI.loopsInnermostFirst()) {
-    if (Sub == &L || !InL.test(Sub->Header))
+    if (Sub == &L || !L.contains(Sub->Header))
       continue;
     if (Sub->DoLoopIndex < 0)
       return false; // nested while loop: may not terminate
@@ -134,7 +133,6 @@ LinearExpr substituteExtreme(const LinearExpr &Expr, SymbolID Var,
 struct LoopEnv {
   const DoLoopInfo *DL = nullptr;
   const Loop *L = nullptr;
-  DenseBitVector Blocks;  ///< L's blocks, over the function's blocks
   DenseBitVector Defined; ///< over the function's symbols
   bool EveryIterCompletes = false;
 };
@@ -293,11 +291,8 @@ private:
         continue;
       LoopEnv &E = Envs[static_cast<size_t>(L->DoLoopIndex)];
       E.L = L;
-      E.Blocks = DenseBitVector(F.numBlocks());
-      for (BlockID B : L->Blocks)
-        E.Blocks.set(B);
       E.Defined = definedSymbols(F, *L);
-      E.EveryIterCompletes = everyIterationCompletes(F, LI, *L, E.Blocks);
+      E.EveryIterCompletes = everyIterationCompletes(F, LI, *L);
       PreheaderLoop[E.DL->Preheader] = L->DoLoopIndex;
     }
   }
@@ -497,7 +492,7 @@ private:
       // of L's body (every completing iteration passes through it)
       // forwards its own justifications, transported across L.
       for (const Loop *M : LIOrig.loopsInnermostFirst()) {
-        if (M == L || M->DoLoopIndex < 0 || !Env.Blocks.test(M->Header))
+        if (M == L || M->DoLoopIndex < 0 || !L->contains(M->Header))
           continue;
         size_t MIdx = static_cast<size_t>(M->DoLoopIndex);
         const DoLoopInfo &MDL = *EnvOrig[MIdx].DL;
@@ -996,7 +991,7 @@ private:
     for (uint32_t M = 0; M != EnvOrig.size(); ++M) {
       if (!EnvOrig[M].L || M == Chain.back())
         continue;
-      if (Last.Blocks.test(EnvOrig[M].DL->Preheader)) {
+      if (Last.L->contains(EnvOrig[M].DL->Preheader)) {
         Chain.push_back(M);
         enumerateChains(Chain, Pool, Ends);
         Chain.pop_back();
@@ -1130,7 +1125,7 @@ private:
         continue;
       size_t LIdx = static_cast<size_t>(L->DoLoopIndex);
       const LoopEnv &Env = EnvOrig[LIdx];
-      if (!Env.L || !Env.Blocks.test(B))
+      if (!Env.L || !Env.L->contains(B))
         continue;
       CheckID T = transportOut(C, LIdx, false);
       if (T == C)

@@ -38,6 +38,16 @@ constexpr uint32_t FirstListCap = 2;
 
 void CheckUniverse::creditInterned(uint64_t N) { NumInterned += N; }
 
+CheckUniverse::CheckUniverse(const CheckUniverse &O)
+    : FamilyPerCheck(O.FamilyPerCheck), Checks(O.Checks),
+      CheckFamily(O.CheckFamily), Families(O.Families),
+      MemberPool(O.MemberPool), BySymbol(O.BySymbol),
+      SymbolPool(O.SymbolPool), Generation(O.Generation) {
+  rehashChecks(Checks.size());
+  if (!FamilyPerCheck)
+    rehashFamilies(Families.size());
+}
+
 void CheckUniverse::growSlots(std::vector<Slot> &Slots, size_t Entries) {
   size_t Want = std::bit_ceil(std::max<size_t>(8, 2 * Entries));
   if (Slots.size() < Want)

@@ -43,6 +43,14 @@ public:
   explicit CheckUniverse(bool FamilyPerCheck = false)
       : FamilyPerCheck(FamilyPerCheck) {}
 
+  /// Copies \p O with its two slot tables sized to the entries it holds,
+  /// not to what \p O reserved: a cached seed keeps only what it uses.
+  /// Ids, family order, member order and per-symbol order are unchanged.
+  CheckUniverse(const CheckUniverse &O);
+  CheckUniverse(CheckUniverse &&) = default;
+  CheckUniverse &operator=(const CheckUniverse &) = delete;
+  CheckUniverse &operator=(CheckUniverse &&) = default;
+
   /// Sizes every table for up to \p NumChecks distinct checks with
   /// \p NumTerms terms between them, over symbols below \p NumSymbols.
   /// Interning within those counts then never grows a table. Only valid
@@ -99,6 +107,9 @@ public:
   uint64_t generation() const { return Generation; }
 
   bool familyPerCheckMode() const { return FamilyPerCheck; }
+
+  /// Slots of the two open-addressing indexes (8 bytes each).
+  size_t numSlots() const { return CheckSlots.size() + FamilySlots.size(); }
 
 private:
   /// A list kept in a shared pool: Size entries from Begin, with room for

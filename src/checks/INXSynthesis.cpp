@@ -7,8 +7,6 @@
 #include "obs/StatRegistry.h"
 #include "support/DenseBitVector.h"
 
-#include <map>
-
 using namespace nascent;
 
 NASCENT_STAT(NumInxSeen, "checks.inx.seen",
@@ -32,11 +30,14 @@ struct CheckRewrite {
   bool Linear; ///< linear in the basic variable (else invariant)
 };
 
-/// Planned snapshot copy t = src at the end of a loop preheader.
+/// Planned snapshot copy t = src at the end of a loop preheader, taken
+/// of SSA value \p Value for loop \p LoopIndex.
 struct Snapshot {
   BlockID Preheader;
   SymbolID Temp;
   SymbolID Source;
+  unsigned LoopIndex;
+  SSAValueID Value;
 };
 
 } // namespace
@@ -86,7 +87,6 @@ INXStats nascent::synthesizeINXChecks(Function &F,
 
   std::vector<CheckRewrite> Rewrites;
   std::vector<Snapshot> Snapshots;
-  std::map<std::pair<const Loop *, SSAValueID>, SymbolID> SnapshotTemps;
 
   auto ResolveBaseValue = [&](SSAValueID V, const Loop *L,
                               SymbolID &OutSym) -> bool {
@@ -101,15 +101,14 @@ INXStats nascent::synthesizeINXChecks(Function &F,
     }
     if (L->Preheader == InvalidBlock)
       return false;
-    auto Key = std::make_pair(L, V);
-    auto It = SnapshotTemps.find(Key);
-    if (It != SnapshotTemps.end()) {
-      OutSym = It->second;
-      return true;
-    }
+    // Snapshots are few: a scan finds one already planned.
+    for (const Snapshot &SN : Snapshots)
+      if (SN.LoopIndex == L->Index && SN.Value == V) {
+        OutSym = SN.Temp;
+        return true;
+      }
     SymbolID T = F.symbols().createTemp(ScalarType::Int, "snap");
-    SnapshotTemps.emplace(Key, T);
-    Snapshots.push_back({L->Preheader, T, D.Sym});
+    Snapshots.push_back({L->Preheader, T, D.Sym, L->Index, V});
     OutSym = T;
     return true;
   };
@@ -127,7 +126,8 @@ INXStats nascent::synthesizeINXChecks(Function &F,
         continue;
       ++Stats.ChecksSeen;
 
-      // Combine the induction expressions of every term.
+      // Combine the induction expressions of every term. A coefficient
+      // that overflows leaves the check in its original form.
       IVExpr Total = IVExpr::constant(0, L);
       bool Failed = false;
       for (const auto &[Sym, Coeff] : I.Check.expr().terms()) {
@@ -137,28 +137,11 @@ INXStats nascent::synthesizeINXChecks(Function &F,
           Failed = true;
           break;
         }
-        // Scale and accumulate.
-        IVExpr Scaled = Part;
-        Scaled.Coeff *= Coeff;
-        Scaled.BaseConst *= Coeff;
-        for (auto &[BV, BC] : Scaled.Base)
-          BC *= Coeff;
-        if (Scaled.Coeff != 0)
-          Scaled.K = IVExpr::Kind::Linear;
-        IVExpr NewTotal;
-        NewTotal.K = (Total.K == IVExpr::Kind::Linear ||
-                      Scaled.K == IVExpr::Kind::Linear)
-                         ? IVExpr::Kind::Linear
-                         : IVExpr::Kind::Invariant;
-        NewTotal.L = L;
-        NewTotal.Coeff = Total.Coeff + Scaled.Coeff;
-        NewTotal.Base = Total.Base;
-        for (const auto &[BV, BC] : Scaled.Base)
-          NewTotal.Base[BV] += BC;
-        NewTotal.BaseConst = Total.BaseConst + Scaled.BaseConst;
-        if (NewTotal.Coeff == 0)
-          NewTotal.K = IVExpr::Kind::Invariant;
-        Total = NewTotal;
+        Total = IVExpr::add(Total, IVExpr::scale(Part, Coeff));
+        if (Total.K == IVExpr::Kind::Unknown) {
+          Failed = true;
+          break;
+        }
       }
       if (Failed)
         continue;

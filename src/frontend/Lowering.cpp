@@ -3,8 +3,7 @@
 #include "interp/Decoded.h"
 #include "ir/IRBuilder.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
 #include <string>
 
 using namespace nascent;
@@ -22,28 +21,43 @@ struct LoweredExpr {
 /// Per-function lowering state.
 class FunctionLowerer {
 public:
-  FunctionLowerer(const ProcedureAST &P, Function &F, Module &M,
-                  const LoweringOptions &Opts)
-      : P(P), F(F), M(M), Opts(Opts), B(F) {}
+  FunctionLowerer(const ProgramAST &Prog, const ProcedureAST &P, Function &F,
+                  Module &M, const LoweringOptions &Opts)
+      : Prog(Prog), P(P), F(F), M(M), Opts(Opts), B(F) {}
 
   void run();
 
 private:
-  // --- CSE cache -------------------------------------------------------
+  // --- atom cache ------------------------------------------------------
+  /// A symbol the first occurrence of an atom read: a scalar, or an array
+  /// read anywhere in the subtree.
+  struct Dep {
+    SymbolID Sym;
+    bool IsArray;
+  };
   struct CacheEntry {
-    Value V;
-    std::set<SymbolID> ScalarDeps;
-    std::set<SymbolID> ArrayDeps; ///< arrays read anywhere in the subtree
+    const Expr *E; ///< the first occurrence
+    uint64_t Hash;
+    SymbolID Atom;
+    uint32_t DepBegin, DepEnd; ///< its run of Deps
   };
 
-  void cseInvalidateScalar(SymbolID S);
-  void cseInvalidateArray(SymbolID A);
-  void cseClear() { Cache.clear(); }
+  void cseInvalidate(SymbolID S, bool IsArray);
+  void cseInvalidateScalar(SymbolID S) { cseInvalidate(S, false); }
+  void cseInvalidateArray(SymbolID A) { cseInvalidate(A, true); }
+  void cseClear() {
+    Cache.clear();
+    Deps.clear();
+  }
 
-  /// Structural key of an AST expression (symbol ids, not names).
-  static std::string exprKey(const Expr &E);
-  static void collectDeps(const Expr &E, std::set<SymbolID> &Scalars,
-                          std::set<SymbolID> &Arrays);
+  /// Structural hash of an AST expression over symbol ids, not names.
+  /// False when the subtree holds a call: no two calls are the same
+  /// value, so such a subtree is never shared.
+  static bool hashExpr(const Expr &E, uint64_t &H);
+  /// Structural equality over symbol ids; real literals compare by their
+  /// six-decimal rendering.
+  static bool sameExpr(const Expr &A, const Expr &B);
+  void collectDeps(const Expr &E);
 
   /// Canonical per-block atom for a non-affine integer subexpression:
   /// syntactically equal occurrences (with no intervening definition of
@@ -60,23 +74,28 @@ private:
 
   /// Lowers subscripts of an array access, emitting the naive checks, and
   /// returns the index values.
-  ValueList lowerSubscripts(SymbolID Array,
-                            const std::vector<ExprPtr> &Indices,
+  ValueList lowerSubscripts(SymbolID Array, ExprList Indices,
                             SourceLocation Loc);
 
   // --- statement lowering ----------------------------------------------
-  void lowerStmtList(const std::vector<StmtPtr> &Stmts);
+  void lowerStmtList(StmtList Stmts);
   void lowerStmt(const Stmt &S);
   void lowerIf(const IfStmt &S);
   void lowerDo(const DoStmt &S);
   void lowerWhile(const WhileStmt &S);
-  ValueList lowerCallArgs(const std::string &Callee,
-                          const std::vector<ExprPtr> &Args);
+  ValueList lowerCallArgs(const Function &Callee, ExprList Args);
 
   /// Starts a new block and makes it current (clearing the CSE cache).
   void switchTo(BasicBlock *BB) {
     B.setInsertBlock(BB);
     cseClear();
+  }
+
+  /// The unit a call names; Sema guarantees it exists.
+  const Function &calleeOf(NameID Name) const {
+    const Function *Callee = M.function(Prog.spelling(Name));
+    assert(Callee && "sema guarantees the callee exists");
+    return *Callee;
   }
 
   /// Default value for an implicit return of a function result.
@@ -92,12 +111,15 @@ private:
     return Value::intConst(0);
   }
 
+  const ProgramAST &Prog;
   const ProcedureAST &P;
   Function &F;
   Module &M;
   const LoweringOptions &Opts;
   IRBuilder B;
-  std::map<std::string, CacheEntry> Cache;
+  /// The current block's atoms, searched by hash then structure.
+  std::vector<CacheEntry> Cache;
+  std::vector<Dep> Deps;
 };
 
 void FunctionLowerer::run() {
@@ -113,76 +135,122 @@ void FunctionLowerer::run() {
   F.recomputePreds();
 }
 
-void FunctionLowerer::cseInvalidateScalar(SymbolID S) {
-  for (auto It = Cache.begin(); It != Cache.end();) {
-    if (It->second.ScalarDeps.count(S))
-      It = Cache.erase(It);
-    else
-      ++It;
-  }
+void FunctionLowerer::cseInvalidate(SymbolID S, bool IsArray) {
+  auto Reads = [&](const CacheEntry &CE) {
+    for (uint32_t K = CE.DepBegin; K != CE.DepEnd; ++K)
+      if (Deps[K].Sym == S && Deps[K].IsArray == IsArray)
+        return true;
+    return false;
+  };
+  Cache.erase(std::remove_if(Cache.begin(), Cache.end(), Reads), Cache.end());
 }
 
-void FunctionLowerer::cseInvalidateArray(SymbolID A) {
-  for (auto It = Cache.begin(); It != Cache.end();) {
-    if (It->second.ArrayDeps.count(A))
-      It = Cache.erase(It);
-    else
-      ++It;
-  }
-}
-
-std::string FunctionLowerer::exprKey(const Expr &E) {
+bool FunctionLowerer::hashExpr(const Expr &E, uint64_t &H) {
+  auto Mix = [&H](uint64_t V) {
+    H = (H ^ V) * 0x100000001b3ull;
+    H ^= H >> 29;
+  };
+  Mix(static_cast<uint64_t>(E.Kind));
   switch (E.Kind) {
   case ExprKind::IntLit:
-    return "i" + std::to_string(static_cast<const IntLitExpr &>(E).Value);
+    Mix(static_cast<uint64_t>(static_cast<const IntLitExpr &>(E).Value));
+    return true;
   case ExprKind::RealLit:
-    return "r" + std::to_string(static_cast<const RealLitExpr &>(E).Value);
+    return true; // equal renderings need not be equal doubles
   case ExprKind::BoolLit:
-    return static_cast<const BoolLitExpr &>(E).Value ? "bt" : "bf";
+    Mix(static_cast<const BoolLitExpr &>(E).Value);
+    return true;
   case ExprKind::VarRef:
-    return "v" + std::to_string(static_cast<const VarRefExpr &>(E).Sym);
+    Mix(static_cast<const VarRefExpr &>(E).Sym);
+    return true;
   case ExprKind::ArrayRef: {
     const auto &A = static_cast<const ArrayRefExpr &>(E);
-    std::string K = "a" + std::to_string(A.Sym) + "[";
-    for (const ExprPtr &I : A.Indices)
-      K += exprKey(*I) + ",";
-    return K + "]";
+    Mix(A.Sym);
+    Mix(A.Indices.size());
+    for (const Expr *I : A.Indices)
+      if (!hashExpr(*I, H))
+        return false;
+    return true;
   }
   case ExprKind::Unary: {
     const auto &U = static_cast<const UnaryExpr &>(E);
-    return "u" + std::to_string(static_cast<int>(U.Op)) + "(" +
-           exprKey(*U.Sub) + ")";
+    Mix(static_cast<uint64_t>(U.Op));
+    return hashExpr(*U.Sub, H);
   }
   case ExprKind::Binary: {
     const auto &Bi = static_cast<const BinaryExpr &>(E);
-    return "b" + std::to_string(static_cast<int>(Bi.Op)) + "(" +
-           exprKey(*Bi.LHS) + "," + exprKey(*Bi.RHS) + ")";
+    Mix(static_cast<uint64_t>(Bi.Op));
+    return hashExpr(*Bi.LHS, H) && hashExpr(*Bi.RHS, H);
   }
   case ExprKind::Call:
-    return std::string(); // calls are never cached
+    return false;
   }
-  return std::string();
+  return false;
 }
 
-void FunctionLowerer::collectDeps(const Expr &E, std::set<SymbolID> &Scalars,
-                                  std::set<SymbolID> &Arrays) {
+bool FunctionLowerer::sameExpr(const Expr &A, const Expr &B) {
+  if (A.Kind != B.Kind)
+    return false;
+  switch (A.Kind) {
+  case ExprKind::IntLit:
+    return static_cast<const IntLitExpr &>(A).Value ==
+           static_cast<const IntLitExpr &>(B).Value;
+  case ExprKind::RealLit: {
+    double X = static_cast<const RealLitExpr &>(A).Value;
+    double Y = static_cast<const RealLitExpr &>(B).Value;
+    return X == Y || std::to_string(X) == std::to_string(Y);
+  }
+  case ExprKind::BoolLit:
+    return static_cast<const BoolLitExpr &>(A).Value ==
+           static_cast<const BoolLitExpr &>(B).Value;
+  case ExprKind::VarRef:
+    return static_cast<const VarRefExpr &>(A).Sym ==
+           static_cast<const VarRefExpr &>(B).Sym;
+  case ExprKind::ArrayRef: {
+    const auto &X = static_cast<const ArrayRefExpr &>(A);
+    const auto &Y = static_cast<const ArrayRefExpr &>(B);
+    if (X.Sym != Y.Sym || X.Indices.size() != Y.Indices.size())
+      return false;
+    for (size_t K = 0; K != X.Indices.size(); ++K)
+      if (!sameExpr(*X.Indices[K], *Y.Indices[K]))
+        return false;
+    return true;
+  }
+  case ExprKind::Unary: {
+    const auto &X = static_cast<const UnaryExpr &>(A);
+    const auto &Y = static_cast<const UnaryExpr &>(B);
+    return X.Op == Y.Op && sameExpr(*X.Sub, *Y.Sub);
+  }
+  case ExprKind::Binary: {
+    const auto &X = static_cast<const BinaryExpr &>(A);
+    const auto &Y = static_cast<const BinaryExpr &>(B);
+    return X.Op == Y.Op && sameExpr(*X.LHS, *Y.LHS) &&
+           sameExpr(*X.RHS, *Y.RHS);
+  }
+  case ExprKind::Call:
+    return false;
+  }
+  return false;
+}
+
+void FunctionLowerer::collectDeps(const Expr &E) {
   switch (E.Kind) {
   case ExprKind::VarRef:
-    Scalars.insert(static_cast<const VarRefExpr &>(E).Sym);
+    Deps.push_back({static_cast<const VarRefExpr &>(E).Sym, false});
     return;
   case ExprKind::ArrayRef: {
     const auto &A = static_cast<const ArrayRefExpr &>(E);
-    Arrays.insert(A.Sym);
-    for (const ExprPtr &I : A.Indices)
-      collectDeps(*I, Scalars, Arrays);
+    Deps.push_back({A.Sym, true});
+    for (const Expr *I : A.Indices)
+      collectDeps(*I);
     return;
   }
   case ExprKind::Unary:
-    collectDeps(*static_cast<const UnaryExpr &>(E).Sub, Scalars, Arrays);
+    collectDeps(*static_cast<const UnaryExpr &>(E).Sub);
     return;
   case ExprKind::Binary:
-    collectDeps(*static_cast<const BinaryExpr &>(E).LHS, Scalars, Arrays);
-    collectDeps(*static_cast<const BinaryExpr &>(E).RHS, Scalars, Arrays);
+    collectDeps(*static_cast<const BinaryExpr &>(E).LHS);
+    collectDeps(*static_cast<const BinaryExpr &>(E).RHS);
     return;
   default:
     return;
@@ -192,16 +260,16 @@ void FunctionLowerer::collectDeps(const Expr &E, std::set<SymbolID> &Scalars,
 SymbolID FunctionLowerer::atomFor(const Expr &E, SymbolID Computed) {
   if (!Opts.SyntacticAtoms)
     return Computed;
-  std::string Key = exprKey(E);
-  if (Key.empty())
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  if (!hashExpr(E, Hash))
     return Computed;
-  auto It = Cache.find(Key);
-  if (It != Cache.end())
-    return It->second.V.symbol();
-  CacheEntry CE;
-  CE.V = Value::sym(Computed);
-  collectDeps(E, CE.ScalarDeps, CE.ArrayDeps);
-  Cache[Key] = std::move(CE);
+  for (const CacheEntry &CE : Cache)
+    if (CE.Hash == Hash && sameExpr(*CE.E, E))
+      return CE.Atom;
+  auto Begin = static_cast<uint32_t>(Deps.size());
+  collectDeps(E);
+  Cache.push_back({&E, Hash, Computed, Begin,
+                   static_cast<uint32_t>(Deps.size())});
   return Computed;
 }
 
@@ -429,8 +497,9 @@ LoweredExpr FunctionLowerer::lowerExpr(const Expr &E) {
   }
   case ExprKind::Call: {
     const auto &C = static_cast<const CallExpr &>(E);
-    ValueList Args = lowerCallArgs(C.Callee, C.Args);
-    Out.V = B.emitCall(C.Callee, std::move(Args), E.Ty);
+    const Function &Callee = calleeOf(C.Callee);
+    ValueList Args = lowerCallArgs(Callee, C.Args);
+    Out.V = B.emitCall(Callee.name(), std::move(Args), E.Ty);
     if (E.Ty == ScalarType::Int && Out.V.isSym())
       Out.Lin = LinearExpr::term(Out.V.symbol()); // calls never share atoms
     return Out;
@@ -441,12 +510,8 @@ LoweredExpr FunctionLowerer::lowerExpr(const Expr &E) {
   return Out;
 }
 
-ValueList FunctionLowerer::lowerSubscripts(SymbolID Array,
-                                           const std::vector<ExprPtr> &Indices,
+ValueList FunctionLowerer::lowerSubscripts(SymbolID Array, ExprList Indices,
                                            SourceLocation Loc) {
-  // Copy: lowering the index expressions creates temporaries, which can
-  // reallocate the symbol table and invalidate references into it.
-  const Symbol A = F.symbols().get(Array);
   ValueList Out;
   Out.reserve(Indices.size());
   for (size_t D = 0; D != Indices.size(); ++D) {
@@ -456,6 +521,9 @@ ValueList FunctionLowerer::lowerSubscripts(SymbolID Array,
                                           : LinearExpr::constant(
                                                 L.V.intValue()));
     if (Opts.InsertChecks) {
+      // Looked up after lowering the index: its temporaries can
+      // reallocate the symbol table.
+      const Symbol &A = F.symbols().get(Array);
       const ArrayDim &Dim = A.Shape.Dims[D];
       CheckOrigin LowerOrigin{A.Name, static_cast<int>(D), false, Loc};
       CheckOrigin UpperOrigin{A.Name, static_cast<int>(D), true, Loc};
@@ -467,14 +535,12 @@ ValueList FunctionLowerer::lowerSubscripts(SymbolID Array,
   return Out;
 }
 
-ValueList FunctionLowerer::lowerCallArgs(const std::string &Callee,
-                                         const std::vector<ExprPtr> &Args) {
-  const Function *CalleeF = M.function(Callee);
-  assert(CalleeF && "sema guarantees the callee exists");
+ValueList FunctionLowerer::lowerCallArgs(const Function &Callee,
+                                         ExprList Args) {
   ValueList Out;
   Out.reserve(Args.size());
   for (size_t K = 0; K != Args.size(); ++K) {
-    const Symbol &Param = CalleeF->symbols().get(CalleeF->params()[K]);
+    const Symbol &Param = Callee.symbols().get(Callee.params()[K]);
     if (Param.isArray()) {
       const auto &V = static_cast<const VarRefExpr &>(*Args[K]);
       Out.push_back(Value::sym(V.Sym));
@@ -487,8 +553,8 @@ ValueList FunctionLowerer::lowerCallArgs(const std::string &Callee,
   return Out;
 }
 
-void FunctionLowerer::lowerStmtList(const std::vector<StmtPtr> &Stmts) {
-  for (const StmtPtr &S : Stmts) {
+void FunctionLowerer::lowerStmtList(StmtList Stmts) {
+  for (const Stmt *S : Stmts) {
     if (!S)
       continue;
     if (B.insertBlock()->hasTerminator()) {
@@ -504,17 +570,15 @@ void FunctionLowerer::lowerStmt(const Stmt &S) {
   switch (S.Kind) {
   case StmtKind::Assign: {
     const auto &A = static_cast<const AssignStmt &>(S);
-    const Symbol Info = F.symbols().get(A.Sym); // copy: table may grow
-    Value V = lowerToType(*A.Value, Info.Type);
+    Value V = lowerToType(*A.Value, F.symbols().get(A.Sym).Type);
     B.emitCopy(A.Sym, V);
     cseInvalidateScalar(A.Sym);
     return;
   }
   case StmtKind::ArrayAssign: {
     const auto &A = static_cast<const ArrayAssignStmt &>(S);
-    const Symbol Info = F.symbols().get(A.Sym); // copy: table may grow
     ValueList Idx = lowerSubscripts(A.Sym, A.Indices, A.Loc);
-    Value V = lowerToType(*A.Value, Info.Type);
+    Value V = lowerToType(*A.Value, F.symbols().get(A.Sym).Type);
     B.emitStore(A.Sym, std::move(Idx), V);
     cseInvalidateArray(A.Sym);
     return;
@@ -530,8 +594,9 @@ void FunctionLowerer::lowerStmt(const Stmt &S) {
     return;
   case StmtKind::Call: {
     const auto &C = static_cast<const CallStmt &>(S);
-    ValueList Args = lowerCallArgs(C.Callee, C.Args);
-    B.emitCall(C.Callee, std::move(Args), std::nullopt);
+    const Function &Callee = calleeOf(C.Callee);
+    ValueList Args = lowerCallArgs(Callee, C.Args);
+    B.emitCall(Callee.name(), std::move(Args), std::nullopt);
     return;
   }
   case StmtKind::Print: {
@@ -662,9 +727,9 @@ void FunctionLowerer::lowerWhile(const WhileStmt &S) {
 
 void nascent::lowerProgram(const ProgramAST &Prog, Module &M,
                            const LoweringOptions &Opts) {
-  for (const auto &Unit : Prog.Units) {
-    Function *F = M.function(Unit->Name);
+  for (const ProcedureAST *Unit : Prog.Units) {
+    Function *F = M.function(Prog.spelling(Unit->Name));
     assert(F && "sema created a shell for every unit");
-    FunctionLowerer(*Unit, *F, M, Opts).run();
+    FunctionLowerer(Prog, *Unit, *F, M, Opts).run();
   }
 }

@@ -98,6 +98,16 @@ public:
     Insts.push_back(std::move(I));
   }
 
+  /// Appends an instruction with opcode \p Op, constructed in place, and
+  /// returns it for the caller to fill in; asserts the block is not
+  /// already terminated.
+  Instruction &appendNew(Opcode Op) {
+    assert(!hasTerminator() && "appending past the terminator");
+    Instruction &I = Insts.emplace_back();
+    I.Op = Op;
+    return I;
+  }
+
   /// Inserts \p I before position \p Pos (0 = block start).
   void insertAt(size_t Pos, Instruction I) {
     assert(Pos <= Insts.size() && "insert position out of range");

@@ -1,13 +1,21 @@
 #include "ir/Function.h"
 
 #include <algorithm>
+#include <charconv>
 
 using namespace nascent;
 
-BasicBlock *Function::createBlock(const std::string &NameHint) {
+BasicBlock *Function::createBlock(std::string_view NameHint) {
   BlockID ID = static_cast<BlockID>(Blocks.size());
-  Blocks.push_back(std::make_unique<BasicBlock>(
-      ID, NameHint + "." + std::to_string(ID)));
+  char Num[16];
+  auto [End, Err] = std::to_chars(Num, Num + sizeof(Num), ID);
+  (void)Err;
+  std::string Name;
+  Name.reserve(NameHint.size() + 1 + static_cast<size_t>(End - Num));
+  Name += NameHint;
+  Name += '.';
+  Name.append(Num, End);
+  Blocks.push_back(std::make_unique<BasicBlock>(ID, std::move(Name)));
   return Blocks.back().get();
 }
 
@@ -112,14 +120,14 @@ Function *Module::createFunction(const std::string &Name) {
   return Funcs.back().get();
 }
 
-Function *Module::function(const std::string &Name) {
+Function *Module::function(std::string_view Name) {
   for (auto &F : Funcs)
     if (F->name() == Name)
       return F.get();
   return nullptr;
 }
 
-const Function *Module::function(const std::string &Name) const {
+const Function *Module::function(std::string_view Name) const {
   for (const auto &F : Funcs)
     if (F->name() == Name)
       return F.get();

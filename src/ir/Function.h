@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nascent {
@@ -43,7 +44,7 @@ public:
   void setResultType(ScalarType T) { ResultType = T; }
 
   /// Creates a new block; the first created block is the entry.
-  BasicBlock *createBlock(const std::string &NameHint);
+  BasicBlock *createBlock(std::string_view NameHint);
 
   BasicBlock *block(BlockID ID) { return Blocks[ID].get(); }
   const BasicBlock *block(BlockID ID) const { return Blocks[ID].get(); }
@@ -106,8 +107,8 @@ public:
   /// Creates a function; names must be unique.
   Function *createFunction(const std::string &Name);
 
-  Function *function(const std::string &Name);
-  const Function *function(const std::string &Name) const;
+  Function *function(std::string_view Name);
+  const Function *function(std::string_view Name) const;
 
   void setEntry(const std::string &Name) { EntryName = Name; }
   const std::string &entryName() const { return EntryName; }

@@ -4,6 +4,7 @@
 /// Convenience layer for constructing IR: used by the AST lowering, the
 /// optimizer (when it fabricates checks), tests, and the examples that
 /// rebuild the paper's figure fragments directly against the public API.
+/// Every emit constructs its instruction in place in the block's array.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +26,7 @@ public:
   BasicBlock *insertBlock() { return CurBB; }
 
   /// Creates a block without changing the insertion point.
-  BasicBlock *createBlock(const std::string &NameHint) {
+  BasicBlock *createBlock(std::string_view NameHint) {
     return F.createBlock(NameHint);
   }
 
@@ -65,13 +66,18 @@ public:
 
   /// Emits a call; returns the result temp for functions, or an engaged-
   /// empty Value for subroutines.
-  Value emitCall(const std::string &Callee, ValueList Args,
+  Value emitCall(std::string_view Callee, ValueList Args,
                  std::optional<ScalarType> ResultTy);
 
   void emitPrint(Value V);
 
 private:
-  void append(Instruction I);
+  /// Constructs an instruction with opcode \p Op at the end of the
+  /// insertion block and returns it for the caller to fill in.
+  Instruction &add(Opcode Op) {
+    assert(CurBB && "no insertion block set");
+    return CurBB->appendNew(Op);
+  }
 
   Function &F;
   BasicBlock *CurBB = nullptr;

@@ -15,7 +15,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace nascent {
@@ -45,22 +45,25 @@ struct Symbol {
   bool isArray() const { return Kind == SymbolKind::Array; }
 };
 
-/// Per-function symbol table with name lookup and temp generation.
+/// Per-function symbol table with temp generation. Source names resolve
+/// in Sema, through the program's interned names; the table itself keeps
+/// no name index.
 class SymbolTable {
 public:
   /// Creates a scalar variable. Names must be unique among non-temps.
-  SymbolID createScalar(const std::string &Name, ScalarType Type,
+  SymbolID createScalar(std::string_view Name, ScalarType Type,
                         bool IsParam = false);
 
   /// Creates an array variable with the given shape.
-  SymbolID createArray(const std::string &Name, ArrayShape Shape,
+  SymbolID createArray(std::string_view Name, ArrayShape Shape,
                        bool IsParam = false);
 
-  /// Creates a fresh compiler temporary of scalar type \p Type.
-  SymbolID createTemp(ScalarType Type, const std::string &Hint = "t");
+  /// Creates a fresh compiler temporary of scalar type \p Type, named
+  /// "%<Hint><number>".
+  SymbolID createTemp(ScalarType Type, std::string_view Hint = "t");
 
-  /// Looks up a symbol by source name; returns InvalidSymbol if absent.
-  SymbolID lookup(const std::string &Name) const;
+  /// Finds a symbol by source name with a scan; InvalidSymbol if absent.
+  SymbolID lookup(std::string_view Name) const;
 
   const Symbol &get(SymbolID ID) const { return Symbols[ID]; }
   Symbol &get(SymbolID ID) { return Symbols[ID]; }
@@ -74,7 +77,6 @@ public:
 
 private:
   std::vector<Symbol> Symbols;
-  std::unordered_map<std::string, SymbolID> ByName;
   unsigned NextTempNumber = 0;
 };
 

@@ -1,8 +1,8 @@
 #include "lang/Lexer.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
-#include <unordered_map>
+#include <cstring>
 
 using namespace nascent;
 
@@ -94,7 +94,92 @@ const char *nascent::tokenKindName(TokenKind K) {
   return "?";
 }
 
-Lexer::Lexer(std::string Source) : Src(std::move(Source)) {}
+std::string Token::message() const {
+  if (Kind == TokenKind::IntLiteral && TooBig)
+    return "integer literal " + std::string(Text) + " does not fit in 64 bits";
+  return "unexpected character '" + std::string(Text) + "'";
+}
+
+namespace {
+
+// ASCII classes, as <cctype> classifies them in the "C" locale.
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isAlpha(char C) {
+  int L = C | 0x20;
+  return L >= 'a' && L <= 'z';
+}
+bool isIdentChar(char C) { return isAlpha(C) || isDigit(C) || C == '_'; }
+bool isSpace(char C) { return C == ' ' || (C >= '\t' && C <= '\r'); }
+
+/// The keyword spelled \p S (lower case), or Identifier.
+TokenKind keywordKind(std::string_view S) {
+  auto Is = [&](const char *K) {
+    return std::memcmp(S.data(), K, S.size()) == 0;
+  };
+  switch (S.size()) {
+  case 2:
+    if (Is("if"))
+      return TokenKind::KwIf;
+    if (Is("do"))
+      return TokenKind::KwDo;
+    if (Is("or"))
+      return TokenKind::KwOr;
+    break;
+  case 3:
+    if (Is("end"))
+      return TokenKind::KwEnd;
+    if (Is("and"))
+      return TokenKind::KwAnd;
+    if (Is("not"))
+      return TokenKind::KwNot;
+    break;
+  case 4:
+    if (Is("real"))
+      return TokenKind::KwReal;
+    if (Is("then"))
+      return TokenKind::KwThen;
+    if (Is("else"))
+      return TokenKind::KwElse;
+    if (Is("call"))
+      return TokenKind::KwCall;
+    if (Is("true"))
+      return TokenKind::KwTrue;
+    break;
+  case 5:
+    if (Is("while"))
+      return TokenKind::KwWhile;
+    if (Is("print"))
+      return TokenKind::KwPrint;
+    if (Is("false"))
+      return TokenKind::KwFalse;
+    break;
+  case 6:
+    if (Is("elseif"))
+      return TokenKind::KwElseif;
+    if (Is("return"))
+      return TokenKind::KwReturn;
+    break;
+  case 7:
+    if (Is("program"))
+      return TokenKind::KwProgram;
+    if (Is("integer"))
+      return TokenKind::KwInteger;
+    if (Is("logical"))
+      return TokenKind::KwLogical;
+    break;
+  case 8:
+    if (Is("function"))
+      return TokenKind::KwFunction;
+    break;
+  case 10:
+    if (Is("subroutine"))
+      return TokenKind::KwSubroutine;
+    break;
+  }
+  return TokenKind::Identifier;
+}
+
+} // namespace
 
 char Lexer::advance() {
   char C = Src[Pos++];
@@ -109,11 +194,15 @@ char Lexer::advance() {
 
 void Lexer::skipTrivia() {
   while (Pos < Src.size()) {
-    char C = peek();
+    char C = Src[Pos];
     if (C == '!') {
-      while (Pos < Src.size() && peek() != '\n')
-        advance();
-    } else if (std::isspace(static_cast<unsigned char>(C))) {
+      const void *NL = std::memchr(Src.data() + Pos, '\n', Src.size() - Pos);
+      size_t End = NL ? static_cast<size_t>(static_cast<const char *>(NL) -
+                                            Src.data())
+                      : Src.size();
+      Column += static_cast<unsigned>(End - Pos);
+      Pos = End;
+    } else if (isSpace(C)) {
       advance();
     } else {
       break;
@@ -122,164 +211,148 @@ void Lexer::skipTrivia() {
 }
 
 Token Lexer::lexNumber() {
-  SourceLocation Loc = here();
-  std::string Digits;
+  Token T;
+  T.Loc = here();
+  size_t Start = Pos;
   bool IsReal = false;
-  while (std::isdigit(static_cast<unsigned char>(peek())))
-    Digits += advance();
-  if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peekAhead()))) {
+  while (isDigit(peek()))
+    ++Pos;
+  if (peek() == '.' && isDigit(peekAhead())) {
     IsReal = true;
-    Digits += advance();
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-      Digits += advance();
+    ++Pos;
+    while (isDigit(peek()))
+      ++Pos;
   }
   if (peek() == 'e' || peek() == 'E') {
+    // An exponent only when digits follow; otherwise the 'e' starts the
+    // next token (e.g. an identifier).
     size_t Save = Pos;
-    std::string Exp;
-    Exp += advance();
+    ++Pos;
     if (peek() == '+' || peek() == '-')
-      Exp += advance();
-    if (std::isdigit(static_cast<unsigned char>(peek()))) {
+      ++Pos;
+    if (isDigit(peek())) {
       IsReal = true;
-      while (std::isdigit(static_cast<unsigned char>(peek())))
-        Exp += advance();
-      Digits += Exp;
+      while (isDigit(peek()))
+        ++Pos;
     } else {
-      // Not an exponent after all (e.g. identifier following); rewind the
-      // consumed characters. Column bookkeeping tolerates this because
-      // numbers never span lines.
-      Column -= static_cast<unsigned>(Pos - Save);
       Pos = Save;
     }
   }
-  Token T;
-  T.Loc = Loc;
+  // Numbers never span lines.
+  Column += static_cast<unsigned>(Pos - Start);
+  T.Text = Src.substr(Start, Pos - Start);
   if (IsReal) {
     T.Kind = TokenKind::RealLiteral;
-    T.RealValue = std::strtod(Digits.c_str(), nullptr);
-  } else {
-    T.Kind = TokenKind::IntLiteral;
-    T.IntValue = std::strtoll(Digits.c_str(), nullptr, 10);
+    auto [End, Err] =
+        std::from_chars(T.Text.data(), T.Text.data() + T.Text.size(),
+                        T.RealValue);
+    (void)End;
+    // from_chars leaves the value alone when it over- or underflows;
+    // strtod's infinity or denormal is the defined result there.
+    if (Err != std::errc())
+      T.RealValue = std::strtod(std::string(T.Text).c_str(), nullptr);
+    return T;
   }
+  T.Kind = TokenKind::IntLiteral;
+  int64_t V = 0;
+  for (char C : T.Text) {
+    if (__builtin_mul_overflow(V, 10, &V) ||
+        __builtin_add_overflow(V, C - '0', &V)) {
+      T.TooBig = true;
+      V = INT64_MAX;
+      break;
+    }
+  }
+  T.IntValue = V;
   return T;
 }
 
 Token Lexer::lexIdentifier() {
-  static const std::unordered_map<std::string, TokenKind> Keywords = {
-      {"program", TokenKind::KwProgram},
-      {"subroutine", TokenKind::KwSubroutine},
-      {"function", TokenKind::KwFunction},
-      {"end", TokenKind::KwEnd},
-      {"integer", TokenKind::KwInteger},
-      {"real", TokenKind::KwReal},
-      {"logical", TokenKind::KwLogical},
-      {"if", TokenKind::KwIf},
-      {"then", TokenKind::KwThen},
-      {"elseif", TokenKind::KwElseif},
-      {"else", TokenKind::KwElse},
-      {"do", TokenKind::KwDo},
-      {"while", TokenKind::KwWhile},
-      {"call", TokenKind::KwCall},
-      {"print", TokenKind::KwPrint},
-      {"return", TokenKind::KwReturn},
-      {"and", TokenKind::KwAnd},
-      {"or", TokenKind::KwOr},
-      {"not", TokenKind::KwNot},
-      {"true", TokenKind::KwTrue},
-      {"false", TokenKind::KwFalse},
-  };
-  SourceLocation Loc = here();
-  std::string Name;
-  while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-    Name += static_cast<char>(
-        std::tolower(static_cast<unsigned char>(advance())));
   Token T;
-  T.Loc = Loc;
-  auto It = Keywords.find(Name);
-  if (It != Keywords.end()) {
-    T.Kind = It->second;
-  } else {
-    T.Kind = TokenKind::Identifier;
-    T.Text = std::move(Name);
+  T.Loc = here();
+  size_t Start = Pos;
+  bool Upper = false;
+  while (Pos < Src.size() && isIdentChar(Src[Pos])) {
+    Upper |= Src[Pos] >= 'A' && Src[Pos] <= 'Z';
+    ++Pos;
   }
+  Column += static_cast<unsigned>(Pos - Start);
+  T.Text = Src.substr(Start, Pos - Start);
+  std::string_view Lower = T.Text;
+  if (Upper) {
+    Folded.assign(T.Text);
+    for (char &C : Folded)
+      if (C >= 'A' && C <= 'Z')
+        C = static_cast<char>(C | 0x20);
+    Lower = Folded;
+  }
+  T.Kind = keywordKind(Lower);
+  if (T.Kind == TokenKind::Identifier)
+    T.Name = Names.intern(Lower);
   return T;
 }
 
 Token Lexer::next() {
   skipTrivia();
+  Token T;
+  T.Loc = here();
   if (Pos >= Src.size()) {
-    Token T;
     T.Kind = TokenKind::Eof;
-    T.Loc = here();
     return T;
   }
-  char C = peek();
-  if (std::isdigit(static_cast<unsigned char>(C)))
+  char C = Src[Pos];
+  if (isDigit(C))
     return lexNumber();
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_')
+  if (isAlpha(C) || C == '_')
     return lexIdentifier();
 
-  SourceLocation Loc = here();
+  size_t Start = Pos;
   advance();
-  Token T;
-  T.Loc = Loc;
+  auto Two = [&](TokenKind IfEq, TokenKind Otherwise) {
+    if (peek() == '=') {
+      advance();
+      return IfEq;
+    }
+    return Otherwise;
+  };
   switch (C) {
   case '=':
-    if (peek() == '=') {
-      advance();
-      T.Kind = TokenKind::EqEq;
-    } else {
-      T.Kind = TokenKind::Assign;
-    }
-    return T;
+    T.Kind = Two(TokenKind::EqEq, TokenKind::Assign);
+    break;
   case '/':
-    if (peek() == '=') {
-      advance();
-      T.Kind = TokenKind::NotEq;
-    } else {
-      T.Kind = TokenKind::Slash;
-    }
-    return T;
+    T.Kind = Two(TokenKind::NotEq, TokenKind::Slash);
+    break;
   case '<':
-    if (peek() == '=') {
-      advance();
-      T.Kind = TokenKind::LessEq;
-    } else {
-      T.Kind = TokenKind::Less;
-    }
-    return T;
+    T.Kind = Two(TokenKind::LessEq, TokenKind::Less);
+    break;
   case '>':
-    if (peek() == '=') {
-      advance();
-      T.Kind = TokenKind::GreaterEq;
-    } else {
-      T.Kind = TokenKind::Greater;
-    }
-    return T;
+    T.Kind = Two(TokenKind::GreaterEq, TokenKind::Greater);
+    break;
   case '+':
     T.Kind = TokenKind::Plus;
-    return T;
+    break;
   case '-':
     T.Kind = TokenKind::Minus;
-    return T;
+    break;
   case '*':
     T.Kind = TokenKind::Star;
-    return T;
+    break;
   case '(':
     T.Kind = TokenKind::LParen;
-    return T;
+    break;
   case ')':
     T.Kind = TokenKind::RParen;
-    return T;
+    break;
   case ',':
     T.Kind = TokenKind::Comma;
-    return T;
+    break;
   case ':':
     T.Kind = TokenKind::Colon;
-    return T;
+    break;
   default:
     T.Kind = TokenKind::Error;
-    T.Text = std::string("unexpected character '") + C + "'";
-    return T;
+    break;
   }
+  T.Text = Src.substr(Start, Pos - Start);
+  return T;
 }

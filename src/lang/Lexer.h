@@ -5,24 +5,34 @@
 /// insignificant; comments run from '!' to end of line. Identifiers and
 /// keywords are case-insensitive (folded to lower case), as in Fortran.
 ///
+/// The lexer reads the caller's buffer in place, classifies characters by
+/// ASCII (as the "C" locale does), converts literals from their source
+/// span and interns each identifier into the program's name table.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NASCENT_LANG_LEXER_H
 #define NASCENT_LANG_LEXER_H
 
+#include "lang/AST.h"
 #include "lang/Token.h"
 
 #include <string>
+#include <string_view>
 
 namespace nascent {
 
 /// Lexes one source buffer into tokens on demand.
 class Lexer {
 public:
-  explicit Lexer(std::string Source);
+  /// Lexes \p Source, which must outlive the lexer and its tokens,
+  /// interning identifiers into \p Names.
+  Lexer(std::string_view Source, NameTable &Names)
+      : Src(Source), Names(Names) {}
 
-  /// Lexes and returns the next token (Eof at end of input; Error tokens
-  /// carry a message and the lexer recovers by skipping the bad character).
+  /// Lexes and returns the next token (Eof at end of input; an Error token
+  /// spans the bad character, Token::message() names it, and the lexer
+  /// recovers by skipping it).
   Token next();
 
 private:
@@ -35,7 +45,10 @@ private:
   Token lexNumber();
   Token lexIdentifier();
 
-  std::string Src;
+  std::string_view Src;
+  NameTable &Names;
+  /// Lower-cased spelling of an identifier written with capitals.
+  std::string Folded;
   size_t Pos = 0;
   unsigned Line = 1;
   unsigned Column = 1;

@@ -2,17 +2,55 @@
 
 using namespace nascent;
 
-Parser::Parser(std::string Source, DiagnosticEngine &Diags)
-    : Lex(std::move(Source)), Diags(Diags) {
+namespace {
+
+/// One list under construction on a parser stack: elements pushed after
+/// construction belong to it, and finish() moves them into the arena. An
+/// abandoned list (an early return) is popped by the destructor.
+template <typename T> class ListBuilder {
+public:
+  explicit ListBuilder(std::vector<T> &Stack)
+      : Stack(Stack), Mark(Stack.size()) {}
+  ~ListBuilder() { Stack.resize(Mark); }
+  ListBuilder(const ListBuilder &) = delete;
+  ListBuilder &operator=(const ListBuilder &) = delete;
+
+  void push(const T &V) { Stack.push_back(V); }
+  size_t size() const { return Stack.size() - Mark; }
+
+  std::span<T> finish(Arena &Mem) {
+    std::span<T> Out = Mem.copy(
+        std::span<const T>(Stack.data() + Mark, Stack.size() - Mark));
+    Stack.resize(Mark);
+    return Out;
+  }
+
+private:
+  std::vector<T> &Stack;
+  size_t Mark;
+};
+
+} // namespace
+
+Parser::Parser(std::string_view Source, DiagnosticEngine &Diags)
+    : Prog(std::make_unique<ProgramAST>()), Lex(Source, Prog->Names),
+      Diags(Diags) {
   CurTok = Lex.next();
   NextTok = Lex.next();
+  noteCurrent();
 }
 
 Token Parser::consume() {
-  Token T = CurTok;
-  CurTok = NextTok;
+  Token T = std::move(CurTok);
+  CurTok = std::move(NextTok);
   NextTok = Lex.next();
+  noteCurrent();
   return T;
+}
+
+void Parser::noteCurrent() {
+  if (CurTok.TooBig && !TooDeep)
+    Diags.error(CurTok.Loc, CurTok.message());
 }
 
 bool Parser::match(TokenKind K) {
@@ -73,21 +111,22 @@ void Parser::syncToStatement() {
 }
 
 std::unique_ptr<ProgramAST> Parser::parseProgram() {
-  auto Prog = std::make_unique<ProgramAST>();
+  ListBuilder<ProcedureAST *> Units(UnitStack);
   while (!cur().is(TokenKind::Eof)) {
-    auto Unit = parseUnit();
+    ProcedureAST *Unit = parseUnit();
     if (!Unit) {
       // Could not even start a unit; skip a token to guarantee progress.
       consume();
       continue;
     }
-    Prog->Units.push_back(std::move(Unit));
+    Units.push(Unit);
   }
-  return Prog;
+  Prog->Units = Units.finish(Prog->Mem);
+  return std::move(Prog);
 }
 
-std::unique_ptr<ProcedureAST> Parser::parseUnit() {
-  auto P = std::make_unique<ProcedureAST>();
+ProcedureAST *Parser::parseUnit() {
+  auto *P = make<ProcedureAST>();
   P->Loc = cur().Loc;
   TokenKind EndKw;
   if (match(TokenKind::KwProgram)) {
@@ -109,7 +148,7 @@ std::unique_ptr<ProcedureAST> Parser::parseUnit() {
     error("expected unit name");
     return nullptr;
   }
-  P->Name = consume().Text;
+  P->Name = consume().Name;
 
   if (P->Kind != UnitKind::Program && match(TokenKind::LParen)) {
     parseParams(*P);
@@ -127,13 +166,15 @@ std::unique_ptr<ProcedureAST> Parser::parseUnit() {
       error("expected function result type");
   }
 
+  ListBuilder<Decl> Decls(DeclStack);
   while (cur().is(TokenKind::KwInteger) || cur().is(TokenKind::KwReal) ||
          cur().is(TokenKind::KwLogical)) {
     // "real(x)" in statement position cannot occur, so a type keyword here
     // always begins a declaration.
-    if (!parseDecl(*P))
+    if (!parseDecl())
       syncToStatement();
   }
+  P->Decls = Decls.finish(Prog->Mem);
 
   P->Body = parseStmtList();
   expectEnd(EndKw, "unit");
@@ -143,13 +184,15 @@ std::unique_ptr<ProcedureAST> Parser::parseUnit() {
 void Parser::parseParams(ProcedureAST &P) {
   if (cur().is(TokenKind::RParen))
     return;
+  ListBuilder<NameID> Params(NameStack);
   do {
     if (!cur().is(TokenKind::Identifier)) {
       error("expected parameter name");
-      return;
+      break;
     }
-    P.Params.push_back(consume().Text);
+    Params.push(consume().Name);
   } while (match(TokenKind::Comma));
+  P.Params = Params.finish(Prog->Mem);
 }
 
 bool Parser::parseDimBound(int64_t &Out) {
@@ -164,15 +207,16 @@ bool Parser::parseDimBound(int64_t &Out) {
   return true;
 }
 
-bool Parser::parseDeclarator(Decl &D) {
+bool Parser::parseDeclarator() {
   if (!cur().is(TokenKind::Identifier)) {
     error("expected variable name in declaration");
     return false;
   }
   Declarator V;
   V.Loc = cur().Loc;
-  V.Name = consume().Text;
+  V.Name = consume().Name;
   if (match(TokenKind::LParen)) {
+    ListBuilder<Declarator::Dim> Dims(DimStack);
     do {
       int64_t A = 0;
       if (!parseDimBound(A))
@@ -183,16 +227,17 @@ bool Parser::parseDeclarator(Decl &D) {
         if (!parseDimBound(Hi))
           return false;
       }
-      V.Dims.push_back({Lo, Hi});
+      Dims.push({Lo, Hi});
     } while (match(TokenKind::Comma));
     if (!expect(TokenKind::RParen, "after array dimensions"))
       return false;
+    V.Dims = Dims.finish(Prog->Mem);
   }
-  D.Vars.push_back(std::move(V));
+  DeclaratorStack.push_back(V);
   return true;
 }
 
-bool Parser::parseDecl(ProcedureAST &P) {
+bool Parser::parseDecl() {
   Decl D;
   D.Loc = cur().Loc;
   if (match(TokenKind::KwInteger))
@@ -203,25 +248,27 @@ bool Parser::parseDecl(ProcedureAST &P) {
     D.Ty = ScalarType::Bool;
   else
     return false;
+  ListBuilder<Declarator> Vars(DeclaratorStack);
   do {
-    if (!parseDeclarator(D))
+    if (!parseDeclarator())
       return false;
   } while (match(TokenKind::Comma));
-  P.Decls.push_back(std::move(D));
+  D.Vars = Vars.finish(Prog->Mem);
+  DeclStack.push_back(D);
   return true;
 }
 
-std::vector<StmtPtr> Parser::parseStmtList() {
-  std::vector<StmtPtr> Stmts;
+StmtList Parser::parseStmtList() {
+  ListBuilder<StmtPtr> Stmts(StmtStack);
   while (startsStatement(cur().Kind)) {
     StmtPtr S = parseStmt();
     if (!S) {
       syncToStatement();
       continue;
     }
-    Stmts.push_back(std::move(S));
+    Stmts.push(S);
   }
-  return Stmts;
+  return Stmts.finish(Prog->Mem);
 }
 
 StmtPtr Parser::parseStmt() {
@@ -242,11 +289,11 @@ StmtPtr Parser::parseStmt() {
     ExprPtr E = parseExpr();
     if (!E)
       return nullptr;
-    return std::make_unique<PrintStmt>(Loc, std::move(E));
+    return make<PrintStmt>(Loc, E);
   }
   case TokenKind::KwReturn: {
     SourceLocation Loc = consume().Loc;
-    ExprPtr E;
+    ExprPtr E = nullptr;
     // "return" may be followed by an expression (functions) or nothing.
     if (startsStatement(cur().Kind) || cur().is(TokenKind::IntLiteral) ||
         cur().is(TokenKind::RealLiteral) || cur().is(TokenKind::LParen) ||
@@ -261,7 +308,7 @@ StmtPtr Parser::parseStmt() {
       if (!E)
         return nullptr;
     }
-    return std::make_unique<ReturnStmt>(Loc, std::move(E));
+    return make<ReturnStmt>(Loc, E);
   }
   case TokenKind::Identifier:
     return parseAssign();
@@ -286,10 +333,10 @@ StmtPtr Parser::parseIf() {
   expect(TokenKind::KwThen, "after if condition");
   if (!Cond)
     return nullptr;
-  auto If = std::make_unique<IfStmt>(Loc, std::move(Cond));
+  auto *If = make<IfStmt>(Loc, Cond);
   If->Then = parseStmtList();
 
-  IfStmt *Tail = If.get();
+  IfStmt *Tail = If;
   while (cur().is(TokenKind::KwElseif)) {
     SourceLocation ELoc = consume().Loc;
     expect(TokenKind::LParen, "after 'elseif'");
@@ -298,11 +345,11 @@ StmtPtr Parser::parseIf() {
     expect(TokenKind::KwThen, "after elseif condition");
     if (!ECond)
       return nullptr;
-    auto Nested = std::make_unique<IfStmt>(ELoc, std::move(ECond));
+    auto *Nested = make<IfStmt>(ELoc, ECond);
     Nested->Then = parseStmtList();
-    IfStmt *NewTail = Nested.get();
-    Tail->Else.push_back(std::move(Nested));
-    Tail = NewTail;
+    StmtPtr Only = Nested;
+    Tail->Else = Prog->Mem.copy(std::span<const StmtPtr>(&Only, 1));
+    Tail = Nested;
   }
   if (match(TokenKind::KwElse))
     Tail->Else = parseStmtList();
@@ -316,7 +363,7 @@ StmtPtr Parser::parseDo() {
     error("expected loop index variable after 'do'");
     return nullptr;
   }
-  auto Do = std::make_unique<DoStmt>(Loc, consume().Text);
+  auto *Do = make<DoStmt>(Loc, consume().Name);
   expect(TokenKind::Assign, "after do index");
   Do->Lower = parseExpr();
   expect(TokenKind::Comma, "after do lower bound");
@@ -346,7 +393,7 @@ StmtPtr Parser::parseWhile() {
   expect(TokenKind::KwDo, "after while condition");
   if (!Cond)
     return nullptr;
-  auto W = std::make_unique<WhileStmt>(Loc, std::move(Cond));
+  auto *W = make<WhileStmt>(Loc, Cond);
   W->Body = parseStmtList();
   expectEnd(TokenKind::KwWhile, "while loop");
   return W;
@@ -358,45 +405,44 @@ StmtPtr Parser::parseCall() {
     error("expected subroutine name after 'call'");
     return nullptr;
   }
-  std::string Callee = consume().Text;
-  std::vector<ExprPtr> Args;
+  NameID Callee = consume().Name;
+  ExprList Args;
   if (match(TokenKind::LParen)) {
     if (!cur().is(TokenKind::RParen))
       Args = parseArgList();
     expect(TokenKind::RParen, "after call arguments");
   }
-  return std::make_unique<CallStmt>(Loc, std::move(Callee), std::move(Args));
+  return make<CallStmt>(Loc, Callee, Args);
 }
 
 StmtPtr Parser::parseAssign() {
   SourceLocation Loc = cur().Loc;
-  std::string Name = consume().Text;
+  NameID Name = consume().Name;
   if (match(TokenKind::LParen)) {
-    std::vector<ExprPtr> Indices = parseArgList();
+    ExprList Indices = parseArgList();
     expect(TokenKind::RParen, "after subscripts");
     expect(TokenKind::Assign, "in array assignment");
     ExprPtr V = parseExpr();
     if (!V)
       return nullptr;
-    return std::make_unique<ArrayAssignStmt>(Loc, std::move(Name),
-                                             std::move(Indices), std::move(V));
+    return make<ArrayAssignStmt>(Loc, Name, Indices, V);
   }
   expect(TokenKind::Assign, "in assignment");
   ExprPtr V = parseExpr();
   if (!V)
     return nullptr;
-  return std::make_unique<AssignStmt>(Loc, std::move(Name), std::move(V));
+  return make<AssignStmt>(Loc, Name, V);
 }
 
-std::vector<ExprPtr> Parser::parseArgList() {
-  std::vector<ExprPtr> Args;
+ExprList Parser::parseArgList() {
+  ListBuilder<ExprPtr> Args(ExprStack);
   do {
     ExprPtr E = parseExpr();
     if (!E)
       break;
-    Args.push_back(std::move(E));
+    Args.push(E);
   } while (match(TokenKind::Comma));
-  return Args;
+  return Args.finish(Prog->Mem);
 }
 
 ExprPtr Parser::parseExpr() {
@@ -416,8 +462,7 @@ ExprPtr Parser::parseOr() {
     ExprPtr R = parseAnd();
     if (!R)
       return nullptr;
-    L = std::make_unique<BinaryExpr>(Loc, BinaryOp::Or, std::move(L),
-                                     std::move(R));
+    L = make<BinaryExpr>(Loc, BinaryOp::Or, L, R);
   }
   return L;
 }
@@ -432,8 +477,7 @@ ExprPtr Parser::parseAnd() {
     ExprPtr R = parseNot();
     if (!R)
       return nullptr;
-    L = std::make_unique<BinaryExpr>(Loc, BinaryOp::And, std::move(L),
-                                     std::move(R));
+    L = make<BinaryExpr>(Loc, BinaryOp::And, L, R);
   }
   return L;
 }
@@ -447,7 +491,7 @@ ExprPtr Parser::parseNot() {
     ExprPtr Sub = parseNot();
     if (!Sub)
       return nullptr;
-    return std::make_unique<UnaryExpr>(Loc, UnaryOp::Not, std::move(Sub));
+    return make<UnaryExpr>(Loc, UnaryOp::Not, Sub);
   }
   return parseComparison();
 }
@@ -483,7 +527,7 @@ ExprPtr Parser::parseComparison() {
   ExprPtr R = parseAdditive();
   if (!R)
     return nullptr;
-  return std::make_unique<BinaryExpr>(Loc, Op, std::move(L), std::move(R));
+  return make<BinaryExpr>(Loc, Op, L, R);
 }
 
 ExprPtr Parser::parseAdditive() {
@@ -497,7 +541,7 @@ ExprPtr Parser::parseAdditive() {
     ExprPtr R = parseMultiplicative();
     if (!R)
       return nullptr;
-    L = std::make_unique<BinaryExpr>(Loc, Op, std::move(L), std::move(R));
+    L = make<BinaryExpr>(Loc, Op, L, R);
   }
   return L;
 }
@@ -513,7 +557,7 @@ ExprPtr Parser::parseMultiplicative() {
     ExprPtr R = parseUnary();
     if (!R)
       return nullptr;
-    L = std::make_unique<BinaryExpr>(Loc, Op, std::move(L), std::move(R));
+    L = make<BinaryExpr>(Loc, Op, L, R);
   }
   return L;
 }
@@ -531,7 +575,7 @@ ExprPtr Parser::parseUnary() {
     ExprPtr Sub = parseUnary();
     if (!Sub)
       return nullptr;
-    return std::make_unique<UnaryExpr>(Loc, UnaryOp::Neg, std::move(Sub));
+    return make<UnaryExpr>(Loc, UnaryOp::Neg, Sub);
   }
   return parsePrimary();
 }
@@ -540,15 +584,15 @@ ExprPtr Parser::parsePrimary() {
   SourceLocation Loc = cur().Loc;
   switch (cur().Kind) {
   case TokenKind::IntLiteral:
-    return std::make_unique<IntLitExpr>(Loc, consume().IntValue);
+    return make<IntLitExpr>(Loc, consume().IntValue);
   case TokenKind::RealLiteral:
-    return std::make_unique<RealLitExpr>(Loc, consume().RealValue);
+    return make<RealLitExpr>(Loc, consume().RealValue);
   case TokenKind::KwTrue:
     consume();
-    return std::make_unique<BoolLitExpr>(Loc, true);
+    return make<BoolLitExpr>(Loc, true);
   case TokenKind::KwFalse:
     consume();
-    return std::make_unique<BoolLitExpr>(Loc, false);
+    return make<BoolLitExpr>(Loc, false);
   case TokenKind::LParen: {
     consume();
     ExprPtr E = parseExpr();
@@ -563,22 +607,23 @@ ExprPtr Parser::parsePrimary() {
     expect(TokenKind::RParen, "after 'real' cast argument");
     if (!E)
       return nullptr;
-    return std::make_unique<UnaryExpr>(Loc, UnaryOp::RealCast, std::move(E));
+    return make<UnaryExpr>(Loc, UnaryOp::RealCast, E);
   }
   case TokenKind::Identifier: {
-    std::string Name = consume().Text;
+    NameID Id = consume().Name;
     if (!match(TokenKind::LParen))
-      return std::make_unique<VarRefExpr>(Loc, std::move(Name));
-    std::vector<ExprPtr> Args = parseArgList();
+      return make<VarRefExpr>(Loc, Id);
+    ExprList Args = parseArgList();
     expect(TokenKind::RParen, "after argument list");
     if (TooDeep)
       return nullptr;
 
     // Intrinsics recognised by name; everything else is an array reference
     // or a user-function call, disambiguated by semantic analysis.
+    std::string_view Name = Prog->spelling(Id);
     auto Arity = [&](size_t N) {
       if (Args.size() != N) {
-        Diags.error(Loc, "intrinsic '" + Name + "' expects " +
+        Diags.error(Loc, "intrinsic '" + std::string(Name) + "' expects " +
                              std::to_string(N) + " argument(s), got " +
                              std::to_string(Args.size()));
         return false;
@@ -588,41 +633,36 @@ ExprPtr Parser::parsePrimary() {
     if (Name == "abs") {
       if (!Arity(1))
         return nullptr;
-      return std::make_unique<UnaryExpr>(Loc, UnaryOp::Abs,
-                                         std::move(Args[0]));
+      return make<UnaryExpr>(Loc, UnaryOp::Abs, Args[0]);
     }
     if (Name == "int") {
       if (!Arity(1))
         return nullptr;
-      return std::make_unique<UnaryExpr>(Loc, UnaryOp::IntCast,
-                                         std::move(Args[0]));
+      return make<UnaryExpr>(Loc, UnaryOp::IntCast, Args[0]);
     }
     if (Name == "mod") {
       if (!Arity(2))
         return nullptr;
-      return std::make_unique<BinaryExpr>(Loc, BinaryOp::Mod,
-                                          std::move(Args[0]),
-                                          std::move(Args[1]));
+      return make<BinaryExpr>(Loc, BinaryOp::Mod, Args[0], Args[1]);
     }
     if (Name == "min" || Name == "max") {
       if (Args.size() < 2) {
-        Diags.error(Loc, "intrinsic '" + Name + "' expects at least 2 args");
+        Diags.error(Loc, "intrinsic '" + std::string(Name) +
+                             "' expects at least 2 args");
         return nullptr;
       }
       BinaryOp Op = (Name == "min") ? BinaryOp::Min : BinaryOp::Max;
       Nesting Nest(*this);
-      ExprPtr Acc = std::move(Args[0]);
+      ExprPtr Acc = Args[0];
       for (size_t K = 1; K != Args.size(); ++K) {
         if (!Nest.enter())
           return nullptr;
-        Acc = std::make_unique<BinaryExpr>(Loc, Op, std::move(Acc),
-                                           std::move(Args[K]));
+        Acc = make<BinaryExpr>(Loc, Op, Acc, Args[K]);
       }
       return Acc;
     }
     // Array reference or user call; sema decides which.
-    return std::make_unique<ArrayRefExpr>(Loc, std::move(Name),
-                                          std::move(Args));
+    return make<ArrayRefExpr>(Loc, Id, Args);
   }
   default:
     error("expected expression, found " +

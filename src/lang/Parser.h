@@ -1,9 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Recursive-descent parser for mini-Fortran. Produces a ProgramAST;
-/// errors go to the DiagnosticEngine and the parser recovers by skipping
-/// to the next plausible statement boundary. Input nested deeper than
+/// Recursive-descent parser for mini-Fortran. Produces a ProgramAST whose
+/// nodes, lists and names live in the program's own arena; errors go to
+/// the DiagnosticEngine and the parser recovers by skipping to the next
+/// plausible statement boundary. Input nested deeper than
 /// MaxNestingDepth is rejected with one diagnostic, so neither the parser
 /// nor the recursive passes over its AST can overflow the stack.
 ///
@@ -17,13 +18,23 @@
 #include "support/Diagnostics.h"
 
 #include <memory>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 namespace nascent {
 
 /// Parses one source buffer.
 class Parser {
 public:
-  Parser(std::string Source, DiagnosticEngine &Diags);
+  /// \p Source must outlive the parser (not the AST, which copies every
+  /// spelling it keeps).
+  Parser(std::string_view Source, DiagnosticEngine &Diags);
+  /// A temporary string would dangle: the parser reads its source in place.
+  template <typename T>
+    requires std::is_same_v<T, std::string>
+  Parser(T &&, DiagnosticEngine &) = delete;
 
   /// The deepest nesting accepted. Every active statement, expression, and
   /// prefix-operator level counts one, and so does every binary node a
@@ -40,6 +51,8 @@ private:
   const Token &cur() const { return CurTok; }
   const Token &ahead() const { return NextTok; }
   Token consume();
+  /// Reports an integer literal too large for int64 as it becomes current.
+  void noteCurrent();
   bool match(TokenKind K);
   bool expect(TokenKind K, const char *Context);
   void error(const std::string &Msg);
@@ -60,14 +73,14 @@ private:
   };
 
   // Units and declarations.
-  std::unique_ptr<ProcedureAST> parseUnit();
+  ProcedureAST *parseUnit();
   void parseParams(ProcedureAST &P);
-  bool parseDecl(ProcedureAST &P);
-  bool parseDeclarator(Decl &D);
+  bool parseDecl();
+  bool parseDeclarator();
   bool parseDimBound(int64_t &Out);
 
   // Statements.
-  std::vector<StmtPtr> parseStmtList();
+  StmtList parseStmtList();
   bool startsStatement(TokenKind K) const;
   StmtPtr parseStmt();
   StmtPtr parseIf();
@@ -87,8 +100,13 @@ private:
   ExprPtr parseMultiplicative();
   ExprPtr parseUnary();
   ExprPtr parsePrimary();
-  std::vector<ExprPtr> parseArgList();
+  ExprList parseArgList();
 
+  template <typename T, typename... ArgTs> T *make(ArgTs &&...Args) {
+    return Prog->Mem.make<T>(std::forward<ArgTs>(Args)...);
+  }
+
+  std::unique_ptr<ProgramAST> Prog;
   Lexer Lex;
   DiagnosticEngine &Diags;
   Token CurTok;
@@ -97,6 +115,18 @@ private:
   /// Set once the depth limit was hit: the rest of the input is skipped
   /// and no follow-on errors are reported.
   bool TooDeep = false;
+
+  /// Elements of the lists being parsed, one stack per element type: a
+  /// list pushes onto its stack and, once complete, moves its run into
+  /// the arena. Nested lists of one type finish before their parent, so
+  /// the runs never interleave.
+  std::vector<ExprPtr> ExprStack;
+  std::vector<StmtPtr> StmtStack;
+  std::vector<NameID> NameStack;
+  std::vector<Declarator> DeclaratorStack;
+  std::vector<Declarator::Dim> DimStack;
+  std::vector<Decl> DeclStack;
+  std::vector<ProcedureAST *> UnitStack;
 };
 
 } // namespace nascent

@@ -1,8 +1,6 @@
 #include "lang/Sema.h"
 
 #include <algorithm>
-#include <functional>
-#include <set>
 
 using namespace nascent;
 
@@ -15,15 +13,18 @@ bool Sema::convertible(ScalarType From, ScalarType To) {
 
 std::unique_ptr<Module> Sema::run() {
   M = std::make_unique<Module>();
+  FuncOf.assign(Prog.Names.size(), nullptr);
+  Units.reserve(Prog.Units.size());
 
   unsigned NumPrograms = 0;
-  for (auto &U : Prog.Units) {
+  for (ProcedureAST *U : Prog.Units) {
     declareUnit(*U);
     if (U->Kind == UnitKind::Program) {
       ++NumPrograms;
-      M->setEntry(U->Name);
+      M->setEntry(std::string(Prog.spelling(U->Name)));
     }
   }
+  SymOf.assign(Units.size() * Prog.Names.size(), InvalidSymbol);
   if (NumPrograms != 1)
     Diags.error(SourceLocation(),
                 "a source file must contain exactly one 'program' unit");
@@ -43,14 +44,15 @@ std::unique_ptr<Module> Sema::run() {
 }
 
 void Sema::declareUnit(ProcedureAST &P) {
-  if (M->function(P.Name) != nullptr) {
-    Diags.error(P.Loc, "duplicate unit name '" + P.Name + "'");
+  if (functionOf(P.Name) != nullptr) {
+    Diags.error(P.Loc, "duplicate unit name " + quoted(P.Name));
     return;
   }
-  Function *F = M->createFunction(P.Name);
+  Function *F = M->createFunction(std::string(Prog.spelling(P.Name)));
   if (P.ResultTy)
     F->setResultType(*P.ResultTy);
-  Units.push_back({&P, F});
+  FuncOf[P.Name] = F;
+  Units.push_back({&P, F, Units.size()});
 }
 
 void Sema::analyzeUnit(UnitState &U) {
@@ -58,20 +60,29 @@ void Sema::analyzeUnit(UnitState &U) {
   Function &F = *U.F;
   SymbolTable &Syms = F.symbols();
 
-  std::set<std::string> ParamNames(P.Params.begin(), P.Params.end());
-  if (ParamNames.size() != P.Params.size())
-    Diags.error(P.Loc, "duplicate parameter name in '" + P.Name + "'");
+  auto IsParamName = [&](NameID N) {
+    return std::find(P.Params.begin(), P.Params.end(), N) != P.Params.end();
+  };
+  // Parameter lists are short: a quadratic duplicate scan is cheapest.
+  for (size_t K = 1; K < P.Params.size(); ++K)
+    if (std::find(P.Params.begin(), P.Params.begin() + K, P.Params[K]) !=
+        P.Params.begin() + K) {
+      Diags.error(P.Loc, "duplicate parameter name in " + quoted(P.Name));
+      break;
+    }
 
   // Create symbols for every declaration.
   for (Decl &D : P.Decls) {
     for (Declarator &V : D.Vars) {
-      if (Syms.lookup(V.Name) != InvalidSymbol) {
-        Diags.error(V.Loc, "redeclaration of '" + V.Name + "'");
+      SymbolID &Slot = symOf(U, V.Name);
+      if (Slot != InvalidSymbol) {
+        Diags.error(V.Loc, "redeclaration of " + quoted(V.Name));
         continue;
       }
-      bool IsParam = ParamNames.count(V.Name) != 0;
+      bool IsParam = IsParamName(V.Name);
+      std::string_view Name = Prog.spelling(V.Name);
       if (V.Dims.empty()) {
-        Syms.createScalar(V.Name, D.Ty, IsParam);
+        Slot = Syms.createScalar(Name, D.Ty, IsParam);
         continue;
       }
       ArrayShape Shape;
@@ -81,9 +92,11 @@ void Sema::analyzeUnit(UnitState &U) {
       // computes its offset from them.
       int64_t Count = 1;
       bool Overflows = false;
+      Shape.Dims.reserve(V.Dims.size());
       for (auto [Lo, Hi] : V.Dims) {
         if (Hi < Lo) {
-          Diags.error(V.Loc, "array '" + V.Name + "' has empty dimension " +
+          Diags.error(V.Loc, "array " + quoted(V.Name) +
+                                 " has empty dimension " +
                                  std::to_string(Lo) + ":" +
                                  std::to_string(Hi));
           BadDims = true;
@@ -96,21 +109,20 @@ void Sema::analyzeUnit(UnitState &U) {
       }
       // The shape is still declared, so its uses add no diagnostics.
       if (Overflows && !BadDims)
-        Diags.error(V.Loc, "array '" + V.Name +
-                               "' has more elements than a 64-bit "
+        Diags.error(V.Loc, "array " + quoted(V.Name) +
+                               " has more elements than a 64-bit "
                                "integer can count");
       if (!BadDims)
-        Syms.createArray(V.Name, std::move(Shape), IsParam);
+        Slot = Syms.createArray(Name, std::move(Shape), IsParam);
     }
   }
 
   // Bind parameters in declaration order; every parameter must be declared.
-  for (const std::string &Name : P.Params) {
-    SymbolID S = Syms.lookup(Name);
+  for (NameID Name : P.Params) {
+    SymbolID S = symOf(U, Name);
     if (S == InvalidSymbol) {
-      Diags.error(P.Loc,
-                  "parameter '" + Name + "' of '" + P.Name +
-                      "' is not declared");
+      Diags.error(P.Loc, "parameter " + quoted(Name) + " of " +
+                             quoted(P.Name) + " is not declared");
       continue;
     }
     F.params().push_back(S);
@@ -120,8 +132,8 @@ void Sema::analyzeUnit(UnitState &U) {
     Diags.error(P.Loc, "the program unit takes no parameters");
 }
 
-void Sema::analyzeStmtList(UnitState &U, std::vector<StmtPtr> &Stmts) {
-  for (StmtPtr &S : Stmts)
+void Sema::analyzeStmtList(UnitState &U, StmtList Stmts) {
+  for (StmtPtr S : Stmts)
     if (S)
       analyzeStmt(U, *S);
 }
@@ -131,20 +143,20 @@ void Sema::analyzeStmt(UnitState &U, Stmt &S) {
   switch (S.Kind) {
   case StmtKind::Assign: {
     auto &A = static_cast<AssignStmt &>(S);
-    SymbolID Sym = Syms.lookup(A.Name);
+    SymbolID Sym = symOf(U, A.Name);
     if (Sym == InvalidSymbol) {
-      Diags.error(A.Loc, "use of undeclared variable '" + A.Name + "'");
+      Diags.error(A.Loc, "use of undeclared variable " + quoted(A.Name));
       return;
     }
     const Symbol &Info = Syms.get(Sym);
     if (Info.isArray()) {
-      Diags.error(A.Loc, "cannot assign to whole array '" + A.Name + "'");
+      Diags.error(A.Loc, "cannot assign to whole array " + quoted(A.Name));
       return;
     }
     if (std::find(ActiveDoIndices.begin(), ActiveDoIndices.end(), Sym) !=
         ActiveDoIndices.end()) {
-      Diags.error(A.Loc, "assignment to active do-loop index '" + A.Name +
-                             "' is not allowed");
+      Diags.error(A.Loc, "assignment to active do-loop index " +
+                             quoted(A.Name) + " is not allowed");
       return;
     }
     A.Sym = Sym;
@@ -154,23 +166,23 @@ void Sema::analyzeStmt(UnitState &U, Stmt &S) {
       Diags.error(A.Loc, "cannot assign " +
                              std::string(scalarTypeName(A.Value->Ty)) +
                              " to " + scalarTypeName(Info.Type) +
-                             " variable '" + A.Name + "'");
+                             " variable " + quoted(A.Name));
     return;
   }
   case StmtKind::ArrayAssign: {
     auto &A = static_cast<ArrayAssignStmt &>(S);
-    SymbolID Sym = Syms.lookup(A.Name);
+    SymbolID Sym = symOf(U, A.Name);
     if (Sym == InvalidSymbol) {
-      Diags.error(A.Loc, "use of undeclared variable '" + A.Name + "'");
+      Diags.error(A.Loc, "use of undeclared variable " + quoted(A.Name));
       return;
     }
     const Symbol &Info = Syms.get(Sym);
     if (!Info.isArray()) {
-      Diags.error(A.Loc, "'" + A.Name + "' is not an array");
+      Diags.error(A.Loc, quoted(A.Name) + " is not an array");
       return;
     }
     if (A.Indices.size() != Info.Shape.rank()) {
-      Diags.error(A.Loc, "array '" + A.Name + "' has rank " +
+      Diags.error(A.Loc, "array " + quoted(A.Name) + " has rank " +
                              std::to_string(Info.Shape.rank()) + ", got " +
                              std::to_string(A.Indices.size()) +
                              " subscripts");
@@ -187,7 +199,7 @@ void Sema::analyzeStmt(UnitState &U, Stmt &S) {
       return;
     if (!convertible(A.Value->Ty, Info.Type))
       Diags.error(A.Loc,
-                  "element type mismatch in assignment to '" + A.Name + "'");
+                  "element type mismatch in assignment to " + quoted(A.Name));
     return;
   }
   case StmtKind::If: {
@@ -200,21 +212,21 @@ void Sema::analyzeStmt(UnitState &U, Stmt &S) {
   }
   case StmtKind::Do: {
     auto &D = static_cast<DoStmt &>(S);
-    SymbolID Sym = Syms.lookup(D.IndexName);
+    SymbolID Sym = symOf(U, D.IndexName);
     if (Sym == InvalidSymbol) {
-      Diags.error(D.Loc, "use of undeclared do index '" + D.IndexName + "'");
+      Diags.error(D.Loc, "use of undeclared do index " + quoted(D.IndexName));
       return;
     }
     const Symbol &Info = Syms.get(Sym);
     if (Info.isArray() || Info.Type != ScalarType::Int) {
-      Diags.error(D.Loc,
-                  "do index '" + D.IndexName + "' must be an integer scalar");
+      Diags.error(D.Loc, "do index " + quoted(D.IndexName) +
+                             " must be an integer scalar");
       return;
     }
     if (std::find(ActiveDoIndices.begin(), ActiveDoIndices.end(), Sym) !=
         ActiveDoIndices.end()) {
-      Diags.error(D.Loc, "do index '" + D.IndexName +
-                             "' is already in use by an enclosing loop");
+      Diags.error(D.Loc, "do index " + quoted(D.IndexName) +
+                             " is already in use by an enclosing loop");
       return;
     }
     if (D.Step == 0) {
@@ -228,29 +240,30 @@ void Sema::analyzeStmt(UnitState &U, Stmt &S) {
       Diags.error(D.Upper->Loc, "do bounds must be integer");
     // The optimizer evaluates the loop-entry guard in the preheader, after
     // the index is initialised: bounds may not mention the index itself.
-    std::function<bool(const Expr &)> UsesIndex = [&](const Expr &E) {
+    auto UsesIndex = [Sym](const Expr &E, auto &Self) -> bool {
       switch (E.Kind) {
       case ExprKind::VarRef:
         return static_cast<const VarRefExpr &>(E).Sym == Sym;
       case ExprKind::ArrayRef: {
         const auto &A = static_cast<const ArrayRefExpr &>(E);
-        for (const ExprPtr &I : A.Indices)
-          if (I && UsesIndex(*I))
+        for (const Expr *I : A.Indices)
+          if (I && Self(*I, Self))
             return true;
         return false;
       }
       case ExprKind::Unary: {
         const auto &Un = static_cast<const UnaryExpr &>(E);
-        return Un.Sub && UsesIndex(*Un.Sub);
+        return Un.Sub && Self(*Un.Sub, Self);
       }
       case ExprKind::Binary: {
         const auto &Bi = static_cast<const BinaryExpr &>(E);
-        return (Bi.LHS && UsesIndex(*Bi.LHS)) || (Bi.RHS && UsesIndex(*Bi.RHS));
+        return (Bi.LHS && Self(*Bi.LHS, Self)) ||
+               (Bi.RHS && Self(*Bi.RHS, Self));
       }
       case ExprKind::Call: {
         const auto &C = static_cast<const CallExpr &>(E);
-        for (const ExprPtr &A : C.Args)
-          if (A && UsesIndex(*A))
+        for (const Expr *A : C.Args)
+          if (A && Self(*A, Self))
             return true;
         return false;
       }
@@ -258,9 +271,10 @@ void Sema::analyzeStmt(UnitState &U, Stmt &S) {
         return false;
       }
     };
-    if ((D.Lower && UsesIndex(*D.Lower)) || (D.Upper && UsesIndex(*D.Upper)))
-      Diags.error(D.Loc, "do bounds may not reference the loop index '" +
-                             D.IndexName + "'");
+    if ((D.Lower && UsesIndex(*D.Lower, UsesIndex)) ||
+        (D.Upper && UsesIndex(*D.Upper, UsesIndex)))
+      Diags.error(D.Loc, "do bounds may not reference the loop index " +
+                             quoted(D.IndexName));
     ActiveDoIndices.push_back(Sym);
     analyzeStmtList(U, D.Body);
     ActiveDoIndices.pop_back();
@@ -275,14 +289,14 @@ void Sema::analyzeStmt(UnitState &U, Stmt &S) {
   }
   case StmtKind::Call: {
     auto &C = static_cast<CallStmt &>(S);
-    const Function *Callee = M->function(C.Callee);
+    const Function *Callee = functionOf(C.Callee);
     if (!Callee) {
-      Diags.error(C.Loc, "call to unknown subroutine '" + C.Callee + "'");
+      Diags.error(C.Loc, "call to unknown subroutine " + quoted(C.Callee));
       return;
     }
     if (Callee->resultType()) {
-      Diags.error(C.Loc, "'" + C.Callee +
-                             "' is a function; call it in an expression");
+      Diags.error(C.Loc, quoted(C.Callee) +
+                             " is a function; call it in an expression");
       return;
     }
     checkCallArgs(U, C.Callee, C.Args, C.Loc);
@@ -316,15 +330,15 @@ void Sema::analyzeStmt(UnitState &U, Stmt &S) {
 bool Sema::resolvePostfix(UnitState &U, ExprPtr &Slot) {
   auto &A = static_cast<ArrayRefExpr &>(*Slot);
   SymbolTable &Syms = U.F->symbols();
-  SymbolID Sym = Syms.lookup(A.Name);
+  SymbolID Sym = symOf(U, A.Name);
   if (Sym != InvalidSymbol) {
     const Symbol &Info = Syms.get(Sym);
     if (!Info.isArray()) {
-      Diags.error(A.Loc, "'" + A.Name + "' is not an array");
+      Diags.error(A.Loc, quoted(A.Name) + " is not an array");
       return false;
     }
     if (A.Indices.size() != Info.Shape.rank()) {
-      Diags.error(A.Loc, "array '" + A.Name + "' has rank " +
+      Diags.error(A.Loc, "array " + quoted(A.Name) + " has rank " +
                              std::to_string(Info.Shape.rank()) + ", got " +
                              std::to_string(A.Indices.size()) +
                              " subscripts");
@@ -344,30 +358,31 @@ bool Sema::resolvePostfix(UnitState &U, ExprPtr &Slot) {
   }
 
   // Not a local array: try a user function.
-  const Function *Callee = M->function(A.Name);
+  const Function *Callee = functionOf(A.Name);
   if (!Callee) {
-    Diags.error(A.Loc, "use of undeclared array or function '" + A.Name + "'");
+    Diags.error(A.Loc, "use of undeclared array or function " + quoted(A.Name));
     return false;
   }
   if (!Callee->resultType()) {
     Diags.error(A.Loc,
-                "subroutine '" + A.Name + "' cannot be used in an expression");
+                "subroutine " + quoted(A.Name) +
+                    " cannot be used in an expression");
     return false;
   }
-  auto Call = std::make_unique<CallExpr>(A.Loc, A.Name, std::move(A.Indices));
+  auto *Call = Prog.Mem.make<CallExpr>(A.Loc, A.Name, A.Indices);
   Call->Ty = *Callee->resultType();
   if (!checkCallArgs(U, Call->Callee, Call->Args, Call->Loc))
     return false;
-  Slot = std::move(Call);
+  Slot = Call;
   return true;
 }
 
-bool Sema::checkCallArgs(UnitState &U, const std::string &CalleeName,
-                         std::vector<ExprPtr> &Args, SourceLocation Loc) {
-  const Function *Callee = M->function(CalleeName);
+bool Sema::checkCallArgs(UnitState &U, NameID CalleeName, ExprList Args,
+                         SourceLocation Loc) {
+  const Function *Callee = functionOf(CalleeName);
   assert(Callee && "callee existence checked by caller");
   if (Args.size() != Callee->params().size()) {
-    Diags.error(Loc, "'" + CalleeName + "' expects " +
+    Diags.error(Loc, quoted(CalleeName) + " expects " +
                          std::to_string(Callee->params().size()) +
                          " argument(s), got " + std::to_string(Args.size()));
     return false;
@@ -383,22 +398,22 @@ bool Sema::checkCallArgs(UnitState &U, const std::string &CalleeName,
       // Whole-array argument: must be a bare variable reference naming an
       // array with identical shape (see DESIGN.md on array parameters).
       auto *V = Args[K]->Kind == ExprKind::VarRef
-                    ? static_cast<VarRefExpr *>(Args[K].get())
+                    ? static_cast<VarRefExpr *>(Args[K])
                     : nullptr;
       const Symbol *ArgSym =
           V && V->Sym != InvalidSymbol ? &U.F->symbols().get(V->Sym) : nullptr;
       if (!ArgSym || !ArgSym->isArray()) {
         Diags.error(Args[K]->Loc, "argument " + std::to_string(K + 1) +
-                                      " of '" + CalleeName +
-                                      "' must be a whole array");
+                                      " of " + quoted(CalleeName) +
+                                      " must be a whole array");
         OK = false;
         continue;
       }
       if (ArgSym->Shape.rank() != Param.Shape.rank() ||
           ArgSym->Type != Param.Type) {
         Diags.error(Args[K]->Loc, "array argument " + std::to_string(K + 1) +
-                                      " of '" + CalleeName +
-                                      "' has mismatched rank or element type");
+                                      " of " + quoted(CalleeName) +
+                                      " has mismatched rank or element type");
         OK = false;
         continue;
       }
@@ -406,8 +421,8 @@ bool Sema::checkCallArgs(UnitState &U, const std::string &CalleeName,
         if (ArgSym->Shape.Dims[D].Lower != Param.Shape.Dims[D].Lower ||
             ArgSym->Shape.Dims[D].Upper != Param.Shape.Dims[D].Upper) {
           Diags.error(Args[K]->Loc,
-                      "array argument " + std::to_string(K + 1) + " of '" +
-                          CalleeName + "' has mismatched bounds");
+                      "array argument " + std::to_string(K + 1) + " of " +
+                          quoted(CalleeName) + " has mismatched bounds");
           OK = false;
           break;
         }
@@ -415,8 +430,8 @@ bool Sema::checkCallArgs(UnitState &U, const std::string &CalleeName,
     } else {
       if (!convertible(Args[K]->Ty, Param.Type)) {
         Diags.error(Args[K]->Loc, "argument " + std::to_string(K + 1) +
-                                      " of '" + CalleeName +
-                                      "' has incompatible type");
+                                      " of " + quoted(CalleeName) +
+                                      " has incompatible type");
         OK = false;
       }
     }
@@ -440,15 +455,15 @@ bool Sema::analyzeExpr(UnitState &U, ExprPtr &Slot, bool AllowWholeArray) {
     return true;
   case ExprKind::VarRef: {
     auto &V = static_cast<VarRefExpr &>(E);
-    SymbolID Sym = Syms.lookup(V.Name);
+    SymbolID Sym = symOf(U, V.Name);
     if (Sym == InvalidSymbol) {
-      Diags.error(V.Loc, "use of undeclared variable '" + V.Name + "'");
+      Diags.error(V.Loc, "use of undeclared variable " + quoted(V.Name));
       return false;
     }
     const Symbol &Info = Syms.get(Sym);
     if (Info.isArray() && !AllowWholeArray) {
-      Diags.error(V.Loc, "whole array '" + V.Name +
-                             "' cannot be used in an expression");
+      Diags.error(V.Loc, "whole array " + quoted(V.Name) +
+                             " cannot be used in an expression");
       return false;
     }
     V.Sym = Sym;
@@ -551,9 +566,9 @@ bool Sema::analyzeExpr(UnitState &U, ExprPtr &Slot, bool AllowWholeArray) {
   }
   case ExprKind::Call: {
     auto &C = static_cast<CallExpr &>(E);
-    const Function *Callee = M->function(C.Callee);
+    const Function *Callee = functionOf(C.Callee);
     if (!Callee || !Callee->resultType()) {
-      Diags.error(C.Loc, "unknown function '" + C.Callee + "'");
+      Diags.error(C.Loc, "unknown function " + quoted(C.Callee));
       return false;
     }
     C.Ty = *Callee->resultType();

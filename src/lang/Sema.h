@@ -10,7 +10,9 @@
 /// and annotates the AST with SymbolIDs and types; lowering then fills the
 /// same Function objects with code. Because "a(i, j)" is syntactically
 /// ambiguous between an array element and a function call, expression
-/// analysis works on owning ExprPtr slots so the node can be rewritten.
+/// analysis works on ExprPtr slots so the node can be rewritten. Names
+/// resolve through the program's interned NameIDs: one flat table maps
+/// (unit, name) to a symbol and one maps a name to its unit's Function.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +24,8 @@
 #include "support/Diagnostics.h"
 
 #include <memory>
+#include <string>
+#include <vector>
 
 namespace nascent {
 
@@ -39,11 +43,13 @@ private:
   struct UnitState {
     ProcedureAST *AST = nullptr;
     Function *F = nullptr;
+    /// Row of this unit in SymOf.
+    size_t Row = 0;
   };
 
   void declareUnit(ProcedureAST &P);
   void analyzeUnit(UnitState &U);
-  void analyzeStmtList(UnitState &U, std::vector<StmtPtr> &Stmts);
+  void analyzeStmtList(UnitState &U, StmtList Stmts);
   void analyzeStmt(UnitState &U, Stmt &S);
 
   /// Type-checks the expression in \p Slot, possibly replacing the node
@@ -53,8 +59,18 @@ private:
   /// Resolves an ArrayRefExpr that might actually be a user-function call.
   bool resolvePostfix(UnitState &U, ExprPtr &Slot);
 
-  bool checkCallArgs(UnitState &U, const std::string &Callee,
-                     std::vector<ExprPtr> &Args, SourceLocation Loc);
+  bool checkCallArgs(UnitState &U, NameID Callee, ExprList Args,
+                     SourceLocation Loc);
+
+  /// The symbol \p Name denotes in unit \p U; InvalidSymbol when none.
+  SymbolID &symOf(const UnitState &U, NameID Name) {
+    return SymOf[U.Row * Prog.Names.size() + Name];
+  }
+  /// The unit named \p Name; null when none.
+  Function *functionOf(NameID Name) const { return FuncOf[Name]; }
+  std::string quoted(NameID Name) const {
+    return "'" + std::string(Prog.spelling(Name)) + "'";
+  }
 
   /// True when \p From implicitly converts to \p To (Int <-> Real).
   static bool convertible(ScalarType From, ScalarType To);
@@ -63,6 +79,8 @@ private:
   DiagnosticEngine &Diags;
   std::unique_ptr<Module> M;
   std::vector<UnitState> Units;
+  std::vector<SymbolID> SymOf;  ///< per (unit row, name)
+  std::vector<Function *> FuncOf; ///< per name
   /// Symbols of enclosing do-loop indices, to reject assignment to an
   /// active loop index and index reuse in nested loops.
   std::vector<SymbolID> ActiveDoIndices;

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace nascent {
 
@@ -67,15 +68,27 @@ enum class TokenKind {
 /// Returns a printable name for \p K (used in parse diagnostics).
 const char *tokenKindName(TokenKind K);
 
-/// One lexed token.
+/// Dense index of an interned identifier (see NameTable in lang/AST.h).
+using NameID = uint32_t;
+
+/// One lexed token. Tokens refer to the source buffer, which must outlive
+/// them; identifiers carry their interned, lower-cased name.
 struct Token {
   TokenKind Kind = TokenKind::Eof;
   SourceLocation Loc;
-  std::string Text;     ///< identifier spelling or error message
+  NameID Name = ~NameID(0); ///< for Identifier
+  /// The token's characters in the source buffer (for an Error token, the
+  /// offending character).
+  std::string_view Text;
   int64_t IntValue = 0; ///< for IntLiteral
   double RealValue = 0; ///< for RealLiteral
+  /// An IntLiteral whose digits exceed INT64_MAX; IntValue is INT64_MAX.
+  bool TooBig = false;
 
   bool is(TokenKind K) const { return Kind == K; }
+
+  /// The diagnostic text of an Error token or an oversized IntLiteral.
+  std::string message() const;
 };
 
 } // namespace nascent

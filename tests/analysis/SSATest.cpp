@@ -82,9 +82,9 @@ end program
       if (P.Sym != X)
         continue;
       ++PhisForX;
-      ASSERT_EQ(P.Incoming.size(), 2u);
-      EXPECT_NE(P.Incoming[0], P.Incoming[1]);
-      for (SSAValueID V : P.Incoming)
+      ASSERT_EQ(S.incoming(P).size(), 2u);
+      EXPECT_NE(S.incoming(P)[0], S.incoming(P)[1]);
+      for (SSAValueID V : S.incoming(P))
         EXPECT_EQ(S.def(V).K, SSADef::Kind::Inst);
     }
   }
@@ -115,11 +115,11 @@ end program
     if (P.Sym != I)
       continue;
     FoundHeaderPhi = true;
-    ASSERT_EQ(P.Incoming.size(), 2u);
+    ASSERT_EQ(S.incoming(P).size(), 2u);
     // One incoming from the preheader copy, one from the latch add.
     std::vector<SSADef::Kind> Kinds;
     std::vector<BlockID> Blocks;
-    for (SSAValueID V : P.Incoming) {
+    for (SSAValueID V : S.incoming(P)) {
       Kinds.push_back(S.def(V).K);
       Blocks.push_back(S.def(V).Block);
     }

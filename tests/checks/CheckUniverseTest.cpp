@@ -252,4 +252,39 @@ TEST_F(CheckUniverseTest, ReservedTablesGiveTheSameUniverse) {
   EXPECT_EQ(MA[0], 2u); // bound 1 before bound 3
 }
 
+TEST_F(CheckUniverseTest, CopyHasSlotTablesSizedToItsEntries) {
+  // Reserved for 64 checks but holding 5 in 2 families: a copy keeps
+  // slots for those entries (a power of two at least twice the entries,
+  // and at least 8: 16 for the checks, 8 for the families), and answers
+  // every query the way the original does.
+  CheckUniverse Big;
+  Big.reserve(64, 128, 4);
+  LinearExpr E = LinearExpr::term(I) + LinearExpr::term(N, -4);
+  for (int64_t B = 0; B != 5; ++B)
+    Big.intern(CheckExpr(B % 2 ? E : LinearExpr::term(N), B));
+  ASSERT_EQ(Big.numFamilies(), 2u);
+  CheckUniverse Copy(Big);
+  EXPECT_EQ(Big.numSlots(), 128u + 128u);
+  EXPECT_EQ(Copy.numSlots(), 16u + 8u);
+  ASSERT_EQ(Copy.size(), Big.size());
+  ASSERT_EQ(Copy.numFamilies(), Big.numFamilies());
+  for (CheckID C = 0; C != Big.size(); ++C) {
+    EXPECT_EQ(Copy.check(C), Big.check(C));
+    EXPECT_EQ(Copy.find(Big.check(C)), C);
+    EXPECT_EQ(Copy.familyOf(C), Big.familyOf(C));
+    EXPECT_EQ(Copy.findFamily(Big.check(C).expr()), Big.familyOf(C));
+  }
+  for (FamilyID F = 0; F != Big.numFamilies(); ++F) {
+    std::span<const CheckID> MA = Big.familyMembers(F);
+    std::span<const CheckID> MB = Copy.familyMembers(F);
+    EXPECT_TRUE(std::equal(MA.begin(), MA.end(), MB.begin(), MB.end()));
+  }
+  for (SymbolID S : {I, N}) {
+    std::span<const CheckID> UA = Big.checksUsingSymbol(S);
+    std::span<const CheckID> UB = Copy.checksUsingSymbol(S);
+    EXPECT_TRUE(std::equal(UA.begin(), UA.end(), UB.begin(), UB.end()));
+  }
+  EXPECT_EQ(Copy.find(CheckExpr(E, 99)), InvalidCheck);
+}
+
 } // namespace

@@ -201,6 +201,41 @@ end program
   EXPECT_EQ(checksUsing(*F, T), Before);
 }
 
+TEST(INXSynthesis, OverflowingCoefficientStaysPRX) {
+  // The subscript's coefficient 2^62 times the step 4 passes 2^63: the
+  // induction form cannot be exact, so both checks keep their PRX form
+  // instead of a wrapped one.
+  CompileResult R = compileNaive(R"(
+program p
+  integer n, i
+  integer a(10)
+  n = 3
+  do i = 1, n, 4
+    a(4611686018427387904 * i) = 0
+  end do
+end program
+)");
+  Function *F = R.M->entry();
+  std::vector<CheckExpr> Before;
+  for (const auto &BB : *F)
+    for (const Instruction &I : BB->instructions())
+      if (I.Op == Opcode::Check)
+        Before.push_back(I.Check);
+  ASSERT_EQ(Before.size(), 2u);
+
+  obs::ProvenanceRecorder PR;
+  INXStats Stats = synthesizeINXChecks(*F, &PR);
+  EXPECT_EQ(Stats.ChecksSeen, 2u);
+  EXPECT_EQ(countRewrites(PR, obs::JustificationId::InxRewriteLinear), 0u);
+  EXPECT_EQ(countRewrites(PR, obs::JustificationId::InxRewriteInvariant), 0u);
+  std::vector<CheckExpr> After;
+  for (const auto &BB : *F)
+    for (const Instruction &I : BB->instructions())
+      if (I.Op == Opcode::Check)
+        After.push_back(I.Check);
+  EXPECT_EQ(After, Before);
+}
+
 TEST(INXSynthesis, WholeSuiteStaysCorrect) {
   // Every suite program must behave identically after INX synthesis.
   for (const SuiteProgram &P : benchmarkSuite()) {

@@ -2,8 +2,10 @@
 ///
 /// \file
 /// The check-alloc gate: the IR queries every analysis runs in its inner
-/// loops must not touch the heap, nor may copying an instruction, and a
-/// module copy allocates per block and per symbol, not per instruction.
+/// loops must not touch the heap, nor may copying an instruction; a
+/// module copy allocates per block and per array, not per instruction or
+/// name; and the front half allocates arena chunks, blocks and tables, not
+/// a block per syntax node.
 /// This binary replaces the global operator new/delete with counting
 /// versions; a count is taken only inside an AllocationScope, so gtest's
 /// own allocations never show.
@@ -18,7 +20,10 @@
 #include "ir/CheckExpr.h"
 #include "ir/Function.h"
 #include "ir/IRBuilder.h"
+#include "frontend/Lowering.h"
 #include "ir/LinearExpr.h"
+#include "lang/Parser.h"
+#include "lang/Sema.h"
 #include "suite/Suite.h"
 
 #include <gtest/gtest.h>
@@ -285,22 +290,21 @@ TEST(AllocationGate, PredecessorLists) {
 TEST(AllocationGate, SuiteModuleClones) {
   // Module::clone is what a frontend cache hit, a cache store and the
   // audit snapshot pay. Its allocations are the blocks (the object and
-  // its instruction array), the symbol tables (the symbol array, one
-  // name-lookup node per named symbol, one shape per array) and a few
-  // per function; no instruction allocates unless a list spilled (a
-  // call with three or more arguments). The bound is that structure.
+  // its instruction array), the symbol tables (the symbol array and one
+  // shape per array; names resolve in Sema, so the table has no lookup
+  // index to copy) and a few per function; no instruction allocates
+  // unless a list spilled (a call with three or more arguments). The
+  // bound is that structure.
   for (const SuiteProgram &P : benchmarkSuite()) {
     PipelineOptions Opts;
     Opts.Optimize = false;
     CompileResult R = compileSource(P.Source, Opts);
     ASSERT_TRUE(R.Success) << P.Name;
-    size_t Blocks = 0, Named = 0, Arrays = 0, Functions = 0, Spilled = 0;
+    size_t Blocks = 0, Arrays = 0, Functions = 0, Spilled = 0;
     for (const Function *F : R.M->functions()) {
       ++Functions;
-      for (const Symbol &S : F->symbols().symbols()) {
-        Named += S.Kind != SymbolKind::Temp;
+      for (const Symbol &S : F->symbols().symbols())
         Arrays += S.isArray();
-      }
       for (const auto &BB : *F) {
         ++Blocks;
         for (const Instruction &I : BB->instructions())
@@ -314,8 +318,54 @@ TEST(AllocationGate, SuiteModuleClones) {
       Copy = R.M->clone();
       Count = Scope.count();
     }
-    size_t Bound = 2 * Blocks + Named + Arrays + 8 * Functions + Spilled + 2;
+    size_t Bound = 2 * Blocks + Arrays + 8 * Functions + Spilled + 2;
     EXPECT_LE(Count, Bound) << P.Name;
+  }
+}
+
+TEST(AllocationGate, FrontendPerProgram) {
+  // Parsing builds the tree, its lists and its names in one arena, so it
+  // allocates arena chunks and a few tables, not a block per node or
+  // name. Sema allocates per function and per symbol, lowering per block
+  // (the object and its growing instruction array) and per function.
+  for (const SuiteProgram &P : benchmarkSuite()) {
+    std::string Src = P.Source;
+    DiagnosticEngine Diags;
+    size_t ParseCount, SemaCount, LowerCount;
+    std::unique_ptr<ProgramAST> AST;
+    std::unique_ptr<Module> M;
+    {
+      AllocationScope Scope;
+      Parser Parse(Src, Diags);
+      AST = Parse.parseProgram();
+      ParseCount = Scope.count();
+    }
+    {
+      AllocationScope Scope;
+      M = Sema(*AST, Diags).run();
+      SemaCount = Scope.count();
+    }
+    ASSERT_TRUE(M) << P.Name << ": " << Diags.render();
+    {
+      AllocationScope Scope;
+      lowerProgram(*AST, *M);
+      LowerCount = Scope.count();
+    }
+    size_t Blocks = 0, Arrays = 0, Functions = 0;
+    for (const Function *F : M->functions()) {
+      ++Functions;
+      Blocks += F->numBlocks();
+      for (const Symbol &S : F->symbols().symbols())
+        Arrays += S.isArray();
+    }
+    // Parse: the chunks plus fixed tables (the tree's root, the name
+    // table and the parser's list stacks), whatever the program's size.
+    EXPECT_LE(ParseCount, AST->Mem.numChunks() + 32) << P.Name;
+    // Sema: a function shell and its tables per unit, a shape per array.
+    EXPECT_LE(SemaCount, 12 * Functions + Arrays + 8) << P.Name;
+    // Lowering: a block object and its growing instruction array per
+    // block, and per function its growing block, symbol and loop tables.
+    EXPECT_LE(LowerCount, 5 * Blocks + 8 * Functions) << P.Name;
   }
 }
 
@@ -331,13 +381,9 @@ size_t presizedUniverseAllocations(const std::vector<CheckExpr> &Checks,
     AllocationScope Scope;
     CheckUniverse U;
     U.reserve(Checks.size(), Terms, NumSymbols);
-    fprintf(stderr, "after reserve %zu\n", Scope.count());
     for (int Round = 0; Round != 2; ++Round)
-      for (const CheckExpr &C : Checks) {
-        size_t B0 = Scope.count();
+      for (const CheckExpr &C : Checks)
         Sink = U.intern(C);
-        if (Scope.count() != B0) fprintf(stderr, "alloc at check %zu terms %zu\n", (size_t)(&C - Checks.data()), C.expr().terms().size());
-      }
     Sink = U.familyMembers(U.familyOf(0)).size();
     Count = Scope.count();
   }

@@ -14,6 +14,11 @@ std::unique_ptr<ProgramAST> parseOK(const std::string &Src) {
   return AST;
 }
 
+/// A dimension as a (lower, upper) pair.
+std::pair<int64_t, int64_t> bounds(const Declarator::Dim &D) {
+  return {D.Lo, D.Hi};
+}
+
 void parseFails(const std::string &Src, const std::string &MsgPart) {
   DiagnosticEngine D;
   Parser P(Src, D);
@@ -26,7 +31,7 @@ TEST(Parser, MinimalProgram) {
   auto AST = parseOK("program p\nend program");
   ASSERT_EQ(AST->Units.size(), 1u);
   EXPECT_EQ(AST->Units[0]->Kind, UnitKind::Program);
-  EXPECT_EQ(AST->Units[0]->Name, "p");
+  EXPECT_EQ(AST->spelling(AST->Units[0]->Name), "p");
   EXPECT_TRUE(AST->Units[0]->Body.empty());
 }
 
@@ -43,15 +48,16 @@ end program
   EXPECT_EQ(Decls[0].Ty, ScalarType::Int);
   EXPECT_EQ(Decls[0].Vars.size(), 2u);
   EXPECT_EQ(Decls[1].Vars[0].Dims.size(), 1u);
-  EXPECT_EQ(Decls[1].Vars[0].Dims[0], (std::pair<int64_t, int64_t>{1, 10}));
-  EXPECT_EQ(Decls[1].Vars[1].Dims[0], (std::pair<int64_t, int64_t>{0, 9}));
-  EXPECT_EQ(Decls[1].Vars[1].Dims[1], (std::pair<int64_t, int64_t>{2, 5}));
+  using Bounds = std::pair<int64_t, int64_t>;
+  EXPECT_EQ(bounds(Decls[1].Vars[0].Dims[0]), (Bounds{1, 10}));
+  EXPECT_EQ(bounds(Decls[1].Vars[1].Dims[0]), (Bounds{0, 9}));
+  EXPECT_EQ(bounds(Decls[1].Vars[1].Dims[1]), (Bounds{2, 5}));
   EXPECT_EQ(Decls[2].Ty, ScalarType::Bool);
 }
 
 TEST(Parser, NegativeArrayBounds) {
   auto AST = parseOK("program p\n real a(-3:3)\nend program");
-  EXPECT_EQ(AST->Units[0]->Decls[0].Vars[0].Dims[0],
+  EXPECT_EQ(bounds(AST->Units[0]->Decls[0].Vars[0].Dims[0]),
             (std::pair<int64_t, int64_t>{-3, 3}));
 }
 
@@ -213,7 +219,7 @@ end program
 )");
   auto &S = static_cast<ArrayAssignStmt &>(*AST->Units[0]->Body[0]);
   EXPECT_EQ(S.Indices.size(), 2u);
-  EXPECT_EQ(S.Name, "a");
+  EXPECT_EQ(AST->spelling(S.Name), "a");
 }
 
 TEST(Parser, ErrorMissingThen) {

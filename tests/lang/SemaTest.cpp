@@ -240,7 +240,8 @@ TEST(Sema, OverflowingArrayShapeRejected) {
                            "integer a(-9223372036854775807:"
                            "9223372036854775807)\n a(1) = 1"}) {
     DiagnosticEngine D;
-    Parser P(std::string("program p\n ") + Body + "\nend program", D);
+    std::string Src = std::string("program p\n ") + Body + "\nend program";
+    Parser P(Src, D);
     auto AST = P.parseProgram();
     ASSERT_FALSE(D.hasErrors()) << D.render();
     Sema S(*AST, D);
