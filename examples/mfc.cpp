@@ -27,7 +27,8 @@
 ///                                       and (with -cache) cacheStats as
 ///                                       JSON on stdout
 ///     -trace-out=PATH                   write a Chrome trace_event JSON
-///                                       of the pipeline/optimizer phases
+///                                       of the pipeline phases and their
+///                                       optimizer/auditor sub-phases
 ///                                       (open in Perfetto)
 ///     -remarks[=REGEX]                  print one remark per optimizer
 ///                                       decision to stderr, optionally
@@ -194,7 +195,6 @@ int main(int argc, char **argv) {
     } else if (std::strcmp(Arg, "-stats-json") == 0) {
       StatsJson = true;
     } else if (std::strncmp(Arg, "-trace-out=", 11) == 0) {
-      PO.Telemetry.Trace = true;
       PO.Telemetry.TracePath = Arg + 11;
     } else if (std::strcmp(Arg, "-remarks") == 0) {
       WantRemarks = true;
@@ -338,7 +338,7 @@ int main(int argc, char **argv) {
 
   ExecResult E;
   {
-    obs::TraceScope Scope(&R.Trace, "interpret");
+    obs::ScopedPhase Phase(&R.Phases, "interpret");
     InterpOptions IO;
     // Residual-check remarks take their dynamic counts from the profile's
     // per-site hits, so remarks need an attached profile too.
@@ -418,7 +418,7 @@ int main(int argc, char **argv) {
 
   if (!TracePath.empty()) {
     std::string Err;
-    if (!R.Trace.writeFile(TracePath, &Err)) {
+    if (!obs::writeMergedTraceFile({{&R.Phases, ""}}, TracePath, &Err)) {
       std::fprintf(stderr, "mfc: cannot write trace file: %s\n", Err.c_str());
       return 2;
     }
@@ -435,9 +435,11 @@ int main(int argc, char **argv) {
     for (const obs::PhaseTiming &P : R.Phases.Phases) {
       W.beginObject();
       W.kv("name", P.Name);
+      W.kv("depth", P.Depth);
       W.kv("wallStart", P.WallStart);
       W.kv("wallSeconds", P.WallSeconds);
-      W.kv("cpuSeconds", P.CpuSeconds);
+      if (P.Depth == 0) // nested entries read only the wall clock
+        W.kv("cpuSeconds", P.CpuSeconds);
       W.endObject();
     }
     W.endArray();

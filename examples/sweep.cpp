@@ -199,7 +199,6 @@ int main(int argc, char **argv) {
         PO.Opt.Implications = Mode;
         PO.Audit = true;
         PO.Cache.Enabled = UseCache;
-        PO.Telemetry.Trace = !TracePath.empty();
         PO.Telemetry.Profile = Profile;
         Batch.push_back({P.Source, PO});
         Keys.push_back({P.Name, Scheme, Mode});
@@ -250,14 +249,14 @@ int main(int argc, char **argv) {
   }
 
   // One coherent Chrome trace: every compile's spans on its worker's
-  // lane, timestamps rebased onto the earliest collector epoch.
+  // lane, timestamps rebased onto the earliest record origin.
   if (!TracePath.empty()) {
     std::vector<obs::TraceMergeInput> Lanes;
     std::set<uint32_t> Named;
     for (const BatchJobResult &BR : Results) {
       obs::TraceMergeInput In;
-      In.Collector = &BR.Result.Trace;
-      uint32_t Tid = BR.Result.Trace.threadTag();
+      In.Phases = &BR.Result.Phases;
+      uint32_t Tid = BR.Result.Phases.Tid;
       if (Named.insert(Tid).second)
         In.Label = "worker " + std::to_string(Tid);
       Lanes.push_back(std::move(In));

@@ -182,8 +182,10 @@ public:
   PairAuditor(Function &Orig, Function &Opt, const AuditOptions &Opts,
               AuditReport &Report)
       : Orig(Orig), Opt(Opt), Opts(Opts), Report(Report),
-        OrigCtx(Orig, ImplicationMode::All), DTOrig(Orig), LIOrig(Orig, DTOrig),
-        DTOpt(Opt), Table(OrigCtx.universe()) {
+        OrigCtx(Orig, ImplicationMode::All, std::vector<PreheaderFact>{},
+                Opts.Phases),
+        DTOrig(Orig), LIOrig(Orig, DTOrig), DTOpt(Opt),
+        Table(OrigCtx.universe()) {
     Antic = OrigCtx.solveAnticipatability();
     Avail = OrigCtx.solveAvailability();
     buildLoopEnvs(Orig, DTOrig, LIOrig, EnvOrig, PreheaderLoopOrig);
@@ -197,12 +199,16 @@ public:
   }
 
   void run() {
-    BlockOk.assign(Orig.numBlocks(), true);
-    TrapGap.assign(Orig.numBlocks(), NoTrap);
-    for (BlockID B = 0; B != Orig.numBlocks(); ++B)
-      auditBlockPair(B);
-    for (BlockID B = Orig.numBlocks(); B < Opt.numBlocks(); ++B)
-      auditNewBlock(B);
+    {
+      obs::ScopedPhase Stage(Opts.Phases, "direction-a");
+      BlockOk.assign(Orig.numBlocks(), true);
+      TrapGap.assign(Orig.numBlocks(), NoTrap);
+      for (BlockID B = 0; B != Orig.numBlocks(); ++B)
+        auditBlockPair(B);
+      for (BlockID B = Orig.numBlocks(); B < Opt.numBlocks(); ++B)
+        auditNewBlock(B);
+    }
+    obs::ScopedPhase Stage(Opts.Phases, "direction-b");
     auditCoverage();
   }
 
@@ -1145,10 +1151,8 @@ private:
   /// validated facts) must cover every original check at its gap.
   void auditCoverage() {
     std::vector<PreheaderFact> Facts = collectFacts();
-    CheckContext BCtx(Opt, ImplicationMode::All, Facts);
-    if (Opts.LintCig)
-      lintCheckImplicationGraph(BCtx.universe(), BCtx.cig(), Opt.name(),
-                                Report);
+    CheckContext BCtx(Opt, ImplicationMode::All, Facts, Opts.Phases);
+    lintCheckImplicationGraph(BCtx.universe(), BCtx.cig(), Opt.name(), Report);
     DataflowResult BAvail = BCtx.solveAvailability();
     // Each original family's id in BCtx's universe, for the cover test.
     const CheckUniverse &OrigU = OrigCtx.universe();
@@ -1260,8 +1264,12 @@ void nascent::auditFunctionPair(Function &Original, Function &Optimized,
                                 AuditReport &Report) {
   Original.recomputePreds();
   Optimized.recomputePreds();
-  PairAuditor A(Original, Optimized, Opts, Report);
-  A.run();
+  std::optional<PairAuditor> A;
+  {
+    obs::ScopedPhase Stage(Opts.Phases, "original-analyses");
+    A.emplace(Original, Optimized, Opts, Report);
+  }
+  A->run();
 }
 
 AuditReport nascent::auditModulePair(Module &Original, Module &Optimized,

@@ -41,8 +41,11 @@ namespace nascent {
 struct AuditOptions {
   /// Scheme that produced the optimized IR; recorded in findings.
   PlacementScheme Scheme = PlacementScheme::LLS;
-  /// Also lint the check universe / implication graph (rules cig/*).
-  bool LintCig = true;
+  /// When set, each function pair appends its three stages (the
+  /// original's analyses, direction A, direction B) and their check
+  /// contexts' builds and solves to this record, nested under the scope
+  /// open around the audit (the pipeline passes CompileResult::Phases).
+  obs::PhaseTimings *Phases = nullptr;
 };
 
 /// Audits one (original, optimized) function pair, appending findings to

@@ -194,7 +194,6 @@ Hash128 nascent::cache::hashFrontendKey(const std::string &Source,
   StableHasher H;
   H.str(Source);
   H.boolean(Lowering.InsertChecks);
-  H.boolean(Lowering.SyntacticAtoms);
   H.u64(CheckSourceKind);
   return H.digest();
 }

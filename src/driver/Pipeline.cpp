@@ -13,25 +13,28 @@ using namespace nascent;
 
 CompileResult nascent::compileSource(const std::string &Source,
                                      const PipelineOptions &Opts) {
-  using Clock = std::chrono::steady_clock;
   CompileResult R;
-  auto T0 = Clock::now();
-  double Cpu0 = obs::processCpuSeconds();
-
-  if (Opts.Telemetry.Trace || !Opts.Telemetry.TracePath.empty())
-    R.Trace.enable();
+  obs::PhaseTimings *PT = &R.Phases;
+  // An audited compile of a two-function program records ~46 entries.
+  PT->Phases.reserve(64);
+  double Cpu0 = obs::threadCpuSeconds();
 
   // The "total" phase is recorded explicitly (not via ScopedPhase) so it
   // covers every exit path, including early returns on front-end errors.
+  // It spans the record from its origin and, like every depth-0 phase,
+  // charges only this thread's CPU.
   auto Finish = [&] {
     obs::PhaseTiming Total;
     Total.Name = "total";
-    Total.WallSeconds = std::chrono::duration<double>(Clock::now() - T0).count();
-    Total.CpuSeconds = obs::processCpuSeconds() - Cpu0;
-    R.Phases.Phases.push_back(std::move(Total));
+    Total.CpuSeconds = obs::threadCpuSeconds() - Cpu0;
+    Total.WallSeconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - PT->Origin)
+                            .count();
+    PT->Phases.push_back(std::move(Total));
     if (!Opts.Telemetry.TracePath.empty()) {
       std::string Err;
-      if (!R.Trace.writeFile(Opts.Telemetry.TracePath, &Err))
+      if (!obs::writeMergedTraceFile({{PT, ""}}, Opts.Telemetry.TracePath,
+                                     &Err))
         R.Diags.error(SourceLocation(), "cannot write trace file: " + Err);
     }
   };
@@ -50,7 +53,7 @@ CompileResult nascent::compileSource(const std::string &Source,
   if (Cache) {
     FrontKey = cache::hashFrontendKey(Source, Opts.Lowering,
                                       static_cast<unsigned>(Opts.Source));
-    obs::ScopedPhase Ph(R.Phases, "cache-frontend", T0, &R.Trace);
+    obs::ScopedPhase Ph(PT, "cache-frontend");
     if (auto FA = Cache->findFrontend(FrontKey))
       M = FA->Snapshot->clone();
   }
@@ -58,7 +61,7 @@ CompileResult nascent::compileSource(const std::string &Source,
   if (!M) {
     std::unique_ptr<ProgramAST> AST;
     {
-      obs::ScopedPhase Ph(R.Phases, "parse", T0, &R.Trace);
+      obs::ScopedPhase Ph(PT, "parse");
       Parser P(Source, R.Diags);
       AST = P.parseProgram();
     }
@@ -68,7 +71,7 @@ CompileResult nascent::compileSource(const std::string &Source,
     }
 
     {
-      obs::ScopedPhase Ph(R.Phases, "sema", T0, &R.Trace);
+      obs::ScopedPhase Ph(PT, "sema");
       Sema S(*AST, R.Diags);
       M = S.run();
     }
@@ -78,12 +81,12 @@ CompileResult nascent::compileSource(const std::string &Source,
     }
 
     {
-      obs::ScopedPhase Ph(R.Phases, "lower", T0, &R.Trace);
+      obs::ScopedPhase Ph(PT, "lower");
       lowerProgram(*AST, *M, Opts.Lowering);
     }
     bool VerifyOk;
     {
-      obs::ScopedPhase Ph(R.Phases, "verify", T0, &R.Trace);
+      obs::ScopedPhase Ph(PT, "verify");
       VerifyOk = verifyModule(*M, R.Diags);
     }
     if (!VerifyOk) {
@@ -93,7 +96,7 @@ CompileResult nascent::compileSource(const std::string &Source,
     // Only diagnostic-free compiles are stored: a later cache hit skips
     // the frontend entirely, so it must have no warnings to replay.
     if (Cache && R.Diags.diagnostics().empty()) {
-      obs::ScopedPhase Ph(R.Phases, "cache-store", T0, &R.Trace);
+      obs::ScopedPhase Ph(PT, "cache-store");
       Cache->storeFrontend(FrontKey, M->clone());
     }
   }
@@ -103,7 +106,7 @@ CompileResult nascent::compileSource(const std::string &Source,
   obs::recordInsertedChecks(*M, R.Provenance);
 
   if (Opts.Source == CheckSource::INX) {
-    obs::ScopedPhase Ph(R.Phases, "inx-synthesis", T0, &R.Trace);
+    obs::ScopedPhase Ph(PT, "inx-synthesis");
     for (Function *F : M->functions())
       synthesizeINXChecks(*F, &R.Provenance);
   }
@@ -111,13 +114,13 @@ CompileResult nascent::compileSource(const std::string &Source,
   if (Opts.Optimize) {
     std::unique_ptr<Module> Snapshot;
     if (Opts.Audit) {
-      obs::ScopedPhase Ph(R.Phases, "snapshot", T0, &R.Trace);
+      obs::ScopedPhase Ph(PT, "snapshot");
       Snapshot = M->clone();
     }
     {
-      obs::ScopedPhase Ph(R.Phases, "optimize", T0, &R.Trace);
+      obs::ScopedPhase Ph(PT, "optimize");
       RangeCheckOptions OC = Opts.Opt;
-      OC.Trace = &R.Trace;
+      OC.Phases = PT;
       OC.Provenance = &R.Provenance;
       OC.Cache = Cache;
       OC.ModuleKey = FrontKey;
@@ -125,7 +128,7 @@ CompileResult nascent::compileSource(const std::string &Source,
     }
     bool PostOk;
     {
-      obs::ScopedPhase Ph(R.Phases, "verify-post", T0, &R.Trace);
+      obs::ScopedPhase Ph(PT, "verify-post");
       DiagnosticEngine VerifyDiags;
       PostOk = verifyModule(*M, VerifyDiags);
       if (!PostOk)
@@ -140,9 +143,10 @@ CompileResult nascent::compileSource(const std::string &Source,
       return R;
     }
     if (Opts.Audit) {
-      obs::ScopedPhase Ph(R.Phases, "audit", T0, &R.Trace);
+      obs::ScopedPhase Ph(PT, "audit");
       AuditOptions AO;
       AO.Scheme = Opts.Opt.Scheme;
+      AO.Phases = PT;
       R.Audit = auditModulePair(*Snapshot, *M, AO);
       if (!R.Audit.clean())
         R.Audit.emitTo(R.Diags);

@@ -59,13 +59,10 @@ struct PipelineOptions {
 
   /// Telemetry switches. Phase timings (CompileResult::Phases) and the
   /// check-lifecycle provenance (CompileResult::Provenance) are always
-  /// recorded; these control the heavier trace and profile streams.
+  /// recorded; these choose outputs and the heavier profile stream.
   struct TelemetryOptions {
-    /// Record Chrome trace_event spans (pipeline phases plus optimizer
-    /// sub-phases) into CompileResult::Trace.
-    bool Trace = false;
-    /// When non-empty, additionally write the trace JSON to this file at
-    /// the end of compilation (implies Trace).
+    /// When non-empty, write CompileResult::Phases as a Chrome trace to
+    /// this file at the end of compilation.
     std::string TracePath;
     /// Attach an execution profile (CompileResult::Profile) to the
     /// optimized module, ready for the interpreter to stream dynamic
@@ -83,12 +80,12 @@ struct CompileResult {
   /// Trap-safety audit result; empty unless PipelineOptions::Audit.
   AuditReport Audit;
 
-  /// Per-phase timing breakdown (parse, sema, lower, verify, optimize,
-  /// ..., total), each phase measured on both the wall clock and the
-  /// process CPU clock. Always populated, even on failed compiles.
+  /// Per-phase timing breakdown: the pipeline phases (parse, sema, lower,
+  /// verify, optimize, ..., total) at depth 0, measured on both the wall
+  /// clock and the calling thread's CPU clock, with the optimizer's and
+  /// the auditor's sub-phases nested under optimize and audit (wall clock
+  /// only). Always populated, even on failed compiles.
   obs::PhaseTimings Phases;
-  /// Trace spans; empty unless PipelineOptions::Telemetry enables them.
-  obs::TraceCollector Trace;
   /// Check-lifecycle provenance, always recorded. Every check's event
   /// chain starts Inserted (lowering or an optimizer insertion) and ends
   /// in a terminal state. Stats' decision fields are counts of these

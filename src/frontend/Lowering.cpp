@@ -258,8 +258,6 @@ void FunctionLowerer::collectDeps(const Expr &E) {
 }
 
 SymbolID FunctionLowerer::atomFor(const Expr &E, SymbolID Computed) {
-  if (!Opts.SyntacticAtoms)
-    return Computed;
   uint64_t Hash = 0xcbf29ce484222325ull;
   if (!hashExpr(E, Hash))
     return Computed;

@@ -22,13 +22,6 @@ namespace nascent {
 struct LoweringOptions {
   /// Insert naive range checks at every array access.
   bool InsertChecks = true;
-
-  /// Block-scoped canonicalisation of non-affine subscript expressions:
-  /// syntactically equal occurrences (paper section 2.2's expression
-  /// equivalence classes) share one "atom" symbol in their canonical
-  /// checks, so e.g. two accesses q(list(k)) in a block fall into one
-  /// check family. Code emission stays fully naive either way.
-  bool SyntacticAtoms = true;
 };
 
 /// Lowers every unit of \p Prog into the Function shells Sema created in

@@ -3,6 +3,7 @@
 #include "obs/Json.h"
 
 #include <atomic>
+#include <cmath>
 #include <ctime>
 #include <fstream>
 
@@ -39,17 +40,71 @@ uint32_t obs::currentThreadTag() {
   return Tag;
 }
 
+const PhaseTiming *PhaseTimings::find(const std::string &Name) const {
+  for (const PhaseTiming &P : Phases)
+    if (P.Depth == 0 && P.Name == Name)
+      return &P;
+  return nullptr;
+}
+
+double PhaseTimings::wallOf(const std::string &Name) const {
+  double Sum = 0;
+  for (const PhaseTiming &P : Phases)
+    if (P.Name == Name)
+      Sum += P.WallSeconds;
+  return Sum;
+}
+
+double PhaseTimings::cpuOf(const std::string &Name) const {
+  const PhaseTiming *P = find(Name);
+  return P ? P->CpuSeconds : 0;
+}
+
+ScopedPhase::ScopedPhase(PhaseTimings *PT, std::string Name) : PT(PT) {
+  if (!PT)
+    return;
+  Index = PT->Phases.size();
+  PhaseTiming P;
+  P.Name = std::move(Name);
+  P.Depth = PT->Open++;
+  PT->Phases.push_back(std::move(P));
+  // Clocks last, so the bookkeeping above is not charged to the phase.
+  if (PT->Open == 1)
+    CpuT0 = threadCpuSeconds();
+  WallT0 = std::chrono::steady_clock::now();
+}
+
+ScopedPhase::~ScopedPhase() {
+  if (!PT)
+    return;
+  auto WallT1 = std::chrono::steady_clock::now();
+  PhaseTiming &P = PT->Phases[Index];
+  if (P.Depth == 0)
+    P.CpuSeconds = threadCpuSeconds() - CpuT0;
+  P.WallStart = std::chrono::duration<double>(WallT0 - PT->Origin).count();
+  P.WallSeconds = std::chrono::duration<double>(WallT1 - WallT0).count();
+  --PT->Open;
+}
+
 namespace {
 
-/// One complete "X" span with an explicit tid and an absolute timestamp.
-void writeSpan(JsonWriter &W, const TraceEvent &E, uint32_t Tid,
-               uint64_t ShiftUs) {
+/// Whole nanoseconds of \p Seconds. Phase times are integral nanosecond
+/// counts of steady_clock, so rounding recovers them exactly and spans
+/// rendered from them keep their containment.
+int64_t toNs(double Seconds) { return std::llround(Seconds * 1e9); }
+
+/// One complete "X" span in whole microseconds, \p ShiftNs after the
+/// document's origin.
+void writeSpan(JsonWriter &W, const PhaseTiming &P, uint32_t Tid,
+               int64_t ShiftNs) {
+  int64_t StartNs = ShiftNs + toNs(P.WallStart);
+  int64_t EndNs = ShiftNs + toNs(P.WallStart + P.WallSeconds);
   W.beginObject();
-  W.kv("name", E.Name);
+  W.kv("name", P.Name);
   W.kv("cat", "phase");
   W.kv("ph", "X");
-  W.kv("ts", E.StartUs + ShiftUs);
-  W.kv("dur", E.DurUs);
+  W.kv("ts", static_cast<uint64_t>(StartNs / 1000));
+  W.kv("dur", static_cast<uint64_t>(EndNs / 1000 - StartNs / 1000));
   W.kv("pid", 1);
   W.kv("tid", Tid);
   W.endObject();
@@ -57,29 +112,17 @@ void writeSpan(JsonWriter &W, const TraceEvent &E, uint32_t Tid,
 
 } // namespace
 
-std::string TraceCollector::toJson() const {
-  JsonWriter W;
-  W.beginObject();
-  W.key("traceEvents").beginArray();
-  for (const TraceEvent &E : Events)
-    writeSpan(W, E, Tid, 0);
-  W.endArray();
-  W.kv("displayTimeUnit", "ms");
-  W.endObject();
-  return W.take();
-}
-
 std::string obs::mergedTraceJson(const std::vector<TraceMergeInput> &Inputs) {
-  // Anchor every collector to the earliest epoch so concurrent workers'
+  // Anchor every record to the earliest origin so concurrent workers'
   // spans land where they actually overlapped in time.
-  bool HaveEpoch = false;
-  std::chrono::steady_clock::time_point MinEpoch;
+  bool HaveOrigin = false;
+  std::chrono::steady_clock::time_point MinOrigin;
   for (const TraceMergeInput &In : Inputs) {
-    if (!In.Collector)
+    if (!In.Phases)
       continue;
-    if (!HaveEpoch || In.Collector->epoch() < MinEpoch) {
-      MinEpoch = In.Collector->epoch();
-      HaveEpoch = true;
+    if (!HaveOrigin || In.Phases->Origin < MinOrigin) {
+      MinOrigin = In.Phases->Origin;
+      HaveOrigin = true;
     }
   }
 
@@ -87,26 +130,25 @@ std::string obs::mergedTraceJson(const std::vector<TraceMergeInput> &Inputs) {
   W.beginObject();
   W.key("traceEvents").beginArray();
   for (const TraceMergeInput &In : Inputs) {
-    const TraceCollector *C = In.Collector;
-    if (!C)
+    const PhaseTimings *PT = In.Phases;
+    if (!PT)
       continue;
-    uint64_t ShiftUs = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(C->epoch() -
-                                                              MinEpoch)
-            .count());
+    int64_t ShiftNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          PT->Origin - MinOrigin)
+                          .count();
     if (!In.Label.empty()) {
       W.beginObject();
       W.kv("name", "thread_name");
       W.kv("ph", "M");
       W.kv("pid", 1);
-      W.kv("tid", C->threadTag());
+      W.kv("tid", PT->Tid);
       W.key("args").beginObject();
       W.kv("name", In.Label);
       W.endObject();
       W.endObject();
     }
-    for (const TraceEvent &E : C->events())
-      writeSpan(W, E, C->threadTag(), ShiftUs);
+    for (const PhaseTiming &P : PT->Phases)
+      writeSpan(W, P, PT->Tid, ShiftNs);
   }
   W.endArray();
   W.kv("displayTimeUnit", "ms");
@@ -129,74 +171,4 @@ bool obs::writeMergedTraceFile(const std::vector<TraceMergeInput> &Inputs,
     return false;
   }
   return true;
-}
-
-bool TraceCollector::writeFile(const std::string &Path,
-                               std::string *Err) const {
-  std::ofstream OS(Path, std::ios::binary);
-  if (!OS) {
-    if (Err)
-      *Err = "cannot open trace output file '" + Path + "'";
-    return false;
-  }
-  OS << toJson() << "\n";
-  if (!OS) {
-    if (Err)
-      *Err = "error writing trace output file '" + Path + "'";
-    return false;
-  }
-  return true;
-}
-
-TraceScope::TraceScope(TraceCollector *C, std::string Name)
-    : C(C && C->enabled() ? C : nullptr) {
-  if (!this->C)
-    return;
-  this->Name = std::move(Name);
-  StartUs = this->C->nowUs();
-  MyDepth = this->C->Depth++;
-}
-
-TraceScope::~TraceScope() {
-  if (!C)
-    return;
-  uint64_t EndUs = C->nowUs();
-  C->Depth = MyDepth;
-  C->Events.push_back(
-      TraceEvent{std::move(Name), StartUs, EndUs - StartUs, MyDepth});
-}
-
-const PhaseTiming *PhaseTimings::find(const std::string &Name) const {
-  for (const PhaseTiming &P : Phases)
-    if (P.Name == Name)
-      return &P;
-  return nullptr;
-}
-
-double PhaseTimings::wallOf(const std::string &Name) const {
-  const PhaseTiming *P = find(Name);
-  return P ? P->WallSeconds : 0;
-}
-
-double PhaseTimings::cpuOf(const std::string &Name) const {
-  const PhaseTiming *P = find(Name);
-  return P ? P->CpuSeconds : 0;
-}
-
-ScopedPhase::ScopedPhase(PhaseTimings &PT, std::string Name,
-                         std::chrono::steady_clock::time_point PipelineT0,
-                         TraceCollector *TC)
-    : PT(PT), Name(std::move(Name)), PipelineT0(PipelineT0),
-      WallT0(std::chrono::steady_clock::now()), CpuT0(threadCpuSeconds()),
-      Trace(TC, this->Name) {}
-
-ScopedPhase::~ScopedPhase() {
-  auto WallT1 = std::chrono::steady_clock::now();
-  double CpuT1 = threadCpuSeconds();
-  PhaseTiming P;
-  P.Name = std::move(Name);
-  P.WallStart = std::chrono::duration<double>(WallT0 - PipelineT0).count();
-  P.WallSeconds = std::chrono::duration<double>(WallT1 - WallT0).count();
-  P.CpuSeconds = CpuT1 - CpuT0;
-  PT.Phases.push_back(std::move(P));
 }

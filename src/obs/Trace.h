@@ -1,18 +1,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Hierarchical phase tracing for the pipeline and the optimizer:
+/// The one timing record of a compile (CompileResult::Phases):
 ///
-///  - TraceCollector / TraceScope: RAII timers recording named spans
-///    (parse, lower, INX synthesis, CIG build, avail/antic solve,
-///    placement, elimination, audit, ...) that serialise to Chrome
+///  - PhaseTimings: every timed phase in opening order, each with its
+///    name, start, wall duration and nesting depth. The pipeline's phases
+///    (parse, lower, optimize, audit, ...) sit at depth 0 and are measured
+///    on both clocks: wall via steady_clock, CPU via
+///    CLOCK_THREAD_CPUTIME_ID, so a compile running on a BatchCompiler
+///    worker charges only its own cycles. The optimizer's and the
+///    auditor's sub-phases (per-function passes, CIG builds, data-flow
+///    solves, audit stages) nest under them and read only the wall clock,
+///    the cheap one. They are always recorded.
+///  - ScopedPhase: the RAII timer that appends one entry.
+///  - mergedTraceJson: renders one or more records as Chrome
 ///    `trace_event` JSON loadable in Perfetto / chrome://tracing.
-///  - PhaseTimings: the flat per-phase breakdown carried on CompileResult,
-///    measuring every phase on BOTH clocks (wall via steady_clock, CPU via
-///    CLOCK_THREAD_CPUTIME_ID so a compile running on a BatchCompiler
-///    worker charges only its own cycles) — the former
-///    OptimizeSeconds/TotalSeconds pair mixed the two and is now derived
-///    from this table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,139 +38,81 @@ double processCpuSeconds();
 /// process the two clocks advance identically.
 double threadCpuSeconds();
 
-/// One completed trace span.
-struct TraceEvent {
-  std::string Name;
-  uint64_t StartUs = 0; ///< microseconds since the collector's epoch
-  uint64_t DurUs = 0;
-  unsigned Depth = 0; ///< nesting depth at the time the scope opened
-};
-
 /// Process-stable tag of the calling thread, for Chrome-trace `tid`
 /// fields: small dense integers (1, 2, 3, ...) in first-use order, unlike
-/// opaque platform thread ids. A collector constructed on a BatchCompiler
+/// opaque platform thread ids. A record constructed on a BatchCompiler
 /// worker carries that worker's tag, so merged timelines show one lane
 /// per worker.
 uint32_t currentThreadTag();
 
-/// Collects trace spans. Disabled collectors cost one branch per scope.
-/// Events are appended when a scope closes, so children precede parents;
-/// Perfetto reconstructs the hierarchy from span containment.
-class TraceCollector {
-public:
-  TraceCollector()
-      : Epoch(std::chrono::steady_clock::now()), Tid(currentThreadTag()) {}
-
-  void enable() { Enabled = true; }
-  bool enabled() const { return Enabled; }
-
-  uint64_t nowUs() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - Epoch)
-            .count());
-  }
-
-  const std::vector<TraceEvent> &events() const { return Events; }
-
-  /// The collector's epoch (construction time); merged exports shift each
-  /// collector's timestamps onto the earliest epoch in the set.
-  std::chrono::steady_clock::time_point epoch() const { return Epoch; }
-
-  /// The thread tag captured at construction (the `tid` of every span).
-  uint32_t threadTag() const { return Tid; }
-
-  /// Chrome trace_event JSON ("traceEvents" array of complete "X" spans).
-  std::string toJson() const;
-
-  /// Writes toJson() to \p Path; false (with \p Err filled) on I/O error.
-  bool writeFile(const std::string &Path, std::string *Err = nullptr) const;
-
-private:
-  friend class TraceScope;
-
-  bool Enabled = false;
-  std::chrono::steady_clock::time_point Epoch;
-  uint32_t Tid = 1;
-  std::vector<TraceEvent> Events;
-  unsigned Depth = 0;
-};
-
-/// One collector to merge, optionally labelled (the label becomes a
-/// thread_name metadata record for its lane).
-struct TraceMergeInput {
-  const TraceCollector *Collector = nullptr;
-  std::string Label;
-};
-
-/// Merges several collectors into one Chrome trace document: every span
-/// keeps its collector's `tid` lane, and per-collector timestamps are
-/// shifted onto the earliest epoch among the inputs so spans from
-/// different workers line up on one timeline. Null/empty inputs are
-/// skipped.
-std::string mergedTraceJson(const std::vector<TraceMergeInput> &Inputs);
-
-/// Writes mergedTraceJson() to \p Path; false (with \p Err) on I/O error.
-bool writeMergedTraceFile(const std::vector<TraceMergeInput> &Inputs,
-                          const std::string &Path,
-                          std::string *Err = nullptr);
-
-/// RAII span. A null or disabled collector makes the scope a no-op.
-class TraceScope {
-public:
-  TraceScope(TraceCollector *C, std::string Name);
-  ~TraceScope();
-
-  TraceScope(const TraceScope &) = delete;
-  TraceScope &operator=(const TraceScope &) = delete;
-
-private:
-  TraceCollector *C = nullptr;
-  std::string Name;
-  uint64_t StartUs = 0;
-  unsigned MyDepth = 0;
-};
-
-/// One pipeline phase measured on both clocks. WallStart orders phases
-/// and lets tests assert monotonicity.
+/// One timed phase.
 struct PhaseTiming {
   std::string Name;
-  double WallStart = 0;   ///< seconds from pipeline begin to phase begin
+  double WallStart = 0;   ///< seconds from the record's origin to the start
   double WallSeconds = 0; ///< wall-clock duration
-  double CpuSeconds = 0;  ///< CPU duration of the measuring thread
+  /// CPU duration of the measuring thread; measured for depth-0 phases
+  /// only (nested entries read only the wall clock and leave it 0).
+  double CpuSeconds = 0;
+  unsigned Depth = 0; ///< phases open around this one when it opened
 };
 
-/// The per-compile phase breakdown (CompileResult::Phases).
+/// The per-compile timing record. Entries are appended in the order they
+/// open, so a parent precedes its children.
 struct PhaseTimings {
   std::vector<PhaseTiming> Phases;
+  /// The time point WallStart counts from: when the record was made.
+  std::chrono::steady_clock::time_point Origin =
+      std::chrono::steady_clock::now();
+  /// The tag of the thread that made the record (the `tid` of its spans).
+  uint32_t Tid = currentThreadTag();
 
+  /// The depth-0 phase of that name; null when it never ran.
   const PhaseTiming *find(const std::string &Name) const;
-  /// Duration of the named phase; 0 when the phase never ran.
+  /// Summed wall duration of every entry of that name; 0 when none ran.
   double wallOf(const std::string &Name) const;
+  /// CPU duration of the depth-0 phase of that name; 0 when it never ran.
   double cpuOf(const std::string &Name) const;
+
+private:
+  friend class ScopedPhase;
+  unsigned Open = 0; ///< scopes currently open
 };
 
-/// RAII recorder appending one PhaseTiming on destruction, and (when a
-/// collector is given) mirroring the phase as a trace span. \p PipelineT0
-/// anchors WallStart so all phases of one compile share an origin.
+/// RAII timer appending one entry to a record, at the depth of the scopes
+/// open around it. A null record makes the scope a no-op, which is what
+/// direct callers of the optimizer or the auditor get by default.
 class ScopedPhase {
 public:
-  ScopedPhase(PhaseTimings &PT, std::string Name,
-              std::chrono::steady_clock::time_point PipelineT0,
-              TraceCollector *Trace = nullptr);
+  ScopedPhase(PhaseTimings *PT, std::string Name);
   ~ScopedPhase();
 
   ScopedPhase(const ScopedPhase &) = delete;
   ScopedPhase &operator=(const ScopedPhase &) = delete;
 
 private:
-  PhaseTimings &PT;
-  std::string Name;
-  std::chrono::steady_clock::time_point PipelineT0;
+  PhaseTimings *PT;
+  size_t Index = 0;
   std::chrono::steady_clock::time_point WallT0;
-  double CpuT0;
-  TraceScope Trace;
+  double CpuT0 = 0;
 };
+
+/// One record to render, optionally labelled (the label becomes a
+/// thread_name metadata record for its lane).
+struct TraceMergeInput {
+  const PhaseTimings *Phases = nullptr;
+  std::string Label;
+};
+
+/// Renders records as one Chrome trace document of complete "X" spans:
+/// every span keeps its record's `tid` lane, and timestamps (µs) are
+/// shifted onto the earliest origin among the inputs so spans from
+/// different workers line up on one timeline. Null inputs are skipped.
+std::string mergedTraceJson(const std::vector<TraceMergeInput> &Inputs);
+
+/// Writes mergedTraceJson() to \p Path; false (with \p Err) on I/O error.
+bool writeMergedTraceFile(const std::vector<TraceMergeInput> &Inputs,
+                          const std::string &Path,
+                          std::string *Err = nullptr);
 
 } // namespace obs
 } // namespace nascent

@@ -18,12 +18,12 @@ NASCENT_STAT(NumCigEdges, "checks.cig.edges",
 
 CheckContext::CheckContext(const Function &F, ImplicationMode Mode,
                            const std::vector<PreheaderFact> &Facts,
-                           obs::TraceCollector *Trace)
-    : F(F), Mode(Mode), Trace(Trace),
+                           obs::PhaseTimings *Phases)
+    : F(F), Mode(Mode), Phases(Phases),
       OwnedU(/*FamilyPerCheck=*/Mode == ImplicationMode::None), U(OwnedU),
       OwnedCore(std::make_shared<cache::ContextCore>()), Core(*OwnedCore),
       CIG(U, Mode) {
-  obs::TraceScope Scope(Trace, "cig-build");
+  obs::ScopedPhase Scope(Phases, "cig-build");
   // Meter the build so a cache-seeded rebuild can replay its exact
   // word-op cost. Thread-local counter only: concurrent thread exits
   // (which fold into the retired total) cannot skew the delta.
@@ -36,10 +36,10 @@ CheckContext::CheckContext(const Function &F, ImplicationMode Mode,
 
 CheckContext::CheckContext(const Function &F, ImplicationMode Mode,
                            const cache::ContextSeed &Seed,
-                           obs::TraceCollector *Trace)
-    : F(F), Mode(Mode), Trace(Trace), SharedU(Seed.U), U(*SharedU),
+                           obs::PhaseTimings *Phases)
+    : F(F), Mode(Mode), Phases(Phases), SharedU(Seed.U), U(*SharedU),
       SharedCore(Seed.Core), Core(*SharedCore), CIG(U, Mode) {
-  obs::TraceScope Scope(Trace, "cig-seed");
+  obs::ScopedPhase Scope(Phases, "cig-seed");
   BuildWordOps = Seed.BuildWordOps;
   Solves = Seed.Solves;
   // Replay the bit-vector work of the organic build this seed stands in
@@ -319,7 +319,7 @@ void CheckContext::buildBlockSets() {
 }
 
 DataflowResult CheckContext::solveAvailability() const {
-  obs::TraceScope Scope(Trace, "solve-avail");
+  obs::ScopedPhase Scope(Phases, "solve-avail");
   auto Solve = [&] {
     DataflowProblem P;
     P.Dir = DataflowProblem::Direction::Forward;
@@ -354,7 +354,7 @@ DataflowResult CheckContext::solveAvailability() const {
 }
 
 DataflowResult CheckContext::solveAnticipatability() const {
-  obs::TraceScope Scope(Trace, "solve-antic");
+  obs::ScopedPhase Scope(Phases, "solve-antic");
   auto Solve = [&] {
     DataflowProblem P;
     P.Dir = DataflowProblem::Direction::Backward;

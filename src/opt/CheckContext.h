@@ -44,11 +44,11 @@ struct PreheaderFact {
 class CheckContext {
 public:
   /// Builds the universe, CIG, and block transfer sets for the current IR
-  /// of \p F. When \p Trace is given (and enabled) the dataflow solves
-  /// record spans into it.
+  /// of \p F. When \p Phases is given, the build and each data-flow
+  /// solve append a nested entry to it.
   CheckContext(const Function &F, ImplicationMode Mode,
                const std::vector<PreheaderFact> &Facts = {},
-               obs::TraceCollector *Trace = nullptr);
+               obs::PhaseTimings *Phases = nullptr);
 
   /// Rebuilds a context from a cached seed (docs/caching.md): binds the
   /// seed's shared universe and table core instead of walking the IR,
@@ -59,7 +59,7 @@ public:
   /// preheader facts.
   CheckContext(const Function &F, ImplicationMode Mode,
                const cache::ContextSeed &Seed,
-               obs::TraceCollector *Trace = nullptr);
+               obs::PhaseTimings *Phases = nullptr);
 
   /// Snapshot of the built state for the artifact cache. Completes the
   /// lazy closure build first (a no-op unless the universe is empty,
@@ -160,7 +160,7 @@ private:
 
   const Function &F;
   ImplicationMode Mode;
-  obs::TraceCollector *Trace = nullptr;
+  obs::PhaseTimings *Phases = nullptr;
   /// Seeded contexts share the (immutable) universe of the build that
   /// produced their seed instead of copying its intern maps; organic
   /// builds intern into their own. U is the one in use everywhere.

@@ -11,6 +11,7 @@
 #include "opt/IntervalAnalysis.h"
 #include "opt/PreheaderInsertion.h"
 
+#include <atomic>
 #include <cctype>
 
 using namespace nascent;
@@ -133,6 +134,22 @@ std::string OptimizerStats::toJson() const {
 
 namespace {
 
+/// The opt.scheme.<NAME> counter of \p S, interned on the scheme's first
+/// use (so the registry lists only the schemes that ran) and looked up by
+/// name only then.
+obs::Counter &schemeCounter(PlacementScheme S) {
+  static std::atomic<obs::Counter *> Counters[size_t(PlacementScheme::AI) + 1];
+  std::atomic<obs::Counter *> &Slot = Counters[size_t(S)];
+  obs::Counter *C = Slot.load(std::memory_order_acquire);
+  if (!C) {
+    C = &obs::StatRegistry::global().counter(
+        std::string("opt.scheme.") + placementSchemeName(S),
+        "functions optimized with this placement scheme");
+    Slot.store(C, std::memory_order_release);
+  }
+  return *C;
+}
+
 unsigned countStaticChecks(const Function &F) {
   unsigned N = 0;
   for (const auto &BB : F)
@@ -153,7 +170,7 @@ unsigned countStaticChecks(const Function &F) {
 struct CtxFactory {
   Function &F;
   const RangeCheckOptions &Opts;
-  obs::TraceCollector *TC;
+  obs::PhaseTimings *PT;
   /// Content key of F's post-critical-edge-split IR; zero disables reuse.
   support::Hash128 FnKey;
   const obs::ProvenanceRecorder &PR;
@@ -165,13 +182,13 @@ struct CtxFactory {
 
   std::unique_ptr<CheckContext> make(const std::vector<PreheaderFact> &Facts) {
     if (!cacheUsable() || !Facts.empty())
-      return std::make_unique<CheckContext>(F, Opts.Implications, Facts, TC);
+      return std::make_unique<CheckContext>(F, Opts.Implications, Facts, PT);
     support::Hash128 Key =
         support::mixHash(FnKey, static_cast<uint64_t>(Opts.Implications));
     if (auto Seed = Opts.Cache->findContextSeed(Key))
-      return std::make_unique<CheckContext>(F, Opts.Implications, *Seed, TC);
+      return std::make_unique<CheckContext>(F, Opts.Implications, *Seed, PT);
     auto Ctx = std::make_unique<CheckContext>(
-        F, Opts.Implications, std::vector<PreheaderFact>{}, TC);
+        F, Opts.Implications, std::vector<PreheaderFact>{}, PT);
     Opts.Cache->storeContextSeed(Key, Ctx->makeSeed());
     return Ctx;
   }
@@ -255,16 +272,13 @@ OptimizerStats nascent::optimizeFunction(Function &F,
   OptimizerStats Stats;
   Stats.ChecksBefore = countStaticChecks(F);
   ++NumFunctionsOptimized;
-  obs::StatRegistry::global()
-      .counter(std::string("opt.scheme.") + placementSchemeName(Opts.Scheme),
-               "functions optimized with this placement scheme")
-      .inc();
+  schemeCounter(Opts.Scheme).inc();
 
-  obs::TraceCollector *TC = Opts.Trace;
+  obs::PhaseTimings *PT = Opts.Phases;
   obs::ProvenanceRecorder Local;
   obs::ProvenanceRecorder &PR = Opts.Provenance ? *Opts.Provenance : Local;
   const size_t FirstEvent = PR.events().size();
-  obs::TraceScope FnScope(TC, "fn " + F.name());
+  obs::ScopedPhase FnScope(PT, "fn " + F.name());
 
   // PRE-style insertion works on edges: normalise the CFG first.
   F.splitCriticalEdges();
@@ -272,7 +286,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
   // The function content key is computed on the normalised IR, once per
   // (module snapshot, function) — the cache memoises it — and names every
   // analysis artifact below until an insertion stage mutates the IR.
-  CtxFactory Contexts{F, Opts, TC,
+  CtxFactory Contexts{F, Opts, PT,
                       Opts.Cache && !Opts.ModuleKey.isZero()
                           ? Opts.Cache->functionKey(Opts.ModuleKey, F)
                           : support::Hash128{},
@@ -289,7 +303,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     auto Ctx = Contexts.make({});
     Stats.UniverseSize = Ctx->universe().size();
     Stats.NumFamilies = Ctx->universe().numFamilies();
-    obs::TraceScope Scope(TC, "strengthen");
+    obs::ScopedPhase Scope(PT, "strengthen");
     runCheckStrengthening(F, *Ctx, PR);
     break;
   }
@@ -298,7 +312,7 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     auto Ctx = Contexts.make({});
     Stats.UniverseSize = Ctx->universe().size();
     Stats.NumFamilies = Ctx->universe().numFamilies();
-    obs::TraceScope Scope(TC, "lcm-place");
+    obs::ScopedPhase Scope(PT, "lcm-place");
     runLazyCodeMotion(F, *Ctx,
                       Opts.Scheme == PlacementScheme::SE
                           ? LCMPlacement::SafeEarliest
@@ -316,13 +330,13 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     PreheaderOptions PO;
     PO.EnableLLS = Opts.Scheme != PlacementScheme::LI;
     PO.MarksteinRestriction = Opts.Scheme == PlacementScheme::MCM;
-    obs::TraceScope Scope(TC, "preheader-insert");
+    obs::ScopedPhase Scope(PT, "preheader-insert");
     runPreheaderInsertion(F, *Ctx, PO, Facts, PR, CachedLoops);
     break;
   }
   case PlacementScheme::AI: {
     const LoopInfo *CachedLoops = Contexts.loops(LoopsHold);
-    obs::TraceScope Scope(TC, "interval-analysis");
+    obs::ScopedPhase Scope(PT, "interval-analysis");
     eliminateChecksByIntervals(F, Diags, PR, CachedLoops);
     break;
   }
@@ -333,14 +347,14 @@ OptimizerStats nascent::optimizeFunction(Function &F,
       Stats.UniverseSize = Ctx->universe().size();
       Stats.NumFamilies = Ctx->universe().numFamilies();
       PreheaderOptions PO;
-      obs::TraceScope Scope(TC, "preheader-insert");
+      obs::ScopedPhase Scope(PT, "preheader-insert");
       runPreheaderInsertion(F, *Ctx, PO, Facts, PR, CachedLoops);
     }
     {
       // Safe-earliest over the LLS result; the fresh context carries the
       // preheader facts so LCM sees the hoisted availability.
       auto Ctx = Contexts.make(Facts);
-      obs::TraceScope Scope(TC, "lcm-place");
+      obs::ScopedPhase Scope(PT, "lcm-place");
       runLazyCodeMotion(F, *Ctx, LCMPlacement::SafeEarliest, PR);
     }
     break;
@@ -356,13 +370,13 @@ OptimizerStats nascent::optimizeFunction(Function &F,
     auto Ctx = Contexts.make(Facts);
     Stats.UniverseSize = Ctx->universe().size();
     Stats.NumFamilies = Ctx->universe().numFamilies();
-    obs::TraceScope Scope(TC, "eliminate");
+    obs::ScopedPhase Scope(PT, "eliminate");
     eliminateRedundantChecks(F, *Ctx, PR);
   }
 
   // Step 5: compile-time checks.
   {
-    obs::TraceScope Scope(TC, "fold-consts");
+    obs::ScopedPhase Scope(PT, "fold-consts");
     foldCompileTimeChecks(F, Diags, PR);
     F.recomputePreds();
   }

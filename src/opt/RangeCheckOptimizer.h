@@ -63,8 +63,9 @@ struct RangeCheckOptions {
   /// paper's primed variants (NI', SE'), CrossFamilyOnly gives LLS'.
   ImplicationMode Implications = ImplicationMode::All;
 
-  /// When set (and enabled), optimizer stages record trace spans.
-  obs::TraceCollector *Trace = nullptr;
+  /// When set, each function and each of its passes appends a nested
+  /// entry to this record (the pipeline passes CompileResult::Phases).
+  obs::PhaseTimings *Phases = nullptr;
   /// The recorder every transformation site appends its lifecycle events
   /// to, keyed by check tag. Events are always recorded: when this is null
   /// each optimizeFunction records into a local recorder. They are the

@@ -15,8 +15,10 @@
 
 #include "gtest/gtest.h"
 
+#include <atomic>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace nascent;
@@ -124,6 +126,46 @@ TEST(BatchCompiler, CompileErrorsAreReportedNotThrown) {
     ASSERT_EQ(Results.size(), Batch.size());
     for (const BatchJobResult &R : Results)
       EXPECT_FALSE(R.Result.Success);
+  }
+}
+
+// Every depth-0 phase, "total" included, reads the compiling thread's CPU
+// clock: a second thread burning CPU meanwhile (or the other worker) must
+// not be charged to a compile. The process clock would charge both.
+TEST(BatchCompiler, TotalCpuChargesOnlyTheCompilingThread) {
+  const SuiteProgram *P = findSuiteProgram("vortex");
+  ASSERT_NE(P, nullptr);
+  PipelineOptions PO;
+  PO.Source = CheckSource::INX;
+  PO.Opt.Scheme = PlacementScheme::ALL;
+  PO.Audit = true;
+  std::vector<BatchJob> Batch(8, BatchJob{P->Source, PO});
+
+  std::atomic<bool> Started{false}, Stop{false};
+  std::thread Spinner([&] {
+    Started.store(true);
+    volatile uint64_t X = 0;
+    while (!Stop.load(std::memory_order_relaxed))
+      X = X + 1;
+  });
+  while (!Started.load())
+    std::this_thread::yield();
+  std::vector<BatchJobResult> Results = BatchCompiler(2).run(Batch);
+  Stop.store(true);
+  Spinner.join();
+
+  for (const BatchJobResult &BR : Results) {
+    const CompileResult &R = BR.Result;
+    ASSERT_TRUE(R.Success);
+    double PhaseCpu = 0;
+    for (const obs::PhaseTiming &Ph : R.Phases.Phases)
+      if (Ph.Depth == 0 && Ph.Name != "total")
+        PhaseCpu += Ph.CpuSeconds;
+    // One thread cannot run longer than the wall clock it ran within.
+    EXPECT_LE(R.totalCpuSeconds(), R.totalWallSeconds() + 1e-5);
+    // The phases cover all but the bookkeeping between them.
+    EXPECT_GE(R.totalCpuSeconds(), PhaseCpu - 1e-6);
+    EXPECT_LE(R.totalCpuSeconds() - PhaseCpu, 0.25 * R.totalCpuSeconds());
   }
 }
 

@@ -1,8 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The trace collector: span nesting, the Chrome trace_event JSON shape
-/// (round-tripped through the bundled parser), and the no-op cost paths.
+/// The phase record: nesting depths and containment, which entries read
+/// which clock, the depth-0 lookups and the summing wallOf, the Chrome
+/// trace_event JSON shape (round-tripped through the bundled parser), and
+/// the null-record no-op path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,70 +20,98 @@
 using namespace nascent;
 using namespace nascent::obs;
 
-TEST(Trace, DisabledCollectorRecordsNothing) {
-  TraceCollector C;
+namespace {
+
+/// Burns a little CPU so a phase has nonzero durations.
+void burn(int N) {
+  volatile uint64_t X = 0;
+  for (int I = 0; I != N; ++I)
+    X = X + static_cast<uint64_t>(I);
+}
+
+} // namespace
+
+TEST(Trace, NullSinkRecordsNothing) {
+  PhaseTimings PT;
   {
-    TraceScope S(&C, "phase");
-    TraceScope T(nullptr, "null-collector is fine too");
+    ScopedPhase S(nullptr, "no record is fine");
+    ScopedPhase T(nullptr, "nested too");
   }
-  EXPECT_FALSE(C.enabled());
-  EXPECT_TRUE(C.events().empty());
+  EXPECT_TRUE(PT.Phases.empty());
+  // A record with no scopes still answers every lookup.
+  EXPECT_EQ(PT.find("phase"), nullptr);
+  EXPECT_EQ(PT.wallOf("phase"), 0.0);
+  EXPECT_EQ(PT.cpuOf("phase"), 0.0);
 }
 
 TEST(Trace, NestedScopes) {
-  TraceCollector C;
-  C.enable();
+  PhaseTimings PT;
   {
-    TraceScope Outer(&C, "outer");
+    ScopedPhase Outer(&PT, "outer");
+    burn(10000);
     {
-      TraceScope Inner(&C, "inner");
+      ScopedPhase Inner(&PT, "inner");
+      burn(10000);
     }
+    burn(10000);
   }
-  // Children close (and are appended) before parents.
-  ASSERT_EQ(C.events().size(), 2u);
-  EXPECT_EQ(C.events()[0].Name, "inner");
-  EXPECT_EQ(C.events()[1].Name, "outer");
-  EXPECT_EQ(C.events()[0].Depth, 1u);
-  EXPECT_EQ(C.events()[1].Depth, 0u);
+  { ScopedPhase Next(&PT, "next"); }
+  // Entries are appended as they open, so a parent precedes its children.
+  ASSERT_EQ(PT.Phases.size(), 3u);
+  const PhaseTiming &Outer = PT.Phases[0], &Inner = PT.Phases[1],
+                    &Next = PT.Phases[2];
+  EXPECT_EQ(Outer.Name, "outer");
+  EXPECT_EQ(Inner.Name, "inner");
+  EXPECT_EQ(Next.Name, "next");
+  EXPECT_EQ(Outer.Depth, 0u);
+  EXPECT_EQ(Inner.Depth, 1u);
+  EXPECT_EQ(Next.Depth, 0u); // the depth returns once a scope closes
   // The parent span contains the child span.
-  EXPECT_LE(C.events()[1].StartUs, C.events()[0].StartUs);
-  EXPECT_GE(C.events()[1].StartUs + C.events()[1].DurUs,
-            C.events()[0].StartUs + C.events()[0].DurUs);
+  EXPECT_LE(Outer.WallStart, Inner.WallStart);
+  EXPECT_GE(Outer.WallStart + Outer.WallSeconds,
+            Inner.WallStart + Inner.WallSeconds);
+  EXPECT_GE(Next.WallStart, Outer.WallStart + Outer.WallSeconds);
+  // Only depth-0 entries read the CPU clock.
+  EXPECT_GT(Outer.CpuSeconds, 0.0);
+  EXPECT_EQ(Inner.CpuSeconds, 0.0);
 }
 
 TEST(Trace, JsonRoundTrip) {
-  TraceCollector C;
-  C.enable();
+  PhaseTimings PT;
   {
-    TraceScope A(&C, "alpha");
-    { TraceScope B(&C, "beta \"quoted\""); }
+    ScopedPhase A(&PT, "alpha");
+    { ScopedPhase B(&PT, "beta \"quoted\""); }
   }
   JsonValue V;
   std::string Err;
-  ASSERT_TRUE(parseJson(C.toJson(), V, &Err)) << Err;
+  ASSERT_TRUE(parseJson(mergedTraceJson({{&PT, ""}}), V, &Err)) << Err;
   const JsonValue *Events = V.get("traceEvents");
   ASSERT_NE(Events, nullptr);
   ASSERT_TRUE(Events->isArray());
-  ASSERT_EQ(Events->Array.size(), 2u);
+  ASSERT_EQ(Events->Array.size(), 2u); // no label, no thread_name record
   for (const JsonValue &E : Events->Array) {
     EXPECT_EQ(E.get("ph")->String, "X"); // complete events
     EXPECT_EQ(E.get("cat")->String, "phase");
     ASSERT_NE(E.get("ts"), nullptr);
     ASSERT_NE(E.get("dur"), nullptr);
-    ASSERT_NE(E.get("pid"), nullptr);
-    ASSERT_NE(E.get("tid"), nullptr);
+    EXPECT_EQ(E.get("pid")->Number, 1.0);
+    EXPECT_EQ(E.get("tid")->Number, static_cast<double>(PT.Tid));
   }
-  EXPECT_EQ(Events->Array[0].get("name")->String, "beta \"quoted\"");
-  EXPECT_EQ(Events->Array[1].get("name")->String, "alpha");
+  EXPECT_EQ(Events->Array[0].get("name")->String, "alpha");
+  EXPECT_EQ(Events->Array[1].get("name")->String, "beta \"quoted\"");
+  // Whole microseconds keep the containment of the recorded spans.
+  const JsonValue &A = Events->Array[0], &B = Events->Array[1];
+  EXPECT_LE(A.get("ts")->Number, B.get("ts")->Number);
+  EXPECT_GE(A.get("ts")->Number + A.get("dur")->Number,
+            B.get("ts")->Number + B.get("dur")->Number);
 }
 
 TEST(Trace, WriteFile) {
-  TraceCollector C;
-  C.enable();
-  { TraceScope S(&C, "span"); }
+  PhaseTimings PT;
+  { ScopedPhase S(&PT, "span"); }
   std::string Path = testing::TempDir() + "nascent_trace_test.json";
   std::string Err;
-  ASSERT_TRUE(C.writeFile(Path, &Err)) << Err;
+  ASSERT_TRUE(writeMergedTraceFile({{&PT, ""}}, Path, &Err)) << Err;
   std::ifstream In(Path);
   std::stringstream SS;
   SS << In.rdbuf();
@@ -89,21 +119,16 @@ TEST(Trace, WriteFile) {
   EXPECT_TRUE(parseJson(SS.str(), V));
   std::remove(Path.c_str());
 
-  EXPECT_FALSE(C.writeFile("/nonexistent-dir/x/y/trace.json", &Err));
+  EXPECT_FALSE(writeMergedTraceFile({{&PT, ""}},
+                                    "/nonexistent-dir/x/y/trace.json", &Err));
   EXPECT_FALSE(Err.empty());
 }
 
-TEST(Trace, ScopedPhaseRecordsBothClocksAndMirrorsSpan) {
+TEST(Trace, ScopedPhaseRecordsBothClocks) {
   PhaseTimings PT;
-  TraceCollector C;
-  C.enable();
-  auto T0 = std::chrono::steady_clock::now();
   {
-    ScopedPhase P(PT, "work", T0, &C);
-    // Burn a little CPU so the phase has nonzero durations.
-    volatile uint64_t X = 0;
-    for (int I = 0; I != 100000; ++I)
-      X = X + static_cast<uint64_t>(I);
+    ScopedPhase P(&PT, "work");
+    burn(100000);
   }
   ASSERT_EQ(PT.Phases.size(), 1u);
   EXPECT_EQ(PT.Phases[0].Name, "work");
@@ -114,15 +139,33 @@ TEST(Trace, ScopedPhaseRecordsBothClocksAndMirrorsSpan) {
   EXPECT_DOUBLE_EQ(PT.cpuOf("work"), PT.Phases[0].CpuSeconds);
   EXPECT_EQ(PT.find("absent"), nullptr);
   EXPECT_EQ(PT.wallOf("absent"), 0.0);
-  ASSERT_EQ(C.events().size(), 1u);
-  EXPECT_EQ(C.events()[0].Name, "work");
+}
+
+TEST(Trace, WallOfSumsRepeatedNames) {
+  PhaseTimings PT;
+  {
+    ScopedPhase Outer(&PT, "outer");
+    for (int I = 0; I != 3; ++I) {
+      ScopedPhase S(&PT, "solve");
+      burn(10000);
+    }
+  }
+  ASSERT_EQ(PT.Phases.size(), 4u);
+  double Sum = 0;
+  for (const PhaseTiming &P : PT.Phases)
+    if (P.Name == "solve")
+      Sum += P.WallSeconds;
+  EXPECT_GT(Sum, PT.Phases[1].WallSeconds);
+  EXPECT_DOUBLE_EQ(PT.wallOf("solve"), Sum);
+  // find and cpuOf answer for depth-0 phases only.
+  EXPECT_EQ(PT.find("solve"), nullptr);
+  EXPECT_EQ(PT.cpuOf("solve"), 0.0);
+  EXPECT_EQ(PT.find("outer"), &PT.Phases[0]);
 }
 
 TEST(Trace, ProcessCpuClockAdvances) {
   double A = processCpuSeconds();
-  volatile uint64_t X = 0;
-  for (int I = 0; I != 2000000; ++I)
-    X = X + static_cast<uint64_t>(I);
+  burn(2000000);
   double B = processCpuSeconds();
   EXPECT_GE(B, A);
 }
