@@ -44,6 +44,12 @@ std::vector<BlockID> nascent::reversePostOrder(const Function &F) {
   return Post;
 }
 
+BlockOrder::BlockOrder(const Function &F)
+    : RPO(reversePostOrder(F)), Position(F.numBlocks(), Unreachable) {
+  for (size_t I = 0, E = RPO.size(); I != E; ++I)
+    Position[RPO[I]] = static_cast<uint32_t>(I);
+}
+
 std::vector<bool> nascent::reachableBlocks(const Function &F) {
   std::vector<bool> Seen(F.numBlocks(), false);
   std::vector<BlockID> Post;

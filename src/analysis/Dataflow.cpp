@@ -1,9 +1,7 @@
 #include "analysis/Dataflow.h"
 
-#include "analysis/CFGUtils.h"
 #include "obs/StatRegistry.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace nascent;
@@ -15,55 +13,58 @@ NASCENT_STAT_HISTOGRAM(VisitsPerSolve, "dataflow.visits_per_solve",
                        "block recomputations to reach the fixpoint, per solve");
 
 DataflowResult nascent::solveDataflow(const Function &F,
+                                      const BlockOrder &Order,
                                       const DataflowProblem &P) {
   size_t NumBlocks = F.numBlocks();
   size_t N = P.UniverseSize;
-  assert(P.Gen.size() == NumBlocks && P.Kill.size() == NumBlocks &&
+  assert(P.Gen && P.Kill && P.Gen->numRows() == NumBlocks &&
+         P.Kill->numRows() == NumBlocks &&
          "problem sets not sized to the CFG");
+  assert(Order.Position.size() == NumBlocks && "order not of this CFG");
+  const BitRows &Gen = *P.Gen, &Kill = *P.Kill;
 
   const bool Intersect = P.MeetOp == DataflowProblem::Meet::Intersect;
   const bool Forward = P.Dir == DataflowProblem::Direction::Forward;
-  DenseBitVector Top(N, /*InitialValue=*/Intersect);
-  DenseBitVector Bottom(N);
-
-  DenseBitVector Boundary = P.Boundary;
-  if (Boundary.size() != N)
-    Boundary = DenseBitVector(N);
+  // An unsized boundary is the empty set.
+  const bool HasBoundary = P.Boundary.size() == N;
 
   // Every value (including unreachable blocks, which the work list never
   // holds) starts at top so the first meet is exact and an unreachable
   // predecessor is the meet's identity element rather than poisoning the
-  // In set of a reachable successor. assign() makes exactly one copy per
-  // block side.
+  // In set of a reachable successor. Each side is one table.
   DataflowResult R;
-  R.In.assign(NumBlocks, Top);
-  R.Out.assign(NumBlocks, Top);
+  R.In = BitRows(NumBlocks, N, /*InitialValue=*/Intersect);
+  R.Out = BitRows(NumBlocks, N, /*InitialValue=*/Intersect);
 
   // Visit reachable blocks in reverse post order along the problem
   // direction: with an acyclic CFG the first sweep is already the
   // fixpoint, and with loops only the blocks downstream of a change are
-  // recomputed (the round-robin solver this replaces re-scanned the whole
-  // CFG per pass).
-  std::vector<BlockID> Order = reversePostOrder(F);
-  if (!Forward)
-    std::reverse(Order.begin(), Order.end());
-
-  // Block -> position in Order; npos marks unreachable blocks, which stay
-  // top and are never enqueued.
-  constexpr size_t NoPos = static_cast<size_t>(-1);
-  std::vector<size_t> PosOf(NumBlocks, NoPos);
-  for (size_t I = 0, E = Order.size(); I != E; ++I)
-    PosOf[Order[I]] = I;
-
+  // recomputed. Position K of the visiting order is RPO[K] forward and
+  // RPO[Size - 1 - K] backward; unreachable blocks stay top and are never
+  // enqueued.
+  const size_t Size = Order.RPO.size();
+  auto BlockAt = [&](size_t Pos) {
+    return Order.RPO[Forward ? Pos : Size - 1 - Pos];
+  };
   // The work list is a bit set over positions drained by a wraparound
   // cursor: blocks re-run in deterministic Order-relative order, and a
   // block enqueued many times before its turn is still recomputed once.
-  DenseBitVector Pending(Order.size());
+  DenseBitVector Pending(Size);
   Pending.setAll();
-  size_t NumPending = Order.size();
+  size_t NumPending = Size;
+  auto Enqueue = [&](BlockID B) {
+    uint32_t RP = Order.Position[B];
+    if (RP == BlockOrder::Unreachable)
+      return;
+    size_t Pos = Forward ? RP : Size - 1 - RP;
+    if (!Pending.test(Pos)) {
+      Pending.set(Pos);
+      ++NumPending;
+    }
+  };
 
-  // One scratch pair reused for every recomputation; the copy assignments
-  // below reuse its capacity, so the solve loop allocates nothing.
+  // One scratch pair reused for every recomputation; row copies into it
+  // reuse its storage, so the solve loop allocates nothing.
   DenseBitVector NewIn(N);
   DenseBitVector NewOut(N);
 
@@ -79,14 +80,17 @@ DataflowResult nascent::solveDataflow(const Function &F,
     --NumPending;
     Cursor = Pos + 1;
 
-    BlockID B = Order[Pos];
+    BlockID B = BlockAt(Pos);
     const BasicBlock *BB = F.block(B);
     ++Visits;
 
     if (Forward) {
       // In[B] = meet over preds' Out (boundary at the entry block).
       if (B == F.entryBlock()) {
-        NewIn = Boundary;
+        if (HasBoundary)
+          NewIn = ConstBitRow(P.Boundary);
+        else
+          NewIn.resetAll();
       } else {
         bool First = true;
         for (BlockID Pred : BB->preds()) {
@@ -99,28 +103,30 @@ DataflowResult nascent::solveDataflow(const Function &F,
             NewIn |= R.Out[Pred];
           }
         }
-        if (First)
-          NewIn = Intersect ? Top : Bottom;
+        if (First) {
+          if (Intersect)
+            NewIn.setAll();
+          else
+            NewIn.resetAll();
+        }
       }
       NewOut = NewIn;
-      NewOut.andNot(P.Kill[B]);
-      NewOut |= P.Gen[B];
+      NewOut.andNot(Kill[B]);
+      NewOut |= Gen[B];
       if (NewIn != R.In[B] || NewOut != R.Out[B]) {
-        std::swap(R.In[B], NewIn);
-        std::swap(R.Out[B], NewOut);
-        for (BlockID S : BB->successors()) {
-          size_t SP = PosOf[S];
-          if (SP != NoPos && !Pending.test(SP)) {
-            Pending.set(SP);
-            ++NumPending;
-          }
-        }
+        R.In[B].assign(NewIn);
+        R.Out[B].assign(NewOut);
+        for (BlockID S : BB->successors())
+          Enqueue(S);
       }
     } else {
       // Out[B] = meet over succs' In (boundary at exit blocks).
       SuccessorList Succs = BB->successors();
       if (Succs.empty()) {
-        NewOut = Boundary;
+        if (HasBoundary)
+          NewOut = ConstBitRow(P.Boundary);
+        else
+          NewOut.resetAll();
       } else {
         bool First = true;
         for (BlockID S : Succs) {
@@ -135,18 +141,13 @@ DataflowResult nascent::solveDataflow(const Function &F,
         }
       }
       NewIn = NewOut;
-      NewIn.andNot(P.Kill[B]);
-      NewIn |= P.Gen[B];
+      NewIn.andNot(Kill[B]);
+      NewIn |= Gen[B];
       if (NewIn != R.In[B] || NewOut != R.Out[B]) {
-        std::swap(R.In[B], NewIn);
-        std::swap(R.Out[B], NewOut);
-        for (BlockID Pred : BB->preds()) {
-          size_t PP = PosOf[Pred];
-          if (PP != NoPos && !Pending.test(PP)) {
-            Pending.set(PP);
-            ++NumPending;
-          }
-        }
+        R.In[B].assign(NewIn);
+        R.Out[B].assign(NewOut);
+        for (BlockID Pred : BB->preds())
+          Enqueue(Pred);
       }
     }
   }

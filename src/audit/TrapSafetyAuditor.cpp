@@ -29,7 +29,7 @@ bool constFalse(const CheckExpr &C) {
 /// bound fails). The family's bound order is walked instead of every set
 /// bit. The universe must key families by expression (any
 /// ImplicationMode but None); InvalidFamily has no members.
-bool anyAsStrongAs(const CheckUniverse &U, const DenseBitVector &Bits,
+bool anyAsStrongAs(const CheckUniverse &U, ConstBitRow Bits,
                    FamilyID F, int64_t Bound) {
   assert(!U.familyPerCheckMode() && "families must be keyed by expression");
   if (F == InvalidFamily)
@@ -486,8 +486,8 @@ private:
       // definitions would be enough (the header redefines nothing; index
       // updates live in the latch), but be conservative and require full
       // loop-invariance or a valid limit substitution.
-      if (DL.BodyEntry < Antic.In.size()) {
-        const DenseBitVector &In = Antic.In[DL.BodyEntry];
+      if (DL.BodyEntry < Antic.In.numRows()) {
+        ConstBitRow In = Antic.In[DL.BodyEntry];
         In.forEachSetBit([&](size_t Bit) {
           CheckID T = transportOut(static_cast<CheckID>(Bit), LIdx, true);
           if (T != InvalidCheck)
@@ -531,7 +531,7 @@ private:
   /// g (the block's exit set for the gap after the terminator).
   void anticAtGaps(BlockID B, size_t NumGaps) {
     const auto &Insts = Orig.block(B)->instructions();
-    if (B < Antic.Out.size())
+    if (B < Antic.Out.numRows())
       Cur = Antic.Out[B];
     else
       Cur = DenseBitVector(OrigCtx.universe().size());
@@ -615,14 +615,14 @@ private:
   /// Rule (a): some check anticipated at this gap's start in the original
   /// is as strong as \p C — executing C here can only trap where the
   /// original was already doomed to trap.
-  bool justifiedAnticipated(const DenseBitVector &AnticGap,
+  bool justifiedAnticipated(ConstBitRow AnticGap,
                             const CheckExpr &C, CheckFamilies Fam) const {
     return anyAsStrongAs(OrigCtx.universe(), AnticGap, Fam.Orig, C.bound());
   }
 
   /// Rule (c): some check the original performs on every path to this gap
   /// is as strong as \p C — C can never fire first.
-  bool justifiedAvailable(const DenseBitVector &AvailGap,
+  bool justifiedAvailable(ConstBitRow AvailGap,
                           const CheckExpr &C, CheckFamilies Fam) const {
     return anyAsStrongAs(OrigCtx.universe(), AvailGap, Fam.Orig, C.bound());
   }
@@ -805,7 +805,7 @@ private:
     // the start of the original's gap g, so a check there snapshots it
     // into AvailAt[g]. Anticipatability runs backward, afterwards, over
     // the gaps the matching found checks or a trap in.
-    if (B < Avail.In.size())
+    if (B < Avail.In.numRows())
       Cur = Avail.In[B];
     else
       Cur = DenseBitVector(OrigCtx.universe().size());
@@ -914,8 +914,8 @@ private:
       Report.add(std::move(F));
       return;
     }
-    const DenseBitVector &AnticT = Antic.In[T];
-    const DenseBitVector &AvailFrom = Avail.Out[From];
+    ConstBitRow AnticT = Antic.In[T];
+    ConstBitRow AvailFrom = Avail.Out[From];
     for (size_t OI = 0; OI != BB.size(); ++OI) {
       const Instruction &I = BB.instructions()[OI];
       switch (I.Op) {

@@ -314,17 +314,6 @@ Hash128 nascent::cache::hashFunctionContent(const Function &F) {
   return H.digest();
 }
 
-namespace {
-
-uint64_t approxBitVectorsBytes(const std::vector<DenseBitVector> &Vs) {
-  uint64_t B = sizeof(Vs);
-  for (const DenseBitVector &V : Vs)
-    B += sizeof(DenseBitVector) + (V.size() + 7) / 8;
-  return B;
-}
-
-} // namespace
-
 uint64_t nascent::cache::approxModuleBytes(const Module &M) {
   uint64_t B = sizeof(Module);
   for (const Function *F : M.functions()) {
@@ -360,12 +349,11 @@ uint64_t nascent::cache::approxContextSeedBytes(const ContextSeed &S) {
        C.InstDest.size() * sizeof(SymbolID);
   for (const CheckOrigin &O : C.RepOrigin)
     B += sizeof(CheckOrigin) + O.ArrayName.size();
-  B += approxBitVectorsBytes(C.GenIn);
-  B += approxBitVectorsBytes(C.Kill);
-  B += approxBitVectorsBytes(C.AvailGen);
-  B += approxBitVectorsBytes(C.AnticGen);
-  B += approxBitVectorsBytes(C.ClosureCache);
-  B += approxBitVectorsBytes(C.FamClosureCache);
+  for (const BitRows *T : {&C.GenIn, &C.Kill, &C.AvailGen, &C.AnticGen,
+                           &C.Closure, &C.FamClosure})
+    B += T->bytes();
+  B += C.Order.RPO.size() * sizeof(BlockID) +
+       C.Order.Position.size() * sizeof(uint32_t);
   return B;
 }
 

@@ -84,11 +84,11 @@ struct SolveMemo {
 };
 
 /// The immutable heart of a built CheckContext: per-instruction check
-/// ids, representative origins, entry facts, block transfer sets, and
-/// the (eagerly completed) weaker-closure caches. Shared by reference
-/// between a seed and every context built from it — none of these
-/// tables changes after construction, so a seeded context binds to the
-/// shared instance instead of copying a few hundred heap blocks per hit.
+/// ids, representative origins, the block and closure tables, and the
+/// CFG's visiting order. Shared by reference between a seed and every
+/// context built from it — none of these tables changes after
+/// construction, so a seeded context binds to the shared instance
+/// instead of copying them per hit.
 struct ContextCore {
   /// Per-instruction check ids, flat in block order: instruction (B, Idx)
   /// is InstCheck[InstBase[B] + Idx]; InstBase ends one past the last
@@ -100,13 +100,19 @@ struct ContextCore {
   /// tables without revisiting the instructions.
   std::vector<SymbolID> InstDest;
   std::vector<CheckOrigin> RepOrigin;
-  std::vector<DenseBitVector> GenIn;
-  std::vector<DenseBitVector> Kill;
-  std::vector<DenseBitVector> AvailGen; // includes GenIn survivors
-  std::vector<DenseBitVector> AnticGen;
-  bool ClosuresBuilt = false;
-  std::vector<DenseBitVector> ClosureCache;
-  std::vector<DenseBitVector> FamClosureCache;
+  /// Per-block sets, one universe-wide row per BlockID: entry facts,
+  /// kills, availability gen (entry-fact survivors included) and
+  /// anticipatability gen.
+  BitRows GenIn;
+  BitRows Kill;
+  BitRows AvailGen;
+  BitRows AnticGen;
+  /// Per-check weaker-closures, one row per CheckID: the availability
+  /// flavour and the family-restricted (anticipatability) flavour.
+  BitRows Closure;
+  BitRows FamClosure;
+  /// The reverse post-order every solve over this context visits.
+  BlockOrder Order;
 };
 
 /// A cached CheckContext build for one function at one implication mode:

@@ -101,6 +101,8 @@ std::optional<int64_t> CheckImplicationGraph::pathWeight(FamilyID From,
                                                          FamilyID To) const {
   if (From == To)
     return 0;
+  if (EdgeCount == 0)
+    return std::nullopt;
   const std::vector<int64_t> &Dist = shortestFrom(From);
   if (To >= Dist.size() || Dist[To] == Unreachable)
     return std::nullopt;
@@ -146,6 +148,8 @@ void CheckImplicationGraph::weakerClosure(CheckID C,
   // Cross family: members reachable with accumulated weight. Dist may
   // cover edge-referenced ids beyond the interned families; those have no
   // members yet, so the scan stops at the universe's family count.
+  if (EdgeCount == 0)
+    return;
   const std::vector<int64_t> &Dist = shortestFrom(FI);
   for (size_t FJ = 0, E = std::min(Dist.size(), U.numFamilies());
        FJ != E; ++FJ) {

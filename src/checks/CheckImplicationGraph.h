@@ -53,7 +53,9 @@ public:
   bool isAsStrongAs(CheckID Ci, CheckID Cj) const;
 
   /// Minimal accumulated weight of a path From -> To; nullopt when
-  /// unconnected. The trivial path has weight 0.
+  /// unconnected. The trivial path has weight 0. An edge-free graph (every
+  /// graph a compile builds: no pass adds an edge) answers without a
+  /// shortest-path search.
   std::optional<int64_t> pathWeight(FamilyID From, FamilyID To) const;
 
   /// Sets in \p Out (sized to the universe) every check that \p C is as
@@ -65,20 +67,6 @@ public:
   /// is the anticipatability gen set (the paper's stronger condition that
   /// keeps insertion points sound).
   void weakerClosureSameFamily(CheckID C, DenseBitVector &Out) const;
-
-  /// Visits every family reachable from \p From (excluding \p From) as
-  /// Fn(To, Weight) with its minimal accumulated path weight, targets
-  /// ascending. This is the backing for batch closure construction
-  /// (opt/CheckContext), which shares one reachability scan across all of
-  /// a family's members.
-  template <typename CallableT>
-  void forEachReachable(FamilyID From, CallableT Fn) const {
-    const std::vector<int64_t> &Dist = shortestFrom(From);
-    size_t E = std::min(Dist.size(), U.numFamilies());
-    for (size_t To = 0; To != E; ++To)
-      if (To != From && Dist[To] != Unreachable)
-        Fn(static_cast<FamilyID>(To), Dist[To]);
-  }
 
   size_t numEdges() const { return EdgeCount; }
 

@@ -29,6 +29,7 @@ CheckContext::CheckContext(const Function &F, ImplicationMode Mode,
   // (which fold into the retired total) cannot skew the delta.
   uint64_t OpsBefore = DenseBitVector::threadWordOps();
   buildUniverse(Facts);
+  buildClosures();
   buildBlockSets();
   BuildWordOps = DenseBitVector::threadWordOps() - OpsBefore;
   recordBuildStats();
@@ -52,13 +53,9 @@ CheckContext::CheckContext(const Function &F, ImplicationMode Mode,
 cache::ContextSeed CheckContext::makeSeed() const {
   cache::ContextSeed Seed;
   // Share our universe and table core (already shared if we were seeded
-  // ourselves): no copies, at store time or per hit. Completing the lazy
-  // closure build first keeps the shared core immutable — it is a no-op
-  // whenever any check exists (the constructor built the closures while
-  // scanning blocks) and free when none does (empty caches).
+  // ourselves): no copies, at store time or per hit.
   Seed.U = SharedU ? SharedU
                    : std::make_shared<const CheckUniverse>(OwnedU);
-  ensureClosures();
   Seed.Core = SharedCore
                   ? SharedCore
                   : std::shared_ptr<const cache::ContextCore>(OwnedCore);
@@ -78,8 +75,8 @@ void CheckContext::recordBuildStats() {
   UniverseSizes.record(U.size());
   FamilyCounts.record(U.numFamilies());
   NumCigEdges += CIG.numEdges();
-  for (const DenseBitVector &K : Core.Kill)
-    KillSetSizes.record(K.count());
+  for (size_t B = 0, E = Core.Kill.numRows(); B != E; ++B)
+    KillSetSizes.record(Core.Kill[B].count());
 }
 
 void CheckContext::buildUniverse(const std::vector<PreheaderFact> &Facts) {
@@ -135,10 +132,6 @@ void CheckContext::buildUniverse(const std::vector<PreheaderFact> &Facts) {
     StoredFacts.push_back(
       {PF.BodyEntry, OwnedU.intern(PF.Fact), PF.Source});
   W.RepOrigin.resize(U.size());
-
-  W.GenIn.assign(F.numBlocks(), DenseBitVector(U.size()));
-  for (const FactInfo &FI : StoredFacts)
-    W.GenIn[FI.Block] |= weakerClosure(FI.Id);
 }
 
 CheckTag CheckContext::preheaderWitness(BlockID B, CheckID C) const {
@@ -166,7 +159,7 @@ void CheckContext::applyAvailGen(BlockID B, size_t Idx, const Instruction &I,
   CheckID C = Core.InstCheck[Core.InstBase[B] + Idx];
   if (C == InvalidCheck)
     return;
-  Bits |= weakerClosure(C);
+  Bits |= Core.Closure[C];
 }
 
 void CheckContext::applyAnticGen(BlockID B, size_t Idx, const Instruction &I,
@@ -176,146 +169,84 @@ void CheckContext::applyAnticGen(BlockID B, size_t Idx, const Instruction &I,
   CheckID C = Core.InstCheck[Core.InstBase[B] + Idx];
   if (C == InvalidCheck)
     return;
-  Bits |= weakerClosureSameFamily(C);
+  Bits |= Core.FamClosure[C];
 }
 
-const DenseBitVector &CheckContext::weakerClosure(CheckID C) const {
-  ensureClosures();
-  return Core.ClosureCache[C];
-}
-
-const DenseBitVector &
-CheckContext::weakerClosureSameFamily(CheckID C) const {
-  ensureClosures();
-  return Core.FamClosureCache[C];
-}
-
-void CheckContext::ensureClosures() const {
-  if (Core.ClosuresBuilt)
-    return;
-  // Only organic contexts reach the build: makeSeed completes it before
-  // the core is shared, so seeded contexts always find ClosuresBuilt.
+void CheckContext::buildClosures() {
   cache::ContextCore &W = *OwnedCore;
-  W.ClosuresBuilt = true;
   size_t N = U.size();
-  W.ClosureCache.assign(N, DenseBitVector(N));
-  W.FamClosureCache.assign(N, DenseBitVector(N));
-  if (N == 0)
-    return;
-
-  if (Mode == ImplicationMode::None) {
-    // Every check implies only itself; no graph walks needed.
-    for (size_t C = 0; C != N; ++C) {
-      W.ClosureCache[C].set(C);
-      W.FamClosureCache[C].set(C);
-    }
-    return;
+  W.Closure = BitRows(N, N);
+  W.FamClosure = BitRows(N, N);
+  for (CheckID C = 0; C != N; ++C) {
+    W.Closure[C].set(C);
+    W.FamClosure[C].set(C);
   }
+  // The context's CIG starts edge-free and no pass adds an implication
+  // edge, so a closure has no cross-family part: under None and
+  // CrossFamilyOnly every check implies only itself.
+  if (Mode != ImplicationMode::All)
+    return;
 
-  // Suffix masks over each family's bound-ascending member list:
-  // suffix(F, K) = {members K..}. "All members with bound >= T" is then a
-  // binary search plus one word-parallel OR, for any threshold T. Family
-  // F's masks are rows SuffixBase[F] .. SuffixBase[F] + |F| of one table.
-  size_t NumFams = U.numFamilies();
-  std::vector<size_t> SuffixBase(NumFams + 1, 0);
-  for (size_t FI = 0; FI != NumFams; ++FI)
-    SuffixBase[FI + 1] = SuffixBase[FI] +
-                         U.familyMembers(static_cast<FamilyID>(FI)).size() + 1;
-  std::vector<DenseBitVector> SuffixRows(SuffixBase[NumFams],
-                                         DenseBitVector(N));
-  for (size_t FI = 0; FI != NumFams; ++FI) {
+  // Same family: a member is as strong as every member with a bound at
+  // least its own. Members are strictly bound-ascending, so that is the
+  // suffix from the member on, and a running OR from the weakest member
+  // down builds each closure with one row op per flavour.
+  DenseBitVector Suffix(N);
+  for (size_t FI = 0, NF = U.numFamilies(); FI != NF; ++FI) {
     std::span<const CheckID> Members =
         U.familyMembers(static_cast<FamilyID>(FI));
-    DenseBitVector *S = SuffixRows.data() + SuffixBase[FI];
     for (size_t K = Members.size(); K-- > 0;) {
-      S[K] = S[K + 1];
-      S[K].set(Members[K]);
+      Suffix.set(Members[K]);
+      W.Closure[Members[K]] |= Suffix;
+      W.FamClosure[Members[K]] |= Suffix;
     }
-  }
-  auto Suffix = [&](size_t FI, size_t K) -> const DenseBitVector & {
-    return SuffixRows[SuffixBase[FI] + K];
-  };
-
-  auto FirstWithBoundAtLeast = [this](std::span<const CheckID> Members,
-                                      int64_t T) {
-    size_t Lo = 0, Hi = Members.size();
-    while (Lo < Hi) {
-      size_t Mid = Lo + (Hi - Lo) / 2;
-      if (U.check(Members[Mid]).bound() < T)
-        Lo = Mid + 1;
-      else
-        Hi = Mid;
-    }
-    return Lo;
-  };
-
-  for (size_t FI = 0; FI != NumFams; ++FI) {
-    std::span<const CheckID> Members =
-        U.familyMembers(static_cast<FamilyID>(FI));
-    for (size_t K = 0; K != Members.size(); ++K) {
-      CheckID C = Members[K];
-      int64_t BoundC = U.check(C).bound();
-      if (Mode != ImplicationMode::CrossFamilyOnly) {
-        // Same family: everything with a bound at least ours. (Binary
-        // search instead of position K keeps duplicate bounds exact.)
-        size_t Start = FirstWithBoundAtLeast(Members, BoundC);
-        W.ClosureCache[C] |= Suffix(FI, Start);
-        W.FamClosureCache[C] |= Suffix(FI, Start);
-      }
-      W.ClosureCache[C].set(C);
-      W.FamClosureCache[C].set(C);
-      // Cross family: members reachable with accumulated weight. The
-      // reachability row is computed once per family (cached in the CIG)
-      // and shared by all its members.
-      CIG.forEachReachable(
-          static_cast<FamilyID>(FI), [&](FamilyID FJ, int64_t Wt) {
-            std::span<const CheckID> MJ = U.familyMembers(FJ);
-            W.ClosureCache[C] |=
-                Suffix(FJ, FirstWithBoundAtLeast(MJ, BoundC + Wt));
-          });
-    }
+    for (CheckID M : Members)
+      Suffix.reset(M);
   }
 }
 
 void CheckContext::buildBlockSets() {
   cache::ContextCore &W = *OwnedCore;
-  size_t N = U.size();
-  W.Kill.assign(F.numBlocks(), DenseBitVector(N));
-  W.AvailGen.assign(F.numBlocks(), DenseBitVector(N));
-  W.AnticGen.assign(F.numBlocks(), DenseBitVector(N));
+  size_t N = U.size(), NumBlocks = F.numBlocks();
+  W.GenIn = BitRows(NumBlocks, N);
+  for (const FactInfo &FI : StoredFacts)
+    W.GenIn[FI.Block] |= W.Closure[FI.Id];
+  W.Kill = BitRows(NumBlocks, N);
+  W.AvailGen = BitRows(NumBlocks, N);
+  W.AnticGen = BitRows(NumBlocks, N);
 
   // The scans read the flat destination and check-id tables filled by
   // buildUniverse instead of revisiting the instructions.
-  for (BlockID B = 0; B != F.numBlocks(); ++B) {
+  for (BlockID B = 0; B != NumBlocks; ++B) {
     const CheckID *Ids = W.InstCheck.data() + W.InstBase[B];
     const SymbolID *Dests = W.InstDest.data() + W.InstBase[B];
     size_t Size = W.InstBase[B + 1] - W.InstBase[B];
 
     // Kill (the union over definitions) and availability gen, in one
     // forward scan starting from the entry facts.
-    DenseBitVector Running = W.GenIn[B];
+    BitRow Kill = W.Kill[B], Running = W.AvailGen[B];
+    Running.assign(W.GenIn[B]);
     for (size_t Idx = 0; Idx != Size; ++Idx) {
       if (Dests[Idx] != InvalidSymbol)
         for (CheckID C : U.checksUsingSymbol(Dests[Idx])) {
-          W.Kill[B].set(C);
+          Kill.set(C);
           Running.reset(C);
         }
       if (Ids[Idx] != InvalidCheck)
-        Running |= weakerClosure(Ids[Idx]);
+        Running |= W.Closure[Ids[Idx]];
     }
-    W.AvailGen[B] = std::move(Running);
 
     // Anticipatability gen: backward scan from an empty exit set.
-    DenseBitVector Back(N);
+    BitRow Back = W.AnticGen[B];
     for (size_t Idx = Size; Idx-- > 0;) {
       if (Dests[Idx] != InvalidSymbol)
         for (CheckID C : U.checksUsingSymbol(Dests[Idx]))
           Back.reset(C);
       if (Ids[Idx] != InvalidCheck)
-        Back |= weakerClosureSameFamily(Ids[Idx]);
+        Back |= W.FamClosure[Ids[Idx]];
     }
-    W.AnticGen[B] = std::move(Back);
   }
+  W.Order = BlockOrder(F);
 }
 
 DataflowResult CheckContext::solveAvailability() const {
@@ -325,9 +256,9 @@ DataflowResult CheckContext::solveAvailability() const {
     P.Dir = DataflowProblem::Direction::Forward;
     P.MeetOp = DataflowProblem::Meet::Intersect;
     P.UniverseSize = U.size();
-    P.Gen = Core.AvailGen;
-    P.Kill = Core.Kill;
-    return solveDataflow(F, P);
+    P.Gen = &Core.AvailGen;
+    P.Kill = &Core.Kill;
+    return solveDataflow(F, Core.Order, P);
   };
   if (!Solves)
     return Solve();
@@ -360,9 +291,9 @@ DataflowResult CheckContext::solveAnticipatability() const {
     P.Dir = DataflowProblem::Direction::Backward;
     P.MeetOp = DataflowProblem::Meet::Intersect;
     P.UniverseSize = U.size();
-    P.Gen = Core.AnticGen;
-    P.Kill = Core.Kill;
-    return solveDataflow(F, P);
+    P.Gen = &Core.AnticGen;
+    P.Kill = &Core.Kill;
+    return solveDataflow(F, Core.Order, P);
   };
   if (!Solves)
     return Solve();

@@ -61,9 +61,8 @@ public:
                const cache::ContextSeed &Seed,
                obs::PhaseTimings *Phases = nullptr);
 
-  /// Snapshot of the built state for the artifact cache. Completes the
-  /// lazy closure build first (a no-op unless the universe is empty,
-  /// where it is free) so the shared core is immutable from here on.
+  /// Snapshot of the built state for the artifact cache; the shared core
+  /// is immutable from here on.
   cache::ContextSeed makeSeed() const;
 
   /// Word-parallel bit-vector ops the construction spent (or replayed).
@@ -90,8 +89,8 @@ public:
     return Core.RepOrigin[C];
   }
 
-  /// Entry facts per block (universe-sized bit vectors).
-  const DenseBitVector &genInBits(BlockID B) const { return Core.GenIn[B]; }
+  /// Entry facts per block (universe-sized rows).
+  ConstBitRow genInBits(BlockID B) const { return Core.GenIn[B]; }
 
   /// The lifecycle tag of a preheader conditional check whose fact covers
   /// \p C at the entry of \p B; NoCheckTag when no fact does (or the
@@ -121,22 +120,22 @@ public:
   /// Anticipatability: backward, intersect. In = block entry, Out = exit.
   DataflowResult solveAnticipatability() const;
 
-  /// Cached weaker-closures (availability flavour). The first query
-  /// batch-builds the closures of *every* check in one pass (see
-  /// ensureClosures), so per-check calls are lookups.
-  const DenseBitVector &weakerClosure(CheckID C) const;
+  /// The weaker-closure of \p C (availability flavour): every check \p C
+  /// is as strong as, itself included. Built for every check with the
+  /// context (see buildClosures), so a query is a row lookup.
+  ConstBitRow weakerClosure(CheckID C) const { return Core.Closure[C]; }
 
-  /// Cached weaker-closures restricted to the family (antic flavour).
-  const DenseBitVector &weakerClosureSameFamily(CheckID C) const;
+  /// The weaker-closure restricted to \p C's family (antic flavour).
+  ConstBitRow weakerClosureSameFamily(CheckID C) const {
+    return Core.FamClosure[C];
+  }
 
   /// Per-block kill sets (union over instructions).
-  const DenseBitVector &blockKill(BlockID B) const { return Core.Kill[B]; }
+  ConstBitRow blockKill(BlockID B) const { return Core.Kill[B]; }
 
   /// Per-block local anticipatability (LCM's ANTLOC): checks generated in
   /// the block with no kill before them.
-  const DenseBitVector &blockAnticGen(BlockID B) const {
-    return Core.AnticGen[B];
-  }
+  ConstBitRow blockAnticGen(BlockID B) const { return Core.AnticGen[B]; }
 
   /// True when block \p B contains a plain check generating \p C's
   /// availability before any kill of \p C (LCM's "locally anticipatable").
@@ -144,19 +143,12 @@ public:
 
 private:
   void buildUniverse(const std::vector<PreheaderFact> &Facts);
+  void buildClosures();
   void buildBlockSets();
 
   /// The stat epilogue shared by the organic and seeded constructors, so
   /// both record identical counter and histogram updates.
   void recordBuildStats();
-
-  /// One-shot batch fill of both closure caches. Groups the work by
-  /// family: the per-family bound-suffix masks and the per-family
-  /// reachability scan are shared by all members, so each closure is a
-  /// few word-parallel ORs instead of a per-member CIG walk. Safe to
-  /// build eagerly because production code never mutates the CIG after
-  /// the context is constructed.
-  void ensureClosures() const;
 
   const Function &F;
   ImplicationMode Mode;
@@ -167,12 +159,11 @@ private:
   std::shared_ptr<const CheckUniverse> SharedU;
   CheckUniverse OwnedU;
   const CheckUniverse &U;
-  /// The built tables (ids, origins, transfer sets, closures): organic
-  /// contexts allocate and fill OwnedCore (the write handle — also used
-  /// by the one lazy post-constructor write, ensureClosures); seeded
-  /// contexts bind SharedCore from their seed. Core is the one in use
-  /// everywhere. makeSeed completes the lazy closure build and then
-  /// shares the core, after which it is immutable.
+  /// The built tables (ids, origins, transfer sets, closures, order):
+  /// organic contexts allocate and fill OwnedCore (the write handle);
+  /// seeded contexts bind SharedCore from their seed. Core is the one in
+  /// use everywhere. makeSeed shares the core, after which it is
+  /// immutable.
   std::shared_ptr<cache::ContextCore> OwnedCore;
   std::shared_ptr<const cache::ContextCore> SharedCore;
   const cache::ContextCore &Core;

@@ -16,7 +16,7 @@ void nascent::runCheckStrengthening(Function &F, const CheckContext &Ctx,
     // Backward in-block scan: at each point, the current anticipatable
     // set; a check is replaced by the strongest anticipatable member of
     // its family at the point just before it.
-    DenseBitVector Cur = Antic.Out[B];
+    DenseBitVector Cur(Antic.Out[B]);
     // Collect per-instruction "antic before" sets by scanning backward.
     std::vector<DenseBitVector> Before(BB->size());
     for (size_t Idx = BB->size(); Idx-- > 0;) {

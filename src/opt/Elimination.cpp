@@ -41,7 +41,7 @@ void nascent::eliminateRedundantChecks(Function &F, const CheckContext &Ctx,
 
   for (auto &BB : F) {
     BlockID B = BB->id();
-    DenseBitVector Cur = Avail.In[B];
+    DenseBitVector Cur(Avail.In[B]);
     Cur |= Ctx.genInBits(B);
 
     std::vector<size_t> ToDelete;

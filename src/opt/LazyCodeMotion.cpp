@@ -57,7 +57,7 @@ void nascent::runLazyCodeMotion(Function &F, const CheckContext &Ctx,
 
   // EARLIEST(i,j) = ANTIN(j) & ~AVOUT(i) & (KILL(i) | ~ANTOUT(i)).
   for (Edge &E : Edges) {
-    DenseBitVector Guard = Ctx.blockKill(E.From); // KILL(i)
+    DenseBitVector Guard(Ctx.blockKill(E.From)); // KILL(i)
     DenseBitVector NotAntOut(N, true);
     NotAntOut.andNot(Antic.Out[E.From]);
     Guard |= NotAntOut;
@@ -68,7 +68,7 @@ void nascent::runLazyCodeMotion(Function &F, const CheckContext &Ctx,
   }
   // Pseudo-edge into the entry: EARLIEST = ANTIN(entry) (nothing is
   // available before the entry).
-  DenseBitVector EarliestEntry = Antic.In[F.entryBlock()];
+  DenseBitVector EarliestEntry(Antic.In[F.entryBlock()]);
 
   // Placement sets per edge (and for the entry).
   std::vector<DenseBitVector> InsertOnEdge(Edges.size());

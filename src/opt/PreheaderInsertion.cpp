@@ -237,14 +237,14 @@ void nascent::runPreheaderInsertion(Function &F, const CheckContext &Ctx,
     };
     std::unordered_map<LinearExpr, Group, LinearExprHash> Groups;
 
-    const DenseBitVector &AntIn = Antic.In[DL.BodyEntry];
+    ConstBitRow AntIn = Antic.In[DL.BodyEntry];
     const DenseBitVector &Occurs = OccursIn[LIdx];
     AntIn.forEachSetBit([&](size_t Bit) {
       CheckID C = static_cast<CheckID>(Bit);
       if (Opts.MarksteinRestriction && !MarksteinOK.test(C))
         return;
       // Profitability: hoisting must cover a check inside the loop.
-      DenseBitVector Covered = Ctx.weakerClosure(C);
+      DenseBitVector Covered(Ctx.weakerClosure(C));
       Covered &= Occurs;
       if (Covered.none())
         return;

@@ -37,18 +37,31 @@ DenseBitVector bits(size_t N, std::initializer_list<size_t> Set) {
   return V;
 }
 
+/// A table of width \p N with one row per set of \p Sets.
+BitRows rows(size_t N,
+             std::initializer_list<std::initializer_list<size_t>> Sets) {
+  BitRows T(Sets.size(), N);
+  size_t R = 0;
+  for (std::initializer_list<size_t> Set : Sets) {
+    for (size_t B : Set)
+      T[R].set(B);
+    ++R;
+  }
+  return T;
+}
+
 TEST(Dataflow, ForwardGenKillPropagation) {
   Chain C;
   DataflowProblem P;
   P.Dir = DataflowProblem::Direction::Forward;
   P.MeetOp = DataflowProblem::Meet::Intersect;
   P.UniverseSize = 4;
-  std::vector<DenseBitVector> Gen = {bits(4, {0}), bits(4, {1}), bits(4, {})};
-  std::vector<DenseBitVector> Kill = {bits(4, {}), bits(4, {0}), bits(4, {})};
-  P.Gen = Gen;
-  P.Kill = Kill;
+  BitRows Gen = rows(4, {{0}, {1}, {}});
+  BitRows Kill = rows(4, {{}, {0}, {}});
+  P.Gen = &Gen;
+  P.Kill = &Kill;
 
-  DataflowResult R = solveDataflow(C.F, P);
+  DataflowResult R = solveDataflow(C.F, BlockOrder(C.F), P);
   EXPECT_EQ(R.Out[C.B0], bits(4, {0}));
   // b1 kills 0 and gens 1.
   EXPECT_EQ(R.In[C.B1], bits(4, {0}));
@@ -77,17 +90,16 @@ TEST(Dataflow, IntersectAtMerge) {
 
   DataflowProblem P;
   P.UniverseSize = 2;
-  std::vector<DenseBitVector> Gen = {bits(2, {1}), bits(2, {0}), bits(2, {}),
-                                     bits(2, {})};
-  std::vector<DenseBitVector> Kill(4, DenseBitVector(2));
-  P.Gen = Gen;
-  P.Kill = Kill;
+  BitRows Gen = rows(2, {{1}, {0}, {}, {}});
+  BitRows Kill(4, 2);
+  P.Gen = &Gen;
+  P.Kill = &Kill;
 
-  DataflowResult RI = solveDataflow(F, P);
+  DataflowResult RI = solveDataflow(F, BlockOrder(F), P);
   EXPECT_EQ(RI.In[J->id()], bits(2, {1})); // fact 0 only on the then path
 
   P.MeetOp = DataflowProblem::Meet::Union;
-  DataflowResult RU = solveDataflow(F, P);
+  DataflowResult RU = solveDataflow(F, BlockOrder(F), P);
   EXPECT_EQ(RU.In[J->id()], bits(2, {0, 1}));
 }
 
@@ -114,14 +126,14 @@ TEST(Dataflow, LoopReachesFixpoint) {
 
   DataflowProblem P;
   P.UniverseSize = 2;
-  std::vector<DenseBitVector> Gen(4, DenseBitVector(2));
-  std::vector<DenseBitVector> Kill(4, DenseBitVector(2));
+  BitRows Gen(4, 2);
+  BitRows Kill(4, 2);
   Gen[E->id()].set(0);
   Gen[Body->id()].set(1);
-  P.Gen = Gen;
-  P.Kill = Kill;
+  P.Gen = &Gen;
+  P.Kill = &Kill;
 
-  DataflowResult R = solveDataflow(F, P);
+  DataflowResult R = solveDataflow(F, BlockOrder(F), P);
   EXPECT_TRUE(R.In[H->id()].test(0));
   EXPECT_FALSE(R.In[H->id()].test(1));
   EXPECT_TRUE(R.In[X->id()].test(0));
@@ -136,13 +148,12 @@ TEST(Dataflow, BackwardAnticipation) {
   DataflowProblem P;
   P.Dir = DataflowProblem::Direction::Backward;
   P.UniverseSize = 2;
-  std::vector<DenseBitVector> Gen = {bits(2, {}), bits(2, {}),
-                                     bits(2, {0, 1})};
-  std::vector<DenseBitVector> Kill = {bits(2, {}), bits(2, {0}), bits(2, {})};
-  P.Gen = Gen;
-  P.Kill = Kill;
+  BitRows Gen = rows(2, {{}, {}, {0, 1}});
+  BitRows Kill = rows(2, {{}, {0}, {}});
+  P.Gen = &Gen;
+  P.Kill = &Kill;
 
-  DataflowResult R = solveDataflow(C.F, P);
+  DataflowResult R = solveDataflow(C.F, BlockOrder(C.F), P);
   EXPECT_TRUE(R.In[C.B2].test(0));
   EXPECT_TRUE(R.Out[C.B1].test(0));
   EXPECT_FALSE(R.In[C.B1].test(0)); // killed in b1
@@ -157,10 +168,10 @@ TEST(Dataflow, BackwardBoundaryAtExits) {
   DataflowProblem P;
   P.Dir = DataflowProblem::Direction::Backward;
   P.UniverseSize = 1;
-  std::vector<DenseBitVector> Sets(3, DenseBitVector(1));
-  P.Gen = Sets;
-  P.Kill = Sets;
-  DataflowResult R = solveDataflow(C.F, P);
+  BitRows Sets(3, 1);
+  P.Gen = &Sets;
+  P.Kill = &Sets;
+  DataflowResult R = solveDataflow(C.F, BlockOrder(C.F), P);
   EXPECT_FALSE(R.Out[C.B2].test(0));
   EXPECT_FALSE(R.In[C.B0].test(0));
 }
