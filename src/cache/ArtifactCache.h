@@ -102,11 +102,16 @@ struct ContextCore {
   std::vector<CheckOrigin> RepOrigin;
   /// Per-block sets, one universe-wide row per BlockID: entry facts,
   /// kills, availability gen (entry-fact survivors included) and
-  /// anticipatability gen.
+  /// anticipatability gen. AnticGen is built on first use: only contexts
+  /// that solve anticipatability or read ANTLOC pay for it. A seed's core
+  /// always has it (makeSeed builds it before sharing), along with the
+  /// word ops that build cost, for each seeded reader to replay.
   BitRows GenIn;
   BitRows Kill;
   BitRows AvailGen;
   BitRows AnticGen;
+  bool AnticGenBuilt = false;
+  uint64_t AnticGenWordOps = 0;
   /// Per-check weaker-closures, one row per CheckID: the availability
   /// flavour and the family-restricted (anticipatability) flavour.
   BitRows Closure;

@@ -56,6 +56,15 @@ cache::ContextSeed CheckContext::makeSeed() const {
   // ourselves): no copies, at store time or per hit.
   Seed.U = SharedU ? SharedU
                    : std::make_shared<const CheckUniverse>(OwnedU);
+  // The shared core must be complete and immutable: build the lazy
+  // anticipatability rows now, but leave their cost to the first reader
+  // (anticGen credits it), as a context that never reads them never
+  // pays it.
+  if (!Core.AnticGenBuilt) {
+    uint64_t Ops0 = DenseBitVector::threadWordOps();
+    buildAnticGen();
+    DenseBitVector::debitThreadOps(DenseBitVector::threadWordOps() - Ops0);
+  }
   Seed.Core = SharedCore
                   ? SharedCore
                   : std::shared_ptr<const cache::ContextCore>(OwnedCore);
@@ -213,7 +222,6 @@ void CheckContext::buildBlockSets() {
     W.GenIn[FI.Block] |= W.Closure[FI.Id];
   W.Kill = BitRows(NumBlocks, N);
   W.AvailGen = BitRows(NumBlocks, N);
-  W.AnticGen = BitRows(NumBlocks, N);
 
   // The scans read the flat destination and check-id tables filled by
   // buildUniverse instead of revisiting the instructions.
@@ -235,10 +243,33 @@ void CheckContext::buildBlockSets() {
       if (Ids[Idx] != InvalidCheck)
         Running |= W.Closure[Ids[Idx]];
     }
+  }
+  W.Order = BlockOrder(F);
+}
 
-    // Anticipatability gen: backward scan from an empty exit set.
+const BitRows &CheckContext::anticGen() const {
+  if (!Core.AnticGenBuilt) {
+    buildAnticGen();
+  } else if (!AnticGenPaid) {
+    DenseBitVector::creditThreadOps(Core.AnticGenWordOps);
+  }
+  AnticGenPaid = true;
+  return Core.AnticGen;
+}
+
+void CheckContext::buildAnticGen() const {
+  // Only organic contexts reach the build: makeSeed completes it before
+  // the core is shared.
+  cache::ContextCore &W = *OwnedCore;
+  uint64_t Ops0 = DenseBitVector::threadWordOps();
+  size_t NumBlocks = F.numBlocks();
+  W.AnticGen = BitRows(NumBlocks, U.size());
+  // A backward scan per block from an empty exit set.
+  for (BlockID B = 0; B != NumBlocks; ++B) {
+    const CheckID *Ids = W.InstCheck.data() + W.InstBase[B];
+    const SymbolID *Dests = W.InstDest.data() + W.InstBase[B];
     BitRow Back = W.AnticGen[B];
-    for (size_t Idx = Size; Idx-- > 0;) {
+    for (size_t Idx = W.InstBase[B + 1] - W.InstBase[B]; Idx-- > 0;) {
       if (Dests[Idx] != InvalidSymbol)
         for (CheckID C : U.checksUsingSymbol(Dests[Idx]))
           Back.reset(C);
@@ -246,7 +277,8 @@ void CheckContext::buildBlockSets() {
         Back |= W.FamClosure[Ids[Idx]];
     }
   }
-  W.Order = BlockOrder(F);
+  W.AnticGenWordOps = DenseBitVector::threadWordOps() - Ops0;
+  W.AnticGenBuilt = true;
 }
 
 DataflowResult CheckContext::solveAvailability() const {
@@ -286,12 +318,13 @@ DataflowResult CheckContext::solveAvailability() const {
 
 DataflowResult CheckContext::solveAnticipatability() const {
   obs::ScopedPhase Scope(Phases, "solve-antic");
+  const BitRows &Gen = anticGen();
   auto Solve = [&] {
     DataflowProblem P;
     P.Dir = DataflowProblem::Direction::Backward;
     P.MeetOp = DataflowProblem::Meet::Intersect;
     P.UniverseSize = U.size();
-    P.Gen = &Core.AnticGen;
+    P.Gen = &Gen;
     P.Kill = &Core.Kill;
     return solveDataflow(F, Core.Order, P);
   };

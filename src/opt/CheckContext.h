@@ -135,7 +135,7 @@ public:
 
   /// Per-block local anticipatability (LCM's ANTLOC): checks generated in
   /// the block with no kill before them.
-  ConstBitRow blockAnticGen(BlockID B) const { return Core.AnticGen[B]; }
+  ConstBitRow blockAnticGen(BlockID B) const { return anticGen()[B]; }
 
   /// True when block \p B contains a plain check generating \p C's
   /// availability before any kill of \p C (LCM's "locally anticipatable").
@@ -145,6 +145,14 @@ private:
   void buildUniverse(const std::vector<PreheaderFact> &Facts);
   void buildClosures();
   void buildBlockSets();
+
+  /// The anticipatability gen rows, built on first use. Organic contexts
+  /// build them then (and count the word ops there); a seeded context, or
+  /// an organic one whose rows makeSeed built ahead of need, credits the
+  /// build's word ops on its first read instead, so telemetry matches an
+  /// organic build that read them at the same point.
+  const BitRows &anticGen() const;
+  void buildAnticGen() const;
 
   /// The stat epilogue shared by the organic and seeded constructors, so
   /// both record identical counter and histogram updates.
@@ -183,6 +191,10 @@ private:
   /// one). Excludes the stat epilogue's own counted ops, which the seeded
   /// constructor re-executes rather than replays.
   uint64_t BuildWordOps = 0;
+
+  /// Whether this context has paid (built or credited) the word ops of
+  /// the anticipatability gen rows; see anticGen().
+  mutable bool AnticGenPaid = false;
 
   /// Shared write-once memo for the global data-flow solves, threaded
   /// through the seed so every context built from it answers each problem

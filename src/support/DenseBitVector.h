@@ -337,6 +337,11 @@ public:
   /// identical whether a compile recomputed its sets or reused them.
   static void creditThreadOps(uint64_t N) { detail::WordOpCount += N; }
 
+  /// Removes \p N from the calling thread's live op count: work done
+  /// ahead of need whose cost is credited later, when it is needed (a
+  /// cache seed's eagerly completed tables).
+  static void debitThreadOps(uint64_t N) { detail::WordOpCount -= N; }
+
 private:
   static constexpr size_t InlineWords = 2;
 
