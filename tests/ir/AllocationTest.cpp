@@ -4,8 +4,9 @@
 /// The check-alloc gate: the IR queries every analysis runs in its inner
 /// loops must not touch the heap, nor may copying an instruction; a
 /// module copy allocates per block and per array, not per instruction or
-/// name; and the front half allocates arena chunks, blocks and tables, not
-/// a block per syntax node.
+/// name; the front half allocates arena chunks, blocks and tables, not
+/// a block per syntax node; and a CheckContext build and its data-flow
+/// solves allocate row tables, not a set per block, check or family.
 /// This binary replaces the global operator new/delete with counting
 /// versions; a count is taken only inside an AllocationScope, so gtest's
 /// own allocations never show.
@@ -24,12 +25,14 @@
 #include "ir/LinearExpr.h"
 #include "lang/Parser.h"
 #include "lang/Sema.h"
+#include "opt/CheckContext.h"
 #include "suite/Suite.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
+#include <optional>
 
 namespace {
 
@@ -412,6 +415,84 @@ TEST(AllocationGate, PresizedCheckUniverse) {
   // Checks, families (per check and per family), the two indexes, the
   // member and symbol pools and the per-symbol lists.
   EXPECT_LE(LargeCount, 8u);
+}
+
+TEST(AllocationGate, CheckContextBuildAndSolves) {
+  // A context keeps each family of sets (kills, gens, entry facts, both
+  // closures) as one row table, so its build allocates the universe's
+  // flat tables plus a fixed set of its own — never per block, per check
+  // or per family — and a solve allocates its two result tables (plus a
+  // work list past 128 reachable blocks). Every suite function, PRX and
+  // INX, under every implication mode.
+  {
+    // A first build and solve settle the thread's stat shard, whose
+    // one-time growth is no cost of any later build.
+    CompileResult R = compileSource(benchmarkSuite().front().Source);
+    ASSERT_TRUE(R.Success);
+    CheckContext Warm(*R.M->functions().front(), ImplicationMode::All);
+    DataflowResult D = Warm.solveAvailability();
+    DataflowResult E = Warm.solveAnticipatability();
+  }
+  for (const SuiteProgram &P : benchmarkSuite())
+    for (CheckSource Src : {CheckSource::PRX, CheckSource::INX}) {
+      PipelineOptions Opts;
+      Opts.Optimize = false;
+      Opts.Source = Src;
+      CompileResult R = compileSource(P.Source, Opts);
+      ASSERT_TRUE(R.Success) << P.Name;
+      for (Function *F : R.M->functions()) {
+        F->splitCriticalEdges();
+        F->recomputePreds();
+        for (ImplicationMode Mode :
+             {ImplicationMode::All, ImplicationMode::CrossFamilyOnly,
+              ImplicationMode::None}) {
+          // The universe's own tables, sized the way the build sizes
+          // them: the term of the bound that grows with the universe.
+          size_t Checks = 0, Terms = 0;
+          for (const auto &BB : *F)
+            for (const Instruction &I : BB->instructions())
+              if (I.Op == Opcode::Check) {
+                ++Checks;
+                Terms += I.Check.expr().terms().size();
+              }
+          size_t UniverseCount;
+          {
+            AllocationScope Scope;
+            CheckUniverse U(Mode == ImplicationMode::None);
+            U.reserve(Checks, Terms, F->symbols().size());
+            UniverseCount = Scope.count();
+          }
+          std::optional<CheckContext> Ctx;
+          size_t Build, Avail, Antic;
+          {
+            AllocationScope Scope;
+            Ctx.emplace(*F, Mode);
+            Build = Scope.count();
+          }
+          {
+            AllocationScope Scope;
+            DataflowResult D = Ctx->solveAvailability();
+            Avail = Scope.count();
+          }
+          {
+            AllocationScope Scope;
+            DataflowResult D = Ctx->solveAnticipatability();
+            Antic = Scope.count();
+          }
+          // The universe's tables, then the context's fourteen: the
+          // shared core, the four per-instruction tables, the three block
+          // tables and the two closure tables built with it (the
+          // anticipatability gen table waits for its first reader), and
+          // the block order (its search's mark, stack and post-order, and
+          // the position table).
+          EXPECT_LE(Build, UniverseCount + 14) << P.Name << " " << F->name();
+          // In and Out; the first anticipatability solve also builds the
+          // gen table it reads.
+          EXPECT_LE(Avail, 3u) << P.Name << " " << F->name();
+          EXPECT_LE(Antic, 3u) << P.Name << " " << F->name();
+        }
+      }
+    }
 }
 
 } // namespace
