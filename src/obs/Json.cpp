@@ -120,6 +120,15 @@ JsonWriter &JsonWriter::value(double V) {
   return *this;
 }
 
+JsonWriter &JsonWriter::value(double V, int Decimals) {
+  comma();
+  if (std::isfinite(V))
+    Out += formatString("%.*f", Decimals, V);
+  else
+    Out += "null";
+  return *this;
+}
+
 JsonWriter &JsonWriter::value(bool V) {
   comma();
   Out += V ? "true" : "false";

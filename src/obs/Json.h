@@ -43,6 +43,8 @@ public:
   JsonWriter &value(int V) { return value(static_cast<int64_t>(V)); }
   JsonWriter &value(unsigned V) { return value(static_cast<uint64_t>(V)); }
   JsonWriter &value(double V);
+  /// \p V with exactly \p Decimals fraction digits (fixed notation).
+  JsonWriter &value(double V, int Decimals);
   JsonWriter &value(bool V);
   JsonWriter &null();
 

@@ -93,8 +93,10 @@ namespace {
 /// rendered from them keep their containment.
 int64_t toNs(double Seconds) { return std::llround(Seconds * 1e9); }
 
-/// One complete "X" span in whole microseconds, \p ShiftNs after the
-/// document's origin.
+/// One complete "X" span, \p ShiftNs after the document's origin. Times
+/// are microseconds with nanosecond fractions (Chrome's unit, fractional
+/// values allowed), so a span of under a microsecond keeps its length and
+/// its place inside its parent.
 void writeSpan(JsonWriter &W, const PhaseTiming &P, uint32_t Tid,
                int64_t ShiftNs) {
   int64_t StartNs = ShiftNs + toNs(P.WallStart);
@@ -103,8 +105,10 @@ void writeSpan(JsonWriter &W, const PhaseTiming &P, uint32_t Tid,
   W.kv("name", P.Name);
   W.kv("cat", "phase");
   W.kv("ph", "X");
-  W.kv("ts", static_cast<uint64_t>(StartNs / 1000));
-  W.kv("dur", static_cast<uint64_t>(EndNs / 1000 - StartNs / 1000));
+  W.key("ts");
+  W.value(static_cast<double>(StartNs) / 1e3, 3);
+  W.key("dur");
+  W.value(static_cast<double>(EndNs - StartNs) / 1e3, 3);
   W.kv("pid", 1);
   W.kv("tid", Tid);
   W.endObject();

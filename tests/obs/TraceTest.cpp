@@ -8,11 +8,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/Pipeline.h"
 #include "obs/Json.h"
 #include "obs/Trace.h"
+#include "suite/Suite.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -99,7 +102,7 @@ TEST(Trace, JsonRoundTrip) {
   }
   EXPECT_EQ(Events->Array[0].get("name")->String, "alpha");
   EXPECT_EQ(Events->Array[1].get("name")->String, "beta \"quoted\"");
-  // Whole microseconds keep the containment of the recorded spans.
+  // Fractional microseconds keep the containment of the recorded spans.
   const JsonValue &A = Events->Array[0], &B = Events->Array[1];
   EXPECT_LE(A.get("ts")->Number, B.get("ts")->Number);
   EXPECT_GE(A.get("ts")->Number + A.get("dur")->Number,
@@ -168,4 +171,43 @@ TEST(Trace, ProcessCpuClockAdvances) {
   burn(2000000);
   double B = processCpuSeconds();
   EXPECT_GE(B, A);
+}
+
+TEST(Trace, ContainmentRebuildsRecordDepths) {
+  // A viewer knows only the JSON: it nests each span under the innermost
+  // open span that contains it. On a real audited compile (whose CIG
+  // builds and solves often take under a microsecond) that rebuild must
+  // give every span its recorded depth, which needs the sub-microsecond
+  // fractions: whole microseconds collapse short spans onto their
+  // neighbours' boundaries.
+  PipelineOptions Opts;
+  Opts.Audit = true;
+  Opts.Opt.Scheme = PlacementScheme::ALL;
+  CompileResult R = compileSource(findSuiteProgram("linpackd")->Source, Opts);
+  ASSERT_TRUE(R.Success);
+  const std::vector<PhaseTiming> &Rec = R.Phases.Phases;
+  ASSERT_GT(Rec.size(), 20u);
+
+  JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(parseJson(mergedTraceJson({{&R.Phases, ""}}), V, &Err)) << Err;
+  const JsonValue *Events = V.get("traceEvents");
+  ASSERT_NE(Events, nullptr);
+  ASSERT_EQ(Events->Array.size(), Rec.size());
+
+  // Times back in whole nanoseconds: three decimals of a microsecond.
+  auto Ns = [](const JsonValue &E, const char *Key) {
+    return std::llround(E.get(Key)->Number * 1e3);
+  };
+  std::vector<std::pair<int64_t, int64_t>> Open; // [start, end] stack
+  for (size_t I = 0; I != Rec.size(); ++I) {
+    const JsonValue &E = Events->Array[I];
+    ASSERT_EQ(E.get("name")->String, Rec[I].Name);
+    int64_t Start = Ns(E, "ts"), End = Start + Ns(E, "dur");
+    while (!Open.empty() &&
+           !(Open.back().first <= Start && End <= Open.back().second))
+      Open.pop_back();
+    EXPECT_EQ(Open.size(), Rec[I].Depth) << I << " " << Rec[I].Name;
+    Open.push_back({Start, End});
+  }
 }
