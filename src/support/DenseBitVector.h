@@ -256,8 +256,6 @@ public:
   }
 
   operator ConstBitRow() const { return {words(), NumBits}; }
-  /// A writable view of the vector's words.
-  BitRow row() { return {words(), NumBits}; }
 
   size_t size() const { return NumBits; }
   bool empty() const { return NumBits == 0; }
@@ -353,6 +351,7 @@ private:
     return isInline() ? Inline.data() : Heap.data();
   }
   ConstBitRow view() const { return *this; }
+  BitRow row() { return {words(), NumBits}; }
 
   size_t NumBits = 0;
   /// The words of a vector of at most 128 bits; words past numWords() are
